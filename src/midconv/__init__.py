@@ -18,7 +18,7 @@ from .homology import (NumericInstance, generate_instance,
 from .katz import (AlgorithmTrace, ConventionReport, Convoluter,
                    EmptinessCertificate, NoneffectiveReport, TerminalStatus,
                    check_conventions, check_involution, defect, detect_empty,
-                   is_one_generic, kappa, kappa_de_rham, kappa_local, partner,
+                   is_one_generic, kappa, kappa_de_rham, kappa_local,
                    run_algorithm)
 from .moduli import (DimensionReport, classify_dim2, dim2_census,
                      dimension_report, middle_h1_dim)
@@ -31,7 +31,7 @@ __all__ = [
     "EigDivisor", "MonodromyVector",
     "Convoluter", "ConventionReport", "NoneffectiveReport",
     "EmptinessCertificate", "AlgorithmTrace", "TerminalStatus",
-    "defect", "kappa", "kappa_local", "kappa_de_rham", "partner",
+    "defect", "kappa", "kappa_local", "kappa_de_rham",
     "check_involution", "check_conventions", "is_one_generic",
     "detect_empty", "run_algorithm",
     "DimensionReport", "dimension_report", "classify_dim2",

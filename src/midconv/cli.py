@@ -2,27 +2,25 @@
 
 Verbs: defect, transform, run, classify, verify, higgs.  Documents are
 UTF-8 JSON on --input/--output (default stdin/stdout); an input that is
-a JSON *list* of documents is processed as a batch, optionally in
-parallel with --jobs.
+a JSON *list* of documents is processed as a batch.
 
 Exit codes: 0 success / constructed; 2 principled negative result (the
 mathematics says no: empty, unconstructible, convention failure);
-1 malformed input.
+1 malformed input or a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import higgs as higgs_mod
 from . import homology, katz, moduli
-from .divisors import MonodromyVector
 from .docio import ProblemDocument, parse_document, parse_json, render
 from .errors import (ConventionViolation, DocumentError, MidconvError,
                      ModeMismatch)
 from .katz import NoneffectiveReport, TerminalStatus
+from .scalars import GroupMode
 
 OK, NEGATIVE, BAD_INPUT = 0, 2, 1
 
@@ -49,15 +47,12 @@ def cmd_transform(doc: ProblemDocument) -> tuple[dict, int]:
                 "convention": exc.convention,
                 "report": report.to_json()}, NEGATIVE
     if isinstance(result, NoneffectiveReport):
-        cert = katz.detect_empty(beta, doc.vector)
         return {"kind": "transform", "status": "EmptyNoneffective",
                 "report": result.to_json(),
-                "certificate": cert.to_json() if cert else None}, NEGATIVE
-    if isinstance(result, MonodromyVector):
-        return {"kind": "transform", "status": "ok",
-                "defect": katz.defect(doc.vector, beta),
-                "output": result.to_json()}, OK
-    return {"kind": "transform", "status": "DegenerateRank"}, NEGATIVE
+                "certificate": result.certificate.to_json()}, NEGATIVE
+    return {"kind": "transform", "status": "ok",
+            "defect": result.rank - doc.vector.rank,
+            "output": result.to_json()}, OK
 
 
 def cmd_run(doc: ProblemDocument) -> tuple[dict, int]:
@@ -85,8 +80,7 @@ def cmd_classify(doc: ProblemDocument) -> tuple[dict, int]:
 def cmd_verify(doc: dict) -> tuple[dict, int]:
     tol = float(doc.get("tol", homology.DEFAULT_TOL))
     if "matrices" in doc:
-        inst = homology.NumericInstance.from_json(doc)
-        report = homology.verify_instance(inst)
+        problem = homology.NumericInstance.from_json(doc)
     elif "generate" in doc:
         g = doc["generate"]
         problem = homology.generate_instance(
@@ -95,45 +89,19 @@ def cmd_verify(doc: dict) -> tuple[dict, int]:
             aim=g.get("aim", "support"),
             v_policy=g.get("v_policy", "same"),
             tol=tol)
-        report = homology.verify_instance(problem)
     else:
         parsed = parse_document(doc)
         if not parsed.assignment:
             raise DocumentError(
                 "verify needs 'matrices', 'generate', or classes plus an "
                 "'assignment'", "$")
-        problem = _instance_from_symbolic(parsed, tol)
-        report = homology.verify_instance(problem)
+        if parsed.mode is not GroupMode.MULTIPLICATIVE:
+            raise DocumentError("symbolic verify needs multiplicative mode", "$.mode")
+        problem = homology.symbolic_instance(parsed.vector, parsed.convoluter_or_default(),
+                                             parsed.assignment, parsed.seed, tol)
+    report = homology.verify_instance(problem)
     out = {"kind": "verify", "report": report.to_json()}
     return out, (OK if report.ok else NEGATIVE)
-
-
-def _instance_from_symbolic(parsed: ProblemDocument, tol: float):
-    """Numeric instance realizing the first n-1 symbolic classes; the
-    last matrix is the inverse of the product and its classes replace
-    the document's last divisor (measured, as in random generation)."""
-    import numpy as np
-    from scipy.stats import unitary_group
-
-    vec, beta = parsed.vector, parsed.convoluter_or_default()
-    rng = np.random.default_rng(parsed.seed)
-    n, r = vec.n, vec.rank
-    matrices = []
-    for i in range(n - 1):
-        diag = []
-        for elem, mult in vec[i].entries:
-            diag.extend([elem.to_complex(parsed.assignment)] * mult)
-        Q = unitary_group.rvs(r, random_state=rng)
-        matrices.append(Q @ np.diag(diag) @ Q.conj().T)
-    prod = np.eye(r, dtype=complex)
-    for Mi in matrices:
-        prod = prod @ Mi
-    matrices.append(np.linalg.inv(prod))
-    b = np.array([e.to_complex(parsed.assignment) for e in beta.h])
-    w = np.array([e.to_complex(parsed.assignment) for e in beta.v])
-    chi = beta.t.to_complex(parsed.assignment)
-    inst = homology.NumericInstance(M=matrices, b=b, w=w, chi=chi, tol=tol)
-    return inst
 
 
 def cmd_higgs(doc: ProblemDocument) -> tuple[dict, int]:
@@ -200,9 +168,10 @@ def main(argv=None) -> int:
     parser.add_argument("--max-steps", type=int, default=None)
     parser.add_argument("--beta-v", choices=["same", "fresh", "explicit"],
                         default=None)
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for batch (list) inputs")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 on --help
+        return BAD_INPUT if exc.code else OK
 
     try:
         if args.input == "-":
@@ -213,27 +182,15 @@ def main(argv=None) -> int:
         payload = parse_json(text)
 
         if isinstance(payload, list):
-            worker = lambda d: _process_one(args.verb, d, args)
-            if args.jobs > 1:
-                with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                    results = list(pool.map(worker, payload))
-            else:
-                results = [worker(d) for d in payload]
+            results = [_process_one(args.verb, d, args) for d in payload]
             out_doc = [r[0] for r in results]
             code = max((r[1] for r in results), default=OK)
         else:
             out_doc, code = _process_one(args.verb, payload, args)
-    except DocumentError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return BAD_INPUT
-    except ModeMismatch as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return BAD_INPUT
-    except MidconvError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return BAD_INPUT
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
+    except (MidconvError, OSError) as exc:
+        kind = ("input error" if isinstance(exc, (DocumentError, ModeMismatch))
+                else "error" if isinstance(exc, MidconvError) else "i/o error")
+        print(f"{kind}: {exc}", file=sys.stderr)
         return BAD_INPUT
 
     text = render(out_doc)

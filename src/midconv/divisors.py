@@ -13,7 +13,7 @@ from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ModeMismatch
-from .scalars import GroupElement, GroupMode, ScalarExpr
+from .scalars import GroupElement, GroupMode, ScalarExpr, product
 
 __all__ = ["EigDivisor", "MonodromyVector"]
 
@@ -82,10 +82,7 @@ class EigDivisor:
 
     def determinant(self) -> GroupElement:
         """Group-law fold of m(a)*a; the trace in additive mode."""
-        acc = GroupElement.identity(self.mode)
-        for e, m in self.entries:
-            acc = acc.combine(e.power(m))
-        return acc
+        return product((e.power(m) for e, m in self.entries), self.mode)
 
     def partition(self) -> tuple[int, ...]:
         return tuple(sorted((m for _, m in self.entries), reverse=True))
@@ -179,21 +176,14 @@ class MonodromyVector:
         return tuple(g.partition() for g in self.divisors)
 
     def pmv_gcd(self) -> int:
-        d = 0
-        for g in self.divisors:
-            for _, m in g.entries:
-                d = gcd(d, m)
-        return d
+        return gcd(*(m for g in self.divisors for _, m in g.entries))
 
     def is_all_diagonal(self) -> bool:
         """True iff every local class is scalar (a single eigenvalue)."""
         return all(len(g.entries) == 1 for g in self.divisors)
 
     def total_determinant(self) -> GroupElement:
-        acc = GroupElement.identity(self.mode)
-        for g in self.divisors:
-            acc = acc.combine(g.determinant())
-        return acc
+        return product((g.determinant() for g in self.divisors), self.mode)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MonodromyVector):

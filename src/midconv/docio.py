@@ -22,17 +22,14 @@ __all__ = ["ProblemDocument", "parse_document", "render", "parse_json"]
 @dataclass
 class ProblemDocument:
     """A parsed problem: the monodromy vector plus optional twisting
-    data, numeric assignment, seed and tolerance."""
+    data, numeric assignment and seed."""
 
     vector: MonodromyVector
-    generators: tuple = ()
     convoluter: Optional[Convoluter] = None
     v_policy: str = "same"
     assignment: dict = field(default_factory=dict)
     seed: int = 0
-    tol: float = 1e-9
     max_steps: Optional[int] = None
-    raw: dict = field(default_factory=dict)
 
     @property
     def mode(self) -> GroupMode:
@@ -141,14 +138,11 @@ def parse_document(doc: dict) -> ProblemDocument:
 
     return ProblemDocument(
         vector=vector,
-        generators=tuple(doc.get("generators", ())),
         convoluter=convoluter,
         v_policy=v_policy,
         assignment=assignment,
         seed=int(doc.get("seed", 0)),
-        tol=float(doc.get("tol", 1e-9)),
         max_steps=doc.get("max_steps"),
-        raw=doc,
     )
 
 

@@ -16,16 +16,16 @@ explicit and every rank decision is an SVD/eigenvalue threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import null_space
+from scipy.linalg import block_diag, null_space
 from scipy.optimize import linear_sum_assignment
 from scipy.stats import unitary_group
 
 from .divisors import EigDivisor, MonodromyVector
 from .errors import (BoundaryNotSurjective, ConventionViolationNumeric,
-                     QuotientRankMismatch, SizeMismatch)
+                     MidconvError, QuotientRankMismatch, SizeMismatch)
 from .katz import Convoluter, kappa
 from .scalars import GroupElement, GroupMode
 
@@ -36,11 +36,10 @@ __all__ = [
     "MiddleConvolutionRep",
     "VerificationProblem",
     "VerifyReport",
-    "expand_word",
-    "braid_action",
     "raw_convolution_rep",
     "middle_convolution_rep",
     "generate_instance",
+    "symbolic_instance",
     "verify_instance",
     "match_multisets",
 ]
@@ -245,14 +244,6 @@ class ChainSpace:
         return self._kernel
 
 
-def expand_word(inst: NumericInstance, word: Sequence[int], v: np.ndarray) -> np.ndarray:
-    return ChainSpace(inst).expand_word(word, v)
-
-
-def braid_action(inst: NumericInstance, k: int) -> np.ndarray:
-    return ChainSpace(inst).braid_matrix(k)
-
-
 def braid_block_closed_form(chi: complex, b_k: complex, r_kj: complex) -> np.ndarray:
     """Closed-form action of u_k on span(G[a_k, v], G[d_k, v]) for an
     eigenvector v of M_k with eigenvalue r_kj (columns are images)."""
@@ -322,7 +313,6 @@ def middle_convolution_rep(inst: NumericInstance) -> MiddleConvolutionRep:
             raise ConventionViolationNumeric(
                 f"chi * b_{k} * eigenvalue is numerically 1 at point {k}")
     raw = raw_convolution_rep(inst)
-    space = ChainSpace(inst)
     K = raw.kernel
     fixed = [_fixed_space(inst, k) for k in range(inst.n)]
     fixed_dims = [F.shape[1] for F in fixed]
@@ -330,8 +320,8 @@ def middle_convolution_rep(inst: NumericInstance) -> MiddleConvolutionRep:
     if total == 0:
         return MiddleConvolutionRep(dim=raw.dim, matrices=list(raw.matrices),
                                     fixed_dims=fixed_dims, raw=raw)
-    phi_ambient = np.hstack([space.embed(k, fixed[k]) for k in range(inst.n)
-                             if fixed_dims[k]])
+    # column block k is G[a_{k+1}, F_k] (ChainSpace.embed of the fixed space)
+    phi_ambient = block_diag(*fixed)
     phi = K.conj().T @ phi_ambient
     # the columns must lie in the kernel and stay independent
     residual = np.linalg.norm(phi_ambient - K @ phi)
@@ -394,14 +384,13 @@ class VerificationProblem:
         instantiated through the assignment."""
         result = kappa(self.beta, self.vector, check=True)
         if not isinstance(result, MonodromyVector):
-            raise ValueError(f"symbolic transform is not effective: {result!r}")
-        spectra = []
-        for g in result:
-            values = []
-            for elem, mult in g.entries:
-                values.extend([elem.to_complex(self.assignment)] * mult)
-            spectra.append(values)
-        return spectra
+            raise MidconvError(f"symbolic transform is not effective: {result!r}")
+        return [_spectrum(g, self.assignment) for g in result]
+
+
+def _spectrum(g: EigDivisor, assignment: dict) -> list[complex]:
+    """The eigenvalues of a class under ``assignment``, with multiplicity."""
+    return [e.to_complex(assignment) for e, m in g.entries for _ in range(m)]
 
 
 def _cluster_angles(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
@@ -417,6 +406,29 @@ def _cluster_angles(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
         out[0][1] += out[-1][1]
         out.pop()
     return [(a, m) for a, m in out]
+
+
+def _realize(diagonals: Iterable, r: int, rng) -> list[np.ndarray]:
+    """Matrices with the given spectra at points 1..n-1, then the last.
+
+    Each diagonal becomes Q D Q^* for a random unitary Q drawn from
+    ``rng`` in order (a 1 x 1 needs none); the last matrix is the
+    inverse of the product of the others, so the product relation holds.
+    """
+    matrices, unit = [], True
+    for diag in diagonals:
+        unit = unit and bool(np.all(np.abs(np.abs(diag) - 1) <= 1e-12))
+        if len(diag) == 1:
+            matrices.append(np.diag(diag))
+        else:
+            Q = unitary_group.rvs(len(diag), random_state=rng)
+            matrices.append(Q @ np.diag(diag) @ Q.conj().T)
+    prod = np.eye(r, dtype=complex)
+    for Mi in matrices:
+        prod = prod @ Mi
+    # a unitary product is inverted by its adjoint, which keeps the relation exact
+    matrices.append(prod.conj().T if unit else np.linalg.inv(prod))
+    return matrices
 
 
 def generate_instance(seed: int, r: int, n: int,
@@ -444,29 +456,19 @@ def generate_instance(seed: int, r: int, n: int,
 
     assignment: dict[str, float] = {}
     gens: list[list[GroupElement]] = []
-    matrices = []
-    for i in range(n - 1):
-        classes = []
-        for j, m in enumerate(mults[i]):
-            name = f"e{i}_{j}"
-            theta = float(rng.uniform(0.02, 0.98))
-            assignment[name] = theta
-            classes.append((GroupElement.generator(name, mode), m, theta))
-        gens.append([c[0] for c in classes])
-        diag = np.concatenate([[np.exp(2j * np.pi * th)] * m for _, m, th in classes])
-        if len(diag) == 1:
-            matrices.append(np.diag(diag))
-        else:
-            Q = unitary_group.rvs(len(diag), random_state=rng)
-            matrices.append(Q @ np.diag(diag) @ Q.conj().T)
 
-    prod = np.eye(r, dtype=complex)
-    for Mi in matrices:
-        prod = prod @ Mi
-    M_last = prod.conj().T  # unitary inverse, keeps the product relation exact
-    matrices.append(M_last)
+    def diagonals():
+        # consumed one point at a time: each point's angles are drawn
+        # just before its conjugating unitary
+        for i in range(n - 1):
+            names = [f"e{i}_{j}" for j in range(len(mults[i]))]
+            thetas = [float(rng.uniform(0.02, 0.98)) for _ in names]
+            assignment.update(zip(names, thetas))
+            gens.append([GroupElement.generator(name, mode) for name in names])
+            yield np.concatenate([[np.exp(2j * np.pi * th)] * m for th, m in zip(thetas, mults[i])])
 
-    angles = np.angle(np.linalg.eigvals(M_last)) / (2 * np.pi) % 1.0
+    matrices = _realize(diagonals(), r, rng)
+    angles = np.angle(np.linalg.eigvals(matrices[-1])) / (2 * np.pi) % 1.0
     last_classes = []
     for j, (theta, m) in enumerate(_cluster_angles(angles, tol)):
         name = f"e{n - 1}_{j}"
@@ -515,6 +517,24 @@ def generate_instance(seed: int, r: int, n: int,
                                assignment=assignment)
 
 
+def symbolic_instance(vector: MonodromyVector, beta: Convoluter, assignment: dict,
+                      seed: int = 0, tol: float = DEFAULT_TOL) -> VerificationProblem:
+    """Numeric instance of a multiplicative vector and twist under ``assignment``.
+
+    The first n-1 classes are realized as in ``generate_instance`` and
+    the last matrix closes the product; the vector's own last class then
+    enters the prediction, so a last class that the matrices do not
+    carry fails the comparison.
+    """
+    value = lambda e: e.to_complex(assignment)
+    diagonals = [_spectrum(g, assignment) for g in vector.divisors[:-1]]
+    inst = NumericInstance(M=_realize(diagonals, vector.rank, np.random.default_rng(seed)),
+                           b=[value(e) for e in beta.h], w=[value(e) for e in beta.v],
+                           chi=value(beta.t), tol=tol)
+    return VerificationProblem(instance=inst, vector=vector, beta=beta,
+                               assignment=assignment)
+
+
 @dataclass
 class VerifyReport:
     """Outcome of a full numeric-vs-symbolic comparison."""
@@ -551,7 +571,9 @@ def verify_instance(problem: VerificationProblem | NumericInstance,
 
     With a full VerificationProblem the prediction comes from the
     symbolic transform through the assignment; with a bare instance it
-    comes from the instance's own eigenvalue data.
+    comes from the instance's own eigenvalue data.  A middle quotient
+    whose dimension differs from the prediction is not ok and has no
+    deviations to report.
     """
     if isinstance(problem, NumericInstance):
         inst = problem
@@ -561,14 +583,15 @@ def verify_instance(problem: VerificationProblem | NumericInstance,
         predicted = problem.predicted_kappa_spectra()
     middle = middle_convolution_rep(inst)
     n, r = inst.n, inst.r
-    expected_middle = r + inst.measured_defect()
+    expected_middle = len(predicted[0])  # r + d of the prediction
     deviations = []
     det_prod = 1.0 + 0j
     for k in range(n):
         measured = list(np.linalg.eigvals(middle.matrices[k]))
         det_prod *= np.prod(measured) if measured else 1.0
-        deviations.append(match_multisets(predicted[k], measured))
-    max_dev = max(deviations) if deviations else 0.0
+        if middle.dim == expected_middle:
+            deviations.append(match_multisets(predicted[k], measured))
+    max_dev = max(deviations) if deviations else None
     det_err = abs(det_prod - 1)
     ok = (middle.raw.dim == (n - 1) * r
           and middle.dim == expected_middle

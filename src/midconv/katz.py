@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Sequence
 
 from .divisors import EigDivisor, MonodromyVector
 from .errors import (ConventionViolation, MaxStepsExceeded, ModeMismatch,
@@ -36,7 +36,6 @@ __all__ = [
     "kappa_local",
     "kappa",
     "kappa_de_rham",
-    "partner",
     "check_involution",
     "check_conventions",
     "is_one_generic",
@@ -126,10 +125,6 @@ class Convoluter:
                 "v": [e.to_json() for e in self.v]}
 
 
-def partner(beta: Convoluter) -> Convoluter:
-    return beta.partner()
-
-
 @dataclass(frozen=True)
 class ConventionReport:
     """Outcome of the exact convention checks for a pair (beta, vector).
@@ -146,14 +141,10 @@ class ConventionReport:
     diag_res_not_integer: Optional[bool] = None
     alphabetabeta_ok: Optional[bool] = None
     alphabetabeta_detail: tuple = ()
-    one_generic: Optional[bool] = None
 
     @property
     def ok(self) -> bool:
-        parts = [self.chi_nontrivial, self.chirhobeta_ok]
-        if self.de_rham:
-            parts += [bool(self.diag_res_not_integer), bool(self.alphabetabeta_ok)]
-        return all(parts)
+        return self.first_violation() is None
 
     def first_violation(self) -> Optional[ConventionViolation]:
         if self.de_rham and not self.diag_res_not_integer:
@@ -181,8 +172,6 @@ class ConventionReport:
             doc["alphabetabeta_ok"] = self.alphabetabeta_ok
             doc["alphabetabeta_violations"] = [
                 {"point": i, "eigenvalue": a.to_json()} for i, a in self.alphabetabeta_detail]
-        if self.one_generic is not None:
-            doc["one_generic"] = self.one_generic
         return doc
 
 
@@ -196,6 +185,12 @@ class NoneffectiveReport:
     """
 
     points: tuple  # of (i, coefficient, lhs, r)
+
+    @property
+    def certificate(self) -> "EmptinessCertificate":
+        """The first witnessing point."""
+        i, coefficient, lhs, r = self.points[0]
+        return EmptinessCertificate(point=i, lhs=lhs, rank=r, coefficient=coefficient)
 
     def to_json(self) -> dict:
         return {"noneffective": [
@@ -215,25 +210,61 @@ class EmptinessCertificate:
                 "rank": self.rank, "coefficient": self.coefficient}
 
 
-class DegenerateRank:
-    """Marker result: every transform coefficient is zero (rank 0)."""
-
-    def __repr__(self):
-        return "DegenerateRank()"
-
-    def __eq__(self, other):
-        return isinstance(other, DegenerateRank)
-
-    def __hash__(self):
-        return hash(DegenerateRank)
-
-
 def _check_compat(beta: Convoluter, vector: MonodromyVector):
     if beta.n != vector.n:
         raise SizeMismatch(f"convoluter has {beta.n} points, vector has {vector.n}")
     if beta.mode is not vector.mode:
         raise ModeMismatch(
             f"convoluter mode {beta.mode.value} but vector mode {vector.mode.value}")
+
+
+class _Plan(NamedTuple):
+    """The transform formula for one (beta, vector) pair, evaluated once.
+
+    ``mults[i]`` is m_i(h_i^{-1}), ``defect`` is d = (n-2) r - sum(mults),
+    and ``noneffective`` lists (i, m_i + d, sum_{j != i}(r - m_j), r) for
+    every point whose new eigenvalue [v_i] gets a negative coefficient.
+    """
+
+    mults: tuple
+    defect: int
+    noneffective: tuple
+
+
+def _plan(beta: Convoluter, vector: MonodromyVector) -> _Plan:
+    _check_compat(beta, vector)
+    n, r = vector.n, vector.rank
+    mults = tuple(g.multiplicity(hi.invert()) for g, hi in zip(vector, beta.h))
+    d = (n - 2) * r - sum(mults)
+    lhs = [sum(r - mults[j] for j in range(n) if j != i) for i in range(n)]
+    assert all((m + d < 0) == (l < r) for m, l in zip(mults, lhs)), \
+        "emptiness characterizations disagree"
+    return _Plan(mults, d, tuple((i, m + d, lhs[i], r)
+                                 for i, m in enumerate(mults) if m + d < 0))
+
+
+def _local(beta: Convoluter, vector: MonodromyVector, plan: _Plan, i: int) -> EigDivisor:
+    g, hi, ui = vector[i], beta.h[i], beta.u[i]
+    entries = [(beta.v[i], plan.mults[i] + plan.defect)]
+    for a, m in g.entries:
+        if not a.combine(hi).is_identity():
+            entries.append((a.combine(ui), m))
+    return EigDivisor(vector.mode, entries)
+
+
+def _transform(beta: Convoluter, vector: MonodromyVector, plan: _Plan):
+    if plan.noneffective:
+        return NoneffectiveReport(points=plan.noneffective)
+    # every m_i + d >= 0 sums to (n-2) r + (n-1) d >= 0, so r + d > 0
+    out = MonodromyVector([_local(beta, vector, plan, i) for i in range(vector.n)])
+    assert all(k.degree() == vector.rank + plan.defect for k in out), "rank law r' = r + d"
+    return out
+
+
+def _require_conventions(beta: Convoluter, vector: MonodromyVector, de_rham: bool):
+    violation = check_conventions(beta, vector, de_rham=de_rham).first_violation()
+    if violation is not None:
+        raise violation
 
 
 def max_mult_convoluter(vector: MonodromyVector,
@@ -257,12 +288,9 @@ def defect(vector: MonodromyVector, beta: Convoluter | None = None) -> int:
     With ``beta`` omitted the maximal multiplicity is used at each point,
     which is the defect of the vector itself.
     """
-    n, r = vector.n, vector.rank
     if beta is None:
-        return (n - 2) * r - sum(g.max_multiplicity()[1] for g in vector)
-    _check_compat(beta, vector)
-    return (n - 2) * r - sum(
-        g.multiplicity(hi.invert()) for g, hi in zip(vector, beta.h))
+        return (vector.n - 2) * vector.rank - sum(g.max_multiplicity()[1] for g in vector)
+    return _plan(beta, vector).defect
 
 
 def check_conventions(beta: Convoluter, vector: MonodromyVector,
@@ -280,12 +308,11 @@ def check_conventions(beta: Convoluter, vector: MonodromyVector,
         for a in g.support():
             if shift.combine(a).is_identity():
                 chirho_detail.append((i, a))
+    abstract = dict(chi_nontrivial=not beta.t.is_identity(),
+                    chirhobeta_ok=not chirho_detail,
+                    chirhobeta_detail=tuple(chirho_detail))
     if not de_rham:
-        return ConventionReport(
-            chi_nontrivial=not beta.t.is_identity(),
-            chirhobeta_ok=not chirho_detail,
-            chirhobeta_detail=tuple(chirho_detail),
-        )
+        return ConventionReport(**abstract)
     if vector.mode is not GroupMode.ADDITIVE:
         raise ModeMismatch("de Rham conventions require additive mode")
     abb_detail = []
@@ -296,9 +323,7 @@ def check_conventions(beta: Convoluter, vector: MonodromyVector,
             if s1.is_integer() or (s2.is_integer() and not s2.is_identity()):
                 abb_detail.append((i, a))
     return ConventionReport(
-        chi_nontrivial=not beta.t.is_identity(),
-        chirhobeta_ok=not chirho_detail,
-        chirhobeta_detail=tuple(chirho_detail),
+        **abstract,
         de_rham=True,
         diag_res_not_integer=not beta.t.is_integer(),
         alphabetabeta_ok=not abb_detail,
@@ -315,25 +340,9 @@ def kappa_local(beta: Convoluter, vector: MonodromyVector, i: int,
     coefficient makes the result noneffective (callers decide what to do
     with that).
     """
-    _check_compat(beta, vector)
     if check:
-        report = check_conventions(beta, vector,
-                                   de_rham=False)
-        violation = report.first_violation()
-        if violation is not None:
-            raise violation
-    d = defect(vector, beta)
-    g = vector[i]
-    hi, vi, ui = beta.h[i], beta.v[i], beta.u[i]
-    entries = [(vi, g.multiplicity(hi.invert()) + d)]
-    for a, m in g.entries:
-        if not a.combine(hi).is_identity():
-            entries.append((a.combine(ui), m))
-    return EigDivisor(vector.mode, entries)
-
-
-def _kappa_divisors(beta: Convoluter, vector: MonodromyVector) -> list[EigDivisor]:
-    return [kappa_local(beta, vector, i, check=False) for i in range(vector.n)]
+        _require_conventions(beta, vector, de_rham=False)
+    return _local(beta, vector, _plan(beta, vector), i)
 
 
 def kappa(beta: Convoluter, vector: MonodromyVector, check: bool = True,
@@ -341,35 +350,13 @@ def kappa(beta: Convoluter, vector: MonodromyVector, check: bool = True,
     """Global transform.
 
     Returns a MonodromyVector of rank r + d, or a NoneffectiveReport if
-    any coefficient went negative, or DegenerateRank if the output rank
-    is zero.  With ``check`` the conventions are verified first and a
-    ConventionViolation is raised on failure (the flag exists for
-    exploratory use).
+    any coefficient went negative.  With ``check`` the conventions are
+    verified first and a ConventionViolation is raised on failure (the
+    flag exists for exploratory use).
     """
-    _check_compat(beta, vector)
     if check:
-        report = check_conventions(beta, vector, de_rham=de_rham)
-        violation = report.first_violation()
-        if violation is not None:
-            raise violation
-    d = defect(vector, beta)
-    divisors = _kappa_divisors(beta, vector)
-    r = vector.rank
-    bad = []
-    for i, (g, hi) in enumerate(zip(vector, beta.h)):
-        coeff = g.multiplicity(hi.invert()) + d
-        if coeff < 0:
-            lhs = sum(r - vector[j].multiplicity(beta.h[j].invert())
-                      for j in range(vector.n) if j != i)
-            assert lhs < r, "noneffectivity and the rank inequality must agree"
-            bad.append((i, coeff, lhs, r))
-    if bad:
-        return NoneffectiveReport(points=tuple(bad))
-    if r + d == 0:
-        return DegenerateRank()
-    out = MonodromyVector(divisors)
-    assert all(k.degree() == r + d for k in out), "rank law r' = r + d"
-    return out
+        _require_conventions(beta, vector, de_rham=de_rham)
+    return _transform(beta, vector, _plan(beta, vector))
 
 
 def kappa_de_rham(beta: Convoluter, vector: MonodromyVector, check: bool = True):
@@ -377,23 +364,15 @@ def kappa_de_rham(beta: Convoluter, vector: MonodromyVector, check: bool = True)
 
     Identical combinatorics with the group written additively, guarded
     by the de Rham conventions.  Also returns the per-point dimension
-    ``d_i = (n-2) r - sum_{j != i} m_j(-h_j)`` of the new-eigenvalue
-    block and asserts it equals the coefficient of [v_i] by a direct
-    recount.
+    ``d_i = m_i(-h_i) + d = (n-2) r - sum_{j != i} m_j(-h_j)`` of the
+    new-eigenvalue block, the coefficient of [v_i].
     """
     if vector.mode is not GroupMode.ADDITIVE:
         raise ModeMismatch("de Rham transform requires additive mode")
-    result = kappa(beta, vector, check=check, de_rham=True)
-    n, r = vector.n, vector.rank
-    d = defect(vector, beta)
-    d_list = []
-    for i in range(n):
-        d_i = (n - 2) * r - sum(vector[j].multiplicity(beta.h[j].invert())
-                                for j in range(n) if j != i)
-        m_i = vector[i].multiplicity(beta.h[i].invert())
-        assert d_i == m_i + d, "new-eigenvalue block dimension recount"
-        d_list.append(d_i)
-    return result, d_list
+    if check:
+        _require_conventions(beta, vector, de_rham=True)
+    plan = _plan(beta, vector)
+    return _transform(beta, vector, plan), [m + plan.defect for m in plan.mults]
 
 
 def check_involution(beta: Convoluter, vector: MonodromyVector,
@@ -425,31 +404,16 @@ def is_one_generic(vector: MonodromyVector, budget: int = 10 ** 7) -> bool:
 
 
 def detect_empty(beta: Convoluter, vector: MonodromyVector) -> Optional[EmptinessCertificate]:
-    """Witness for a noneffective transform, if any.
-
-    The two characterizations -- a negative coefficient ``m_i + d`` and
-    the rank inequality ``sum_{j != i}(r - m_j) < r`` -- are evaluated
-    independently at every point and asserted to agree.
-    """
-    _check_compat(beta, vector)
-    n, r = vector.n, vector.rank
-    d = defect(vector, beta)
-    mults = [g.multiplicity(hi.invert()) for g, hi in zip(vector, beta.h)]
-    found = None
-    for i in range(n):
-        lhs = sum(r - mults[j] for j in range(n) if j != i)
-        noneffective = mults[i] + d < 0
-        assert noneffective == (lhs < r), "emptiness characterizations disagree"
-        if noneffective and found is None:
-            found = EmptinessCertificate(point=i, lhs=lhs, rank=r,
-                                         coefficient=mults[i] + d)
-    return found
+    """Witness for a noneffective transform, if any: the first point
+    with a negative coefficient ``m_i + d``, equivalently with
+    ``sum_{j != i}(r - m_j) < r`` (the two are asserted to agree at
+    every point)."""
+    bad = _plan(beta, vector).noneffective
+    return NoneffectiveReport(points=bad).certificate if bad else None
 
 
 class TerminalStatus(enum.Enum):
-    # The loop reports ALL_DIAGONAL for every scalar-classes terminal,
-    # rank one included; RANK_ONE is kept for callers that refine it.
-    RANK_ONE = "RankOne"
+    # ALL_DIAGONAL covers every scalar-classes terminal, rank one included.
     ALL_DIAGONAL = "AllDiagonal"
     EMPTY_NONEFFECTIVE = "EmptyNoneffective"
     POSITIVE_DEFECT = "PositiveDefect"
@@ -524,21 +488,18 @@ def run_algorithm(vector: MonodromyVector, max_steps: int | None = None,
         # fresh generators must be fresh per step, not reused across steps
         names = [f"_s{step}_{i}" for i in range(1, current.n)]
         beta = max_mult_convoluter(current, v_policy=v_policy, fresh_names=names)
-        d = defect(current, beta)
+        plan = _plan(beta, current)
+        d = plan.defect
         if d >= 0:
             return AlgorithmTrace(tuple(steps), TerminalStatus.POSITIVE_DEFECT, current)
         report = check_conventions(beta, current)
         if not report.ok:
             return AlgorithmTrace(tuple(steps), TerminalStatus.CONVENTION_FAILURE,
                                   current, report=report, failed_side="forward")
-        result = kappa(beta, current, check=False)
+        result = _transform(beta, current, plan)
         if isinstance(result, NoneffectiveReport):
-            cert = detect_empty(beta, current)
             return AlgorithmTrace(tuple(steps), TerminalStatus.EMPTY_NONEFFECTIVE,
-                                  current, certificate=cert)
-        if isinstance(result, DegenerateRank):  # unreachable for valid inputs
-            return AlgorithmTrace(tuple(steps), TerminalStatus.EMPTY_NONEFFECTIVE,
-                                  current)
+                                  current, certificate=result.certificate)
         back_report = check_conventions(beta.partner(), result)
         if not back_report.ok:
             return AlgorithmTrace(tuple(steps), TerminalStatus.CONVENTION_FAILURE,

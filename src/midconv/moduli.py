@@ -115,7 +115,8 @@ def classify_dim2_pmv(r: int, pmv: Sequence[Sequence[int]]) -> Optional[str]:
     # i.e. every point has all multiplicities equal
     assert report.defect == 0 and report.superdefect == 0
     assert all(len(set(p)) == 1 for p in pmv)
-    key = tuple(sorted(len(p) for p in pmv))
+    # a scalar point changes neither the defect nor the naive dimension
+    key = tuple(sorted(len(p) for p in pmv if len(p) > 1))
     tag = FAMILY_TAGS.get(key)
     assert tag is not None, f"unlisted dimension-2 shape {pmv}"
     return tag

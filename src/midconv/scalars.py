@@ -27,16 +27,7 @@ from typing import Iterable, Mapping
 
 from .errors import MissingGenerator, ModeMismatch
 
-__all__ = [
-    "ScalarExpr",
-    "GroupMode",
-    "GroupElement",
-    "combine",
-    "invert",
-    "is_identity",
-    "is_integer_additive",
-    "to_complex",
-]
+__all__ = ["ScalarExpr", "GroupMode", "GroupElement"]
 
 
 def _as_fraction(x) -> Fraction:
@@ -277,28 +268,6 @@ class GroupElement:
 
     def to_json(self) -> dict:
         return self.expr.to_json()
-
-
-# Module-level aliases matching the operation names used elsewhere.
-
-def combine(a: GroupElement, b: GroupElement) -> GroupElement:
-    return a.combine(b)
-
-
-def invert(a: GroupElement) -> GroupElement:
-    return a.invert()
-
-
-def is_identity(a: GroupElement) -> bool:
-    return a.is_identity()
-
-
-def is_integer_additive(a: GroupElement) -> bool:
-    return a.is_integer()
-
-
-def to_complex(a: GroupElement, assignment: Mapping[str, complex] | None = None) -> complex:
-    return a.to_complex(assignment)
 
 
 def product(elements: Iterable[GroupElement], mode: GroupMode | None = None) -> GroupElement:

@@ -161,6 +161,73 @@ class TestVerify:
         assert code == 0 and out["report"]["ok"]
 
 
+def symbolic_verify_document(last_class=None, mode="multiplicative", h3=None):
+    """Rank 2 on 3 points: a scalar class, then two eigenvalues; the
+    last class is the one the product relation forces unless given.
+    The twist h is (x, y, h3), with h3 = z by default."""
+    doc = {
+        "mode": mode,
+        "classes": [
+            [entry({"a": "1"}, mult=2)],
+            [entry({"b0": "1"}), entry({"b1": "1"})],
+            last_class or [entry({"a": "-1", "b0": "-1"}),
+                           entry({"a": "-1", "b1": "-1"})],
+        ],
+        "assignment": {"a": 0.13, "b0": 0.29, "b1": 0.71, "c0": 0.37,
+                       "c1": 0.83, "x": 0.17, "y": 0.47, "z": 0.23},
+        "convoluter": {"h": [expr({"x": "1"}), expr({"y": "1"}),
+                             h3 or expr({"z": "1"})]},
+        "seed": 3,
+    }
+    return doc
+
+
+UNRELATED_LAST = [entry({"c0": "1"}), entry({"c1": "1"})]
+
+
+class TestSymbolicVerify:
+    def test_consistent_document(self, tmp_path):
+        code, out, _ = run_cli(tmp_path, "verify", symbolic_verify_document())
+        assert code == 0
+        rep = out["report"]
+        assert rep["ok"] and rep["middle_dim"] == rep["expected_middle_dim"] == 4
+        assert rep["max_deviation"] < 1e-8
+
+    def test_unrelated_last_class_fails(self, tmp_path):
+        doc = symbolic_verify_document(UNRELATED_LAST)
+        code, out, _ = run_cli(tmp_path, "verify", doc)
+        assert code == 2
+        rep = out["report"]
+        assert not rep["ok"] and rep["max_deviation"] > 1e-3
+
+    def test_unrelated_last_class_changes_the_dimension(self, tmp_path):
+        # a twist aimed at the document's last class predicts a defect
+        # that the matrices do not have
+        doc = symbolic_verify_document(UNRELATED_LAST, h3=expr({"c0": "-1"}))
+        code, out, _ = run_cli(tmp_path, "verify", doc)
+        assert code == 2
+        rep = out["report"]
+        assert not rep["ok"] and rep["middle_dim"] != rep["expected_middle_dim"]
+        assert rep["max_deviation"] is None and rep["per_point_deviation"] == []
+
+    def test_additive_mode_rejected(self, tmp_path, capsys):
+        doc = symbolic_verify_document(mode="additive")
+        code, out, _ = run_cli(tmp_path, "verify", doc)
+        err = capsys.readouterr().err
+        assert code == 1 and out is None
+        assert "$.mode" in err and "Traceback" not in err
+
+
+class TestUsageErrors:
+    def test_unknown_flag_exits_one(self, capsys):
+        assert main(["defect", "--bogus"]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage:" in capsys.readouterr().out
+
+
 class TestDeterminismAndBatch:
     def test_identical_runs_byte_identical(self, tmp_path):
         doc = {"generate": {"rank": 2, "points": 3, "seed": 11}}
@@ -170,10 +237,14 @@ class TestDeterminismAndBatch:
 
     def test_batch_list_and_jobs(self, tmp_path):
         docs = [referee_document(), referee_document()]
-        code, out, _ = run_cli(tmp_path, "transform", docs, "--jobs", "2")
+        code, out, _ = run_cli(tmp_path, "transform", docs)
         assert code == 0
         assert isinstance(out, list) and len(out) == 2
         assert out[0] == out[1]
+        # the batch runs serially; --jobs is no longer an option
+        (tmp_path / "jobs").mkdir()
+        code, out, _ = run_cli(tmp_path / "jobs", "transform", docs, "--jobs", "2")
+        assert code == 1 and out is None
 
     def test_document_round_trip(self):
         doc = referee_document()

@@ -14,7 +14,7 @@ from midconv import (Convoluter, EigDivisor, GroupElement, GroupMode,
                      kappa_local, run_algorithm)
 from midconv.errors import (ConventionViolation, ModeMismatch,
                             SearchBudgetExceeded, SizeMismatch)
-from midconv.katz import DegenerateRank, NoneffectiveReport, max_mult_convoluter
+from midconv.katz import NoneffectiveReport, max_mult_convoluter
 
 MULT = GroupMode.MULTIPLICATIVE
 ADD = GroupMode.ADDITIVE

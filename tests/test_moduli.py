@@ -80,6 +80,11 @@ class TestClassifyDim2:
         v = vector_with_pmv([(1, 1, 1)] * 3)
         assert classify_dim2(v) == "Tri_ddd_x3"
 
+    def test_scalar_point_is_ignored(self):
+        v = vector_with_pmv([(1, 1, 1)] * 3 + [(3,)])
+        assert defect(v) == 0 and dimension_report(v).naive_dim == 2
+        assert classify_dim2(v) == "Tri_ddd_x3"
+
     def test_not_dimension_two(self):
         v = vector_with_pmv([(1, 1, 1)] * 4)
         assert defect(v) == 2
@@ -163,6 +168,7 @@ class TestCensus:
             core = [p for p in pmv if len(p) > 1]
             key = tuple(sorted(len(p) for p in core))
             assert key in {(2, 2, 2, 2), (3, 3, 3), (2, 4, 4), (2, 3, 6)}
+            assert classify_dim2_pmv(r, pmv) is not None
 
 
 class TestTransformInvariance:

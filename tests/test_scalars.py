@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from midconv import GroupElement, GroupMode, ScalarExpr
 from midconv.errors import MissingGenerator, ModeMismatch
-from midconv.scalars import combine, invert, is_identity, is_integer_additive, to_complex
 
 MULT = GroupMode.MULTIPLICATIVE
 ADD = GroupMode.ADDITIVE
@@ -50,27 +49,27 @@ class TestScalarExpr:
 class TestGroupLaw:
     def test_inverse_pair_is_identity(self):
         a = mult(0, {"x": 1})
-        assert combine(a, mult(0, {"x": -1})).is_identity()
+        assert a.combine(mult(0, {"x": -1})).is_identity()
 
     def test_mod1_reduction_multiplicative(self):
-        assert combine(mult(F(3, 4)), mult(F(1, 2))) == mult(F(1, 4))
+        assert mult(F(3, 4)).combine(mult(F(1, 2))) == mult(F(1, 4))
 
     def test_additive_no_reduction(self):
-        s = combine(additive(F(1, 2), {"s": 1}), additive(F(1, 2)))
+        s = additive(F(1, 2), {"s": 1}).combine(additive(F(1, 2)))
         assert s == additive(1, {"s": 1})
 
     def test_invert_examples(self):
-        assert invert(GroupElement.identity(MULT)).is_identity()
-        assert invert(mult(F(1, 3))) == mult(F(2, 3))
-        assert invert(additive(0, {"x": 2})) == additive(0, {"x": -2})
+        assert GroupElement.identity(MULT).invert().is_identity()
+        assert mult(F(1, 3)).invert() == mult(F(2, 3))
+        assert additive(0, {"x": 2}).invert() == additive(0, {"x": -2})
 
     def test_mod1_never_leaks_denominators(self):
         a = GroupElement(MULT, ScalarExpr(F(7, 5), {"q": 1}))
-        assert combine(a, a.invert()).is_identity()
+        assert a.combine(a.invert()).is_identity()
 
     def test_mode_mismatch(self):
         with pytest.raises(ModeMismatch):
-            combine(mult(0), additive(0))
+            mult(0).combine(additive(0))
 
     def test_power(self):
         assert mult(F(1, 3)).power(3).is_identity()
@@ -83,32 +82,32 @@ class TestPredicates:
 
     def test_additive_integer_not_identity(self):
         a = additive(2)
-        assert is_integer_additive(a)
-        assert not is_identity(a)
+        assert a.is_integer()
+        assert not a.is_identity()
 
     def test_symbolic_generator_not_integer(self):
         assert not additive(0, {"x": 1}).is_integer()
 
     def test_is_integer_wrong_mode(self):
         with pytest.raises(ModeMismatch):
-            is_integer_additive(mult(0))
+            mult(0).is_integer()
 
 
 class TestToComplex:
     def test_circle_half_is_minus_one(self):
-        assert to_complex(GroupElement.circle(F(1, 2))) == pytest.approx(-1)
+        assert GroupElement.circle(F(1, 2)).to_complex() == pytest.approx(-1)
 
     def test_mult_quarter_is_i(self):
-        z = to_complex(mult(0, {"x": 1}), {"x": 0.25})
+        z = mult(0, {"x": 1}).to_complex({"x": 0.25})
         assert z == pytest.approx(1j)
 
     def test_additive_evaluates_linearly(self):
-        z = to_complex(additive(F(1, 2), {"s": 1}), {"s": 0.1})
+        z = additive(F(1, 2), {"s": 1}).to_complex({"s": 0.1})
         assert z == pytest.approx(0.6)
 
     def test_missing_generator(self):
         with pytest.raises(MissingGenerator):
-            to_complex(mult(0, {"x": 1}), {})
+            mult(0, {"x": 1}).to_complex({})
 
 
 class TestCircleMode:
@@ -150,15 +149,15 @@ class TestGroupAxioms:
         a = data.draw(elements(mode))
         b = data.draw(elements(mode))
         c = data.draw(elements(mode))
-        assert combine(combine(a, b), c) == combine(a, combine(b, c))
-        assert combine(a, b) == combine(b, a)
+        assert a.combine(b).combine(c) == a.combine(b.combine(c))
+        assert a.combine(b) == b.combine(a)
 
     @given(data=st.data())
     def test_identity_and_inverse(self, mode, data):
         a = data.draw(elements(mode))
         e = GroupElement.identity(mode)
-        assert combine(a, e) == a
-        assert combine(a, a.invert()).is_identity()
+        assert a.combine(e) == a
+        assert a.combine(a.invert()).is_identity()
 
     @given(data=st.data())
     def test_canonicalization_idempotent(self, mode, data):
@@ -171,9 +170,9 @@ class TestGroupAxioms:
         a = data.draw(elements(mode))
         b = data.draw(elements(mode))
         assignment = {name: 0.37 + 0.11j for name in "abcde"}
-        za = to_complex(a, assignment)
-        zb = to_complex(b, assignment)
-        zc = to_complex(combine(a, b), assignment)
+        za = a.to_complex(assignment)
+        zb = b.to_complex(assignment)
+        zc = a.combine(b).to_complex(assignment)
         if mode is MULT:
             assert zc == pytest.approx(za * zb, rel=1e-9)
         else:
