@@ -16,9 +16,10 @@ import sys
 
 from . import higgs as higgs_mod
 from . import homology, katz, moduli
-from .docio import ProblemDocument, parse_document, parse_json, render
-from .errors import (ConventionViolation, DocumentError, MidconvError,
-                     ModeMismatch)
+from .docio import (ProblemDocument, parse_document, parse_generate, parse_json,
+                    parse_tol, render)
+from .errors import (ConventionViolation, DocumentError, MaxStepsExceeded,
+                     MidconvError, ModeMismatch)
 from .katz import NoneffectiveReport, TerminalStatus
 from .scalars import GroupMode
 
@@ -56,9 +57,12 @@ def cmd_transform(doc: ProblemDocument) -> tuple[dict, int]:
 
 
 def cmd_run(doc: ProblemDocument) -> tuple[dict, int]:
-    max_steps = doc.max_steps if doc.max_steps is not None else doc.vector.rank
-    trace = katz.run_algorithm(doc.vector, max_steps=int(max_steps),
-                               v_policy=doc.v_policy)
+    try:
+        trace = katz.run_algorithm(doc.vector, doc.max_steps, doc.v_policy)
+    except MaxStepsExceeded as exc:  # only a given max_steps can run out
+        raise DocumentError(str(exc), "$.max_steps") from None
+    except ModeMismatch as exc:
+        raise DocumentError(str(exc), "$.mode") from None
     out = {"kind": "run", **trace.to_json()}
     negative = trace.status in (TerminalStatus.EMPTY_NONEFFECTIVE,
                                 TerminalStatus.CONVENTION_FAILURE)
@@ -78,17 +82,11 @@ def cmd_classify(doc: ProblemDocument) -> tuple[dict, int]:
 
 
 def cmd_verify(doc: dict) -> tuple[dict, int]:
-    tol = float(doc.get("tol", homology.DEFAULT_TOL))
     if "matrices" in doc:
         problem = homology.NumericInstance.from_json(doc)
     elif "generate" in doc:
-        g = doc["generate"]
-        problem = homology.generate_instance(
-            seed=int(g.get("seed", doc.get("seed", 0))),
-            r=int(g["rank"]), n=int(g["points"]),
-            aim=g.get("aim", "support"),
-            v_policy=g.get("v_policy", "same"),
-            tol=tol)
+        problem = homology.generate_instance(**parse_generate(doc),
+                                             tol=parse_tol(doc, homology.DEFAULT_TOL))
     else:
         parsed = parse_document(doc)
         if not parsed.assignment:
@@ -97,9 +95,23 @@ def cmd_verify(doc: dict) -> tuple[dict, int]:
                 "'assignment'", "$")
         if parsed.mode is not GroupMode.MULTIPLICATIVE:
             raise DocumentError("symbolic verify needs multiplicative mode", "$.mode")
-        problem = homology.symbolic_instance(parsed.vector, parsed.convoluter_or_default(),
-                                             parsed.assignment, parsed.seed, tol)
-    report = homology.verify_instance(problem)
+        beta = parsed.convoluter_or_default()
+        elems = (*beta.h, *beta.v, *(a for g in parsed.vector for a in g.support()))
+        missing = {n for e in elems for n in e.expr.generators()} - parsed.assignment.keys()
+        if missing:
+            raise DocumentError(f"no value assigned to {sorted(missing)}", "$.assignment")
+        problem = homology.symbolic_instance(parsed.vector, beta, parsed.assignment,
+                                             parsed.seed, parse_tol(doc, homology.DEFAULT_TOL))
+    try:
+        report = homology.verify_instance(problem)
+    except MidconvError:
+        if isinstance(problem, homology.NumericInstance):
+            raise
+        # the prediction is the transform: when it has none, answer as `transform`
+        out, code = cmd_transform(ProblemDocument(problem.vector, problem.beta))
+        if code != NEGATIVE:
+            raise
+        return {**out, "kind": "verify"}, code
     out = {"kind": "verify", "report": report.to_json()}
     return out, (OK if report.ok else NEGATIVE)
 
@@ -134,6 +146,8 @@ _SYMBOLIC_VERBS = {
 
 
 def _process_one(verb: str, doc: dict, args) -> tuple[dict, int]:
+    if not isinstance(doc, dict):
+        raise DocumentError("a document must be a JSON object", "$")
     if args.seed is not None:
         doc = {**doc, "seed": args.seed}
     if args.tol is not None:
@@ -142,11 +156,10 @@ def _process_one(verb: str, doc: dict, args) -> tuple[dict, int]:
         return cmd_verify(doc)
     if args.max_steps is not None:
         doc = {**doc, "max_steps": args.max_steps}
-    if args.beta_v is not None and args.beta_v != "explicit":
-        conv = dict(doc.get("convoluter") or {})
-        if conv:
-            conv["v"] = {"same": "same-as-h", "fresh": "fresh"}[args.beta_v]
-            doc = {**doc, "convoluter": conv}
+    conv = doc.get("convoluter")
+    if args.beta_v in ("same", "fresh") and isinstance(conv, dict) and conv:
+        v = {"same": "same-as-h", "fresh": "fresh"}[args.beta_v]
+        doc = {**doc, "convoluter": {**conv, "v": v}}
     parsed = parse_document(doc)
     if args.beta_v == "fresh" and parsed.convoluter is None:
         parsed.v_policy = "fresh"

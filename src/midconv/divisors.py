@@ -10,10 +10,10 @@ raw transform outputs) but are rejected as monodromy-vector entries.
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ModeMismatch
-from .scalars import GroupElement, GroupMode, ScalarExpr, product
+from .scalars import GroupElement, GroupMode, product
 
 __all__ = ["EigDivisor", "MonodromyVector"]
 
@@ -116,12 +116,6 @@ class EigDivisor:
     def to_json(self) -> list:
         return [{"value": e.to_json(), "mult": m} for e, m in self.entries]
 
-    @classmethod
-    def from_json(cls, mode: GroupMode, doc: Sequence[Mapping]) -> "EigDivisor":
-        entries = [(GroupElement(mode, ScalarExpr.from_json(item["value"])),
-                    int(item["mult"])) for item in doc]
-        return cls(mode, entries)
-
 
 class MonodromyVector:
     """An n-tuple of equal-degree effective divisors (n >= 3).
@@ -203,11 +197,3 @@ class MonodromyVector:
             "points": self.n,
             "classes": [g.to_json() for g in self.divisors],
         }
-
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "MonodromyVector":
-        mode = GroupMode(doc["mode"])
-        classes = doc["classes"]
-        if "points" in doc and int(doc["points"]) != len(classes):
-            raise ValueError("'points' disagrees with the number of classes")
-        return cls([EigDivisor.from_json(mode, c) for c in classes])

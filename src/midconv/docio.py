@@ -8,6 +8,7 @@ instance documents, as [re, im] pairs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -45,17 +46,56 @@ def _fail(message: str, path: str):
     raise DocumentError(message, path)
 
 
-def _parse_expr(doc: Any, path: str) -> ScalarExpr:
-    if not isinstance(doc, dict):
-        _fail(f"expected an object with 'const'/'exps', got {type(doc).__name__}", path)
-    try:
-        return ScalarExpr.from_json(doc)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        _fail(f"bad scalar expression: {exc}", path)
+def integer(value: Any, path: str, minimum: int | None = None) -> int:
+    """A non-bool JSON integer, at least ``minimum`` when given."""
+    name = path.rsplit(".", 1)[-1]
+    if isinstance(value, bool) or not isinstance(value, int):
+        _fail(f"'{name}' must be an integer", path)
+    if minimum is not None and value < minimum:
+        _fail(f"'{name}' must be at least {minimum}, got {value}", path)
+    return value
+
+
+def _finite(value: Any) -> bool:
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and math.isfinite(value))
+
+
+def complex_array(value: Any, path: str, depth: int = 0):
+    """Nested lists, ``depth`` deep, of [re, im] pairs of finite numbers."""
+    if depth:
+        if not isinstance(value, list):
+            _fail("expected a list", path)
+        return [complex_array(v, f"{path}[{i}]", depth - 1) for i, v in enumerate(value)]
+    if not (isinstance(value, list) and len(value) == 2 and all(map(_finite, value))):
+        _fail("expected an [re, im] pair of finite numbers", path)
+    return complex(*value)
+
+
+def parse_tol(doc: dict, default: float) -> float:
+    tol = doc.get("tol", default)
+    if not (_finite(tol) and 0 < tol < 1):
+        _fail(f"'tol' must be a number strictly between 0 and 1, got {tol!r}", "$.tol")
+    return float(tol)
+
+
+def parse_generate(doc: dict) -> dict:
+    """``homology.generate_instance`` keywords but ``tol`` from a verify document."""
+    g = doc["generate"]
+    if not isinstance(g, dict):
+        _fail("'generate' must be an object", "$.generate")
+    for key, choices in (("aim", ("support", "fresh")), ("v_policy", ("same", "fresh"))):
+        if g.get(key, choices[0]) not in choices:
+            _fail(f"'{key}' must be one of {list(choices)}", f"$.generate.{key}")
+    return {"seed": (integer(g["seed"], "$.generate.seed", 0) if "seed" in g
+                     else integer(doc.get("seed", 0), "$.seed", 0)),
+            "r": integer(g.get("rank"), "$.generate.rank", 1),
+            "n": integer(g.get("points"), "$.generate.points", 3),
+            "aim": g.get("aim", "support"), "v_policy": g.get("v_policy", "same")}
 
 
 def _parse_element(mode: GroupMode, doc: Any, path: str) -> GroupElement:
-    expr = _parse_expr(doc, path)
+    expr = ScalarExpr.from_json(doc, path)
     try:
         return GroupElement(mode, expr)
     except ValueError as exc:
@@ -82,15 +122,13 @@ def parse_document(doc: dict) -> ProblemDocument:
             _fail("each class must be a nonempty list", f"$.classes[{i}]")
         entries = []
         for j, item in enumerate(cls):
+            path = f"$.classes[{i}][{j}]"
             if not isinstance(item, dict) or "value" not in item or "mult" not in item:
-                _fail("entries need 'value' and 'mult'", f"$.classes[{i}][{j}]")
-            elem = _parse_element(mode, item["value"], f"$.classes[{i}][{j}].value")
-            mult = item["mult"]
-            if not isinstance(mult, int):
-                _fail("'mult' must be an integer", f"$.classes[{i}][{j}].mult")
-            entries.append((elem, mult))
+                _fail("entries need 'value' and 'mult'", path)
+            entries.append((_parse_element(mode, item["value"], f"{path}.value"),
+                            integer(item["mult"], f"{path}.mult", 1)))
         divisors.append(EigDivisor(mode, entries))
-    if "points" in doc and doc["points"] != len(classes):
+    if "points" in doc and integer(doc["points"], "$.points") != len(classes):
         _fail(f"'points' is {doc['points']} but {len(classes)} classes given",
               "$.points")
     try:
@@ -104,45 +142,37 @@ def parse_document(doc: dict) -> ProblemDocument:
     if conv_doc is not None:
         if not isinstance(conv_doc, dict) or "h" not in conv_doc:
             _fail("convoluter needs an 'h' list", "$.convoluter")
-        h = [_parse_element(mode, e, f"$.convoluter.h[{i}]")
-             for i, e in enumerate(conv_doc["h"])]
-        v_spec = conv_doc.get("v", "same-as-h")
+        h = conv_doc["h"]
+        if not isinstance(h, list) or len(h) != len(classes):
+            _fail("'h' needs one scalar expression per class", "$.convoluter.h")
+        h = [_parse_element(mode, e, f"$.convoluter.h[{i}]") for i, e in enumerate(h)]
+        v = conv_doc.get("v", "same-as-h")
+        if isinstance(v, list):
+            v = [_parse_element(mode, e, f"$.convoluter.v[{i}]") for i, e in enumerate(v)]
+        elif v not in ("same-as-h", "fresh"):
+            _fail("'v' must be a list, 'same-as-h' or 'fresh'", "$.convoluter.v")
         try:
-            if v_spec == "same-as-h":
-                convoluter = Convoluter(h)
-            elif v_spec == "fresh":
-                names = [f"_s{i}" for i in range(1, len(h))]
-                convoluter = Convoluter.with_fresh_v(h, names)
+            if v == "fresh":
+                convoluter = Convoluter.with_fresh_v(h, [f"_s{i}" for i in range(1, len(h))])
                 v_policy = "fresh"
-            elif isinstance(v_spec, list):
-                v = [_parse_element(mode, e, f"$.convoluter.v[{i}]")
-                     for i, e in enumerate(v_spec)]
-                convoluter = Convoluter(h, v)
             else:
-                _fail("'v' must be a list, 'same-as-h' or 'fresh'", "$.convoluter.v")
-        except DocumentError:
-            raise
+                convoluter = Convoluter(h, None if v == "same-as-h" else v)
         except (ValueError, MidconvError) as exc:
             _fail(f"invalid convoluter: {exc}", "$.convoluter")
 
-    assignment = {}
-    for name, value in (doc.get("assignment") or {}).items():
-        if isinstance(value, (int, float)):
-            assignment[name] = complex(value)
-        elif (isinstance(value, list) and len(value) == 2
-              and all(isinstance(x, (int, float)) for x in value)):
-            assignment[name] = complex(value[0], value[1])
-        else:
-            _fail("assignment values are numbers or [re, im] pairs",
-                  f"$.assignment.{name}")
+    assignment = doc.get("assignment") or {}
+    if not isinstance(assignment, dict):
+        _fail("'assignment' must be an object", "$.assignment")
+    assignment = {name: complex(x) if _finite(x) else complex_array(x, f"$.assignment.{name}")
+                  for name, x in assignment.items()}
 
     return ProblemDocument(
         vector=vector,
         convoluter=convoluter,
         v_policy=v_policy,
         assignment=assignment,
-        seed=int(doc.get("seed", 0)),
-        max_steps=doc.get("max_steps"),
+        seed=integer(doc.get("seed", 0), "$.seed", 0),
+        max_steps=integer(doc["max_steps"], "$.max_steps", 0) if "max_steps" in doc else None,
     )
 
 

@@ -24,7 +24,8 @@ from scipy.optimize import linear_sum_assignment
 from scipy.stats import unitary_group
 
 from .divisors import EigDivisor, MonodromyVector
-from .errors import (BoundaryNotSurjective, ConventionViolationNumeric,
+from .docio import complex_array, integer, parse_tol
+from .errors import (BoundaryNotSurjective, ConventionViolationNumeric, DocumentError,
                      MidconvError, QuotientRankMismatch, SizeMismatch)
 from .katz import Convoluter, kappa
 from .scalars import GroupElement, GroupMode
@@ -118,13 +119,22 @@ class NumericInstance:
 
     @classmethod
     def from_json(cls, doc) -> "NumericInstance":
-        as_c = lambda p: complex(p[0], p[1])
-        M = [np.array([[as_c(z) for z in row] for row in Mi]) for Mi in doc["matrices"]]
-        return cls(M=M,
-                   b=[as_c(z) for z in doc["b"]],
-                   w=[as_c(z) for z in doc["w"]],
-                   chi=as_c(doc["chi"]),
-                   tol=float(doc.get("tol", DEFAULT_TOL)))
+        """The ``to_json`` form; DocumentError at the path of a bad part."""
+        M = complex_array(doc.get("matrices"), "$.matrices", 3)
+        if len(M) < 3:
+            raise DocumentError("need at least 3 matrices", "$.matrices")
+        try:
+            inst = cls(M=M, b=complex_array(doc.get("b"), "$.b", 1),
+                       w=complex_array(doc.get("w"), "$.w", 1),
+                       chi=complex_array(doc.get("chi"), "$.chi"),
+                       tol=parse_tol(doc, DEFAULT_TOL))
+        except (ValueError, SizeMismatch) as exc:
+            raise DocumentError(str(exc), "$") from None
+        for key, size in (("points", inst.n), ("rank", inst.r)):
+            if key in doc and integer(doc[key], f"$.{key}") != size:
+                raise DocumentError(f"'{key}' is {doc[key]} but the matrices give {size}",
+                                    f"$.{key}")
+        return inst
 
 
 # ---------------------------------------------------------------------------

@@ -244,10 +244,10 @@ def _plan(beta: Convoluter, vector: MonodromyVector) -> _Plan:
 
 
 def _local(beta: Convoluter, vector: MonodromyVector, plan: _Plan, i: int) -> EigDivisor:
-    g, hi, ui = vector[i], beta.h[i], beta.u[i]
+    g, hi_inv, ui = vector[i], beta.h[i].invert(), beta.u[i]
     entries = [(beta.v[i], plan.mults[i] + plan.defect)]
     for a, m in g.entries:
-        if not a.combine(hi).is_identity():
+        if a != hi_inv:  # a h_i != 1
             entries.append((a.combine(ui), m))
     return EigDivisor(vector.mode, entries)
 
@@ -304,9 +304,9 @@ def check_conventions(beta: Convoluter, vector: MonodromyVector,
     _check_compat(beta, vector)
     chirho_detail = []
     for i, (g, hi) in enumerate(zip(vector, beta.h)):
-        shift = beta.t.combine(hi)
+        shift_inv = beta.t.combine(hi).invert()
         for a in g.support():
-            if shift.combine(a).is_identity():
+            if a == shift_inv:  # t h_i a = 1
                 chirho_detail.append((i, a))
     abstract = dict(chi_nontrivial=not beta.t.is_identity(),
                     chirhobeta_ok=not chirho_detail,

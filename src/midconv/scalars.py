@@ -22,136 +22,202 @@ from __future__ import annotations
 
 import cmath
 import enum
+import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
-from .errors import MissingGenerator, ModeMismatch
+from .errors import DocumentError, MissingGenerator, ModeMismatch
 
 __all__ = ["ScalarExpr", "GroupMode", "GroupElement"]
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"expected a rational, got {type(x).__name__}: {x!r}")
+    if not isinstance(x, (Fraction, int, str)):
+        raise TypeError(f"expected a rational, got {type(x).__name__}: {x!r}")
+    return Fraction(x)
+
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?", re.ASCII)
+
+
+def _json_rational(x, path: str) -> Fraction:
+    """A rational in a document: a non-bool int or a "p/q" string, q > 0."""
+    if isinstance(x, bool) or not (isinstance(x, int) or
+                                   isinstance(x, str) and _RATIONAL.fullmatch(x)):
+        raise DocumentError(f"expected a \"p/q\" rational string, got {x!r}", path)
+    return Fraction(x)
+
+
+def _ratio(x: int, d: int) -> str:
+    """``str(Fraction(x, d))`` without building the Fraction."""
+    g = gcd(x, d)
+    return str(x // g) if g == d else f"{x // g}/{d // g}"
 
 
 class ScalarExpr:
     """A rational linear form ``const + sum coeff * generator``.
 
-    Kept canonical: zero coefficients are never stored and the generator
-    terms are sorted by name, so equality and hashing are structural.
+    Stored as integer numerators over one denominator ``_d > 0``: the
+    constant ``_c`` and the name-sorted ``(generator, numerator)`` terms
+    ``_t``, none zero, with ``gcd(_d, _c, *numerators) == 1``.  So each
+    form has one representation and equality and hashing compare integer
+    tuples.  ``const`` and ``exps`` are ``Fraction`` views.
     """
 
-    __slots__ = ("const", "exps")
+    __slots__ = ("_d", "_c", "_t")
 
     def __init__(self, const=0, exps: Mapping[str, object] | Iterable | None = None):
-        object.__setattr__(self, "const", _as_fraction(const))
-        items = []
-        if exps:
-            pairs = exps.items() if isinstance(exps, Mapping) else exps
-            for name, coeff in pairs:
-                coeff = _as_fraction(coeff)
-                if coeff != 0:
-                    items.append((str(name), coeff))
-        items.sort()
+        const = _as_fraction(const)
+        pairs = exps.items() if isinstance(exps, Mapping) else exps or ()
+        items = sorted((str(n), q) for n, c in pairs if (q := _as_fraction(c)) != 0)
         for (a, _), (b, _) in zip(items, items[1:]):
             if a == b:
                 raise ValueError(f"duplicate generator {a!r}")
-        object.__setattr__(self, "exps", tuple(items))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ScalarExpr is immutable")
+        # over the lcm of lowest-terms denominators the numerators have gcd 1
+        d = lcm(const.denominator, *(q.denominator for _, q in items))
+        self._d = d
+        self._c = const.numerator * (d // const.denominator)
+        self._t = tuple((n, q.numerator * (d // q.denominator)) for n, q in items)
 
     # -- algebra ---------------------------------------------------------
 
     def __add__(self, other: "ScalarExpr") -> "ScalarExpr":
-        acc = dict(self.exps)
-        for name, coeff in other.exps:
-            acc[name] = acc.get(name, Fraction(0)) + coeff
-        return ScalarExpr(self.const + other.const, acc)
+        d, e = self._d, other._d
+        m = d if d == e else lcm(d, e)
+        a, b = m // d, m // e
+        return _normal(m, self._c * a + other._c * b, _merge(self._t, other._t, a, b))
 
     def __neg__(self) -> "ScalarExpr":
-        return ScalarExpr(-self.const, [(n, -c) for n, c in self.exps])
+        return _normal(self._d, -self._c, _times(self._t, -1))
 
     def __sub__(self, other: "ScalarExpr") -> "ScalarExpr":
         return self + (-other)
 
     def scale(self, k) -> "ScalarExpr":
         k = _as_fraction(k)
-        return ScalarExpr(self.const * k, [(n, c * k) for n, c in self.exps])
+        if k == 0:
+            return _ZERO
+        p = k.numerator
+        return _normal(self._d * k.denominator, self._c * p, _times(self._t, p))
 
     def mod1(self) -> "ScalarExpr":
-        return ScalarExpr(self.const % 1, self.exps)
+        # gcd(d, c mod d) == gcd(d, c): the parts stay canonical
+        d, c = self._d, self._c
+        return self if 0 <= c < d else _normal(d, c % d, self._t)
 
     # -- queries ---------------------------------------------------------
 
     @property
-    def is_constant(self) -> bool:
-        return not self.exps
+    def const(self) -> Fraction:
+        return Fraction(self._c, self._d)
+
+    @property
+    def exps(self) -> tuple[tuple[str, Fraction], ...]:
+        return tuple((n, Fraction(x, self._d)) for n, x in self._t)
 
     def coefficient(self, name: str) -> Fraction:
-        for n, c in self.exps:
-            if n == name:
-                return c
-        return Fraction(0)
+        return Fraction(dict(self._t).get(name, 0), self._d)
 
     def generators(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.exps)
+        return tuple(n for n, _ in self._t)
 
     def evaluate(self, assignment: Mapping[str, complex]) -> complex:
-        value = complex(self.const)
-        for name, coeff in self.exps:
+        d = self._d
+        value = complex(self._c / d)  # int division rounds as float(Fraction)
+        for name, x in self._t:
             if name not in assignment:
                 raise MissingGenerator(f"no value assigned to generator {name!r}")
-            value += float(coeff) * complex(assignment[name])
+            value += (x / d) * complex(assignment[name])
         return value
 
-    def sort_key(self):
-        return (self.const, self.exps)
+    def sort_key(self) -> "ScalarExpr":
+        """The form: ordered as ``(const, exps)``, by cross-multiplication."""
+        return self
+
+    def __lt__(self, other: "ScalarExpr") -> bool:
+        d, e = self._d, other._d
+        if d == e:
+            return (self._c, self._t) < (other._c, other._t)
+        return (self._c * e, _times(self._t, e)) < (other._c * d, _times(other._t, d))
 
     # -- protocol --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScalarExpr):
             return NotImplemented
-        return self.const == other.const and self.exps == other.exps
+        return self._c == other._c and self._d == other._d and self._t == other._t
 
     def __hash__(self) -> int:
-        return hash((self.const, self.exps))
+        return hash((self._c, self._d, self._t))
 
     def __repr__(self) -> str:
-        terms = []
-        if self.const != 0 or not self.exps:
-            terms.append(str(self.const))
+        terms = [str(self.const)] if self._c or not self._t else []
         for name, coeff in self.exps:
-            if coeff == 1:
-                terms.append(f"+ {name}")
-            elif coeff == -1:
-                terms.append(f"- {name}")
-            elif coeff < 0:
-                terms.append(f"- {-coeff}*{name}")
-            else:
-                terms.append(f"+ {coeff}*{name}")
+            sign, size = ("-", -coeff) if coeff < 0 else ("+", coeff)
+            terms.append(f"{sign} {name}" if size == 1 else f"{sign} {size}*{name}")
         text = " ".join(terms)
         return text[2:] if text.startswith("+ ") else text
 
     # -- JSON form: rationals as "p/q" strings, never floats --------------
 
     def to_json(self) -> dict:
-        return {
-            "const": str(self.const),
-            "exps": {n: str(c) for n, c in self.exps},
-        }
+        d = self._d
+        return {"const": _ratio(self._c, d), "exps": {n: _ratio(x, d) for n, x in self._t}}
 
     @classmethod
-    def from_json(cls, doc: Mapping) -> "ScalarExpr":
-        return cls(Fraction(str(doc.get("const", "0"))),
-                   {n: Fraction(str(c)) for n, c in doc.get("exps", {}).items()})
+    def from_json(cls, doc, path: str = "$") -> "ScalarExpr":
+        """Raises DocumentError at the JSON path of a malformed part."""
+        if not isinstance(doc, dict):
+            raise DocumentError("expected an object with 'const'/'exps', "
+                                f"got {type(doc).__name__}", path)
+        exps = doc.get("exps", {})
+        if not isinstance(exps, dict):
+            raise DocumentError("'exps' must be an object", f"{path}.exps")
+        return cls(_json_rational(doc.get("const", "0"), f"{path}.const"),
+                   {n: _json_rational(c, f"{path}.exps.{n}") for n, c in exps.items()})
+
+
+def _normal(d: int, c: int, t: tuple) -> ScalarExpr:
+    """A ScalarExpr from parts with no zero term, gcd(d, c, *terms) divided out."""
+    g = gcd(d, c)
+    if g != 1:
+        g = gcd(g, *[x for _, x in t])
+        if g != 1:
+            d, c, t = d // g, c // g, tuple([(n, x // g) for n, x in t])
+    f = object.__new__(ScalarExpr)
+    f._d, f._c, f._t = d, c, t
+    return f
+
+
+def _times(t: tuple, k: int) -> tuple:
+    """Terms with every numerator multiplied by a nonzero ``k``."""
+    return t if k == 1 else tuple([(n, x * k) for n, x in t])
+
+
+def _merge(s: tuple, t: tuple, a: int = 1, b: int = 1) -> tuple:
+    """``a * s + b * t`` for name-sorted term tuples, zero sums dropped."""
+    out = []
+    i = j = 0
+    ls, lt = len(s), len(t)
+    while i < ls and j < lt:
+        p, q = s[i], t[j]
+        if p[0] == q[0]:
+            x = p[1] * a + q[1] * b
+            if x:
+                out.append((p[0], x))
+            i += 1
+            j += 1
+        elif p[0] < q[0]:
+            out.append((p[0], p[1] * a))
+            i += 1
+        else:
+            out.append((q[0], q[1] * b))
+            j += 1
+    return (*out, *_times(s[i:], a), *_times(t[j:], b))
+
+
+_ZERO = ScalarExpr(0)
 
 
 class GroupMode(enum.Enum):
@@ -176,7 +242,7 @@ class GroupElement:
         if mode is GroupMode.MULTIPLICATIVE:
             expr = expr.mod1()
         elif mode is GroupMode.CIRCLE:
-            if expr.exps:
+            if expr._t:
                 raise ValueError("circle-mode elements must be constant weights")
             expr = expr.mod1()
         object.__setattr__(self, "mode", mode)
@@ -189,7 +255,7 @@ class GroupElement:
 
     @classmethod
     def identity(cls, mode: GroupMode) -> "GroupElement":
-        return cls(mode, ScalarExpr(0))
+        return cls(mode, _ZERO)
 
     @classmethod
     def generator(cls, name: str, mode: GroupMode = GroupMode.MULTIPLICATIVE,
@@ -223,7 +289,7 @@ class GroupElement:
         return GroupElement(self.mode, self.expr.scale(k))
 
     def is_identity(self) -> bool:
-        return self.expr == ScalarExpr(0)
+        return self.expr._c == 0 and not self.expr._t
 
     def is_integer(self) -> bool:
         """Integrality test for additive-mode elements.
@@ -234,7 +300,7 @@ class GroupElement:
         """
         if self.mode is not GroupMode.ADDITIVE:
             raise ModeMismatch("is_integer is defined in additive mode only")
-        return self.expr.is_constant and self.expr.const.denominator == 1
+        return not self.expr._t and self.expr._d == 1
 
     def to_complex(self, assignment: Mapping[str, complex] | None = None) -> complex:
         value = self.expr.evaluate(assignment or {})
@@ -253,7 +319,7 @@ class GroupElement:
 
     def __le__(self, other: "GroupElement") -> bool:
         self._require_same_mode(other)
-        return self.sort_key() <= other.sort_key()
+        return not other.sort_key() < self.sort_key()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupElement):

@@ -1,8 +1,13 @@
 """End-to-end command-line verbs and document handling."""
 
+import contextlib
+import copy
+import io
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from midconv.cli import main
 from midconv.docio import parse_document, parse_json, render
@@ -271,3 +276,187 @@ class TestDocumentErrors:
         doc["points"] = 4
         with pytest.raises(DocumentError):
             parse_document(doc)
+
+
+# -- the document boundary ----------------------------------------------------
+
+def call_main(verb, doc, *flags):
+    """``main`` on a document piped through stdin; (code, stdout, stderr).
+    An exception escaping ``main`` would be a traceback: it fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(doc))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([verb, *flags])
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_document():
+    return {"mode": "additive", "points": 3, "seed": 1, "max_steps": 3,
+            "classes": [[entry({f"e{i}0": "1"}, const="1/2"), entry({f"e{i}1": "1"})]
+                        for i in range(3)]}
+
+
+def valid_documents():
+    """One small valid document per verb and verify flavor."""
+    from midconv.homology import generate_instance
+    return [
+        ("defect", referee_document()),
+        ("transform", referee_document()),
+        ("run", run_document()),
+        ("classify", {"mode": "multiplicative",
+                      "classes": [[entry({f"e{i}_{j}": "1"}) for j in range(3)]
+                                  for i in range(3)]}),
+        ("higgs", {"mode": "circle",
+                   "classes": [[entry({}, const="1/4"), entry({}, const="3/4")]] * 5}),
+        ("verify", {"generate": {"rank": 2, "points": 3, "seed": 5, "aim": "support",
+                                 "v_policy": "same"}, "tol": 1e-9}),
+        ("verify", symbolic_verify_document()),
+        ("verify", generate_instance(seed=9, r=2, n=3).instance.to_json()),
+    ]
+
+
+def _kind(path):
+    """What the document spec allows at a path: 'rational' ("p/q" string
+    or integer), 'integer' with its least value, 'number', or None."""
+    key, parent = path[-1], (path[-2] if len(path) > 1 else None)
+    if key == "const" or parent == "exps":
+        return "rational", None
+    if parent == "generate" and key in ("rank", "points"):
+        return "integer", {"rank": 1, "points": 3}[key]
+    if key in ("mult", "points", "seed", "max_steps", "rank"):
+        return "integer", {"mult": 1, "max_steps": 0, "seed": 0}.get(key)
+    if key == "tol" or parent == "assignment":
+        return "number", None
+    return None, None
+
+
+SWAPS = ["x", 0.5, True, False, [1], {}, -1, 0, None]
+
+
+def forbidden(path, value):
+    """True when the spec rejects ``value`` at ``path``."""
+    kind, least = _kind(path)
+    if kind == "rational":
+        return isinstance(value, (bool, float, list, dict)) or value is None or value == "x"
+    if kind == "integer":
+        return (not isinstance(value, int) or isinstance(value, bool)
+                or (least is not None and value < least))
+    if kind == "number":  # an assignment may also be an [re, im] pair; [1] is not
+        return (isinstance(value, bool) or not isinstance(value, (int, float))
+                or (path[-1] == "tol" and not 0 < value < 1))
+    return False
+
+
+def _nodes(doc, path=()):
+    yield path
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from _nodes(v, path + (k,))
+    elif isinstance(doc, list):
+        for i, v in enumerate(doc):
+            yield from _nodes(v, path + (i,))
+
+
+def _parent(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+def _mutated(doc, path, value, drop):
+    doc = copy.deepcopy(doc)
+    parent, last = _parent(doc, path), path[-1]
+    if drop:
+        del parent[last]
+    else:
+        parent[last] = value
+    return doc
+
+
+@st.composite
+def mutations(draw):
+    verb, doc = draw(st.sampled_from(valid_documents()))
+    path = draw(st.sampled_from([p for p in _nodes(doc) if p]))
+    drop = isinstance(_parent(doc, path), dict) and draw(st.booleans())
+    value = None if drop else draw(st.sampled_from(SWAPS))
+    return verb, path, value, drop, _mutated(doc, path, value, drop)
+
+
+class TestDocumentBoundary:
+    @pytest.mark.parametrize("verb, doc", valid_documents())
+    def test_valid_documents_pass(self, verb, doc):
+        code, out, err = call_main(verb, doc)
+        assert code == 0, err
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=mutations())
+    def test_mutated_documents(self, m):
+        verb, path, value, drop, doc = m
+        code, out, err = call_main(verb, doc)
+        assert "Traceback" not in err
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert out == "" and "$" in err, err
+        else:
+            json.loads(out)
+        if not drop and forbidden(path, value):
+            assert code == 1, (path, value, out[:200])
+
+    @pytest.mark.parametrize("verb, patch, where", [
+        ("transform", {"classes": [[{"value": expr(const=0.5), "mult": 1}]] * 3},
+         "$.classes[0][0].value.const"),
+        ("transform", {"classes": [[{"value": {"const": "0", "exps": [1]}, "mult": 1}]] * 3},
+         "$.classes[0][0].value.exps"),
+        ("transform", {"classes": [[{"value": expr({"a": "1"}), "mult": True}]] * 3},
+         "$.classes[0][0].mult"),
+        ("transform", {"classes": [[{"value": expr({"a": 0.5}), "mult": 1}]] * 3},
+         "$.classes[0][0].value.exps.a"),
+        ("run", {"max_steps": "x"}, "$.max_steps"),
+        ("run", {"max_steps": -1}, "$.max_steps"),
+        ("run", {"seed": "x"}, "$.seed"),
+        ("run", {"points": "3"}, "$.points"),
+        ("verify", {"generate": {"rank": 2, "points": 3}, "tol": "x"}, "$.tol"),
+        ("verify", {"generate": {"rank": 0, "points": 3}}, "$.generate.rank"),
+        ("verify", {"generate": {"rank": 2, "points": 2}}, "$.generate.points"),
+        ("verify", {"generate": {"rank": 2, "points": 3, "seed": 1.5}}, "$.generate.seed"),
+        ("verify", {"matrices": [[1]]}, "$.matrices"),
+    ])
+    def test_forbidden_inputs(self, verb, patch, where):
+        doc = run_document() if verb == "run" else {}
+        doc.update(patch)
+        code, out, err = call_main(verb, doc)
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert f"input error: {where}" in err, err
+
+    def test_unassigned_generator(self):
+        doc = symbolic_verify_document()
+        del doc["assignment"]["b1"]
+        code, _, err = call_main("verify", doc)
+        assert code == 1 and "input error: $.assignment" in err
+
+    def test_max_steps_run_out(self):
+        code, _, err = call_main("run", {**run_document(), "max_steps": 0})
+        assert code == 1 and "input error: $.max_steps" in err
+
+    def test_verify_convention_failure_is_negative(self):
+        # the default twist aims at all three classes: t = 1
+        doc = symbolic_verify_document()
+        del doc["convoluter"]
+        code, out, _ = call_main("verify", doc)
+        assert code == 2
+        out = json.loads(out)
+        assert out["status"] == "ConventionFailure"
+        assert out["convention"] == "diagonal-monodromy-nontrivial"
+
+    def test_beta_v_flag_on_a_malformed_convoluter(self):
+        doc = {**referee_document(), "convoluter": "x"}
+        code, _, err = call_main("transform", doc, "--beta-v", "fresh")
+        assert code == 1 and "input error: $.convoluter" in err
+
+    def test_points_must_be_an_integer(self):
+        _, _, err = call_main("run", {**run_document(), "points": "3"})
+        assert "'points' must be an integer" in err

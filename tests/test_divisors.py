@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from midconv import EigDivisor, GroupElement, GroupMode, MonodromyVector, ScalarExpr
+from midconv.docio import parse_document
 from midconv.errors import ModeMismatch
 
 MULT = GroupMode.MULTIPLICATIVE
@@ -60,7 +61,8 @@ class TestEigDivisor:
 
     def test_json_round_trip(self):
         g = EigDivisor(MULT, [(gen("a"), 2), (GroupElement(MULT, ScalarExpr(F(1, 3))), 1)])
-        assert EigDivisor.from_json(MULT, g.to_json()) == g
+        doc = {"mode": "multiplicative", "classes": [g.to_json()] * 3}
+        assert parse_document(doc).vector[0] == g
 
     def test_mode_mixing_rejected(self):
         with pytest.raises(ModeMismatch):
@@ -130,7 +132,7 @@ class TestMonodromyVector:
         v = MonodromyVector([EigDivisor.of(gen("a"), gen("b")),
                              EigDivisor.of(gen("c"), gen("d")),
                              EigDivisor(MULT, [(gen("e"), 2)])])
-        assert MonodromyVector.from_json(v.to_json()) == v
+        assert parse_document(v.to_json()).vector == v
 
 
 @given(perm=st.permutations(range(5)))

@@ -177,3 +177,110 @@ class TestGroupAxioms:
             assert zc == pytest.approx(za * zb, rel=1e-9)
         else:
             assert zc == pytest.approx(za + zb, rel=1e-9)
+
+
+# -- the integer representation against a Fraction reference model ----------
+#
+# The model is the seed's semantics: a form is (const, {name: coeff}) over
+# Fraction, canonical as (const, name-sorted nonzero terms).
+
+mixed = st.one_of(st.sampled_from([F(0), F(1, 2), F(-1, 2), F(1, 3), F(2, 3),
+                                   F(1, 4), F(3, 4), F(5, 6), F(1), F(-2)]),
+                  st.fractions(min_value=-5, max_value=5, max_denominator=12))
+model_terms = st.dictionaries(st.sampled_from(["a", "b", "c", "x1", "x10", "y"]),
+                              mixed, max_size=4)
+models = st.tuples(mixed, model_terms)
+
+
+def canonical(model):
+    const, terms = model
+    return const, tuple(sorted((n, c) for n, c in terms.items() if c != 0))
+
+
+def form(model):
+    return ScalarExpr(*model)
+
+
+def model_add(x, y):
+    terms = dict(x[1])
+    for n, c in y[1].items():
+        terms[n] = terms.get(n, F(0)) + c
+    return x[0] + y[0], terms
+
+
+def model_scale(x, k):
+    return x[0] * k, {n: c * k for n, c in x[1].items()}
+
+
+class TestIntegerFormsMatchModel:
+    @given(x=models, y=models, k=mixed)
+    def test_algebra(self, x, y, k):
+        a, b = form(x), form(y)
+        for got, want in [(a + b, model_add(x, y)),
+                          (a - b, model_add(x, model_scale(y, -1))),
+                          (-a, model_scale(x, -1)),
+                          (a.scale(k), model_scale(x, k)),
+                          (a.mod1(), (x[0] % 1, x[1]))]:
+            assert (got.const, got.exps) == canonical(want)
+            assert got == form(want) and hash(got) == hash(form(want))
+
+    @given(x=models, y=models)
+    def test_equal_forms_equal_hashes(self, x, y):
+        a = form(x)
+        roundabout = (a + form(y)) - form(y)
+        assert roundabout == a and hash(roundabout) == hash(a)
+        assert (a == form(y)) == (canonical(x) == canonical(y))
+
+    @given(xs=st.lists(models, max_size=8))
+    def test_sort_key_is_the_fraction_order(self, xs):
+        by_key = sorted(xs, key=lambda x: form(x).sort_key())
+        assert [canonical(x) for x in by_key] == sorted(canonical(x) for x in xs)
+        for x, y in zip(by_key, by_key[1:]):
+            assert not form(y).sort_key() < form(x).sort_key()
+
+    @given(x=models)
+    def test_json_and_evaluate(self, x):
+        const, terms = canonical(x)
+        a = form(x)
+        assert a.to_json() == {"const": str(const),
+                               "exps": {n: str(c) for n, c in terms}}
+        assert ScalarExpr.from_json(a.to_json()) == a
+        z = {n: 0.37 - 0.11j for n in "abcy"} | {"x1": 1.5, "x10": -2j}
+        want = complex(const)
+        for n, c in terms:
+            want += float(c) * complex(z[n])
+        assert a.evaluate(z) == want
+
+    def test_mixed_denominators(self):
+        a = ScalarExpr(F(1, 2), {"x": F(1, 3)}) + ScalarExpr(F(1, 3), {"x": F(1, 6)})
+        assert a == ScalarExpr(F(5, 6), {"x": F(1, 2)})
+        assert a.to_json() == {"const": "5/6", "exps": {"x": "1/2"}}
+
+    def test_cancellation_restores_denominator_one(self):
+        a = ScalarExpr(F(1, 2), {"x": 1}) + ScalarExpr(F(1, 2), {"y": 1})
+        assert a._d == 1 and a == ScalarExpr(1, {"x": 1, "y": 1})
+        assert (ScalarExpr(F(1, 2)) + ScalarExpr(F(1, 2)))._d == 1
+        assert ScalarExpr(F(3, 4)).scale(4)._d == 1
+
+
+class TestScalarJsonBoundary:
+    @pytest.mark.parametrize("doc, where", [
+        ({"const": 0.5}, "$.const"),
+        ({"const": True}, "$.const"),
+        ({"const": "0.5"}, "$.const"),
+        ({"const": "1/0"}, "$.const"),
+        ({"const": [1]}, "$.const"),
+        ({"const": "0", "exps": [1]}, "$.exps"),
+        ({"const": "0", "exps": {"x": 0.5}}, "$.exps.x"),
+        ({"const": "0", "exps": {"x": False}}, "$.exps.x"),
+        ("1/2", "$"),
+    ])
+    def test_rejected_with_path(self, doc, where):
+        from midconv.errors import DocumentError
+        with pytest.raises(DocumentError) as err:
+            ScalarExpr.from_json(doc)
+        assert err.value.path == where
+
+    def test_integers_and_strings_accepted(self):
+        assert ScalarExpr.from_json({"const": 1, "exps": {"x": "-2/4"}}) == \
+            ScalarExpr(1, {"x": F(-1, 2)})
