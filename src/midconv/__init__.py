@@ -12,9 +12,6 @@ from .divisors import EigDivisor, MonodromyVector
 from .errors import MidconvError
 from .higgs import (Arrangement, HiggsData, construct, good_arrangement,
                     parabolic_degree, partial_move)
-from .homology import (NumericInstance, generate_instance,
-                       middle_convolution_rep, raw_convolution_rep,
-                       verify_instance)
 from .katz import (AlgorithmTrace, ConventionReport, Convoluter,
                    EmptinessCertificate, NoneffectiveReport, TerminalStatus,
                    check_conventions, check_involution, defect, detect_empty,
@@ -25,6 +22,19 @@ from .moduli import (DimensionReport, classify_dim2, dim2_census,
 from .scalars import GroupElement, GroupMode, ScalarExpr
 
 __version__ = "0.1.0"
+
+# The numeric layer pulls in numpy and scipy; it loads on first use, so
+# the symbolic verbs start without them.
+_HOMOLOGY = ("NumericInstance", "raw_convolution_rep", "middle_convolution_rep",
+             "generate_instance", "verify_instance")
+
+
+def __getattr__(name):
+    if name in _HOMOLOGY:
+        from . import homology
+        return getattr(homology, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ScalarExpr", "GroupMode", "GroupElement",

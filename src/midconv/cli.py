@@ -15,11 +15,11 @@ import argparse
 import sys
 
 from . import higgs as higgs_mod
-from . import homology, katz, moduli
+from . import katz, moduli
 from .docio import (ProblemDocument, parse_document, parse_generate, parse_json,
                     parse_tol, render)
-from .errors import (ConventionViolation, DocumentError, MaxStepsExceeded,
-                     MidconvError, ModeMismatch)
+from .errors import (ConventionViolation, ConventionViolationNumeric, DocumentError,
+                     MaxStepsExceeded, MidconvError, ModeMismatch)
 from .katz import NoneffectiveReport, TerminalStatus
 from .scalars import GroupMode
 
@@ -82,6 +82,8 @@ def cmd_classify(doc: ProblemDocument) -> tuple[dict, int]:
 
 
 def cmd_verify(doc: dict) -> tuple[dict, int]:
+    from . import homology  # numpy and scipy load for this verb only
+
     if "matrices" in doc:
         problem = homology.NumericInstance.from_json(doc)
     elif "generate" in doc:
@@ -104,6 +106,9 @@ def cmd_verify(doc: dict) -> tuple[dict, int]:
                                              parsed.seed, parse_tol(doc, homology.DEFAULT_TOL))
     try:
         report = homology.verify_instance(problem)
+    except ConventionViolationNumeric as exc:
+        return {"kind": "verify", "status": "ConventionFailure",
+                "detail": str(exc)}, NEGATIVE
     except MidconvError:
         if isinstance(problem, homology.NumericInstance):
             raise
@@ -119,6 +124,8 @@ def cmd_verify(doc: dict) -> tuple[dict, int]:
 def cmd_higgs(doc: ProblemDocument) -> tuple[dict, int]:
     try:
         data = higgs_mod.construct(doc.vector)
+    except ModeMismatch as exc:
+        raise DocumentError(str(exc), "$.mode") from None
     except MidconvError as exc:
         return {"kind": "higgs", "status": type(exc).__name__,
                 "detail": str(exc)}, NEGATIVE

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring as _quote
 from typing import Any, Optional
 
 from .divisors import EigDivisor, MonodromyVector
@@ -183,7 +184,72 @@ def parse_json(text: str) -> Any:
         raise DocumentError(f"not valid JSON: {exc}") from exc
 
 
+def _float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
 def render(doc: Any) -> str:
     """Canonical JSON rendering: sorted keys, fixed indentation, so the
-    same (document, seed) always produces byte-identical output."""
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    same (document, seed) always produces byte-identical output.
+
+    The bytes are those of ``json.dumps(doc, sort_keys=True, indent=2,
+    ensure_ascii=False) + "\\n"``, written in one pass into a list of
+    pieces: with ``indent`` the standard encoder falls back to Python
+    generators.  Values are str-keyed dicts, lists, tuples, str, int,
+    float, bool and None (subclasses included); anything else raises
+    TypeError.
+    """
+    parts: list[str] = []
+    emit = parts.append
+
+    def write(o, nl):
+        if isinstance(o, str):
+            emit(_quote(o))
+        elif o is None:
+            emit("null")
+        elif o is True:
+            emit("true")
+        elif o is False:
+            emit("false")
+        elif isinstance(o, int):
+            emit(int.__repr__(o))
+        elif isinstance(o, float):
+            emit(_float(o))
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                emit("[]")
+                return
+            inner = nl + "  "
+            sep = "[" + inner
+            for v in o:
+                emit(sep)
+                write(v, inner)
+                sep = "," + inner
+            emit(nl + "]")
+        elif isinstance(o, dict):
+            if not o:
+                emit("{}")
+                return
+            inner = nl + "  "
+            sep = "{" + inner
+            for k in sorted(o):
+                if not isinstance(k, str):
+                    raise TypeError(f"keys must be str, not {type(k).__name__}")
+                emit(sep)
+                emit(_quote(k))
+                emit(": ")
+                write(o[k], inner)
+                sep = "," + inner
+            emit(nl + "}")
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    write(doc, "\n")
+    emit("\n")
+    return "".join(parts)

@@ -15,13 +15,13 @@ explicit and every rank decision is an SVD/eigenvalue threshold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.linalg import block_diag, null_space
 from scipy.optimize import linear_sum_assignment
-from scipy.stats import unitary_group
 
 from .divisors import EigDivisor, MonodromyVector
 from .docio import complex_array, integer, parse_tol
@@ -418,6 +418,17 @@ def _cluster_angles(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
     return [(a, m) for a, m in out]
 
 
+def _haar_unitary(k: int, rng) -> np.ndarray:
+    """A Haar-random k x k unitary: QR of a complex Gaussian matrix with
+    the phases of R's diagonal moved into Q (Mezzadri's recipe, drawn
+    exactly as ``scipy.stats.unitary_group.rvs`` draws it)."""
+    z = 1 / math.sqrt(2) * (rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+    Q, R = np.linalg.qr(z)
+    d = R.diagonal()
+    Q *= (d / abs(d))[np.newaxis, :]
+    return Q
+
+
 def _realize(diagonals: Iterable, r: int, rng) -> list[np.ndarray]:
     """Matrices with the given spectra at points 1..n-1, then the last.
 
@@ -431,7 +442,7 @@ def _realize(diagonals: Iterable, r: int, rng) -> list[np.ndarray]:
         if len(diag) == 1:
             matrices.append(np.diag(diag))
         else:
-            Q = unitary_group.rvs(len(diag), random_state=rng)
+            Q = _haar_unitary(len(diag), rng)
             matrices.append(Q @ np.diag(diag) @ Q.conj().T)
     prod = np.eye(r, dtype=complex)
     for Mi in matrices:

@@ -444,16 +444,25 @@ class AlgorithmTrace:
         return out
 
     def to_json(self) -> dict:
+        # step k's output is step k+1's input (and the last one is
+        # ``final``): each vector object is converted once, its dict shared
+        vectors: dict[int, dict] = {}
+
+        def vector(v: MonodromyVector) -> dict:
+            if id(v) not in vectors:
+                vectors[id(v)] = v.to_json()
+            return vectors[id(v)]
+
         doc = {
             "status": self.status.value,
             "ranks": self.ranks,
             "steps": [{
-                "input": s.input.to_json(),
+                "input": vector(s.input),
                 "convoluter": s.beta.to_json(),
                 "defect": s.defect,
-                "output": s.output.to_json(),
+                "output": vector(s.output),
             } for s in self.steps],
-            "final": self.final.to_json(),
+            "final": vector(self.final),
         }
         if self.certificate is not None:
             doc["certificate"] = self.certificate.to_json()

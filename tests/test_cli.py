@@ -4,8 +4,13 @@ import contextlib
 import copy
 import io
 import json
+import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -148,6 +153,13 @@ class TestHiggs:
         assert code == 2
         assert out["status"] == "PreconditionDim2"
 
+    def test_non_circle_document_is_bad_input(self):
+        doc = {"mode": "multiplicative",
+               "classes": [[entry({f"e{i}_{j}": "1"}) for j in range(2)] for i in range(3)]}
+        code, out, err = call_main("higgs", doc)
+        assert code == 1 and out == ""
+        assert err.startswith("input error: $.mode: ")
+
 
 class TestVerify:
     def test_generate_mode(self, tmp_path):
@@ -164,6 +176,14 @@ class TestVerify:
         doc = inst.to_json()
         code, out, _ = run_cli(tmp_path, "verify", doc)
         assert code == 0 and out["report"]["ok"]
+
+    def test_numeric_chi_one_is_a_convention_failure(self):
+        one = [1, 0]
+        doc = {"matrices": [[[one]]] * 3, "b": [one] * 3, "w": [one] * 3, "chi": one}
+        code, out, err = call_main("verify", doc)
+        assert code == 2, err
+        assert json.loads(out) == {"kind": "verify", "status": "ConventionFailure",
+                                   "detail": "chi is numerically 1"}
 
 
 def symbolic_verify_document(last_class=None, mode="multiplicative", h3=None):
@@ -460,3 +480,99 @@ class TestDocumentBoundary:
     def test_points_must_be_an_integer(self):
         _, _, err = call_main("run", {**run_document(), "points": "3"})
         assert "'points' must be an integer" in err
+
+
+# -- the canonical writer ------------------------------------------------------
+
+def oracle(doc):
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+_text = st.text(st.characters() | st.sampled_from('"\\/\n\t\x00\x1f\x7f\u2028é😀'),
+                max_size=6)
+_floats = (st.floats(allow_nan=True, allow_infinity=True)
+           | st.sampled_from([-0.0, 1e300, -1e-300, math.nan, math.inf, -math.inf]))
+_leaves = (st.none() | st.booleans() | _text | _floats | _floats.map(np.float64)
+           | st.integers() | st.integers(min_value=-10**40, max_value=10**40))
+_trees = st.recursive(
+    _leaves,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_text, inner, max_size=4)),
+    max_leaves=30)
+
+
+class TestRender:
+    @settings(max_examples=400, deadline=None)
+    @given(doc=_trees)
+    def test_matches_json_dumps(self, doc):
+        assert render(doc) == oracle(doc)
+
+    def test_nested_empty_containers(self):
+        doc = {"a": {}, "b": [], "c": [{}, [], ()], "d": {"e": {"f": []}}}
+        assert render(doc) == oracle(doc)
+
+    @pytest.mark.parametrize("doc", [object(), np.int64(3), {1: "a"}, {"a": [object()]},
+                                     [{"a": 1, 2: "b"}]])
+    def test_other_types_raise(self, doc):
+        with pytest.raises(TypeError):
+            render(doc)
+
+
+# -- what a verb imports -------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# runs the CLI in process, then prints the loaded module names
+_PROBE = """
+import json, sys
+import midconv.cli
+code = midconv.cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+def modules_after(tmp_path, verb, doc):
+    """Exit code and the names in ``sys.modules`` of a fresh interpreter
+    that ran one verb on ``doc``."""
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(doc), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, verb, "--input", str(inp),
+         "--output", str(tmp_path / "out.json")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    return result["code"], set(result["modules"])
+
+
+class TestImportHygiene:
+    @pytest.mark.parametrize("verb, doc", [
+        ("run", run_document()),
+        ("classify", valid_documents()[3][1]),
+        ("higgs", valid_documents()[4][1]),
+        ("defect", referee_document()),
+        ("transform", referee_document()),
+    ])
+    def test_symbolic_verbs_leave_out_numpy_and_scipy(self, tmp_path, verb, doc):
+        code, modules = modules_after(tmp_path, verb, doc)
+        assert code in (0, 2)
+        assert not {m.split(".")[0] for m in modules} & {"numpy", "scipy"}
+
+    def test_verify_leaves_out_scipy_stats(self, tmp_path):
+        doc = {"generate": {"rank": 2, "points": 3, "seed": 5}}
+        code, modules = modules_after(tmp_path, "verify", doc)
+        assert code == 0
+        assert "numpy" in modules and "scipy.linalg" in modules
+        assert "scipy.stats" not in modules
+
+    def test_lazy_names_are_the_homology_objects(self):
+        import midconv
+        from midconv import homology, verify_instance
+        assert midconv.verify_instance is homology.verify_instance
+        assert verify_instance is homology.verify_instance
+        for name in midconv.__all__:
+            assert getattr(midconv, name) is not None
+        with pytest.raises(AttributeError):
+            midconv.no_such_name
