@@ -11,7 +11,7 @@ Higgs bundles in the nonnegative-defect range.
 from .divisors import EigDivisor, MonodromyVector
 from .errors import MidconvError
 from .higgs import (Arrangement, HiggsData, construct, good_arrangement,
-                    parabolic_degree, partial_move)
+                    parabolic_degree)
 from .katz import (AlgorithmTrace, ConventionReport, Convoluter,
                    EmptinessCertificate, NoneffectiveReport, TerminalStatus,
                    check_conventions, check_involution, defect, detect_empty,
@@ -48,7 +48,7 @@ __all__ = [
     "middle_h1_dim", "dim2_census",
     "NumericInstance", "raw_convolution_rep", "middle_convolution_rep",
     "generate_instance", "verify_instance",
-    "Arrangement", "HiggsData", "good_arrangement", "partial_move",
+    "Arrangement", "HiggsData", "good_arrangement",
     "parabolic_degree", "construct",
     "MidconvError",
 ]

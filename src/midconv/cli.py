@@ -164,7 +164,7 @@ def _process_one(verb: str, doc: dict, args) -> tuple[dict, int]:
     if args.max_steps is not None:
         doc = {**doc, "max_steps": args.max_steps}
     conv = doc.get("convoluter")
-    if args.beta_v in ("same", "fresh") and isinstance(conv, dict) and conv:
+    if args.beta_v and isinstance(conv, dict) and conv:
         v = {"same": "same-as-h", "fresh": "fresh"}[args.beta_v]
         doc = {**doc, "convoluter": {**conv, "v": v}}
     parsed = parse_document(doc)
@@ -186,8 +186,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--max-steps", type=int, default=None)
-    parser.add_argument("--beta-v", choices=["same", "fresh", "explicit"],
-                        default=None)
+    parser.add_argument("--beta-v", choices=["same", "fresh"], default=None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 on --help

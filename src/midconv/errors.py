@@ -68,15 +68,6 @@ class CyclicClosureViolation(MidconvError):
     """sum(z) != defect, so the degree sequence cannot close up cyclically."""
 
 
-class NoMovableEigenvalue(MidconvError):
-    """All multiplicities are maximal; no arrangement move is possible."""
-
-
-class ArrangementSearchAnomaly(MidconvError):
-    """The arrangement-move search exhausted its budget without reaching
-    the required degree residue (not expected to happen)."""
-
-
 class BoundaryNotSurjective(MidconvError):
     """The chain boundary map failed to be numerically surjective."""
 

@@ -4,39 +4,45 @@ In the nonnegative-defect range a rank-r local monodromy vector with
 eigenvalues on the unit circle is realized by a chain of r parabolic
 line bundles E^1 .. E^r with maps E^j -> E^{j+1} (cyclically) that
 vanish at every point where the source weight is >= the target weight.
-The combinatorics reduce to choosing, for every point, an ordering of
-its weights (an "arrangement") whose cyclic descent count is minimal,
-plus integer line-bundle degrees k_j; the construction below finds such
-data with total parabolic degree exactly zero.
+The data are, for every point, an ordering of its weights (an
+"arrangement") with the least possible number of cyclic descents, the
+extra-zero counts z_j (summing to the defect) and the line-bundle
+degrees k_j.
+
+The construction is closed form.  With k_1 = 0 the parabolic degree is,
+modulo r, the total weight plus (2 - n) r(r-1)/2, minus S, minus
+sum_j j z_j, where S sums the descent positions of all arrangements.
+A positive defect clears that residue by where it puts one extra zero;
+at defect zero one point with unequal multiplicities is rearranged
+instead (``shifted_arrangement``).  k_1 then makes the degree exactly
+zero.
 
 Everything is exact rational arithmetic; no tolerances.
 """
 
 from __future__ import annotations
 
-import bisect
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 from .divisors import EigDivisor, MonodromyVector
-from .errors import (ArrangementSearchAnomaly, CyclicClosureViolation,
-                     DefectPrecondition, DegreeNotIntegral, ModeMismatch,
-                     NoMovableEigenvalue, PreconditionDim2, SizeMismatch)
+from .errors import (CyclicClosureViolation, DefectPrecondition, DegreeNotIntegral,
+                     ModeMismatch, PreconditionDim2, SizeMismatch)
 from .katz import defect
-from .moduli import dimension_report
+from .moduli import DimensionReport, dimension_report
 from .scalars import GroupElement, GroupMode
 
 __all__ = [
     "Arrangement",
     "HiggsData",
     "good_arrangement",
+    "shifted_arrangement",
     "taus",
     "derive_k",
     "parabolic_degree",
     "degree_closed_forms",
-    "partial_move",
     "construct",
     "verify",
     "HiggsReport",
@@ -52,16 +58,15 @@ class Arrangement:
     is the least possible.
     """
 
-    __slots__ = ("seq", "point")
+    __slots__ = ("seq",)
 
-    def __init__(self, seq: Sequence[Fraction], point: int | None = None):
+    def __init__(self, seq: Sequence[Fraction]):
         seq = tuple(Fraction(a) for a in seq)
         if not seq:
             raise ValueError("empty arrangement")
         if any(not (0 <= a < 1) for a in seq):
             raise ValueError("weights must lie in [0, 1)")
         object.__setattr__(self, "seq", seq)
-        object.__setattr__(self, "point", point)
 
     def __setattr__(self, name, value):
         raise AttributeError("Arrangement is immutable")
@@ -130,7 +135,7 @@ def _circle_weights(g: EigDivisor) -> list[tuple[Fraction, int]]:
     return [(e.expr.const, m) for e, m in g.entries]
 
 
-def good_arrangement(g: EigDivisor, point: int | None = None) -> Arrangement:
+def good_arrangement(g: EigDivisor) -> Arrangement:
     """Greedy minimal-descent arrangement.
 
     Layer j (j = 1..max multiplicity) collects every weight of
@@ -144,8 +149,42 @@ def good_arrangement(g: EigDivisor, point: int | None = None) -> Arrangement:
     seq: list[Fraction] = []
     for j in range(1, p + 1):
         seq.extend(sorted(a for a, m in weights if m >= j))
-    arr = Arrangement(seq, point=point)
+    arr = Arrangement(seq)
     assert len(arr.descents()) == p, "greedy arrangement must be good"
+    return arr
+
+
+def shifted_arrangement(g: EigDivisor, shift: int) -> Arrangement:
+    """A good arrangement whose descent positions sum to the greedy
+    arrangement's minus ``shift``, modulo r.
+
+    The greedy arrangement is nu runs, run j holding in increasing order
+    the weights of multiplicity >= j.  Every run holds the weights of
+    multiplicity nu, so every run ends in a descent, and any placement of
+    the other weights, at most one copy per run, is good.  Moving a copy
+    of a weight of multiplicity m < nu one run later lowers the descent
+    sum by 1, and its copies allow m (nu - m) >= nu - 1 such moves; a left
+    rotation by one position lowers the sum by nu modulo r.  Needs
+    unequal multiplicities (ValueError otherwise).
+    """
+    weights = _circle_weights(g)
+    nu = max(m for _, m in weights)
+    movable = [(a, m) for a, m in weights if m < nu]
+    if not movable:
+        raise ValueError("all multiplicities are equal; no weight can move")
+    alpha, m = min(movable)
+    rotate, moves = divmod(shift % g.degree(), nu)
+    runs = list(range(1, m + 1))  # the runs holding a copy of alpha
+    for i in reversed(range(m)):
+        step = min(moves, nu - m)
+        runs[i] += step
+        moves -= step
+    seq: list[Fraction] = []
+    for j in range(1, nu + 1):
+        seq.extend(sorted([a for a, mult in weights if a != alpha and mult >= j]
+                          + [alpha] * (j in runs)))
+    arr = Arrangement(seq[rotate:] + seq[:rotate])
+    assert arr.is_good, "run placements and rotations keep arrangements good"
     return arr
 
 
@@ -220,8 +259,8 @@ class HiggsData:
 
     @classmethod
     def from_json(cls, doc) -> "HiggsData":
-        arrs = tuple(Arrangement([Fraction(a) for a in seq], point=i)
-                     for i, seq in enumerate(doc["arrangements"]))
+        arrs = tuple(Arrangement([Fraction(a) for a in seq])
+                     for seq in doc["arrangements"])
         return cls(arrangements=arrs, k=tuple(doc["k"]), z=tuple(doc["z"]),
                    tau=tuple(doc["tau"]))
 
@@ -264,77 +303,6 @@ def degree_closed_forms(data: HiggsData) -> dict:
     }
 
 
-def _movable(arr: Arrangement) -> list[Fraction]:
-    counts = Counter(arr.seq)
-    p = max(counts.values())
-    return sorted(a for a, m in counts.items() if m < p)
-
-
-def _linearize(arr: Arrangement) -> Arrangement:
-    """Rotate so position r carries a descent (runs stop wrapping).
-
-    Greedy arrangements and everything the move closure produces already
-    have this form; rotation only matters for hand-built inputs.
-    """
-    ds = arr.descents()
-    t_last = ds[-1]
-    if t_last == arr.r:
-        return arr
-    return Arrangement(arr.seq[t_last:] + arr.seq[:t_last], point=arr.point)
-
-
-def _apply_move(arr: Arrangement, alpha: Fraction, idx: int) -> Arrangement:
-    """Move alpha from run idx into the cyclically preceding run.
-
-    ``arr`` must be in descent-at-r form, so the runs concatenate back
-    to the sequence positionally.
-    """
-    parts = arr.parts()
-    prev = (idx - 1) % len(parts)
-    new_parts = [list(part) for part in parts]
-    new_parts[idx].remove(alpha)
-    bisect.insort(new_parts[prev], alpha)
-    seq = [a for part in new_parts for a in part]
-    moved = Arrangement(seq, point=arr.point)
-    assert moved.is_good, "arrangement moves preserve goodness"
-    return moved
-
-
-def _move_candidates(arr: Arrangement, alpha: Fraction) -> list[int]:
-    """Run indices containing alpha whose cyclic predecessor lacks it.
-
-    Non-wrapping candidates (idx >= 1) come first: those shift one
-    descent position up by one and lower the degree contribution by
-    exactly one.
-    """
-    parts = arr.parts()
-    p = len(parts)
-    has = [alpha in part for part in parts]
-    idxs = [i for i in range(p) if has[i] and not has[(i - 1) % p]]
-    return sorted(idxs, key=lambda i: (i == 0, i))
-
-
-def partial_move(arr: Arrangement, alpha) -> Arrangement:
-    """Move one copy of ``alpha`` into the cyclically preceding run.
-
-    Requires multiplicity(alpha) < max multiplicity (otherwise
-    NoMovableEigenvalue).  The result is again good; when a
-    non-wrapping candidate exists the degree contribution
-    sum(r - t) over descents t drops by exactly 1.
-    """
-    alpha = Fraction(alpha)
-    counts = Counter(arr.seq)
-    if alpha not in counts:
-        raise NoMovableEigenvalue(f"{alpha} is not a weight of this arrangement")
-    if counts[alpha] >= max(counts.values()):
-        raise NoMovableEigenvalue(
-            f"{alpha} already has maximal multiplicity; nothing can move")
-    arr = _linearize(arr)
-    candidates = _move_candidates(arr, alpha)
-    assert candidates, "a movable weight always has a containing/missing pair"
-    return _apply_move(arr, alpha, candidates[0])
-
-
 def _degree_for(arrs: Sequence[Arrangement], z: Sequence[int], n: int,
                 k1: int = 0) -> tuple[Fraction, list[int]]:
     tau = taus(arrs)
@@ -343,7 +311,7 @@ def _degree_for(arrs: Sequence[Arrangement], z: Sequence[int], n: int,
     return parabolic_degree(data), k
 
 
-def _check_preconditions(vector: MonodromyVector) -> tuple[int, int]:
+def _check_preconditions(vector: MonodromyVector) -> DimensionReport:
     if vector.mode is not GroupMode.CIRCLE:
         raise ModeMismatch("the construction needs circle-mode weights")
     total = Fraction(0)
@@ -360,85 +328,40 @@ def _check_preconditions(vector: MonodromyVector) -> tuple[int, int]:
         raise PreconditionDim2(
             "defect and superdefect both vanish (a dimension-2 family); "
             "this construction does not apply")
-    return report.defect, report.superdefect
+    return report
 
 
-def construct(vector: MonodromyVector,
-              max_nodes: int = 200_000) -> HiggsData:
+def construct(vector: MonodromyVector) -> HiggsData:
     """Build degree-zero Higgs data for a circle-mode vector.
 
-    Preconditions: integral total weight, defect >= 0 and, when the
-    defect vanishes, positive superdefect.  For positive defect the
-    extra zeros are concentrated at one index j' (searched from r down)
-    and k_1 clears the degree; for defect zero the arrangements are
-    improved by weight moves (breadth-first) until the degree is
-    divisible by r.
+    Preconditions: integral total weight, defect d >= 0 and, when d = 0,
+    positive superdefect.  Start from the greedy arrangements with all d
+    extra zeros at index r; with k_1 = 0 the degree falls short of a
+    multiple of r by shift = -degree mod r.  A positive defect moves one
+    extra zero to index r - shift, which adds shift to the degree.  At
+    defect zero z is forced to 0, and the first point with positive
+    superdefect (hence unequal multiplicities) takes the arrangement
+    whose descent sum is lower by shift, which adds shift modulo r.
+    k_1 = -degree / r then makes the degree exactly zero.
     """
-    d, sigma = _check_preconditions(vector)
-    n, r = vector.n, vector.rank
-    greedy = [good_arrangement(g, point=i) for i, g in enumerate(vector)]
-
-    if d > 0:
-        for j_prime in range(r, 0, -1):
-            z = [0] * r
-            z[r - 1] = d - 1
-            if j_prime == r:
-                z[r - 1] = d
-            else:
-                z[j_prime - 1] = 1
-            deg0, _ = _degree_for(greedy, z, n, k1=0)
-            assert deg0.denominator == 1
-            if deg0 % r == 0:
-                k1 = -int(deg0) // r
-                deg, k = _degree_for(greedy, z, n, k1=k1)
-                assert deg == 0
-                return HiggsData(arrangements=tuple(greedy), k=tuple(k),
-                                 z=tuple(z), tau=tuple(taus(greedy)))
-        raise ArrangementSearchAnomaly(
-            "no zero-concentration index cleared the degree residue")
-
-    # defect zero, positive superdefect: z is forced to 0 and the k are
-    # determined by the taus; search good arrangements (weight moves plus
-    # cyclic rotations, both of which preserve goodness) until the degree
-    # residue vanishes.  Weight moves alone can miss residues: a point
-    # whose descent count shares a factor with r shifts the degree only
-    # in steps of that factor, while rotating a coprime point fills in.
+    report = _check_preconditions(vector)
+    n, r, d = vector.n, vector.rank, report.defect
+    arrs = [good_arrangement(g) for g in vector]
     z = [0] * r
-    start = tuple(greedy)
-    seen = {tuple(a.seq for a in start)}
-    queue = deque([start])
-    nodes = 0
-    while queue:
-        arrs = queue.popleft()
-        nodes += 1
-        deg0, _ = _degree_for(arrs, z, n, k1=0)
-        assert deg0.denominator == 1
-        if deg0 % r == 0:
-            k1 = -int(deg0) // r
-            deg, k = _degree_for(arrs, z, n, k1=k1)
-            assert deg == 0
-            return HiggsData(arrangements=tuple(arrs), k=tuple(k),
-                             z=tuple(z), tau=tuple(taus(arrs)))
-        if nodes > max_nodes:
-            break
-
-        def push(i, moved):
-            state = arrs[:i] + (moved,) + arrs[i + 1:]
-            key = tuple(a.seq for a in state)
-            if key not in seen:
-                seen.add(key)
-                queue.append(state)
-
-        for i, arr in enumerate(arrs):
-            rotated = Arrangement(arr.seq[1:] + arr.seq[:1], point=arr.point)
-            assert rotated.is_good
-            push(i, rotated)
-            for alpha in _movable(arr):
-                for idx in _move_candidates(arr, alpha):
-                    push(i, _apply_move(arr, alpha, idx))
-    raise ArrangementSearchAnomaly(
-        f"arrangement search exhausted ({nodes} states) without reaching "
-        f"degree divisible by {r}")
+    z[r - 1] = d
+    shift = int(-_degree_for(arrs, z, n)[0]) % r
+    if shift and d:
+        z[r - 1] -= 1
+        z[r - 1 - shift] += 1
+    elif shift:
+        i = next(i for i, s in enumerate(report.superdefects) if s)
+        arrs[i] = shifted_arrangement(vector[i], shift)
+    deg0, _ = _degree_for(arrs, z, n)
+    assert deg0 % r == 0
+    deg, k = _degree_for(arrs, z, n, k1=-int(deg0) // r)
+    assert deg == 0
+    return HiggsData(arrangements=tuple(arrs), k=tuple(k), z=tuple(z),
+                     tau=tuple(taus(arrs)))
 
 
 @dataclass(frozen=True)

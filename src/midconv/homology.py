@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import block_diag, null_space
+from scipy.linalg import block_diag, svd
 from scipy.optimize import linear_sum_assignment
 
 from .divisors import EigDivisor, MonodromyVector
@@ -240,17 +240,12 @@ class ChainSpace:
         """Orthonormal basis of ker(boundary); raises if the boundary is
         not numerically surjective."""
         if self._kernel is None:
-            tol = self.inst.tol
-            sv = np.linalg.svd(self.boundary, compute_uv=False)
-            if sv[self.r - 1] <= tol:
+            _, sv, vh = svd(self.boundary, full_matrices=True)
+            if sv[self.r - 1] <= self.inst.tol:
                 raise BoundaryNotSurjective(
                     f"boundary rank below {self.r}: smallest kept singular value "
                     f"{sv[self.r - 1]:.3e}")
-            K = null_space(self.boundary)
-            if K.shape[1] != (self.n - 1) * self.r:
-                raise BoundaryNotSurjective(
-                    f"kernel dimension {K.shape[1]} != (n-1) r = {(self.n - 1) * self.r}")
-            self._kernel = K
+            self._kernel = vh[self.r:].conj().T
         return self._kernel
 
 
@@ -349,15 +344,17 @@ def middle_convolution_rep(inst: NumericInstance) -> MiddleConvolutionRep:
                                 fixed_dims=fixed_dims, raw=raw)
 
 
-def predicted_middle_spectrum(inst: NumericInstance, k: int) -> list[complex]:
+def predicted_middle_spectra(inst: NumericInstance) -> list[list[complex]]:
     """Per-point middle eigenvalues predicted from the instance data:
     w_k chi b_k lam for eigenvalues lam of M_k with b_k lam != 1, plus
     w_k with multiplicity m_k + defect."""
-    lam = np.linalg.eigvals(inst.M[k])
-    keep = np.abs(inst.b[k] * lam - 1) > inst.tol
-    out = list(inst.w[k] * inst.chi * inst.b[k] * lam[keep])
-    mult = int(np.sum(~keep)) + inst.measured_defect()
-    out.extend([complex(inst.w[k])] * mult)
+    d = inst.measured_defect()
+    out = []
+    for Mk, bk, wk in zip(inst.M, inst.b, inst.w):
+        lam = np.linalg.eigvals(Mk)
+        keep = np.abs(bk * lam - 1) > inst.tol
+        out.append(list(wk * inst.chi * bk * lam[keep])
+                   + [complex(wk)] * (int(np.sum(~keep)) + d))
     return out
 
 
@@ -598,7 +595,7 @@ def verify_instance(problem: VerificationProblem | NumericInstance,
     """
     if isinstance(problem, NumericInstance):
         inst = problem
-        predicted = [predicted_middle_spectrum(inst, k) for k in range(inst.n)]
+        predicted = predicted_middle_spectra(inst)
     else:
         inst = problem.instance
         predicted = problem.predicted_kappa_spectra()

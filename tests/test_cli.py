@@ -252,6 +252,10 @@ class TestUsageErrors:
         assert main(["--help"]) == 0
         assert "usage:" in capsys.readouterr().out
 
+    def test_beta_v_explicit_exits_one(self, capsys):
+        assert main(["defect", "--beta-v", "explicit"]) == 1
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestDeterminismAndBatch:
     def test_identical_runs_byte_identical(self, tmp_path):

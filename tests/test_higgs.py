@@ -8,11 +8,11 @@ import pytest
 
 from midconv import (Arrangement, EigDivisor, GroupElement, GroupMode,
                      HiggsData, MonodromyVector, construct, defect,
-                     good_arrangement, parabolic_degree, partial_move)
+                     dimension_report, good_arrangement, parabolic_degree)
 from midconv.errors import (CyclicClosureViolation, DefectPrecondition,
-                            DegreeNotIntegral, NoMovableEigenvalue,
-                            PreconditionDim2)
-from midconv.higgs import (degree_closed_forms, derive_k, taus, verify)
+                            DegreeNotIntegral, PreconditionDim2)
+from midconv.higgs import (degree_closed_forms, derive_k, shifted_arrangement,
+                           taus, verify)
 
 
 def circle(value):
@@ -21,12 +21,6 @@ def circle(value):
 
 def divisor(*pairs):
     return EigDivisor(GroupMode.CIRCLE, [(circle(a), m) for a, m in pairs])
-
-
-def contribution(arr):
-    """sum(r - t) over the descent positions, the degree bookkeeping of a
-    single arrangement."""
-    return sum(arr.r - t for t in arr.descents())
 
 
 def brute_force_min_descents(weights):
@@ -158,38 +152,49 @@ class TestParabolicDegree:
         assert forms3["direct"] == 0
 
 
-class TestPartialMove:
-    def test_spec_example_wrap_move(self):
-        arr = good_arrangement(divisor(("1/4", 2), ("3/4", 1)))
-        moved = partial_move(arr, F(3, 4))
-        assert moved.seq == (F(1, 4), F(1, 4), F(3, 4))
-        assert moved.is_good
-        assert moved.weight_divisor() == arr.weight_divisor()
+def descent_sum(arr):
+    return sum(arr.descents())
 
-    def test_uniform_multiplicity_rejected(self):
-        arr = good_arrangement(divisor(("1/4", 2), ("3/4", 2)))
-        with pytest.raises(NoMovableEigenvalue):
-            partial_move(arr, F(1, 4))
 
-    def test_unknown_weight_rejected(self):
-        arr = good_arrangement(divisor(("1/4", 2), ("3/4", 1)))
-        with pytest.raises(NoMovableEigenvalue):
-            partial_move(arr, F(1, 2))
+def compositions(r):
+    """Ordered multiplicity lists summing to r."""
+    if r == 0:
+        yield ()
+        return
+    for first in range(1, r + 1):
+        for rest in compositions(r - first):
+            yield (first,) + rest
 
-    def test_nonwrap_moves_drop_contribution_by_one(self):
-        # 3[1/10] + 1[1/2]: after the initial wrap move the copy of 1/2
-        # walks back down one run at a time, each step lowering the
-        # degree bookkeeping by exactly 1
-        arr = good_arrangement(divisor(("1/10", 3), ("1/2", 1)))
-        assert arr.seq == (F(1, 10), F(1, 2), F(1, 10), F(1, 10))
-        state = partial_move(arr, F(1, 2))  # wrap: no other candidate
-        assert state.seq == (F(1, 10), F(1, 10), F(1, 10), F(1, 2))
-        for _ in range(2):
-            before = contribution(state)
-            state = partial_move(state, F(1, 2))
-            assert contribution(state) == before - 1
-            assert state.is_good
-        assert state.seq == arr.seq  # walked all the way back to greedy
+
+class TestShiftedArrangement:
+    @pytest.mark.parametrize("r", [3, 4, 5, 6])
+    def test_permutation_oracle(self, r):
+        # every divisor of distinct weights with unequal multiplicities:
+        # the good orderings reach every descent-sum residue, and the
+        # helper returns a good one for each requested shift
+        for mults in compositions(r):
+            if len(set(mults)) == 1:
+                continue
+            pairs = [(F(i, len(mults)), m) for i, m in enumerate(mults)]
+            g = divisor(*pairs)
+            weights = [a for a, m in pairs for _ in range(m)]
+            good = [arr for arr in map(Arrangement, set(itertools.permutations(weights)))
+                    if arr.is_good]
+            assert {descent_sum(arr) % r for arr in good} == set(range(r)), mults
+            greedy = descent_sum(good_arrangement(g))
+            for shift in range(r):
+                arr = shifted_arrangement(g, shift)
+                assert arr.is_good and arr.weight_divisor() == g
+                assert (greedy - descent_sum(arr)) % r == shift, (mults, shift)
+
+    def test_zero_shift_is_greedy(self):
+        g = divisor(("1/10", 3), ("1/2", 1), ("3/4", 2))
+        assert shifted_arrangement(g, 0) == good_arrangement(g)
+        assert shifted_arrangement(g, g.degree()) == good_arrangement(g)
+
+    def test_equal_multiplicities_rejected(self):
+        with pytest.raises(ValueError):
+            shifted_arrangement(divisor(("1/4", 2), ("3/4", 2)), 1)
 
 
 class TestConstruct:
@@ -273,7 +278,6 @@ class TestConstruct:
             if vec is None:
                 continue
             d = defect(vec)
-            from midconv import dimension_report
             rep = dimension_report(vec)
             if rep.defect == 0 and rep.superdefect == 0:
                 with pytest.raises(PreconditionDim2):
@@ -285,6 +289,91 @@ class TestConstruct:
             assert verify(data, vec).ok
             built += 1
         assert built == 10
+
+    def test_defect_zero_sweep(self):
+        # every defect-zero PMV with positive superdefect, r <= 6, n <= 5
+        rng = np.random.default_rng(8)
+        swept = 0
+        for r in range(2, 7):
+            parts = list(partitions(r))
+            for n in range(3, 6):
+                for pmv in itertools.combinations_with_replacement(parts, n):
+                    if not _constructible_defect_zero(pmv):
+                        continue
+                    vec = _circle_vector(rng, pmv)
+                    data = construct(vec)
+                    assert verify(data, vec).ok, pmv
+                    assert data.z == (0,) * r
+                    swept += 1
+        assert swept == 514
+
+    @pytest.mark.parametrize("r", [8, 9, 10, 11, 12])
+    def test_defect_zero_larger_ranks(self, r):
+        rng = np.random.default_rng(r)
+        for n in (3, 4, 5):
+            for _ in range(2):
+                pmv = _defect_zero_pmv(rng, r, n)
+                vec = _circle_vector(rng, pmv)
+                assert defect(vec) == 0
+                data = construct(vec)
+                assert verify(data, vec).ok, pmv
+
+
+def partitions(r, cap=None):
+    """Partitions of r into parts <= cap, parts decreasing."""
+    cap = r if cap is None else cap
+    if r == 0:
+        yield ()
+        return
+    for first in range(min(r, cap), 0, -1):
+        for rest in partitions(r - first, first):
+            yield (first,) + rest
+
+
+def _constructible_defect_zero(pmv):
+    """Defect 0 and positive superdefect: the maximal multiplicities sum
+    to (n-2) r, and some point has unequal multiplicities."""
+    r, n = sum(pmv[0]), len(pmv)
+    return ((n - 2) * r == sum(max(p) for p in pmv)
+            and any(len(set(p)) > 1 for p in pmv))
+
+
+def _defect_zero_pmv(rng, r, n):
+    """Random PMV of defect 0 and positive superdefect."""
+    # maximal multiplicities as equal as the sum (n-2) r allows: few
+    # weights can move, the hard case for a search over arrangements
+    base, extra = divmod((n - 2) * r, n)
+    while True:
+        nus = [base + (i < extra) for i in rng.permutation(n)]
+        pmv = []
+        for nu in nus:
+            rest, parts = r - nu, [nu]
+            while rest:
+                p = int(rng.integers(1, min(nu, rest) + 1))
+                parts.append(p)
+                rest -= p
+            pmv.append(tuple(parts))
+        if _constructible_defect_zero(pmv):
+            return pmv
+
+
+def _circle_vector(rng, pmv, denom=24):
+    """Circle weights for a PMV drawn as in criterion 8: distinct
+    multiples of 1/denom per point, the first weight of the last point
+    set so the total weight is an integer."""
+    while True:
+        divisors, total = [], F(0)
+        for i, parts in enumerate(pmv):
+            vals = rng.choice(denom, size=len(parts), replace=False)
+            entries = list(zip([F(int(v), denom) for v in vals], parts))
+            if i == len(pmv) - 1:
+                partial = total + sum(a * m for a, m in entries[1:])
+                alpha = (-partial / entries[0][1]) % 1
+                entries[0] = (alpha, entries[0][1])
+            total += sum(a * m for a, m in entries)
+            divisors.append(divisor(*entries))
+        if total.denominator == 1 and len(divisors[-1].entries) == len(pmv[-1]):
+            return MonodromyVector(divisors)
 
 
 def _random_circle_vector(rng, max_rank=6):
