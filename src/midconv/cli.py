@@ -61,8 +61,6 @@ def cmd_run(doc: ProblemDocument) -> tuple[dict, int]:
         trace = katz.run_algorithm(doc.vector, doc.max_steps, doc.v_policy)
     except MaxStepsExceeded as exc:  # only a given max_steps can run out
         raise DocumentError(str(exc), "$.max_steps") from None
-    except ModeMismatch as exc:
-        raise DocumentError(str(exc), "$.mode") from None
     out = {"kind": "run", **trace.to_json()}
     negative = trace.status in (TerminalStatus.EMPTY_NONEFFECTIVE,
                                 TerminalStatus.CONVENTION_FAILURE)
@@ -124,8 +122,8 @@ def cmd_verify(doc: dict) -> tuple[dict, int]:
 def cmd_higgs(doc: ProblemDocument) -> tuple[dict, int]:
     try:
         data = higgs_mod.construct(doc.vector)
-    except ModeMismatch as exc:
-        raise DocumentError(str(exc), "$.mode") from None
+    except ModeMismatch:
+        raise  # a wrong mode is an input error, not an answer
     except MidconvError as exc:
         return {"kind": "higgs", "status": type(exc).__name__,
                 "detail": str(exc)}, NEGATIVE
@@ -170,7 +168,10 @@ def _process_one(verb: str, doc: dict, args) -> tuple[dict, int]:
     parsed = parse_document(doc)
     if args.beta_v == "fresh" and parsed.convoluter is None:
         parsed.v_policy = "fresh"
-    return _SYMBOLIC_VERBS[verb](parsed)
+    try:
+        return _SYMBOLIC_VERBS[verb](parsed)
+    except ModeMismatch as exc:  # the verb does not run in the document's mode
+        raise DocumentError(str(exc), "$.mode") from None
 
 
 def main(argv=None) -> int:

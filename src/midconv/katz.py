@@ -94,6 +94,8 @@ class Convoluter:
         if len(names) != len(h) - 1:
             raise SizeMismatch("need n-1 fresh generator names")
         mode = h[0].mode
+        if mode is GroupMode.CIRCLE:
+            raise ModeMismatch("fresh generators need multiplicative or additive mode")
         s = [GroupElement.generator(name, mode) for name in names]
         s.append(product(s).invert())
         v = [hi.combine(si) for hi, si in zip(h, s)]
@@ -435,7 +437,6 @@ class AlgorithmTrace:
     final: MonodromyVector
     certificate: Optional[EmptinessCertificate] = None
     report: Optional[ConventionReport] = None
-    failed_side: Optional[str] = None  # "forward" or "reverse" on convention failure
 
     @property
     def ranks(self) -> list[int]:
@@ -468,7 +469,7 @@ class AlgorithmTrace:
             doc["certificate"] = self.certificate.to_json()
         if self.report is not None:
             doc["convention_report"] = self.report.to_json()
-            doc["failed_side"] = self.failed_side
+            doc["failed_side"] = "forward"  # the one pair run_algorithm checks
         return doc
 
 
@@ -478,11 +479,10 @@ def run_algorithm(vector: MonodromyVector, max_steps: int | None = None,
 
     Per step: stop at AllDiagonal (every class scalar, which covers rank
     one); otherwise aim the convoluter at maximal multiplicities; stop
-    at PositiveDefect when d >= 0; verify the conventions for the pair
-    and for the partner pair on the output, stopping at
-    ConventionFailure with the offending report; stop at
-    EmptyNoneffective with a certificate; else step.  Every recorded
-    step has d < 0, so at most ``rank`` steps can happen.
+    at PositiveDefect when d >= 0, at ConventionFailure with the report
+    when (beta, input) fails the conventions, and at EmptyNoneffective
+    with a certificate; else step.  Every recorded step has d < 0, so at
+    most ``rank`` steps can happen.
     """
     if vector.mode is GroupMode.CIRCLE:
         raise ModeMismatch("the reduction loop runs in multiplicative or additive mode")
@@ -492,7 +492,6 @@ def run_algorithm(vector: MonodromyVector, max_steps: int | None = None,
     current = vector
     for step in range(max_steps + 1):
         if current.is_all_diagonal():
-            # Covers rank one: a degree-1 divisor is a single point.
             return AlgorithmTrace(tuple(steps), TerminalStatus.ALL_DIAGONAL, current)
         # fresh generators must be fresh per step, not reused across steps
         names = [f"_s{step}_{i}" for i in range(1, current.n)]
@@ -504,15 +503,14 @@ def run_algorithm(vector: MonodromyVector, max_steps: int | None = None,
         report = check_conventions(beta, current)
         if not report.ok:
             return AlgorithmTrace(tuple(steps), TerminalStatus.CONVENTION_FAILURE,
-                                  current, report=report, failed_side="forward")
+                                  current, report=report)
         result = _transform(beta, current, plan)
         if isinstance(result, NoneffectiveReport):
             return AlgorithmTrace(tuple(steps), TerminalStatus.EMPTY_NONEFFECTIVE,
                                   current, certificate=result.certificate)
-        back_report = check_conventions(beta.partner(), result)
-        if not back_report.ok:
-            return AlgorithmTrace(tuple(steps), TerminalStatus.CONVENTION_FAILURE,
-                                  current, report=back_report, failed_side="reverse")
+        # The partner pair (beta', output) passes too: h' = v^-1 and t' = t^-1,
+        # so t' h'_i v_i = t^-1 != 1 at the new eigenvalue [v_i] and
+        # t' h'_i a u_i = a h_i != 1 at each kept a u_i (de Rham flavor alike).
         assert result.rank == current.rank + d < current.rank
         steps.append(KatzStep(current, beta, d, result))
         current = result

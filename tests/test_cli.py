@@ -256,6 +256,15 @@ class TestUsageErrors:
         assert main(["defect", "--beta-v", "explicit"]) == 1
         assert "invalid choice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["defect", "transform"])
+    def test_beta_v_fresh_on_circle_mode_exits_one(self, verb):
+        # circle weights are constants: there are no fresh generators to add
+        doc = {"mode": "circle",
+               "classes": [[entry({}, const="1/4"), entry({}, const="3/4")]] * 3}
+        code, out, err = call_main(verb, doc, "--beta-v", "fresh")
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert "input error: $.mode: " in err, err
+
 
 class TestDeterminismAndBatch:
     def test_identical_runs_byte_identical(self, tmp_path):
@@ -461,6 +470,21 @@ class TestDocumentBoundary:
         del doc["assignment"]["b1"]
         code, _, err = call_main("verify", doc)
         assert code == 1 and "input error: $.assignment" in err
+
+    def test_run_convention_failure_answer(self):
+        # eigenvalue 3/4 at point 0 collides with the default twist: t h_0 a = 1
+        consts = [["3/4", "0"], ["1/2", "1/4"], ["0", "1/3"]]
+        doc = {"mode": "multiplicative",
+               "classes": [[entry({}, const=c) for c in cls] for cls in consts]}
+        code, out, _ = call_main("run", doc)
+        assert code == 2
+        out = json.loads(out)
+        assert out["status"] == "ConventionFailure"
+        assert out["failed_side"] == "forward" and out["steps"] == []
+        report = out["convention_report"]
+        assert report["ok"] is False
+        assert report["chirhobeta_violations"] == [
+            {"point": 0, "eigenvalue": expr(const="3/4")}]
 
     def test_max_steps_run_out(self):
         code, _, err = call_main("run", {**run_document(), "max_steps": 0})

@@ -459,6 +459,61 @@ class TestRunAlgorithm:
                                          for nm in names)
 
 
+class TestPartnerConventions:
+    """The lemma behind checking only the forward pair in the reduction
+    loop: when (beta, vector) meets the conventions and the transform is
+    effective, the partner pair (beta', output) meets them too."""
+
+    # Few constants and one shared generator, so that eigenvalues collide
+    # and a good share of the pairs fail the forward conventions.
+    CONSTS = (F(0), F(1, 2), F(1, 3), F(2, 3), F(1, 4), F(3, 4), F(1), F(-1, 2), F(2))
+
+    def colliding_vector(self, rng, mode):
+        n, r = int(rng.integers(3, 6)), int(rng.integers(1, 5))
+        classes = []
+        for _ in range(n):
+            entries = []
+            for _ in range(r):
+                shared = int(rng.choice([0, 0, 1, -1]))
+                c = self.CONSTS[int(rng.integers(len(self.CONSTS)))]
+                entries.append((GroupElement(mode, ScalarExpr(c, {"g": shared})), 1))
+            classes.append(EigDivisor(mode, entries))
+        return MonodromyVector(classes)
+
+    def convoluter(self, rng, vec, tag):
+        kind = int(rng.integers(4))
+        if kind < 2:
+            return max_mult_convoluter(vec, ("same", "fresh")[kind],
+                                       [f"{tag}s{i}" for i in range(1, vec.n)])
+        return random_beta(rng, vec, "support", ("same", "fresh")[kind - 2], tag)
+
+    def sweep(self, cases, de_rham):
+        """(forward failures, effective transforms) met by the sweep."""
+        rng = np.random.default_rng(61)
+        failures = effective = 0
+        for case in range(cases):
+            mode = ADD if de_rham or case % 2 else MULT
+            vec = self.colliding_vector(rng, mode)
+            beta = self.convoluter(rng, vec, f"pc{case}")
+            if not check_conventions(beta, vec, de_rham=de_rham).ok:
+                failures += 1
+                continue
+            out = kappa(beta, vec, check=False)
+            if isinstance(out, MonodromyVector):
+                effective += 1
+                back = check_conventions(beta.partner(), out, de_rham=de_rham)
+                assert back.ok, (vec, beta, back.first_violation())
+        return failures, effective
+
+    def test_partner_pair_passes_mixed_modes(self):
+        failures, effective = self.sweep(1500, de_rham=False)
+        assert failures >= 100 and effective >= 500, (failures, effective)
+
+    def test_partner_pair_passes_de_rham(self):
+        failures, effective = self.sweep(1500, de_rham=True)
+        assert failures >= 300 and effective >= 300, (failures, effective)
+
+
 class TestVirtualDimension:
     def test_naive_dim_invariant_under_transform(self):
         rng = np.random.default_rng(17)
