@@ -9,14 +9,23 @@ raw convolution, and quotienting by the cycles on local fixed vectors
 gives the middle convolution.  Measured per-point eigenvalue multisets
 are then compared against the symbolic transform prediction.
 
-All matrices here are dense complex numpy arrays; tolerances are
-explicit and every rank decision is an SVD/eigenvalue threshold.
+u_k moves only the cycles on a_k, so its matrix is U_k = I + X_k S_k^T,
+where X_k is n r x r and S_k selects block k.  On an orthonormal basis B
+of the kernel or of the middle quotient (dimension m) the action is
+therefore I + P_k Q_k^H with P_k = B^H X_k and Q_k^H = B[block k].  By
+Sylvester's identity det(lam I_m - P Q^H) = lam^(m-r) det(lam I_r - Q^H P)
+its spectrum is 1 with multiplicity m - r plus 1 + eig(Q_k^H P_k): one
+r x r eigenproblem per point, and no dense m x m matrix on the way.
+
+Arrays are complex numpy arrays; tolerances are explicit and every rank
+decision is an SVD/eigenvalue threshold.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -96,10 +105,15 @@ class NumericInstance:
     def r(self) -> int:
         return self.M[0].shape[0]
 
+    @cached_property
+    def eigs(self) -> list:
+        """``np.linalg.eig(M_k)`` per point, computed once: b_k M_k has the
+        eigenvalues b_k lam and the same eigenvectors."""
+        return [np.linalg.eig(Mi) for Mi in self.M]
+
     def fixed_multiplicity(self, k: int) -> int:
         """Multiplicity of eigenvalue 1 in b_k M_k, within tol."""
-        lam = np.linalg.eigvals(self.b[k] * self.M[k])
-        return int(np.sum(np.abs(lam - 1) <= self.tol))
+        return int(np.sum(np.abs(self.b[k] * self.eigs[k][0] - 1) <= self.tol))
 
     def measured_defect(self) -> int:
         n, r = self.n, self.r
@@ -173,7 +187,6 @@ class ChainSpace:
         self.Ainv = [np.linalg.inv(Ai) for Ai in self.A]
         self.boundary = np.hstack([Ai - np.eye(self.r) for Ai in self.A])
         self._kernel = None
-        self._braid = {}
 
     def expand_word(self, word: Sequence[int], v: np.ndarray) -> np.ndarray:
         """Expansion of G[word, v] over the basis symbols.
@@ -200,14 +213,6 @@ class ChainSpace:
                 out[block] -= cur
         return out[:, 0] if single else out
 
-    def word_action(self, word: Sequence[int]) -> np.ndarray:
-        """The r x r matrix by which the word acts on coefficients."""
-        out = np.eye(self.r, dtype=complex)
-        for letter in reversed(list(word)):
-            i = abs(letter) - 1
-            out = (self.A[i] if letter > 0 else self.Ainv[i]) @ out
-        return out
-
     def embed(self, i: int, v: np.ndarray) -> np.ndarray:
         """Coefficient vector of G[a_{i+1}, v] (i is 0-based)."""
         v = np.asarray(v, dtype=complex)
@@ -219,22 +224,25 @@ class ChainSpace:
         """Coefficient vector of G[d_k, v] (k is 1-based)."""
         return self.expand_word(_delta_k_word(self.n, k), v)
 
-    def braid_matrix(self, k: int) -> np.ndarray:
-        """Natural action of the braid generator u_k on C_1/dC_2.
+    def braid_factor(self, k: int) -> np.ndarray:
+        """X_k: the n r x r columns of block k of U_k - I (1-based k).
 
-        u_k fixes a_i for i != k and conjugates a_k by d_k.  (1-based k;
-        the basepoint twist by w_k is *not* applied here.)
+        u_k fixes a_i for i != k and conjugates a_k by d_k, so U_k - I is
+        zero outside block k's columns.
         """
         if not 1 <= k <= self.n:
             raise IndexError(f"k={k} out of range")
-        if k not in self._braid:
-            dk = _delta_k_word(self.n, k)
-            word = _inverse_word(dk) + [k] + dk
-            U = np.eye(self.n * self.r, dtype=complex)
-            block = slice((k - 1) * self.r, k * self.r)
-            U[:, block] = self.expand_word(word, np.eye(self.r, dtype=complex))
-            self._braid[k] = U
-        return self._braid[k]
+        dk = _delta_k_word(self.n, k)
+        X = self.expand_word(_inverse_word(dk) + [k] + dk, np.eye(self.r, dtype=complex))
+        X[(k - 1) * self.r:k * self.r] -= np.eye(self.r)
+        return X
+
+    def braid_matrix(self, k: int) -> np.ndarray:
+        """Natural action U_k = I + X_k S_k^T of the braid generator u_k on
+        C_1/dC_2 (1-based k; the basepoint twist by w_k is *not* applied)."""
+        U = np.eye(self.n * self.r, dtype=complex)
+        U[:, (k - 1) * self.r:k * self.r] += self.braid_factor(k)
+        return U
 
     def kernel_basis(self) -> np.ndarray:
         """Orthonormal basis of ker(boundary); raises if the boundary is
@@ -263,16 +271,46 @@ def braid_block_closed_form(chi: complex, b_k: complex, r_kj: complex) -> np.nda
 # ---------------------------------------------------------------------------
 
 @dataclass
-class RawConvolutionRep:
-    dim: int
-    kernel: np.ndarray          # (n r, (n-1) r) orthonormal
-    matrices: list              # action of u_k on the kernel, w-twisted
+class _BraidAction:
+    """The w-twisted action w_k (I + P_k Q_k^H) of every u_k on span(basis),
+    kept as its factors: P_k = basis^H X_k, Q_k^H = basis[block k]."""
+
+    basis: np.ndarray           # (n r, dim), orthonormal columns
+    X: list                     # ChainSpace.braid_factor per point
+    w: np.ndarray               # the basepoint twists
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[1]
+
+    def _factors(self, k: int):
+        r = self.X[k].shape[1]
+        return self.basis.conj().T @ self.X[k], self.basis[k * r:(k + 1) * r]
+
+    @property
+    def matrices(self) -> list:
+        """The dense w_k (I + P_k Q_k^H), built on demand."""
+        return [wk * (np.eye(self.dim) + P @ Qh)
+                for wk, (P, Qh) in zip(self.w, map(self._factors, range(len(self.X))))]
+
+    def spectrum(self, k: int) -> np.ndarray:
+        """Eigenvalues of ``matrices[k]`` from the r x r product Q_k^H P_k,
+        or from the m x m matrix when m <= r (0-based k)."""
+        P, Qh = self._factors(k)
+        m, r = P.shape
+        if m <= r:
+            return self.w[k] * np.linalg.eigvals(np.eye(m) + P @ Qh)
+        return self.w[k] * np.concatenate([np.ones(m - r), 1 + np.linalg.eigvals(Qh @ P)])
+
+
+class RawConvolutionRep(_BraidAction):
+    """The action on ker(boundary)."""
 
 
 @dataclass
-class MiddleConvolutionRep:
-    dim: int
-    matrices: list              # action of u_k on the middle quotient, w-twisted
+class MiddleConvolutionRep(_BraidAction):
+    """The action on the kernel's complement of the middling span."""
+
     fixed_dims: list            # dim of the local fixed spaces F_k
     raw: RawConvolutionRep
 
@@ -285,21 +323,19 @@ def raw_convolution_rep(inst: NumericInstance) -> RawConvolutionRep:
     chi * b_k M_k together with 1 of multiplicity (n-2) r.
     """
     space = ChainSpace(inst)
-    K = space.kernel_basis()
-    mats = [inst.w[k - 1] * (K.conj().T @ space.braid_matrix(k) @ K)
-            for k in range(1, inst.n + 1)]
-    return RawConvolutionRep(dim=K.shape[1], kernel=K, matrices=mats)
+    return RawConvolutionRep(space.kernel_basis(),
+                             [space.braid_factor(k) for k in range(1, inst.n + 1)], inst.w)
 
 
 def _fixed_space(inst: NumericInstance, k: int) -> np.ndarray:
-    """Orthonormal basis of the eigenvalue-1 eigenspace of b_k M_k."""
-    A = inst.b[k] * inst.M[k]
-    lam, vecs = np.linalg.eig(A)
-    sel = np.abs(lam - 1) <= inst.tol
-    if not np.any(sel):
-        return np.zeros((inst.r, 0), dtype=complex)
-    Q, _ = np.linalg.qr(vecs[:, sel])
-    return Q
+    """Orthonormal basis of the eigenvalue-1 eigenspace of b_k M_k; a
+    DocumentError at ``$.matrices[k]`` when that eigenvalue is not semisimple."""
+    lam, vecs = inst.eigs[k]
+    F, _ = np.linalg.qr(vecs[:, np.abs(inst.b[k] * lam - 1) <= inst.tol])
+    if np.linalg.norm((inst.b[k] * inst.M[k] - np.eye(inst.r)) @ F) > 100 * inst.tol:
+        raise DocumentError(f"eigenvalue 1 of b_{k} M_{k} is not semisimple",
+                            f"$.matrices[{k}]")
+    return F
 
 
 def middle_convolution_rep(inst: NumericInstance) -> MiddleConvolutionRep:
@@ -311,20 +347,17 @@ def middle_convolution_rep(inst: NumericInstance) -> MiddleConvolutionRep:
     """
     if abs(inst.chi - 1) <= inst.tol:
         raise ConventionViolationNumeric("chi is numerically 1")
-    for k in range(inst.n):
-        lam = np.linalg.eigvals(inst.M[k])
-        bad = np.abs(inst.chi * inst.b[k] * lam - 1) <= inst.tol
-        if np.any(bad):
+    for k, (lam, _) in enumerate(inst.eigs):
+        if np.any(np.abs(inst.chi * inst.b[k] * lam - 1) <= inst.tol):
             raise ConventionViolationNumeric(
                 f"chi * b_{k} * eigenvalue is numerically 1 at point {k}")
     raw = raw_convolution_rep(inst)
-    K = raw.kernel
+    K = raw.basis
     fixed = [_fixed_space(inst, k) for k in range(inst.n)]
     fixed_dims = [F.shape[1] for F in fixed]
     total = sum(fixed_dims)
     if total == 0:
-        return MiddleConvolutionRep(dim=raw.dim, matrices=list(raw.matrices),
-                                    fixed_dims=fixed_dims, raw=raw)
+        return MiddleConvolutionRep(K, raw.X, inst.w, fixed_dims, raw)
     # column block k is G[a_{k+1}, F_k] (ChainSpace.embed of the fixed space)
     phi_ambient = block_diag(*fixed)
     phi = K.conj().T @ phi_ambient
@@ -338,10 +371,7 @@ def middle_convolution_rep(inst: NumericInstance) -> MiddleConvolutionRep:
     if rank != total:
         raise QuotientRankMismatch(
             f"middling span has rank {rank}, expected {total}")
-    C = U_phi[:, rank:]
-    mats = [C.conj().T @ Rk @ C for Rk in raw.matrices]
-    return MiddleConvolutionRep(dim=C.shape[1], matrices=mats,
-                                fixed_dims=fixed_dims, raw=raw)
+    return MiddleConvolutionRep(K @ U_phi[:, rank:], raw.X, inst.w, fixed_dims, raw)
 
 
 def predicted_middle_spectra(inst: NumericInstance) -> list[list[complex]]:
@@ -350,8 +380,7 @@ def predicted_middle_spectra(inst: NumericInstance) -> list[list[complex]]:
     w_k with multiplicity m_k + defect."""
     d = inst.measured_defect()
     out = []
-    for Mk, bk, wk in zip(inst.M, inst.b, inst.w):
-        lam = np.linalg.eigvals(Mk)
+    for (lam, _), bk, wk in zip(inst.eigs, inst.b, inst.w):
         keep = np.abs(bk * lam - 1) > inst.tol
         out.append(list(wk * inst.chi * bk * lam[keep])
                    + [complex(wk)] * (int(np.sum(~keep)) + d))
@@ -605,8 +634,8 @@ def verify_instance(problem: VerificationProblem | NumericInstance,
     deviations = []
     det_prod = 1.0 + 0j
     for k in range(n):
-        measured = list(np.linalg.eigvals(middle.matrices[k]))
-        det_prod *= np.prod(measured) if measured else 1.0
+        measured = middle.spectrum(k)
+        det_prod *= np.prod(measured)
         if middle.dim == expected_middle:
             deviations.append(match_multisets(predicted[k], measured))
     max_dev = max(deviations) if deviations else None

@@ -258,9 +258,8 @@ class GroupElement:
         return cls(mode, _ZERO)
 
     @classmethod
-    def generator(cls, name: str, mode: GroupMode = GroupMode.MULTIPLICATIVE,
-                  power=1) -> "GroupElement":
-        return cls(mode, ScalarExpr(0, {name: power}))
+    def generator(cls, name: str, mode: GroupMode = GroupMode.MULTIPLICATIVE) -> "GroupElement":
+        return cls(mode, _normal(1, 0, ((name, 1),)))
 
     @classmethod
     def constant(cls, value, mode: GroupMode) -> "GroupElement":

@@ -185,6 +185,20 @@ class TestVerify:
         assert json.loads(out) == {"kind": "verify", "status": "ConventionFailure",
                                    "detail": "chi is numerically 1"}
 
+    def test_numeric_non_semisimple_fixed_eigenvalue(self):
+        # b_0 M_0 = [[1, 1], [0, 1]]: eigenvalue 1 twice, one eigenvector
+        M0 = np.array([[1, 1], [0, 1]], dtype=complex)
+        M1 = np.diag(np.exp(2j * np.pi * np.array([0.3, 0.6])))
+        b = np.exp(2j * np.pi * np.array([0.0, 0.2, 0.45]))
+        pair = lambda z: [float(z.real), float(z.imag)]
+        mats = [M0, M1, np.linalg.inv(M0 @ M1)]
+        doc = {"matrices": [[[pair(z) for z in row] for row in M] for M in mats],
+               "b": [pair(z) for z in b], "w": [pair(z) for z in b],
+               "chi": pair(1 / np.prod(b))}
+        code, out, err = call_main("verify", doc)
+        assert code == 1 and out == ""
+        assert err.startswith("input error: $.matrices[0]: ") and "not semisimple" in err
+
 
 def symbolic_verify_document(last_class=None, mode="multiplicative", h3=None):
     """Rank 2 on 3 points: a scalar class, then two eigenvalues; the

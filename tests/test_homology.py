@@ -16,6 +16,16 @@ def small_instance(seed=0, r=2, n=3, **kw):
     return generate_instance(seed=seed, r=r, n=n, **kw).instance
 
 
+def word_action(space, word):
+    """The r x r matrix by which a word acts on coefficients (rightmost
+    letter first), from the twisted actions A_i = b_i M_i."""
+    out = np.eye(space.r, dtype=complex)
+    for letter in reversed(word):
+        i = abs(letter) - 1
+        out = (space.A[i] if letter > 0 else space.Ainv[i]) @ out
+    return out
+
+
 class TestExpandWord:
     def test_single_letter_is_block_embedding(self):
         inst = small_instance()
@@ -53,7 +63,7 @@ class TestExpandWord:
                         RNG.choice([-1, 1], size=m))]
             v = RNG.normal(size=inst.r) + 1j * RNG.normal(size=inst.r)
             lhs = space.boundary @ space.expand_word(word, v)
-            rhs = (space.word_action(word) - np.eye(inst.r)) @ v
+            rhs = (word_action(space, word) - np.eye(inst.r)) @ v
             assert np.allclose(lhs, rhs, atol=1e-10)
 
 
@@ -200,6 +210,41 @@ class TestMiddleConvolution:
         bad.chi = 1.0 + 0j  # break the diagonal convention only
         with pytest.raises((ConventionViolationNumeric, ValueError)):
             middle_convolution_rep(bad)
+
+
+class TestFactoredSpectrum:
+    """``spectrum(k)`` against the eigenvalues of the dense compressed
+    braid matrix C^H K^H U_k K C, with U_k from ``braid_matrix``."""
+
+    @pytest.mark.parametrize("seed,r,n,aim,vp,mults,m_vs_r", [
+        (31, 2, 3, "support", "same", None, -1),
+        (32, 3, 3, "support", "fresh", None, 0),
+        (33, 2, 4, "support", "same", None, 0),
+        (34, 5, 3, "support", "fresh", None, 1),
+        (35, 4, 3, "support", "same", [[2, 2], [2, 1, 1]], -1),
+        (41, 4, 3, "support", "fresh", [[2, 2], [2, 1, 1]], -1),
+        (43, 4, 4, "support", "same", [[2, 1, 1], [3, 1], [2, 2]], 0),
+        (36, 6, 4, "support", "fresh", [[2, 2, 1, 1], [3, 3], [1] * 6], 1),
+        (37, 3, 5, "fresh", "same", None, 1),
+        (38, 4, 4, "fresh", "fresh", [[2, 2], [1, 1, 2], [4]], 1),
+        (39, 6, 5, "support", "same", None, 1),
+    ])
+    def test_matches_dense_oracle(self, seed, r, n, aim, vp, mults, m_vs_r):
+        inst = generate_instance(seed=seed, r=r, n=n, aim=aim, v_policy=vp,
+                                 mults=mults).instance
+        space = ChainSpace(inst)
+        mid = middle_convolution_rep(inst)
+        assert np.sign(mid.dim - r) == m_vs_r
+        if aim == "fresh":
+            assert mid.fixed_dims == [0] * n and mid.dim == (n - 1) * r
+        for rep in (mid, mid.raw):
+            B = rep.basis  # K C for the middle quotient, K for the kernel
+            for k in range(n):
+                dense = inst.w[k] * (B.conj().T @ space.braid_matrix(k + 1) @ B)
+                oracle = list(np.linalg.eigvals(dense))
+                assert match_multisets(oracle, list(rep.spectrum(k))) < 1e-9
+                view = list(np.linalg.eigvals(rep.matrices[k]))
+                assert match_multisets(oracle, view) < 1e-9
 
 
 class TestEndToEnd:

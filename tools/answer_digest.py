@@ -12,11 +12,18 @@ are built from the forward answers.  Each line gives the document count,
 the number of failed documents, the output bytes and a sha256 over the
 per-document digests (exit code plus stdout).  A refactor that keeps the
 behavioural contract prints the same lines before and after.
+
+For verify-numeric a second line per seed digests only the structural
+answer fields (exit code, ``ok``, ``status``, the raw and middle
+dimensions and their expected values) and gives the largest
+``max_deviation``: a change to the numeric layer that moves only the
+low digits of the deviations keeps that line and changes the first.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import sys
 from pathlib import Path
@@ -35,18 +42,46 @@ import corpus  # noqa: E402
 import run as bench_run  # noqa: E402
 from midconv import cli  # noqa: E402
 
+STRUCTURE = ("ok", "raw_dim", "middle_dim", "expected_raw_dim", "expected_middle_dim")
+
+
+def sha256(lines) -> str:
+    return hashlib.sha256("\n".join(map(str, lines)).encode()).hexdigest()
+
+
+def structure_line(answers) -> str:
+    """Digest of the structural fields of (exit code, stdout) verify
+    answers, and their largest deviation."""
+    fields, worst = [], 0.0
+    for code, out in answers:
+        ans = json.loads(out) if out else {}
+        report = ans.get("report", {})
+        fields.append((code, ans.get("status"), *(report.get(key) for key in STRUCTURE)))
+        worst = max(worst, report.get("max_deviation") or 0.0)
+    return f"structure sha256 {sha256(fields)} max_deviation {worst:.3e}"
+
 
 def main() -> int:
     assert (bench_run.THREAD_VARS, bench_run.BLAS_THREADS) == (THREAD_VARS, BLAS_THREADS), \
         "bench/run.py pins BLAS differently"
+    call, answers = bench_run.call, []
+
+    def recording_call(*args):
+        result = call(*args)
+        answers.append(result[:2])
+        return result
+
+    bench_run.call = recording_call  # Runner.run_pass looks it up per document
     for workload in corpus.WORKLOADS:
         for seed in SEEDS:
             docs = corpus.build(workload, seed)
             runner = bench_run.Runner(cli, docs)
+            answers.clear()
             runner.run_pass()
-            digest = hashlib.sha256("\n".join(map(str, runner.digests)).encode()).hexdigest()
             print(f"{workload} seed {seed}: docs {len(docs)} failed {runner.failed} "
-                  f"out_bytes {runner.out_bytes} sha256 {digest}")
+                  f"out_bytes {runner.out_bytes} sha256 {sha256(runner.digests)}")
+            if workload == "verify-numeric":
+                print(f"{workload} seed {seed}: {structure_line(answers)}")
             for problem in runner.problems:
                 print(f"  FAIL {problem}")
     return 0
