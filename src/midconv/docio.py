@@ -15,7 +15,7 @@ from typing import Any, Optional
 
 from .divisors import EigDivisor, MonodromyVector
 from .errors import DocumentError, MidconvError
-from .katz import Convoluter, max_mult_convoluter
+from .katz import Convoluter, fresh_names, max_mult_convoluter
 from .scalars import GroupElement, GroupMode, ScalarExpr
 
 __all__ = ["ProblemDocument", "parse_document", "render", "parse_json"]
@@ -154,7 +154,8 @@ def parse_document(doc: dict) -> ProblemDocument:
             _fail("'v' must be a list, 'same-as-h' or 'fresh'", "$.convoluter.v")
         try:
             if v == "fresh":
-                convoluter = Convoluter.with_fresh_v(h, [f"_s{i}" for i in range(1, len(h))])
+                names = fresh_names(len(h) - 1, (*h, *(a for g in vector for a in g.support())))
+                convoluter = Convoluter.with_fresh_v(h, names)
                 v_policy = "fresh"
             else:
                 convoluter = Convoluter(h, None if v == "same-as-h" else v)
@@ -180,8 +181,8 @@ def parse_document(doc: dict) -> ProblemDocument:
 def parse_json(text: str) -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"not valid JSON: {exc}") from exc
+    except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
+        raise DocumentError(f"not valid JSON: {exc}", "$") from exc
 
 
 def _float(x: float) -> str:

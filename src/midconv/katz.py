@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .divisors import EigDivisor, MonodromyVector
 from .errors import (ConventionViolation, MaxStepsExceeded, ModeMismatch,
@@ -40,6 +40,7 @@ __all__ = [
     "check_conventions",
     "is_one_generic",
     "detect_empty",
+    "fresh_names",
     "run_algorithm",
 ]
 
@@ -269,17 +270,26 @@ def _require_conventions(beta: Convoluter, vector: MonodromyVector, de_rham: boo
         raise violation
 
 
-def max_mult_convoluter(vector: MonodromyVector,
-                        v_policy: str = "same",
-                        fresh_names: Sequence[str] | None = None) -> Convoluter:
+def fresh_names(count: int, elements: Iterable[GroupElement], stem: str = "_s") -> list[str]:
+    """``stem1 .. stem<count>``, the stem prefixed with "_" until no name
+    is a generator of ``elements``."""
+    taken = {n for e in elements for n in e.expr.generators()}
+    while not taken.isdisjoint(names := [f"{stem}{i}" for i in range(1, count + 1)]):
+        stem = "_" + stem
+    return names
+
+
+def max_mult_convoluter(vector: MonodromyVector, v_policy: str = "same",
+                        fresh_stem: str = "_s") -> Convoluter:
     """The default convoluter of the reduction loop: h_i is the inverse
     of a maximal-multiplicity eigenvalue of g_i (ties broken to the
-    smallest element in the deterministic order)."""
+    smallest element in the deterministic order).  Fresh v generators
+    are named by ``fresh_names`` over the vector's eigenvalues."""
     h = [g.max_multiplicity()[0].invert() for g in vector]
     if v_policy == "same":
         return Convoluter(h)
     if v_policy == "fresh":
-        names = fresh_names or [f"_s{i}" for i in range(1, vector.n)]
+        names = fresh_names(vector.n - 1, (a for g in vector for a in g.support()), fresh_stem)
         return Convoluter.with_fresh_v(h, names)
     raise ValueError(f"unknown v policy {v_policy!r}")
 
@@ -494,8 +504,7 @@ def run_algorithm(vector: MonodromyVector, max_steps: int | None = None,
         if current.is_all_diagonal():
             return AlgorithmTrace(tuple(steps), TerminalStatus.ALL_DIAGONAL, current)
         # fresh generators must be fresh per step, not reused across steps
-        names = [f"_s{step}_{i}" for i in range(1, current.n)]
-        beta = max_mult_convoluter(current, v_policy=v_policy, fresh_names=names)
+        beta = max_mult_convoluter(current, v_policy=v_policy, fresh_stem=f"_s{step}_")
         plan = _plan(beta, current)
         d = plan.defect
         if d >= 0:

@@ -41,12 +41,21 @@ def _as_fraction(x) -> Fraction:
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?", re.ASCII)
 
 
-def _json_rational(x, path: str) -> Fraction:
-    """A rational in a document: a non-bool int or a "p/q" string, q > 0."""
-    if isinstance(x, bool) or not (isinstance(x, int) or
-                                   isinstance(x, str) and _RATIONAL.fullmatch(x)):
+def _rational_parts(x, path: str) -> tuple[int, int]:
+    """A rational in a document, a non-bool int or a "p/q" string with
+    q > 0, as its lowest-terms numerator and denominator."""
+    if isinstance(x, str) and _RATIONAL.fullmatch(x):
+        p, _, q = x.partition("/")
+        try:
+            p, q = int(p), int(q or 1)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise DocumentError(f"rational of {len(x)} characters has too many digits",
+                                path) from None
+        g = gcd(p, q)
+        return p // g, q // g
+    if isinstance(x, bool) or not isinstance(x, int):
         raise DocumentError(f"expected a \"p/q\" rational string, got {x!r}", path)
-    return Fraction(x)
+    return x, 1
 
 
 def _ratio(x: int, d: int) -> str:
@@ -62,7 +71,8 @@ class ScalarExpr:
     constant ``_c`` and the name-sorted ``(generator, numerator)`` terms
     ``_t``, none zero, with ``gcd(_d, _c, *numerators) == 1``.  So each
     form has one representation and equality and hashing compare integer
-    tuples.  ``const`` and ``exps`` are ``Fraction`` views.
+    tuples.  ``from_json`` reads document text straight into these
+    integers; ``const`` and ``exps`` are ``Fraction`` views.
     """
 
     __slots__ = ("_d", "_c", "_t")
@@ -174,8 +184,20 @@ class ScalarExpr:
         exps = doc.get("exps", {})
         if not isinstance(exps, dict):
             raise DocumentError("'exps' must be an object", f"{path}.exps")
-        return cls(_json_rational(doc.get("const", "0"), f"{path}.const"),
-                   {n: _json_rational(c, f"{path}.exps.{n}") for n, c in exps.items()})
+        c, e = _rational_parts(doc.get("const", "0"), f"{path}.const")
+        terms, d = [], e
+        for n, x in exps.items():
+            p, q = _rational_parts(x, f"{path}.exps.{n}")
+            if p:
+                terms.append((n, p, q))
+                if d % q:
+                    d = lcm(d, q)
+        terms.sort()
+        # over the lcm of lowest-terms denominators the numerators have gcd 1
+        f = object.__new__(cls)
+        f._d, f._c = d, c if e == d else c * (d // e)
+        f._t = tuple([(n, p if q == d else p * (d // q)) for n, p, q in terms])
+        return f
 
 
 def _normal(d: int, c: int, t: tuple) -> ScalarExpr:

@@ -129,6 +129,54 @@ class TestRun:
         assert out["ranks"] == [2, 1]
 
 
+def _renamed(node, names):
+    """``node`` with generators renamed by ``names``; any other name that
+    starts with "__" loses one "_"."""
+    if isinstance(node, list):
+        return [_renamed(v, names) for v in node]
+    if not isinstance(node, dict):
+        return node
+    return {k: ({names.get(n, n[1:] if n.startswith("__") else n): c for n, c in v.items()}
+                if k == "exps" else _renamed(v, names)) for k, v in node.items()}
+
+
+class TestFreshNames:
+    """Fresh twist generators never reuse a name of the document."""
+
+    @staticmethod
+    def document(s1, s0_1, convoluter):
+        doc = {"mode": "multiplicative",
+               "classes": [[entry({s1: "1"}), entry({"a": "1"})],
+                           [entry({"b": "1"}), entry({"c": "1"})],
+                           [entry({s0_1: "1"}), entry({"f": "1"})]]}
+        if convoluter:
+            doc["convoluter"] = {"h": [expr({s1: "-1"}), expr({"b": "-1"}),
+                                       expr({s0_1: "-1"})], "v": "fresh"}
+        return doc
+
+    # `_s1` and `_s0_1` are the first fresh names of a transform and of run's
+    # step 0; `_t1` and `_t0_1` sort where they do, so ties break alike
+    @pytest.mark.parametrize("verb, convoluter", [
+        ("transform", True), ("defect", True),
+        ("transform", False), ("defect", False), ("run", False)])
+    def test_answers_equal_up_to_renaming(self, verb, convoluter):
+        code, out, _ = call_main(verb, self.document("_s1", "_s0_1", convoluter),
+                                 "--beta-v", "fresh")
+        code_t, out_t, _ = call_main(verb, self.document("_t1", "_t0_1", convoluter),
+                                     "--beta-v", "fresh")
+        assert code == code_t == 0
+        assert "__s" in out
+        assert _renamed(json.loads(out), {"_s1": "_t1", "_s0_1": "_t0_1"}) == \
+            json.loads(out_t)
+
+    def test_shift_survives_a_taken_name(self):
+        # h_0 = -_s1: with v_0 = h_0 + _s1 the twist would lose its shift
+        code, out, _ = call_main("transform", self.document("_s1", "z", True))
+        point0 = json.loads(out)["output"]["classes"][0]
+        assert code == 0 and [e["value"]["exps"] for e in point0] == [
+            {"__s1": "1", "_s1": "-1", "a": "1", "b": "1", "z": "1"}]
+
+
 class TestHiggs:
     def test_constructible_document(self, tmp_path):
         doc = {
@@ -381,14 +429,16 @@ def _kind(path):
     return None, None
 
 
-SWAPS = ["x", 0.5, True, False, [1], {}, -1, 0, None]
+# one digit past the default sys.get_int_max_str_digits(), and an Arabic-Indic
+# one: int() reads the second, the spec's ASCII "p/q" does not
+SWAPS = ["x", "9" * 4301, "\u0661", 0.5, True, False, [1], {}, -1, 0, None]
 
 
 def forbidden(path, value):
     """True when the spec rejects ``value`` at ``path``."""
     kind, least = _kind(path)
     if kind == "rational":
-        return isinstance(value, (bool, float, list, dict)) or value is None or value == "x"
+        return isinstance(value, (bool, float, list, dict, str)) or value is None
     if kind == "integer":
         return (not isinstance(value, int) or isinstance(value, bool)
                 or (least is not None and value < least))
@@ -478,6 +528,18 @@ class TestDocumentBoundary:
         code, out, err = call_main(verb, doc)
         assert code == 1 and out == "" and "Traceback" not in err
         assert f"input error: {where}" in err, err
+
+    def test_long_rational_string_exits_one_at_its_path(self):
+        doc = {"mode": "multiplicative", "classes": [[entry({}, const="9" * 5000)]] * 3}
+        code, out, err = call_main("transform", doc)
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert "input error: $.classes[0][0].value.const: " in err, err[:200]
+
+    def test_long_json_integer_is_invalid_json(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO('{"seed": ' + "9" * 5000 + "}"))
+        assert main(["defect"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("input error: $: not valid JSON: "), err[:200]
 
     def test_unassigned_generator(self):
         doc = symbolic_verify_document()

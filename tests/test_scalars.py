@@ -263,6 +263,20 @@ class TestIntegerFormsMatchModel:
         assert ScalarExpr(F(3, 4)).scale(4)._d == 1
 
 
+def _rational_text(sign, p, zeros, q):
+    return f"{sign}{'0' * zeros}{p}" + ("" if q is None else f"/{'0' * zeros}{q}")
+
+
+# the spec's texts: signs, leading zeros, unreduced and zero values, big ints
+# and mixed denominators, and JSON integers
+rational_texts = (
+    st.builds(_rational_text, st.sampled_from(["", "+", "-"]),
+              st.integers(0, 12) | st.integers(0, 10**40),
+              st.integers(0, 3), st.none() | st.integers(1, 12) | st.integers(1, 10**30))
+    | st.sampled_from(["-0", "0/7", "2/4", "-6/4", "007", "0"])
+    | st.integers(-10**40, 10**40))
+
+
 class TestScalarJsonBoundary:
     @pytest.mark.parametrize("doc, where", [
         ({"const": 0.5}, "$.const"),
@@ -280,6 +294,24 @@ class TestScalarJsonBoundary:
         with pytest.raises(DocumentError) as err:
             ScalarExpr.from_json(doc)
         assert err.value.path == where
+
+    @pytest.mark.parametrize("text", [" 1", "1 ", "1_0", "\u0661", "\uff11", "+-1",
+                                      "1/00", "1/-2", "9" * 4301])
+    def test_texts_outside_the_spec_rejected(self, text):
+        from midconv.errors import DocumentError
+        for doc, where in [({"const": text}, "$.v.const"),
+                           ({"const": "1", "exps": {"x": "1", "y": text}}, "$.v.exps.y")]:
+            with pytest.raises(DocumentError) as err:
+                ScalarExpr.from_json(doc, "$.v")
+            assert err.value.path == where
+
+    @given(const=rational_texts, exps=st.dictionaries(
+        st.sampled_from(["a", "b", "x1", "x10", "y"]), rational_texts, max_size=4))
+    def test_matches_the_fraction_oracle(self, const, exps):
+        got = ScalarExpr.from_json({"const": const, "exps": exps})
+        want = ScalarExpr(F(const), {n: F(c) for n, c in exps.items()})
+        assert (got._d, got._c, got._t) == (want._d, want._c, want._t)
+        assert hash(got) == hash(want)
 
     def test_integers_and_strings_accepted(self):
         assert ScalarExpr.from_json({"const": 1, "exps": {"x": "-2/4"}}) == \
