@@ -12,6 +12,7 @@ mathematics says no: empty, unconstructible, convention failure);
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import higgs as higgs_mod
@@ -174,7 +175,9 @@ def _process_one(verb: str, doc: dict, args) -> tuple[dict, int]:
         raise DocumentError(str(exc), "$.mode") from None
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by every call."""
     parser = argparse.ArgumentParser(
         prog="midconv",
         description="Middle convolution on local monodromy data: exact "
@@ -188,8 +191,12 @@ def main(argv=None) -> int:
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--max-steps", type=int, default=None)
     parser.add_argument("--beta-v", choices=["same", "fresh"], default=None)
+    return parser
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 on --help
         return BAD_INPUT if exc.code else OK
 

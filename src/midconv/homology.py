@@ -17,6 +17,13 @@ Sylvester's identity det(lam I_m - P Q^H) = lam^(m-r) det(lam I_r - Q^H P)
 its spectrum is 1 with multiplicity m - r plus 1 + eig(Q_k^H P_k): one
 r x r eigenproblem per point, and no dense m x m matrix on the way.
 
+The local eigendata (lam, V) of each M_k is computed once per instance
+and read by the convention check, the fixed spaces and the prediction.
+Generated and symbolic instances carry it from construction (M_k =
+Q D Q^* with known D and Q; only the last matrix is decomposed), and it
+is checked against the matrices; a ``matrices`` document is decomposed
+once per point.
+
 Arrays are complex numpy arrays; tolerances are explicit and every rank
 decision is an SVD/eigenvalue threshold.
 """
@@ -25,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -66,6 +72,11 @@ class NumericInstance:
     vertical twisting scalars, ``chi`` the diagonal scalar.  The
     twisting relations chi * prod(b) = 1 and prod(w) = prod(b) are
     enforced within ``tol`` at construction.
+
+    ``eigs`` is ``(lam, V)`` per point with M_k V = V diag(lam): a
+    builder that knows it passes it in and it is checked to the same
+    bound as the relations; otherwise ``np.linalg.eig`` runs once per
+    point.  b_k M_k has the eigenvalues b_k lam and the same eigenvectors.
     """
 
     M: list
@@ -73,6 +84,7 @@ class NumericInstance:
     w: np.ndarray
     chi: complex
     tol: float = DEFAULT_TOL
+    eigs: list | None = None
 
     def __post_init__(self):
         self.M = [np.asarray(Mi, dtype=complex) for Mi in self.M]
@@ -93,9 +105,14 @@ class NumericInstance:
             "chi * prod(b) = 1": abs(self.chi * np.prod(self.b) - 1),
             "prod(w) = prod(b)": abs(np.prod(self.w) - np.prod(self.b)),
         }
+        if self.eigs is not None:
+            for k, (Mi, (lam, V)) in enumerate(zip(self.M, self.eigs, strict=True)):
+                checks[f"M_{k} V_{k} = V_{k} diag(lam_{k})"] = np.linalg.norm(Mi @ V - V * lam)
         bad = {k: v for k, v in checks.items() if v > max(self.tol, 1e-10) * 100}
         if bad:
             raise ValueError(f"instance violates its defining relations: {bad}")
+        if self.eigs is None:
+            self.eigs = [np.linalg.eig(Mi) for Mi in self.M]
 
     @property
     def n(self) -> int:
@@ -104,12 +121,6 @@ class NumericInstance:
     @property
     def r(self) -> int:
         return self.M[0].shape[0]
-
-    @cached_property
-    def eigs(self) -> list:
-        """``np.linalg.eig(M_k)`` per point, computed once: b_k M_k has the
-        eigenvalues b_k lam and the same eigenvectors."""
-        return [np.linalg.eig(Mi) for Mi in self.M]
 
     def fixed_multiplicity(self, k: int) -> int:
         """Multiplicity of eigenvalue 1 in b_k M_k, within tol."""
@@ -426,7 +437,7 @@ class VerificationProblem:
 
 def _spectrum(g: EigDivisor, assignment: dict) -> list[complex]:
     """The eigenvalues of a class under ``assignment``, with multiplicity."""
-    return [e.to_complex(assignment) for e, m in g.entries for _ in range(m)]
+    return [z for e, m in g.entries for z in [e.to_complex(assignment)] * m]
 
 
 def _cluster_angles(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
@@ -455,27 +466,29 @@ def _haar_unitary(k: int, rng) -> np.ndarray:
     return Q
 
 
-def _realize(diagonals: Iterable, r: int, rng) -> list[np.ndarray]:
-    """Matrices with the given spectra at points 1..n-1, then the last.
+def _realize(diagonals: Iterable, r: int, rng) -> tuple[list, list]:
+    """Matrices with the given spectra at points 1..n-1, then the last,
+    and their eigendata ``(lam, V)`` for ``NumericInstance.eigs``.
 
-    Each diagonal becomes Q D Q^* for a random unitary Q drawn from
-    ``rng`` in order (a 1 x 1 needs none); the last matrix is the
-    inverse of the product of the others, so the product relation holds.
+    Each diagonal D becomes Q D Q^* for a random unitary Q drawn from
+    ``rng`` in order (a 1 x 1 needs none), with eigendata (D, Q); the
+    last matrix is the inverse of the product of the others, so the
+    product relation holds, and is decomposed by ``np.linalg.eig``.
     """
-    matrices, unit = [], True
+    matrices, eigs, unit = [], [], True
     for diag in diagonals:
+        diag = np.asarray(diag, dtype=complex)
         unit = unit and bool(np.all(np.abs(np.abs(diag) - 1) <= 1e-12))
-        if len(diag) == 1:
-            matrices.append(np.diag(diag))
-        else:
-            Q = _haar_unitary(len(diag), rng)
-            matrices.append(Q @ np.diag(diag) @ Q.conj().T)
+        Q = np.ones((1, 1)) if len(diag) == 1 else _haar_unitary(len(diag), rng)
+        matrices.append((Q * diag) @ Q.conj().T)
+        eigs.append((diag, Q))
     prod = np.eye(r, dtype=complex)
     for Mi in matrices:
         prod = prod @ Mi
     # a unitary product is inverted by its adjoint, which keeps the relation exact
     matrices.append(prod.conj().T if unit else np.linalg.inv(prod))
-    return matrices
+    eigs.append(np.linalg.eig(matrices[-1]))
+    return matrices, eigs
 
 
 def generate_instance(seed: int, r: int, n: int,
@@ -509,13 +522,13 @@ def generate_instance(seed: int, r: int, n: int,
         # just before its conjugating unitary
         for i in range(n - 1):
             names = [f"e{i}_{j}" for j in range(len(mults[i]))]
-            thetas = [float(rng.uniform(0.02, 0.98)) for _ in names]
+            thetas = rng.uniform(0.02, 0.98, size=len(names)).tolist()
             assignment.update(zip(names, thetas))
             gens.append([GroupElement.generator(name, mode) for name in names])
             yield np.concatenate([[np.exp(2j * np.pi * th)] * m for th, m in zip(thetas, mults[i])])
 
-    matrices = _realize(diagonals(), r, rng)
-    angles = np.angle(np.linalg.eigvals(matrices[-1])) / (2 * np.pi) % 1.0
+    matrices, eigs = _realize(diagonals(), r, rng)
+    angles = np.angle(eigs[-1][0]) / (2 * np.pi) % 1.0
     last_classes = []
     for j, (theta, m) in enumerate(_cluster_angles(angles, tol)):
         name = f"e{n - 1}_{j}"
@@ -559,7 +572,7 @@ def generate_instance(seed: int, r: int, n: int,
         raise ValueError(f"unknown v policy {v_policy!r}")
 
     chi = 1 / np.prod(b)
-    inst = NumericInstance(M=matrices, b=b, w=w, chi=chi, tol=tol)
+    inst = NumericInstance(M=matrices, b=b, w=w, chi=chi, tol=tol, eigs=eigs)
     return VerificationProblem(instance=inst, vector=vector, beta=beta,
                                assignment=assignment)
 
@@ -575,9 +588,9 @@ def symbolic_instance(vector: MonodromyVector, beta: Convoluter, assignment: dic
     """
     value = lambda e: e.to_complex(assignment)
     diagonals = [_spectrum(g, assignment) for g in vector.divisors[:-1]]
-    inst = NumericInstance(M=_realize(diagonals, vector.rank, np.random.default_rng(seed)),
-                           b=[value(e) for e in beta.h], w=[value(e) for e in beta.v],
-                           chi=value(beta.t), tol=tol)
+    matrices, eigs = _realize(diagonals, vector.rank, np.random.default_rng(seed))
+    inst = NumericInstance(M=matrices, b=[value(e) for e in beta.h],
+                           w=[value(e) for e in beta.v], chi=value(beta.t), tol=tol, eigs=eigs)
     return VerificationProblem(instance=inst, vector=vector, beta=beta,
                                assignment=assignment)
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
-from .errors import DocumentError, MissingGenerator, ModeMismatch
+from .errors import DocumentError, MidconvError, MissingGenerator, ModeMismatch
 
 __all__ = ["ScalarExpr", "GroupMode", "GroupElement"]
 
@@ -61,7 +61,10 @@ def _rational_parts(x, path: str) -> tuple[int, int]:
 def _ratio(x: int, d: int) -> str:
     """``str(Fraction(x, d))`` without building the Fraction."""
     g = gcd(x, d)
-    return str(x // g) if g == d else f"{x // g}/{d // g}"
+    try:
+        return str(x // g) if g == d else f"{x // g}/{d // g}"
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise MidconvError("an output rational has too many digits to print") from None
 
 
 class ScalarExpr:
@@ -187,6 +190,12 @@ class ScalarExpr:
         c, e = _rational_parts(doc.get("const", "0"), f"{path}.const")
         terms, d = [], e
         for n, x in exps.items():
+            try:
+                n.encode()
+            except UnicodeEncodeError:  # a lone surrogate from a JSON escape
+                n = n.encode(errors="backslashreplace").decode()
+                raise DocumentError("generator name is not valid UTF-8",
+                                    f"{path}.exps.{n}") from None
             p, q = _rational_parts(x, f"{path}.exps.{n}")
             if p:
                 terms.append((n, p, q))

@@ -541,6 +541,24 @@ class TestDocumentBoundary:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("input error: $: not valid JSON: "), err[:200]
 
+    @pytest.mark.parametrize("verb", ["transform", "run"])
+    def test_long_output_rational_exits_one(self, verb):
+        # each constant is valid input; the lcm of their denominators has 8,600 digits
+        pair = [entry({}, const="1/" + "7" * 4300), entry({}, const="1/" + "3" * 4299 + "1")]
+        code, out, err = call_main(verb, {"mode": "additive", "classes": [pair] * 3})
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert err.startswith("error: "), err[:200]
+
+    def test_lone_surrogate_name_exits_one_at_its_path(self, tmp_path, capsys):
+        # a StringIO stdout takes the surrogate: only a real file shows the failure
+        doc = {"mode": "multiplicative",
+               "classes": [[entry({"\ud800": "1"})], [entry({}, const="1/3")],
+                           [entry({}, const="1/5")]]}
+        code, out, _ = run_cli(tmp_path, "defect", doc)
+        err = capsys.readouterr().err
+        assert code == 1 and out is None
+        assert err.startswith("input error: $.classes[0][0].value.exps.\\ud800: "), err
+
     def test_unassigned_generator(self):
         doc = symbolic_verify_document()
         del doc["assignment"]["b1"]

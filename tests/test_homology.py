@@ -7,7 +7,7 @@ from midconv.errors import BoundaryNotSurjective, ConventionViolationNumeric
 from midconv.homology import (ChainSpace, NumericInstance, generate_instance,
                               braid_block_closed_form, match_multisets,
                               middle_convolution_rep, predicted_middle_spectra,
-                              raw_convolution_rep, verify_instance)
+                              raw_convolution_rep, symbolic_instance, verify_instance)
 
 RNG = np.random.default_rng(2024)
 
@@ -245,6 +245,54 @@ class TestFactoredSpectrum:
                 assert match_multisets(oracle, list(rep.spectrum(k))) < 1e-9
                 view = list(np.linalg.eigvals(rep.matrices[k]))
                 assert match_multisets(oracle, view) < 1e-9
+
+
+def assert_eigendata(inst):
+    """The stored (lam, V) per point against ``eigvals`` of the matrix."""
+    for M, (lam, V) in zip(inst.M, inst.eigs):
+        assert match_multisets(list(lam), list(np.linalg.eigvals(M))) < 1e-10
+        assert np.linalg.norm(M @ V - V @ np.diag(lam)) < 1e-10
+        assert np.linalg.matrix_rank(V) == inst.r
+
+
+EIGENDATA_SHAPES = [
+    (51, 1, 3, "support", "same", None),
+    (52, 1, 4, "fresh", "fresh", None),
+    (53, 3, 3, "support", "fresh", [[2, 1], [1, 1, 1]]),
+    (54, 4, 4, "fresh", "same", [[2, 2], [4], [1, 3]]),
+    (55, 5, 3, "support", "same", None),
+    (56, 3, 5, "fresh", "fresh", [[1, 2], [3], [1, 1, 1], [2, 1]]),
+]
+
+
+class TestEigendata:
+    """Generated and symbolic instances carry the eigendata they were
+    built from; ``NumericInstance`` checks what it is handed."""
+
+    @pytest.mark.parametrize("seed,r,n,aim,vp,mults", EIGENDATA_SHAPES)
+    def test_generated(self, seed, r, n, aim, vp, mults):
+        assert_eigendata(generate_instance(seed=seed, r=r, n=n, aim=aim, v_policy=vp,
+                                           mults=mults).instance)
+
+    @pytest.mark.parametrize("seed,r,n,aim,vp,mults", EIGENDATA_SHAPES)
+    def test_symbolic(self, seed, r, n, aim, vp, mults):
+        problem = generate_instance(seed=seed, r=r, n=n, aim=aim, v_policy=vp, mults=mults)
+        inst = symbolic_instance(problem.vector, problem.beta, problem.assignment,
+                                 seed=seed).instance
+        assert_eigendata(inst)
+
+    def test_matrices_decomposed_when_not_given(self):
+        inst = small_instance(seed=58, r=3, n=4)
+        assert_eigendata(NumericInstance(M=inst.M, b=inst.b, w=inst.w, chi=inst.chi))
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_permuted_eigenvalues_rejected(self, k):
+        inst = small_instance(seed=59, r=3, n=3)
+        eigs = list(inst.eigs)
+        lam, V = eigs[k]
+        eigs[k] = (np.roll(lam, 1), V)
+        with pytest.raises(ValueError, match=f"M_{k} V_{k}"):
+            NumericInstance(M=inst.M, b=inst.b, w=inst.w, chi=inst.chi, eigs=eigs)
 
 
 class TestEndToEnd:
