@@ -19,8 +19,8 @@ from . import higgs as higgs_mod
 from . import katz, moduli
 from .docio import (ProblemDocument, parse_document, parse_generate, parse_json,
                     parse_tol, render)
-from .errors import (ConventionViolation, ConventionViolationNumeric, DocumentError,
-                     MaxStepsExceeded, MidconvError, ModeMismatch)
+from .errors import (ConventionViolation, ConventionViolationNumeric, DigitLimitExceeded,
+                     DocumentError, MaxStepsExceeded, MidconvError, ModeMismatch)
 from .katz import NoneffectiveReport, TerminalStatus
 from .scalars import GroupMode
 
@@ -123,8 +123,8 @@ def cmd_verify(doc: dict) -> tuple[dict, int]:
 def cmd_higgs(doc: ProblemDocument) -> tuple[dict, int]:
     try:
         data = higgs_mod.construct(doc.vector)
-    except ModeMismatch:
-        raise  # a wrong mode is an input error, not an answer
+    except (ModeMismatch, DigitLimitExceeded):
+        raise  # a wrong mode or an unprintable rational is an error, not an answer
     except MidconvError as exc:
         return {"kind": "higgs", "status": type(exc).__name__,
                 "detail": str(exc)}, NEGATIVE

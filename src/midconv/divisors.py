@@ -9,13 +9,19 @@ raw transform outputs) but are rejected as monodromy-vector entries.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import ModeMismatch
-from .scalars import GroupElement, GroupMode, product
+from .scalars import GroupElement, GroupMode, ScalarExpr, _times, product
 
 __all__ = ["EigDivisor", "MonodromyVector"]
+
+
+def _over(x: ScalarExpr, den: int) -> tuple:
+    """``(const, terms)`` numerators of ``x`` over ``den``, a multiple of its denominator."""
+    k = den // x._d
+    return x._c * k, _times(x._t, k)
 
 
 class EigDivisor:
@@ -38,7 +44,11 @@ class EigDivisor:
                 raise TypeError("multiplicities must be integers")
             acc[elem] = acc.get(elem, 0) + int(mult)
         items = [(e, m) for e, m in acc.items() if m != 0]
-        items.sort(key=lambda em: em[0].sort_key())
+        if len(items) > 1:
+            # the element order (const, terms) of ScalarExpr.__lt__, as
+            # integer tuples over the common denominator
+            den = lcm(*[e.expr._d for e, _ in items])
+            items.sort(key=lambda em: _over(em[0].expr, den))
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "entries", tuple(items))
 

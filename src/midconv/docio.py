@@ -202,12 +202,16 @@ def render(doc: Any) -> str:
     The bytes are those of ``json.dumps(doc, sort_keys=True, indent=2,
     ensure_ascii=False) + "\\n"``, written in one pass into a list of
     pieces: with ``indent`` the standard encoder falls back to Python
-    generators.  Values are str-keyed dicts, lists, tuples, str, int,
-    float, bool and None (subclasses included); anything else raises
-    TypeError.
+    generators.  A list object met again (a ``run`` trace shares each
+    vector between two steps) joins the pieces of its first writing,
+    re-indented when its depth differs: strings escape every newline, so
+    each raw newline is structural and followed by the old indentation.
+    Values are str-keyed dicts, lists, tuples, str, int, float, bool and
+    None (subclasses included); anything else raises TypeError.
     """
     parts: list[str] = []
     emit = parts.append
+    written: dict[int, tuple] = {}  # id -> (list, first piece, end piece, indent)
 
     def write(o, nl):
         if isinstance(o, str):
@@ -226,6 +230,12 @@ def render(doc: Any) -> str:
             if not o:
                 emit("[]")
                 return
+            if id(o) in written:
+                _, start, end, old = written[id(o)]
+                text = "".join(parts[start:end])
+                emit(text if old == nl else text.replace(old, nl))
+                return
+            start = len(parts)
             inner = nl + "  "
             sep = "[" + inner
             for v in o:
@@ -233,6 +243,8 @@ def render(doc: Any) -> str:
                 write(v, inner)
                 sep = "," + inner
             emit(nl + "]")
+            if isinstance(o, list):  # held, so no other object takes its id
+                written[id(o)] = (o, start, len(parts), nl)
         elif isinstance(o, dict):
             if not o:
                 emit("{}")

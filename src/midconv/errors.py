@@ -80,6 +80,10 @@ class QuotientRankMismatch(MidconvError):
     """The middling span is numerically degenerate; tolerances failed."""
 
 
+class DigitLimitExceeded(MidconvError):
+    """An output rational has an integer past ``sys.get_int_max_str_digits()``."""
+
+
 class DocumentError(MidconvError):
     """A JSON problem document is malformed."""
 

@@ -32,7 +32,7 @@ from .errors import (CyclicClosureViolation, DefectPrecondition, DegreeNotIntegr
                      ModeMismatch, PreconditionDim2, SizeMismatch)
 from .katz import defect
 from .moduli import DimensionReport, dimension_report
-from .scalars import GroupElement, GroupMode
+from .scalars import GroupElement, GroupMode, _ratio
 
 __all__ = [
     "Arrangement",
@@ -249,11 +249,11 @@ class HiggsData:
 
     def to_json(self) -> dict:
         return {
-            "arrangements": [[str(a) for a in arr.seq] for arr in self.arrangements],
+            "arrangements": [[_text(a) for a in arr.seq] for arr in self.arrangements],
             "k": list(self.k),
             "z": list(self.z),
             "tau": list(self.tau),
-            "degree_check": str(parabolic_degree(self)),
+            "degree_check": _text(parabolic_degree(self)),
             "sawtooth": [arr.sawtooth() for arr in self.arrangements],
         }
 
@@ -263,6 +263,11 @@ class HiggsData:
                      for seq in doc["arrangements"])
         return cls(arrangements=arrs, k=tuple(doc["k"]), z=tuple(doc["z"]),
                    tau=tuple(doc["tau"]))
+
+
+def _text(q: Fraction) -> str:
+    """``str(q)``; DigitLimitExceeded where Python would refuse to print it."""
+    return _ratio(q.numerator, q.denominator)
 
 
 def parabolic_degree(data: HiggsData) -> Fraction:
@@ -320,7 +325,7 @@ def _check_preconditions(vector: MonodromyVector) -> DimensionReport:
             total += m * e.expr.const
     if total.denominator != 1:
         raise DegreeNotIntegral(
-            f"total weight {total} is not an integer; no degree-zero bundle exists")
+            f"total weight {_text(total)} is not an integer; no degree-zero bundle exists")
     report = dimension_report(vector)
     if report.defect < 0:
         raise DefectPrecondition(f"defect {report.defect} < 0")

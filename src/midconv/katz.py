@@ -49,7 +49,8 @@ class Convoluter:
     """Rank-one twisting datum with components h_i, v_i, t, u_i.
 
     The components satisfy ``t * prod(h) = 1`` and ``t * prod(v) = 1``;
-    the first relation *derives* t from h, the second is validated on v,
+    the first relation *derives* t from h, the second is validated on a
+    given v (v omitted is h, which satisfies it by construction of t),
     and ``u_i = t * h_i * v_i`` derives u.
     """
 
@@ -62,14 +63,17 @@ class Convoluter:
         mode = h[0].mode
         if any(e.mode is not mode for e in h):
             raise ModeMismatch("all h components must share one mode")
-        v = h if v is None else tuple(v)
-        if len(v) != len(h):
-            raise SizeMismatch(f"h has {len(h)} components but v has {len(v)}")
-        if any(e.mode is not mode for e in v):
-            raise ModeMismatch("all v components must share h's mode")
         t = product(h).invert()
-        if not t.combine(product(v)).is_identity():
-            raise ValueError("v violates the product relation t * prod(v) = 1")
+        if v is None:
+            v = h
+        else:
+            v = tuple(v)
+            if len(v) != len(h):
+                raise SizeMismatch(f"h has {len(h)} components but v has {len(v)}")
+            if any(e.mode is not mode for e in v):
+                raise ModeMismatch("all v components must share h's mode")
+            if not t.combine(product(v)).is_identity():
+                raise ValueError("v violates the product relation t * prod(v) = 1")
         u = tuple(t.combine(hi).combine(vi) for hi, vi in zip(h, v))
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "v", v)
@@ -224,11 +228,13 @@ def _check_compat(beta: Convoluter, vector: MonodromyVector):
 class _Plan(NamedTuple):
     """The transform formula for one (beta, vector) pair, evaluated once.
 
-    ``mults[i]`` is m_i(h_i^{-1}), ``defect`` is d = (n-2) r - sum(mults),
-    and ``noneffective`` lists (i, m_i + d, sum_{j != i}(r - m_j), r) for
-    every point whose new eigenvalue [v_i] gets a negative coefficient.
+    ``h_inv[i]`` is h_i^{-1}, ``mults[i]`` is m_i(h_i^{-1}), ``defect`` is
+    d = (n-2) r - sum(mults), and ``noneffective`` lists (i, m_i + d,
+    sum_{j != i}(r - m_j), r) for every point whose new eigenvalue [v_i]
+    gets a negative coefficient.
     """
 
+    h_inv: tuple
     mults: tuple
     defect: int
     noneffective: tuple
@@ -237,17 +243,18 @@ class _Plan(NamedTuple):
 def _plan(beta: Convoluter, vector: MonodromyVector) -> _Plan:
     _check_compat(beta, vector)
     n, r = vector.n, vector.rank
-    mults = tuple(g.multiplicity(hi.invert()) for g, hi in zip(vector, beta.h))
+    h_inv = tuple(hi.invert() for hi in beta.h)
+    mults = tuple(g.multiplicity(a) for g, a in zip(vector, h_inv))
     d = (n - 2) * r - sum(mults)
     lhs = [sum(r - mults[j] for j in range(n) if j != i) for i in range(n)]
     assert all((m + d < 0) == (l < r) for m, l in zip(mults, lhs)), \
         "emptiness characterizations disagree"
-    return _Plan(mults, d, tuple((i, m + d, lhs[i], r)
+    return _Plan(h_inv, mults, d, tuple((i, m + d, lhs[i], r)
                                  for i, m in enumerate(mults) if m + d < 0))
 
 
 def _local(beta: Convoluter, vector: MonodromyVector, plan: _Plan, i: int) -> EigDivisor:
-    g, hi_inv, ui = vector[i], beta.h[i].invert(), beta.u[i]
+    g, hi_inv, ui = vector[i], plan.h_inv[i], beta.u[i]
     entries = [(beta.v[i], plan.mults[i] + plan.defect)]
     for a, m in g.entries:
         if a != hi_inv:  # a h_i != 1

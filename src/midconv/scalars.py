@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
-from .errors import DocumentError, MidconvError, MissingGenerator, ModeMismatch
+from .errors import DigitLimitExceeded, DocumentError, MissingGenerator, ModeMismatch
 
 __all__ = ["ScalarExpr", "GroupMode", "GroupElement"]
 
@@ -64,7 +64,7 @@ def _ratio(x: int, d: int) -> str:
     try:
         return str(x // g) if g == d else f"{x // g}/{d // g}"
     except ValueError:  # past sys.get_int_max_str_digits()
-        raise MidconvError("an output rational has too many digits to print") from None
+        raise DigitLimitExceeded("an output rational has too many digits to print") from None
 
 
 class ScalarExpr:
@@ -75,10 +75,11 @@ class ScalarExpr:
     ``_t``, none zero, with ``gcd(_d, _c, *numerators) == 1``.  So each
     form has one representation and equality and hashing compare integer
     tuples.  ``from_json`` reads document text straight into these
-    integers; ``const`` and ``exps`` are ``Fraction`` views.
+    integers; ``const`` and ``exps`` are ``Fraction`` views.  The hash
+    is computed once, with the parts, into ``_h``.
     """
 
-    __slots__ = ("_d", "_c", "_t")
+    __slots__ = ("_d", "_c", "_t", "_h")
 
     def __init__(self, const=0, exps: Mapping[str, object] | Iterable | None = None):
         const = _as_fraction(const)
@@ -92,6 +93,7 @@ class ScalarExpr:
         self._d = d
         self._c = const.numerator * (d // const.denominator)
         self._t = tuple((n, q.numerator * (d // q.denominator)) for n, q in items)
+        self._h = hash((self._c, d, self._t))
 
     # -- algebra ---------------------------------------------------------
 
@@ -162,7 +164,7 @@ class ScalarExpr:
         return self._c == other._c and self._d == other._d and self._t == other._t
 
     def __hash__(self) -> int:
-        return hash((self._c, self._d, self._t))
+        return self._h
 
     def __repr__(self) -> str:
         terms = [str(self.const)] if self._c or not self._t else []
@@ -206,6 +208,7 @@ class ScalarExpr:
         f = object.__new__(cls)
         f._d, f._c = d, c if e == d else c * (d // e)
         f._t = tuple([(n, p if q == d else p * (d // q)) for n, p, q in terms])
+        f._h = hash((f._c, d, f._t))
         return f
 
 
@@ -217,7 +220,7 @@ def _normal(d: int, c: int, t: tuple) -> ScalarExpr:
         if g != 1:
             d, c, t = d // g, c // g, tuple([(n, x // g) for n, x in t])
     f = object.__new__(ScalarExpr)
-    f._d, f._c, f._t = d, c, t
+    f._d, f._c, f._t, f._h = d, c, t, hash((c, d, t))
     return f
 
 
@@ -270,14 +273,10 @@ class GroupElement:
     def __init__(self, mode: GroupMode, expr: ScalarExpr):
         if not isinstance(mode, GroupMode):
             raise TypeError(f"expected GroupMode, got {mode!r}")
-        if mode is GroupMode.MULTIPLICATIVE:
-            expr = expr.mod1()
-        elif mode is GroupMode.CIRCLE:
-            if expr._t:
-                raise ValueError("circle-mode elements must be constant weights")
-            expr = expr.mod1()
+        if mode is GroupMode.CIRCLE and expr._t:
+            raise ValueError("circle-mode elements must be constant weights")
         object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "expr", expr)
+        object.__setattr__(self, "expr", expr if mode is _ADDITIVE else expr.mod1())
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupElement is immutable")
@@ -290,7 +289,9 @@ class GroupElement:
 
     @classmethod
     def generator(cls, name: str, mode: GroupMode = GroupMode.MULTIPLICATIVE) -> "GroupElement":
-        return cls(mode, _normal(1, 0, ((name, 1),)))
+        if mode is GroupMode.CIRCLE:
+            raise ValueError("circle-mode elements must be constant weights")
+        return _element(mode, _normal(1, 0, ((name, 1),)))
 
     @classmethod
     def constant(cls, value, mode: GroupMode) -> "GroupElement":
@@ -310,13 +311,13 @@ class GroupElement:
 
     def combine(self, other: "GroupElement") -> "GroupElement":
         self._require_same_mode(other)
-        return GroupElement(self.mode, self.expr + other.expr)
+        return _element(self.mode, self.expr + other.expr)
 
     def invert(self) -> "GroupElement":
-        return GroupElement(self.mode, -self.expr)
+        return _element(self.mode, -self.expr)
 
     def power(self, k: int) -> "GroupElement":
-        return GroupElement(self.mode, self.expr.scale(k))
+        return _element(self.mode, self.expr.scale(k))
 
     def is_identity(self) -> bool:
         return self.expr._c == 0 and not self.expr._t
@@ -357,13 +358,26 @@ class GroupElement:
         return self.mode is other.mode and self.expr == other.expr
 
     def __hash__(self) -> int:
-        return hash((self.mode, self.expr))
+        return self.expr._h
 
     def __repr__(self) -> str:
         return f"{self.mode.value[:4]}({self.expr!r})"
 
     def to_json(self) -> dict:
         return self.expr.to_json()
+
+
+_ADDITIVE = GroupMode.ADDITIVE
+_set_mode, _set_expr = GroupElement.mode.__set__, GroupElement.expr.__set__
+
+
+def _element(mode: GroupMode, expr: ScalarExpr) -> GroupElement:
+    """A group-law result: ``expr`` reduced mod 1 unless additive, without
+    the public constructor's checks (a circle-mode result has no generators)."""
+    e = object.__new__(GroupElement)
+    _set_mode(e, mode)
+    _set_expr(e, expr if mode is _ADDITIVE else expr.mod1())
+    return e
 
 
 def product(elements: Iterable[GroupElement], mode: GroupMode | None = None) -> GroupElement:

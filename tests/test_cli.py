@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from midconv.cli import main
 from midconv.docio import parse_document, parse_json, render
 from midconv.errors import DocumentError
+from midconv.katz import run_algorithm
 
 
 def expr(exps=None, const="0"):
@@ -549,6 +550,12 @@ class TestDocumentBoundary:
         assert code == 1 and out == "" and "Traceback" not in err
         assert err.startswith("error: "), err[:200]
 
+    def test_long_total_weight_exits_one(self):
+        pair = [entry({}, const="1/" + "7" * 4300), entry({}, const="1/" + "3" * 4299 + "1")]
+        code, out, err = call_main("higgs", {"mode": "circle", "classes": [pair] * 4})
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert err.startswith("error: "), err[:200]
+
     def test_lone_surrogate_name_exits_one_at_its_path(self, tmp_path, capsys):
         # a StringIO stdout takes the surrogate: only a real file shows the failure
         doc = {"mode": "multiplicative",
@@ -638,6 +645,54 @@ class TestRender:
     def test_other_types_raise(self, doc):
         with pytest.raises(TypeError):
             render(doc)
+
+
+class _Slot:
+    """Where a shared list goes in a drawn skeleton."""
+
+    def __init__(self, k):
+        self.k = k
+
+
+@st.composite
+def _shared_trees(draw):
+    """Trees holding the same two list objects at several depths: ``a``
+    (possibly empty) and ``b``, which holds ``a`` itself."""
+    a = draw(st.lists(_trees, max_size=3))
+    b = draw(st.lists(_trees, max_size=3))
+    b.insert(draw(st.integers(0, len(b))), a)
+    skeleton = draw(st.recursive(
+        _leaves | st.sampled_from([0, 1]).map(_Slot),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_text, inner, max_size=4),
+        max_leaves=20))
+
+    def fill(node):
+        if isinstance(node, _Slot):
+            return (a, b)[node.k]
+        if isinstance(node, list):
+            return [fill(v) for v in node]
+        if isinstance(node, dict):
+            return {k: fill(v) for k, v in node.items()}
+        return node
+
+    return [a, {"b": b, "deeper": {"a": a, "b": [b, a]}}, b, fill(skeleton)]
+
+
+class TestRenderSharedLists:
+    @settings(max_examples=200, deadline=None)
+    @given(doc=_shared_trees())
+    def test_matches_json_dumps(self, doc):
+        assert render(doc) == oracle(doc)
+
+    def test_run_trace(self):
+        cls = [[entry({f"a{j}": "1"}) for j in range(4)], [entry({f"b{j}": "1"}) for j in range(4)],
+               [entry({"c": "1"}, mult=3), entry({"d": "1"})]]
+        trace = run_algorithm(parse_document({"mode": "multiplicative", "classes": cls}).vector)
+        doc = trace.to_json()
+        assert len(doc["steps"]) >= 3
+        assert all(s["output"] is t["input"] for s, t in zip(doc["steps"], doc["steps"][1:]))
+        assert doc["steps"][-1]["output"] is doc["final"]
+        assert render(doc) == oracle(doc)
 
 
 # -- what a verb imports -------------------------------------------------------

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from midconv import EigDivisor, GroupElement, GroupMode, MonodromyVector, ScalarExpr
+from midconv import Convoluter, EigDivisor, GroupElement, GroupMode, MonodromyVector, ScalarExpr
 from midconv.docio import parse_document
 from midconv.errors import ModeMismatch
+from midconv.scalars import product
 
 MULT = GroupMode.MULTIPLICATIVE
 ADD = GroupMode.ADDITIVE
@@ -142,3 +143,72 @@ def test_pmv_invariant_under_relabeling(perm):
     g1 = EigDivisor(MULT, [(gen(names[i]), mults[i]) for i in range(5)])
     g2 = EigDivisor(MULT, [(gen(names[perm[i]]), mults[i]) for i in range(5)])
     assert g1.partition() == g2.partition()
+
+
+# -- the symbolic fast paths against the public constructor and __lt__ --------
+
+CIRC = GroupMode.CIRCLE
+consts = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+terms = st.dictionaries(st.sampled_from(["a", "b", "x1", "x10"]),
+                        st.fractions(min_value=-3, max_value=3, max_denominator=6), max_size=3)
+
+
+def exprs(mode):
+    """Mixed denominators and negative constants; generators drawn from one
+    small pool, so some forms share them and some do not (none in circle mode)."""
+    return st.builds(ScalarExpr, consts, st.just({}) if mode is CIRC else terms)
+
+
+@pytest.mark.parametrize("mode", [MULT, ADD, CIRC])
+class TestSymbolicFastPaths:
+    @given(data=st.data())
+    def test_entries_in_element_order(self, mode, data):
+        xs = data.draw(st.lists(exprs(mode), max_size=8))
+        mults = data.draw(st.lists(st.integers(1, 3), min_size=len(xs), max_size=len(xs)))
+        elems = [GroupElement(mode, x) for x in xs]
+        support = EigDivisor(mode, list(zip(elems, mults))).support()
+        assert list(support) == sorted(set(elems), key=GroupElement.sort_key)
+        for x, y in zip(support, support[1:]):
+            assert x < y and x.sort_key() < y.sort_key() and not y < x
+
+    @given(data=st.data())
+    def test_equal_elements_hash_equal(self, mode, data):
+        x = data.draw(exprs(mode))
+        y = data.draw(exprs(mode))  # x = y + (x - y)
+        powers = {} if mode is CIRC else data.draw(
+            st.dictionaries(st.sampled_from(["a", "b", "x1"]), st.integers(-3, 3), max_size=3))
+        x = x + ScalarExpr(0, powers)
+        base = GroupElement(mode, x)
+        built = [GroupElement(mode, ScalarExpr.from_json(x.to_json())),
+                 GroupElement(mode, y).combine(GroupElement(mode, x - y)),
+                 GroupElement(mode, -x).invert(),
+                 GroupElement(mode, -x).power(-1)]
+        if mode is not ADD:  # the constant lives mod 1
+            built.append(GroupElement(mode, x + ScalarExpr(data.draw(st.integers(-3, 3)))))
+        if mode is not CIRC:
+            rest = GroupElement(mode, x - ScalarExpr(0, powers))
+            built.append(product([rest] + [GroupElement.generator(n, mode).power(k)
+                                           for n, k in powers.items()]))
+        for e in built:
+            assert e == base and hash(e) == hash(base)
+            assert (e.expr._d, e.expr._c, e.expr._t) == (base.expr._d, base.expr._c, base.expr._t)
+        for other in {MULT, ADD, CIRC} - {mode}:
+            if other is not CIRC or not x.generators():
+                assert GroupElement(other, base.expr) != base
+
+    @given(data=st.data())
+    def test_supplied_v_breaking_the_relation_raises(self, mode, data):
+        n = data.draw(st.integers(3, 5))
+        h = [GroupElement(mode, data.draw(exprs(mode))) for _ in range(n)]
+        shifts = [GroupElement(mode, data.draw(exprs(mode))) for _ in range(n - 1)]
+        shifts.append(product(shifts).invert())
+        v = [hi.combine(si) for hi, si in zip(h, shifts)]
+        beta = Convoluter(h, v)
+        assert beta.t.combine(product(beta.v)).is_identity()
+        same = Convoluter(h)
+        assert same.v == same.h and same.t.combine(product(same.v)).is_identity()
+        off = GroupElement(mode, data.draw(exprs(mode)))
+        i = data.draw(st.integers(0, n - 1))
+        if not off.is_identity():
+            with pytest.raises(ValueError, match="product relation"):
+                Convoluter(h, v[:i] + [v[i].combine(off)] + v[i + 1:])

@@ -118,6 +118,10 @@ class TestCircleMode:
     def test_wraps_mod_one(self):
         assert GroupElement.circle(F(5, 4)) == GroupElement.circle(F(1, 4))
 
+    def test_generator_rejected(self):
+        with pytest.raises(ValueError):
+            GroupElement.generator("a", CIRC)
+
 
 class TestOrdering:
     def test_total_order_strict(self):

@@ -11,7 +11,9 @@ goes through ``midconv.cli.main`` in process, every answer is checked by
 are built from the forward answers.  Each line gives the document count,
 the number of failed documents, the output bytes and a sha256 over the
 per-document digests (exit code plus stdout).  A refactor that keeps the
-behavioural contract prints the same lines before and after.
+behavioural contract prints the same lines before and after.  Each
+answer a checker rejects adds a ``FAIL`` line, and the exit status is
+then 1.
 
 For verify-numeric a second line per seed digests only the structural
 answer fields (exit code, ``ok``, ``status``, the raw and middle
@@ -72,6 +74,7 @@ def main() -> int:
         return result
 
     bench_run.call = recording_call  # Runner.run_pass looks it up per document
+    failed = False
     for workload in corpus.WORKLOADS:
         for seed in SEEDS:
             docs = corpus.build(workload, seed)
@@ -84,7 +87,8 @@ def main() -> int:
                 print(f"{workload} seed {seed}: {structure_line(answers)}")
             for problem in runner.problems:
                 print(f"  FAIL {problem}")
-    return 0
+            failed = failed or runner.failed > 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
