@@ -15,8 +15,7 @@ from .higgs import (Arrangement, HiggsData, construct, good_arrangement,
 from .katz import (AlgorithmTrace, ConventionReport, Convoluter,
                    EmptinessCertificate, NoneffectiveReport, TerminalStatus,
                    check_conventions, check_involution, defect, detect_empty,
-                   is_one_generic, kappa, kappa_de_rham, kappa_local,
-                   run_algorithm)
+                   kappa, kappa_de_rham, run_algorithm)
 from .moduli import (DimensionReport, classify_dim2, dim2_census,
                      dimension_report, middle_h1_dim)
 from .scalars import GroupElement, GroupMode, ScalarExpr
@@ -41,8 +40,8 @@ __all__ = [
     "EigDivisor", "MonodromyVector",
     "Convoluter", "ConventionReport", "NoneffectiveReport",
     "EmptinessCertificate", "AlgorithmTrace", "TerminalStatus",
-    "defect", "kappa", "kappa_local", "kappa_de_rham",
-    "check_involution", "check_conventions", "is_one_generic",
+    "defect", "kappa", "kappa_de_rham",
+    "check_involution", "check_conventions",
     "detect_empty", "run_algorithm",
     "DimensionReport", "dimension_report", "classify_dim2",
     "middle_h1_dim", "dim2_census",

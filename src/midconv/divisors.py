@@ -9,7 +9,7 @@ raw transform outputs) but are rejected as monodromy-vector entries.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import ModeMismatch
@@ -104,10 +104,6 @@ class EigDivisor:
             raise ModeMismatch("cannot add divisors of different modes")
         return EigDivisor(self.mode, self.entries + other.entries)
 
-    def translate(self, shift: GroupElement) -> "EigDivisor":
-        """Shift every support point by ``shift`` (same multiplicities)."""
-        return EigDivisor(self.mode, [(e.combine(shift), m) for e, m in self.entries])
-
     # -- protocol -------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -178,9 +174,6 @@ class MonodromyVector:
     def pmv(self) -> tuple[tuple[int, ...], ...]:
         """Polymultiplicity vector: the per-point multiplicity partitions."""
         return tuple(g.partition() for g in self.divisors)
-
-    def pmv_gcd(self) -> int:
-        return gcd(*(m for g in self.divisors for _, m in g.entries))
 
     def is_all_diagonal(self) -> bool:
         """True iff every local class is scalar (a single eigenvalue)."""

@@ -154,7 +154,9 @@ def parse_document(doc: dict) -> ProblemDocument:
             _fail("'v' must be a list, 'same-as-h' or 'fresh'", "$.convoluter.v")
         try:
             if v == "fresh":
-                names = fresh_names(len(h) - 1, (*h, *(a for g in vector for a in g.support())))
+                taken = {x for e in (*h, *(a for g in vector for a in g.support()))
+                         for x in e.expr.generators()}
+                names = fresh_names(len(h) - 1, taken)
                 convoluter = Convoluter.with_fresh_v(h, names)
                 v_policy = "fresh"
             else:
@@ -181,7 +183,7 @@ def parse_document(doc: dict) -> ProblemDocument:
 def parse_json(text: str) -> Any:
     try:
         return json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, deep nesting
         raise DocumentError(f"not valid JSON: {exc}", "$") from exc
 
 

@@ -37,10 +37,6 @@ class ConventionViolation(MidconvError):
         super().__init__(detail)
 
 
-class SearchBudgetExceeded(MidconvError):
-    """An exhaustive search would exceed its configured budget."""
-
-
 class MaxStepsExceeded(MidconvError):
     """The rank-reduction loop ran longer than allowed (defensive)."""
 

@@ -4,8 +4,8 @@ Given a rank-one twisting datum (a "convoluter") and a local monodromy
 vector, middle convolution changes the rank by the defect and transforms
 each local divisor by an explicit substitution.  This module implements
 that transformation exactly, together with the eigenvalue conventions
-it requires, its involution partner, emptiness detection, 1-genericity,
-and the iterative rank-reduction loop.
+it requires, its involution partner, emptiness detection, and the
+iterative rank-reduction loop.
 
 Everything here is pure divisor arithmetic over the symbolic eigenvalue
 group; the numeric verification of these formulas lives in
@@ -15,14 +15,16 @@ group; the numeric verification of these formulas lives in
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from functools import cache, partial, reduce
+from itertools import compress
+from math import lcm
+from operator import add, itemgetter, neg
+from typing import Collection, NamedTuple, Optional, Sequence
 
 from .divisors import EigDivisor, MonodromyVector
-from .errors import (ConventionViolation, MaxStepsExceeded, ModeMismatch,
-                     SearchBudgetExceeded, SizeMismatch)
-from .scalars import GroupElement, GroupMode, product
+from .errors import ConventionViolation, MaxStepsExceeded, ModeMismatch, SizeMismatch
+from .scalars import GroupElement, GroupMode, _element, _normal, _ratio, product
 
 __all__ = [
     "Convoluter",
@@ -33,12 +35,10 @@ __all__ = [
     "AlgorithmTrace",
     "TerminalStatus",
     "defect",
-    "kappa_local",
     "kappa",
     "kappa_de_rham",
     "check_involution",
     "check_conventions",
-    "is_one_generic",
     "detect_empty",
     "fresh_names",
     "run_algorithm",
@@ -277,26 +277,25 @@ def _require_conventions(beta: Convoluter, vector: MonodromyVector, de_rham: boo
         raise violation
 
 
-def fresh_names(count: int, elements: Iterable[GroupElement], stem: str = "_s") -> list[str]:
+def fresh_names(count: int, taken: Collection[str], stem: str = "_s") -> list[str]:
     """``stem1 .. stem<count>``, the stem prefixed with "_" until no name
-    is a generator of ``elements``."""
-    taken = {n for e in elements for n in e.expr.generators()}
-    while not taken.isdisjoint(names := [f"{stem}{i}" for i in range(1, count + 1)]):
+    is in ``taken``."""
+    while any(f"{stem}{i}" in taken for i in range(1, count + 1)):
         stem = "_" + stem
-    return names
+    return [f"{stem}{i}" for i in range(1, count + 1)]
 
 
-def max_mult_convoluter(vector: MonodromyVector, v_policy: str = "same",
-                        fresh_stem: str = "_s") -> Convoluter:
-    """The default convoluter of the reduction loop: h_i is the inverse
-    of a maximal-multiplicity eigenvalue of g_i (ties broken to the
+def max_mult_convoluter(vector: MonodromyVector, v_policy: str = "same") -> Convoluter:
+    """The default convoluter, the one the reduction loop aims: h_i is the
+    inverse of a maximal-multiplicity eigenvalue of g_i (ties broken to the
     smallest element in the deterministic order).  Fresh v generators
     are named by ``fresh_names`` over the vector's eigenvalues."""
     h = [g.max_multiplicity()[0].invert() for g in vector]
     if v_policy == "same":
         return Convoluter(h)
     if v_policy == "fresh":
-        names = fresh_names(vector.n - 1, (a for g in vector for a in g.support()), fresh_stem)
+        taken = {x for g in vector for a in g.support() for x in a.expr.generators()}
+        names = fresh_names(vector.n - 1, taken)
         return Convoluter.with_fresh_v(h, names)
     raise ValueError(f"unknown v policy {v_policy!r}")
 
@@ -350,20 +349,6 @@ def check_conventions(beta: Convoluter, vector: MonodromyVector,
     )
 
 
-def kappa_local(beta: Convoluter, vector: MonodromyVector, i: int,
-                check: bool = True) -> EigDivisor:
-    """Local transform at point i.
-
-    ``(m_i(h_i^{-1}) + d) [v_i] + sum_{a h_i != 1} m_i(a) [a u_i]``
-    where d is the defect.  Zero coefficients are dropped; a negative
-    coefficient makes the result noneffective (callers decide what to do
-    with that).
-    """
-    if check:
-        _require_conventions(beta, vector, de_rham=False)
-    return _local(beta, vector, _plan(beta, vector), i)
-
-
 def kappa(beta: Convoluter, vector: MonodromyVector, check: bool = True,
           de_rham: bool = False):
     """Global transform.
@@ -404,24 +389,6 @@ def check_involution(beta: Convoluter, vector: MonodromyVector,
     return back == vector
 
 
-def is_one_generic(vector: MonodromyVector, budget: int = 10 ** 7) -> bool:
-    """No product a_1 ... a_n = 1 with a_i in the support of g_i.
-
-    Exhaustive exact search; refuses to run past ``budget`` support
-    combinations.
-    """
-    total = 1
-    for g in vector:
-        total *= len(g.entries)
-        if total > budget:
-            raise SearchBudgetExceeded(
-                f"{total} support combinations exceed the budget {budget}")
-    for combo in itertools.product(*(g.support() for g in vector)):
-        if product(combo).is_identity():
-            return False
-    return True
-
-
 def detect_empty(beta: Convoluter, vector: MonodromyVector) -> Optional[EmptinessCertificate]:
     """Witness for a noneffective transform, if any: the first point
     with a negative coefficient ``m_i + d``, equivalently with
@@ -439,49 +406,108 @@ class TerminalStatus(enum.Enum):
     CONVENTION_FAILURE = "ConventionFailure"
 
 
-@dataclass(frozen=True)
-class KatzStep:
-    input: MonodromyVector
-    beta: Convoluter
+class _Rows:
+    """The reduction loop's working form: eigenvalues as dense integer rows.
+
+    c + sum e_j g_j is the tuple (c, e_1, ..., e_g) of numerators over one
+    denominator ``den``, c reduced mod ``mod`` (``den`` in multiplicative
+    mode, 0 for none), so equal elements have equal rows.  Position j holds
+    ``names[j - 1]``; fresh names join at the end, and ``order`` lists
+    (name, position) in name order.  A vector is a list of dicts {row:
+    multiplicity} in ``EigDivisor`` entry order."""
+
+    def __init__(self, vector: MonodromyVector):
+        exprs = [a.expr for g in vector for a, _ in g.entries]
+        self.mode, self.den = vector.mode, lcm(*[x._d for x in exprs])
+        self.mod = self.den if self.mode is GroupMode.MULTIPLICATIVE else 0
+        self.names, self.pos = [], {}
+        self.extend(sorted({n for x in exprs for n, _ in x._t}))
+
+    def extend(self, names: Sequence[str]):
+        for n in names:
+            if n not in self.pos:
+                self.names.append(n)
+                self.pos[n] = len(self.names)
+        self.order = sorted(self.pos.items())
+
+    def encode(self, vector: MonodromyVector) -> list[dict]:
+        def row(x):
+            k, terms = self.den // x._d, dict(x._t)
+            return (x._c * k, *[terms.get(n, 0) * k for n in self.names])
+        return [{row(a.expr): m for a, m in g.entries} for g in vector]
+
+    def entry_key(self, entry: tuple) -> tuple:
+        """``ScalarExpr.__lt__``'s order of an entry's row: the constant,
+        then the nonzero terms in name order."""
+        row = entry[0]
+        return row[0], tuple([(n, row[k]) for n, k in self.order if row[k]])
+
+    def element(self, row: tuple) -> GroupElement:
+        terms = sorted((n, x) for n, x in zip(self.names, row[1:]) if x)
+        return _element(self.mode, _normal(self.den, row[0], tuple(terms)))
+
+    def vector(self, classes: list[dict]) -> MonodromyVector:
+        return MonodromyVector([EigDivisor(self.mode, [(self.element(a), m) for a, m in g.items()])
+                                for g in classes])
+
+
+class KatzStep(NamedTuple):
+    """One step of the reduction loop in rows; ``input``, ``beta``, ``output`` decode them."""
+
+    rows: _Rows
+    input_rows: list
+    h_rows: list
+    v_rows: list
     defect: int
-    output: MonodromyVector
+    output_rows: list
+
+    input = property(lambda self: self.rows.vector(self.input_rows))
+    output = property(lambda self: self.rows.vector(self.output_rows))
+    beta = property(lambda self: Convoluter(map(self.rows.element, self.h_rows),
+                                            map(self.rows.element, self.v_rows)))
 
 
-@dataclass(frozen=True)
-class AlgorithmTrace:
+class AlgorithmTrace(NamedTuple):
+    """The reduction loop's steps and end, in rows; ``final`` decodes its rows."""
+
+    rows: _Rows
     steps: tuple
     status: TerminalStatus
-    final: MonodromyVector
+    final_rows: list
     certificate: Optional[EmptinessCertificate] = None
     report: Optional[ConventionReport] = None
 
+    final = property(lambda self: self.rows.vector(self.final_rows))
+
     @property
     def ranks(self) -> list[int]:
-        out = [s.input.rank for s in self.steps]
-        out.append(self.final.rank)
-        return out
+        return [sum(v[0].values()) for v in (*(s.input_rows for s in self.steps), self.final_rows)]
 
     def to_json(self) -> dict:
         # step k's output is step k+1's input (and the last one is
-        # ``final``): each vector object is converted once, its dict shared
-        vectors: dict[int, dict] = {}
+        # ``final``): each vector's dict is built once and shared
+        mode, names, vectors = self.rows.mode.value, self.rows.names, {}
+        text = cache(partial(_ratio, d=self.rows.den))  # each numerator's text made once
 
-        def vector(v: MonodromyVector) -> dict:
-            if id(v) not in vectors:
-                vectors[id(v)] = v.to_json()
-            return vectors[id(v)]
+        def value(row: tuple) -> dict:
+            terms = row[1:]
+            return {"const": text(row[0]),
+                    "exps": dict(zip(compress(names, terms), map(text, filter(None, terms))))}
 
-        doc = {
-            "status": self.status.value,
-            "ranks": self.ranks,
-            "steps": [{
-                "input": vector(s.input),
-                "convoluter": s.beta.to_json(),
-                "defect": s.defect,
-                "output": vector(s.output),
-            } for s in self.steps],
-            "final": vector(self.final),
-        }
+        def vector(classes: list) -> dict:
+            if id(classes) not in vectors:
+                vectors[id(classes)] = {"mode": mode, "points": len(classes), "classes": [
+                    [{"value": value(a), "mult": m} for a, m in g.items()] for g in classes]}
+            return vectors[id(classes)]
+
+        steps = []
+        for s in self.steps:
+            h = [value(a) for a in s.h_rows]
+            v = h if s.v_rows is s.h_rows else [value(a) for a in s.v_rows]
+            steps.append({"input": vector(s.input_rows), "convoluter": {"h": h, "v": v},
+                          "defect": s.defect, "output": vector(s.output_rows)})
+        doc = {"status": self.status.value, "ranks": self.ranks, "steps": steps,
+               "final": vector(self.final_rows)}
         if self.certificate is not None:
             doc["certificate"] = self.certificate.to_json()
         if self.report is not None:
@@ -495,39 +521,79 @@ def run_algorithm(vector: MonodromyVector, max_steps: int | None = None,
     """Iterate the transformation while it strictly reduces the rank.
 
     Per step: stop at AllDiagonal (every class scalar, which covers rank
-    one); otherwise aim the convoluter at maximal multiplicities; stop
-    at PositiveDefect when d >= 0, at ConventionFailure with the report
-    when (beta, input) fails the conventions, and at EmptyNoneffective
-    with a certificate; else step.  Every recorded step has d < 0, so at
-    most ``rank`` steps can happen.
+    one); otherwise aim the convoluter at maximal multiplicities, as
+    ``max_mult_convoluter`` does; stop at PositiveDefect when d >= 0, at
+    ConventionFailure with the report when (beta, input) fails the
+    conventions, and at EmptyNoneffective with a certificate; else step.
+    Every recorded step has d < 0, so at most ``rank`` steps can happen.
+    The steps run on ``_Rows``, with no ``ScalarExpr`` arithmetic.
     """
     if vector.mode is GroupMode.CIRCLE:
         raise ModeMismatch("the reduction loop runs in multiplicative or additive mode")
-    if max_steps is None:
-        max_steps = vector.rank
-    steps = []
-    current = vector
+    max_steps = vector.rank if max_steps is None else max_steps
+    rows = _Rows(vector)
+    mod, n, r = rows.mod, vector.n, vector.rank
+
+    def plus(a: tuple, b: tuple | None = None) -> tuple:  # a + b, or -a with b omitted
+        s = [*map(add, a, b)] if b else [*map(neg, a)]
+        if mod:
+            s[0] %= mod
+        return tuple(s)
+
+    steps, current = [], rows.encode(vector)
     for step in range(max_steps + 1):
-        if current.is_all_diagonal():
-            return AlgorithmTrace(tuple(steps), TerminalStatus.ALL_DIAGONAL, current)
-        # fresh generators must be fresh per step, not reused across steps
-        beta = max_mult_convoluter(current, v_policy=v_policy, fresh_stem=f"_s{step}_")
-        plan = _plan(beta, current)
-        d = plan.defect
+        if all(len(g) == 1 for g in current):
+            return AlgorithmTrace(rows, tuple(steps), TerminalStatus.ALL_DIAGONAL, current)
+        work = current  # ``current`` widened by this step's fresh generators
+        if v_policy == "fresh":
+            # fresh generators must be fresh per step, not reused across steps
+            live = [any(col) for col in zip(*(a for g in current for a in g))]
+            names = fresh_names(n - 1, {x for x, y in zip(rows.names, live[1:]) if y},
+                                f"_s{step}_")
+            rows.extend(names)
+            if pad := (0,) * (len(rows.names) + 1 - len(live)):
+                work = [{a + pad: m for a, m in g.items()} for g in current]
+        elif v_policy != "same":
+            raise ValueError(f"unknown v policy {v_policy!r}")
+        # h_i^{-1} is the first entry of g_i of maximal multiplicity
+        aim = [max(g.items(), key=itemgetter(1)) for g in work]
+        mults = [m for _, m in aim]
+        d = (n - 2) * r - sum(mults)
+        lhs = [sum(r - mults[j] for j in range(n) if j != i) for i in range(n)]
+        assert all((m + d < 0) == (l < r) for m, l in zip(mults, lhs)), \
+            "emptiness characterizations disagree"
         if d >= 0:
-            return AlgorithmTrace(tuple(steps), TerminalStatus.POSITIVE_DEFECT, current)
-        report = check_conventions(beta, current)
-        if not report.ok:
-            return AlgorithmTrace(tuple(steps), TerminalStatus.CONVENTION_FAILURE,
-                                  current, report=report)
-        result = _transform(beta, current, plan)
-        if isinstance(result, NoneffectiveReport):
-            return AlgorithmTrace(tuple(steps), TerminalStatus.EMPTY_NONEFFECTIVE,
-                                  current, certificate=result.certificate)
+            return AlgorithmTrace(rows, tuple(steps), TerminalStatus.POSITIVE_DEFECT, current)
+        h = [plus(a) for a, _ in aim]
+        t = reduce(plus, [a for a, _ in aim])  # t = prod(h)^{-1}
+        v = h
+        if v_policy == "fresh":  # v_i = h_i s_i, the fresh s_n closing prod(s) = 1
+            s = [(0, *[rows.den if y == x else 0 for y in rows.names]) for x in names]
+            v = [plus(hi, si) for hi, si in zip(h, [*s, plus(reduce(plus, s))])]
+        th = [plus(t, hi) for hi in h]
+        # the conventions: t != 1, and t h_i a != 1 for every eigenvalue a of g_i
+        if not any(t) or any(plus(x) in g for x, g in zip(th, work)):
+            beta = Convoluter(map(rows.element, h), map(rows.element, v))
+            return AlgorithmTrace(rows, tuple(steps), TerminalStatus.CONVENTION_FAILURE,
+                                  current, report=check_conventions(beta, rows.vector(work)))
+        for i, m in enumerate(mults):
+            if m + d < 0:
+                return AlgorithmTrace(rows, tuple(steps), TerminalStatus.EMPTY_NONEFFECTIVE,
+                                      current, EmptinessCertificate(i, lhs[i], r, m + d))
+        # (m_i + d) [v_i] + sum_{a h_i != 1} m_i(a) [a u_i] with u_i = t h_i v_i;
+        # no two entries meet, since a u_i = v_i would mean t h_i a = 1
+        output = []
+        for g, (b, m), x, vi in zip(work, aim, th, v):
+            ui = plus(x, vi)
+            entries = [(plus(a, ui), k) for a, k in g.items() if a != b]
+            if m + d:
+                entries.append((vi, m + d))
+            entries.sort(key=rows.entry_key)
+            output.append(dict(entries))
         # The partner pair (beta', output) passes too: h' = v^-1 and t' = t^-1,
         # so t' h'_i v_i = t^-1 != 1 at the new eigenvalue [v_i] and
         # t' h'_i a u_i = a h_i != 1 at each kept a u_i (de Rham flavor alike).
-        assert result.rank == current.rank + d < current.rank
-        steps.append(KatzStep(current, beta, d, result))
-        current = result
+        assert all(sum(g.values()) == r + d for g in output), "rank law r' = r + d"
+        steps.append(KatzStep(rows, current, h, v, d, output))
+        current, r = output, r + d
     raise MaxStepsExceeded(f"no terminal state after {max_steps} steps")

@@ -1,10 +1,13 @@
-"""Shared builders for randomized symbolic test suites."""
+"""Shared builders and oracles for randomized symbolic test suites."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from midconv import Convoluter, EigDivisor, GroupElement, GroupMode, MonodromyVector
+from midconv import (Convoluter, EigDivisor, GroupElement, GroupMode, MonodromyVector,
+                     check_conventions, defect, kappa)
+from midconv.errors import MaxStepsExceeded, ModeMismatch
+from midconv.katz import NoneffectiveReport, fresh_names
 
 
 def random_partition(rng, r, max_part=None):
@@ -59,3 +62,44 @@ def naive_kappa_local(beta, vector, i):
         if not a.combine(beta.h[i]).is_identity():
             out.append((a.combine(beta.u[i]), m))
     return out
+
+
+def reference_run(vector, max_steps=None, v_policy="same"):
+    """The reduction loop on ``GroupElement`` objects, step by step as
+    ``kappa`` transforms, returning the answer ``AlgorithmTrace.to_json``
+    gives: the oracle for ``run_algorithm``'s integer rows."""
+    if vector.mode is GroupMode.CIRCLE:
+        raise ModeMismatch("the reduction loop runs in multiplicative or additive mode")
+    if max_steps is None:
+        max_steps = vector.rank
+    steps, inputs, current = [], [], vector
+
+    def answer(status, **extra):
+        return {"status": status, "ranks": [v.rank for v in (*inputs, current)],
+                "steps": steps, "final": current.to_json(), **extra}
+
+    for step in range(max_steps + 1):
+        if current.is_all_diagonal():
+            return answer("AllDiagonal")
+        h = [g.max_multiplicity()[0].invert() for g in current]
+        if v_policy == "same":
+            beta = Convoluter(h)
+        else:
+            taken = {x for g in current for a in g.support() for x in a.expr.generators()}
+            beta = Convoluter.with_fresh_v(h, fresh_names(current.n - 1, taken, f"_s{step}_"))
+        d = defect(current, beta)
+        if d >= 0:
+            return answer("PositiveDefect")
+        report = check_conventions(beta, current)
+        if not report.ok:
+            return answer("ConventionFailure", convention_report=report.to_json(),
+                          failed_side="forward")
+        out = kappa(beta, current, check=False)
+        if isinstance(out, NoneffectiveReport):
+            return answer("EmptyNoneffective", certificate=out.certificate.to_json())
+        assert out.rank == current.rank + d
+        inputs.append(current)
+        steps.append({"input": current.to_json(), "convoluter": beta.to_json(),
+                      "defect": d, "output": out.to_json()})
+        current = out
+    raise MaxStepsExceeded(f"no terminal state after {max_steps} steps")

@@ -381,7 +381,7 @@ def call_main(verb, doc, *flags):
     An exception escaping ``main`` would be a traceback: it fails the test."""
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
-    sys.stdin = io.StringIO(json.dumps(doc))
+    sys.stdin = io.StringIO(json.dumps(doc).replace(json.dumps(DEEP), DEEP_TEXT))
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([verb, *flags])
@@ -430,9 +430,16 @@ def _kind(path):
     return None, None
 
 
+# A list nested 100,000 deep, far past the recursion limit: ``call_main``
+# splices its text in for this marker, since ``json.dumps`` would recurse too.
+DEEP = "<a list nested 100,000 deep>"
+DEEP_TEXT = "[" * 100_000 + "]" * 100_000
+
 # one digit past the default sys.get_int_max_str_digits(), and an Arabic-Indic
-# one: int() reads the second, the spec's ASCII "p/q" does not
-SWAPS = ["x", "9" * 4301, "\u0661", 0.5, True, False, [1], {}, -1, 0, None]
+# one: int() reads the second, the spec's ASCII "p/q" does not; values that
+# grow: deep nesting, a 10^6-character string, a lone surrogate as a key
+SWAPS = ["x", "9" * 4301, "\u0661", 0.5, True, False, [1], {}, -1, 0, None,
+         DEEP, "9" * 10 ** 6, {"\ud800": "1"}]
 
 
 def forbidden(path, value):
@@ -529,6 +536,13 @@ class TestDocumentBoundary:
         code, out, err = call_main(verb, doc)
         assert code == 1 and out == "" and "Traceback" not in err
         assert f"input error: {where}" in err, err
+
+    @pytest.mark.parametrize("verb", ["defect", "transform", "run", "classify", "verify",
+                                      "higgs"])
+    def test_deep_nesting_is_invalid_json(self, verb):
+        code, out, err = call_main(verb, DEEP)
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert err.startswith("input error: $: not valid JSON: "), err[:200]
 
     def test_long_rational_string_exits_one_at_its_path(self):
         doc = {"mode": "multiplicative", "classes": [[entry({}, const="9" * 5000)]] * 3}

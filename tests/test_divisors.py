@@ -103,7 +103,6 @@ class TestMonodromyVector:
         quad = MonodromyVector([EigDivisor(MULT, [(gen(f"x{i}"), 2), (gen(f"y{i}"), 2)])
                                 for i in range(4)])
         assert quad.pmv() == ((2, 2),) * 4
-        assert quad.pmv_gcd() == 2
 
         simple = MonodromyVector([
             EigDivisor(MULT, [(gen("a1"), 1), (gen("a2"), 1), (gen("a3"), 1)]),
@@ -111,11 +110,6 @@ class TestMonodromyVector:
             EigDivisor(MULT, [(gen("c1"), 3)]),
         ])
         assert simple.pmv() == ((1, 1, 1), (2, 1), (3,))
-        assert simple.pmv_gcd() == 1
-
-        scalar = MonodromyVector([EigDivisor(MULT, [(gen(f"s{i}"), 4)])
-                                  for i in range(3)])
-        assert scalar.pmv_gcd() == 4
 
     def test_is_all_diagonal(self):
         r3 = MonodromyVector([EigDivisor(MULT, [(gen(f"d{i}"), 3)]) for i in range(3)])

@@ -111,7 +111,8 @@ class TestMiddleH1:
             vec = random_vector(rng, MULT, r, n, f"mh{trial}")
             beta = (max_mult_convoluter(vec) if trial % 2
                     else random_beta(rng, vec, "fresh", "same", f"mh{trial}"))
-            shifted = [g.translate(h) for g, h in zip(vec, beta.h)]
+            shifted = [EigDivisor(MULT, [(e.combine(h), m) for e, m in g.entries])
+                       for g, h in zip(vec, beta.h)]
             diag = EigDivisor(MULT, [(beta.t, r)])
             extended = MonodromyVector(shifted + [diag])
             assert middle_h1_dim(extended) == r + defect(vec, beta)
