@@ -220,7 +220,7 @@ def main(argv=None) -> int:
         print(f"{kind}: {exc}", file=sys.stderr)
         return BAD_INPUT
 
-    text = render(out_doc)
+    text = render(out_doc, exact=args.verb != "verify")  # only verify answers hold floats
     if args.output == "-":
         sys.stdout.write(text)
     else:

@@ -13,8 +13,10 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring as _quote
 from typing import Any, Optional
 
+import orjson
+
 from .divisors import EigDivisor, MonodromyVector
-from .errors import DocumentError, MidconvError
+from .errors import DocumentError, MidconvError, shown
 from .katz import Convoluter, fresh_names, max_mult_convoluter
 from .scalars import GroupElement, GroupMode, ScalarExpr
 
@@ -76,7 +78,7 @@ def complex_array(value: Any, path: str, depth: int = 0):
 def parse_tol(doc: dict, default: float) -> float:
     tol = doc.get("tol", default)
     if not (_finite(tol) and 0 < tol < 1):
-        _fail(f"'tol' must be a number strictly between 0 and 1, got {tol!r}", "$.tol")
+        _fail(f"'tol' must be a number strictly between 0 and 1, got {shown(tol)}", "$.tol")
     return float(tol)
 
 
@@ -113,7 +115,7 @@ def parse_document(doc: dict) -> ProblemDocument:
     try:
         mode = GroupMode(doc.get("mode", "multiplicative"))
     except ValueError:
-        _fail(f"unknown mode {doc.get('mode')!r}", "$.mode")
+        _fail(f"unknown mode {shown(doc.get('mode'))}", "$.mode")
     classes = doc.get("classes")
     if not isinstance(classes, list) or not classes:
         _fail("'classes' must be a nonempty list of divisor entry lists", "$.classes")
@@ -187,6 +189,12 @@ def parse_json(text: str) -> Any:
         raise DocumentError(f"not valid JSON: {exc}", "$") from exc
 
 
+# render's bytes on float-free trees; dataclasses, datetimes and subclasses go to Python
+_ORJSON_OPTIONS = (orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE
+                   | orjson.OPT_PASSTHROUGH_DATACLASS | orjson.OPT_PASSTHROUGH_DATETIME
+                   | orjson.OPT_PASSTHROUGH_SUBCLASS)
+
+
 def _float(x: float) -> str:
     if x != x:
         return "NaN"
@@ -197,23 +205,27 @@ def _float(x: float) -> str:
     return float.__repr__(x)
 
 
-def render(doc: Any) -> str:
+def render(doc: Any, exact: bool = False) -> str:
     """Canonical JSON rendering: sorted keys, fixed indentation, so the
     same (document, seed) always produces byte-identical output.
 
     The bytes are those of ``json.dumps(doc, sort_keys=True, indent=2,
-    ensure_ascii=False) + "\\n"``, written in one pass into a list of
-    pieces: with ``indent`` the standard encoder falls back to Python
-    generators.  A list object met again (a ``run`` trace shares each
-    vector between two steps) joins the pieces of its first writing,
-    re-indented when its depth differs: strings escape every newline, so
-    each raw newline is structural and followed by the old indentation.
-    Values are str-keyed dicts, lists, tuples, str, int, float, bool and
-    None (subclasses included); anything else raises TypeError.
+    ensure_ascii=False) + "\\n"``.  Values are str-keyed dicts, lists,
+    tuples, str, int, float, bool and None (subclasses included); anything
+    else raises TypeError.  With ``exact`` the caller promises that ``doc``
+    holds no float (orjson formats floats otherwise, and writes an Enum or
+    UUID as its value): orjson writes the tree in C, and what it refuses
+    (ints past 64 bits, lone surrogates, nesting past 255) goes to the
+    Python writer.  That one writes pieces into one list in one pass: with
+    ``indent`` the standard encoder falls back to Python generators.
     """
+    if exact:
+        try:
+            return orjson.dumps(doc, option=_ORJSON_OPTIONS).decode()
+        except TypeError:  # orjson.JSONEncodeError
+            pass
     parts: list[str] = []
     emit = parts.append
-    written: dict[int, tuple] = {}  # id -> (list, first piece, end piece, indent)
 
     def write(o, nl):
         if isinstance(o, str):
@@ -232,12 +244,6 @@ def render(doc: Any) -> str:
             if not o:
                 emit("[]")
                 return
-            if id(o) in written:
-                _, start, end, old = written[id(o)]
-                text = "".join(parts[start:end])
-                emit(text if old == nl else text.replace(old, nl))
-                return
-            start = len(parts)
             inner = nl + "  "
             sep = "[" + inner
             for v in o:
@@ -245,8 +251,6 @@ def render(doc: Any) -> str:
                 write(v, inner)
                 sep = "," + inner
             emit(nl + "]")
-            if isinstance(o, list):  # held, so no other object takes its id
-                written[id(o)] = (o, start, len(parts), nl)
         elif isinstance(o, dict):
             if not o:
                 emit("{}")

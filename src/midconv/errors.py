@@ -86,3 +86,9 @@ class DocumentError(MidconvError):
     def __init__(self, message, path=""):
         self.path = path
         super().__init__(f"{path}: {message}" if path else message)
+
+
+def shown(value) -> str:
+    """``repr(value)``, cut to 40 characters plus "..." when longer."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."

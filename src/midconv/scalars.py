@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
-from .errors import DigitLimitExceeded, DocumentError, MissingGenerator, ModeMismatch
+from .errors import DigitLimitExceeded, DocumentError, MissingGenerator, ModeMismatch, shown
 
 __all__ = ["ScalarExpr", "GroupMode", "GroupElement"]
 
@@ -54,7 +54,7 @@ def _rational_parts(x, path: str) -> tuple[int, int]:
         g = gcd(p, q)
         return p // g, q // g
     if isinstance(x, bool) or not isinstance(x, int):
-        raise DocumentError(f"expected a \"p/q\" rational string, got {x!r}", path)
+        raise DocumentError(f"expected a \"p/q\" rational string, got {shown(x)}", path)
     return x, 1
 
 
