@@ -22,8 +22,8 @@ from .scalars import GroupElement, GroupMode, ScalarExpr
 
 __version__ = "0.1.0"
 
-# The numeric layer pulls in numpy and scipy; it loads on first use, so
-# the symbolic verbs start without them.
+# The numeric layer pulls in numpy; it loads on first use, so the
+# symbolic verbs start without it.
 _HOMOLOGY = ("NumericInstance", "raw_convolution_rep", "middle_convolution_rep",
              "generate_instance", "verify_instance")
 

@@ -17,10 +17,10 @@ import sys
 
 from . import higgs as higgs_mod
 from . import katz, moduli
-from .docio import (ProblemDocument, parse_document, parse_generate, parse_json,
-                    parse_tol, render)
+from .docio import (ProblemDocument, check_raw_dim, parse_document, parse_generate,
+                    parse_json, parse_tol, render)
 from .errors import (ConventionViolation, ConventionViolationNumeric, DigitLimitExceeded,
-                     DocumentError, MaxStepsExceeded, MidconvError, ModeMismatch)
+                     DocumentError, MaxStepsExceeded, MidconvError, ModeMismatch, shown)
 from .katz import NoneffectiveReport, TerminalStatus
 from .scalars import GroupMode
 
@@ -81,7 +81,7 @@ def cmd_classify(doc: ProblemDocument) -> tuple[dict, int]:
 
 
 def cmd_verify(doc: dict) -> tuple[dict, int]:
-    from . import homology  # numpy and scipy load for this verb only
+    from . import homology  # numpy loads for this verb only
 
     if "matrices" in doc:
         problem = homology.NumericInstance.from_json(doc)
@@ -96,11 +96,13 @@ def cmd_verify(doc: dict) -> tuple[dict, int]:
                 "'assignment'", "$")
         if parsed.mode is not GroupMode.MULTIPLICATIVE:
             raise DocumentError("symbolic verify needs multiplicative mode", "$.mode")
+        check_raw_dim(parsed.vector.n, parsed.vector.rank, "$.classes")
         beta = parsed.convoluter_or_default()
         elems = (*beta.h, *beta.v, *(a for g in parsed.vector for a in g.support()))
         missing = {n for e in elems for n in e.expr.generators()} - parsed.assignment.keys()
         if missing:
-            raise DocumentError(f"no value assigned to {sorted(missing)}", "$.assignment")
+            raise DocumentError(f"no value assigned to {shown(sorted(missing))}",
+                                "$.assignment")
         problem = homology.symbolic_instance(parsed.vector, beta, parsed.assignment,
                                              parsed.seed, parse_tol(doc, homology.DEFAULT_TOL))
     try:

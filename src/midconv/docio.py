@@ -13,10 +13,8 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring as _quote
 from typing import Any, Optional
 
-import orjson
-
 from .divisors import EigDivisor, MonodromyVector
-from .errors import DocumentError, MidconvError, shown
+from .errors import DocumentError, MidconvError, path_key, shown
 from .katz import Convoluter, fresh_names, max_mult_convoluter
 from .scalars import GroupElement, GroupMode, ScalarExpr
 
@@ -90,11 +88,24 @@ def parse_generate(doc: dict) -> dict:
     for key, choices in (("aim", ("support", "fresh")), ("v_policy", ("same", "fresh"))):
         if g.get(key, choices[0]) not in choices:
             _fail(f"'{key}' must be one of {list(choices)}", f"$.generate.{key}")
+    r = integer(g.get("rank"), "$.generate.rank", 1)
+    n = integer(g.get("points"), "$.generate.points", 3)
+    check_raw_dim(n, r, "$.generate.rank")
     return {"seed": (integer(g["seed"], "$.generate.seed", 0) if "seed" in g
                      else integer(doc.get("seed", 0), "$.seed", 0)),
-            "r": integer(g.get("rank"), "$.generate.rank", 1),
-            "n": integer(g.get("points"), "$.generate.points", 3),
-            "aim": g.get("aim", "support"), "v_policy": g.get("v_policy", "same")}
+            "r": r, "n": n, "aim": g.get("aim", "support"), "v_policy": g.get("v_policy", "same")}
+
+
+# The largest raw dimension (points - 1) * rank that verify builds a numeric
+# instance for: the chain space has points * rank columns and its SVD is
+# cubic, so one at the cap takes up to 9 s and 210 MB (bench shapes reach 180)
+MAX_RAW_DIM = 1000
+
+
+def check_raw_dim(points: int, rank: int, path: str) -> None:
+    """DocumentError at ``path`` when (points - 1) * rank passes ``MAX_RAW_DIM``."""
+    if (points - 1) * rank > MAX_RAW_DIM:
+        _fail(f"(points - 1) * rank must be at most {MAX_RAW_DIM} for a numeric verify", path)
 
 
 def _parse_element(mode: GroupMode, doc: Any, path: str) -> GroupElement:
@@ -169,7 +180,8 @@ def parse_document(doc: dict) -> ProblemDocument:
     assignment = doc.get("assignment") or {}
     if not isinstance(assignment, dict):
         _fail("'assignment' must be an object", "$.assignment")
-    assignment = {name: complex(x) if _finite(x) else complex_array(x, f"$.assignment.{name}")
+    assignment = {name: complex(x) if _finite(x)
+                  else complex_array(x, f"$.assignment.{path_key(name)}")
                   for name, x in assignment.items()}
 
     return ProblemDocument(
@@ -187,12 +199,6 @@ def parse_json(text: str) -> Any:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, deep nesting
         raise DocumentError(f"not valid JSON: {exc}", "$") from exc
-
-
-# render's bytes on float-free trees; dataclasses, datetimes and subclasses go to Python
-_ORJSON_OPTIONS = (orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE
-                   | orjson.OPT_PASSTHROUGH_DATACLASS | orjson.OPT_PASSTHROUGH_DATETIME
-                   | orjson.OPT_PASSTHROUGH_SUBCLASS)
 
 
 def _float(x: float) -> str:
@@ -218,10 +224,18 @@ def render(doc: Any, exact: bool = False) -> str:
     (ints past 64 bits, lone surrogates, nesting past 255) goes to the
     Python writer.  That one writes pieces into one list in one pass: with
     ``indent`` the standard encoder falls back to Python generators.
+    orjson loads on the first ``exact`` call, so verify never pays for it.
     """
     if exact:
+        import orjson
+
+        # render's bytes on float-free trees; dataclasses, datetimes and
+        # subclasses go to the Python writer
+        options = (orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE
+                   | orjson.OPT_PASSTHROUGH_DATACLASS | orjson.OPT_PASSTHROUGH_DATETIME
+                   | orjson.OPT_PASSTHROUGH_SUBCLASS)
         try:
-            return orjson.dumps(doc, option=_ORJSON_OPTIONS).decode()
+            return orjson.dumps(doc, option=options).decode()
         except TypeError:  # orjson.JSONEncodeError
             pass
     parts: list[str] = []

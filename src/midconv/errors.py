@@ -89,6 +89,11 @@ class DocumentError(MidconvError):
 
 
 def shown(value) -> str:
-    """``repr(value)``, cut to 40 characters plus "..." when longer."""
-    text = repr(value)
-    return text if len(text) <= 40 else text[:40] + "..."
+    """``repr(value)``, cut like ``path_key``."""
+    return path_key(repr(value))
+
+
+def path_key(name: str) -> str:
+    """A document key as a step of a JSON path: cut to 40 characters plus
+    "..." when longer."""
+    return name if len(name) <= 40 else name[:40] + "..."

@@ -25,7 +25,7 @@ is checked against the matrices; a ``matrices`` document is decomposed
 once per point.
 
 Arrays are complex numpy arrays; tolerances are explicit and every rank
-decision is an SVD/eigenvalue threshold.
+decision is an SVD/eigenvalue threshold.  The layer needs numpy only.
 """
 
 from __future__ import annotations
@@ -35,11 +35,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import block_diag, svd
-from scipy.optimize import linear_sum_assignment
 
 from .divisors import EigDivisor, MonodromyVector
-from .docio import complex_array, integer, parse_tol
+from .docio import check_raw_dim, complex_array, integer, parse_tol
 from .errors import (BoundaryNotSurjective, ConventionViolationNumeric, DocumentError,
                      MidconvError, QuotientRankMismatch, SizeMismatch)
 from .katz import Convoluter, kappa
@@ -148,6 +146,7 @@ class NumericInstance:
         M = complex_array(doc.get("matrices"), "$.matrices", 3)
         if len(M) < 3:
             raise DocumentError("need at least 3 matrices", "$.matrices")
+        check_raw_dim(len(M), len(M[0]), "$.matrices")
         try:
             inst = cls(M=M, b=complex_array(doc.get("b"), "$.b", 1),
                        w=complex_array(doc.get("w"), "$.w", 1),
@@ -259,7 +258,7 @@ class ChainSpace:
         """Orthonormal basis of ker(boundary); raises if the boundary is
         not numerically surjective."""
         if self._kernel is None:
-            _, sv, vh = svd(self.boundary, full_matrices=True)
+            _, sv, vh = np.linalg.svd(self.boundary, full_matrices=True)
             if sv[self.r - 1] <= self.inst.tol:
                 raise BoundaryNotSurjective(
                     f"boundary rank below {self.r}: smallest kept singular value "
@@ -370,7 +369,11 @@ def middle_convolution_rep(inst: NumericInstance) -> MiddleConvolutionRep:
     if total == 0:
         return MiddleConvolutionRep(K, raw.X, inst.w, fixed_dims, raw)
     # column block k is G[a_{k+1}, F_k] (ChainSpace.embed of the fixed space)
-    phi_ambient = block_diag(*fixed)
+    phi_ambient = np.zeros((inst.n * inst.r, total), dtype=complex)
+    col = 0
+    for k, F in enumerate(fixed):
+        phi_ambient[k * inst.r:(k + 1) * inst.r, col:col + F.shape[1]] = F
+        col += F.shape[1]
     phi = K.conj().T @ phi_ambient
     # the columns must lie in the kernel and stay independent
     residual = np.linalg.norm(phi_ambient - K @ phi)
@@ -406,11 +409,67 @@ def match_multisets(predicted: Sequence[complex], measured: Sequence[complex]) -
             f"multiset sizes differ: {len(predicted)} vs {len(measured)}")
     if not predicted:
         return 0.0
-    p = np.asarray(predicted, dtype=complex)
-    m = np.asarray(measured, dtype=complex)
-    cost = np.abs(p[:, None] - m[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    values, counts = np.unique(np.asarray(predicted, dtype=complex), return_counts=True)
+    cost = np.abs(values[:, None] - np.asarray(measured, dtype=complex)[None, :])
+    row, _ = min_sum_assignment(cost, counts)
+    return float(cost[row, np.arange(len(measured))].max())
+
+
+def min_sum_assignment(cost: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, int]:
+    """A min-sum assignment of the columns of ``cost`` to its rows, row i
+    taking ``counts[i]`` columns: the row of each column, and the number
+    of augmenting paths it took.
+
+    Row i stands for ``counts[i]`` equal rows of a square matrix.  The
+    start is Jonker-Volgenant column reduction: each column goes to its
+    cheapest row while that row has copies left, with the column minima
+    as column potentials.  When every column fits the routine stops
+    there: each term is its column's minimum, so every min-sum assignment
+    has the same multiset of costs.  Otherwise each copy left over takes
+    one shortest augmenting path on the reduced costs of the square
+    matrix (the Hungarian step, vectorised over the columns).
+    """
+    nearest = cost.argmin(axis=0)
+    if np.all(np.bincount(nearest, minlength=len(counts)) <= counts):
+        return nearest, 0
+    n = cost.shape[1]
+    u, v = np.zeros(n), cost.min(axis=0)                # v: the column minima
+    group = np.repeat(np.arange(len(counts)), counts)   # the square matrix's rows
+    cost = cost[group]
+    starts = np.cumsum(counts) - counts
+    order = np.argsort(nearest, kind="stable")
+    taken = np.arange(n) - np.searchsorted(nearest[order], nearest[order])
+    fits = taken < counts[nearest[order]]
+    row4col, col4row = np.full(n, -1), np.full(n, -1)
+    row4col[order[fits]] = starts[nearest[order[fits]]] + taken[fits]
+    col4row[row4col[order[fits]]] = order[fits]
+    free = np.flatnonzero(col4row < 0)
+    for start in free:
+        # Dijkstra from ``start`` over the columns, up to the first free one
+        dist, path = np.full(n, np.inf), np.full(n, -1)
+        seen = np.zeros(n, dtype=bool)
+        seen_rows, i, low, j = [], start, 0.0, -1
+        while j < 0 or row4col[j] >= 0:
+            if j >= 0:
+                i = row4col[j]
+            seen_rows.append(i)
+            reach = low + cost[i] - u[i] - v
+            closer = ~seen & (reach < dist)
+            path[closer], dist[closer] = i, reach[closer]
+            j = int(np.where(seen, np.inf, dist).argmin())
+            low = dist[j]
+            if not np.isfinite(low):
+                raise ValueError("the cost matrix has no finite assignment")
+            seen[j] = True
+        u[start] += low
+        u[seen_rows[1:]] += low - dist[col4row[seen_rows[1:]]]
+        v[seen] -= low - dist[seen]
+        while True:  # flip the path from the free column back to ``start``
+            i = path[j]
+            row4col[j], col4row[i], j = i, j, col4row[i]
+            if i == start:
+                break
+    return group[row4col], len(free)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
-from .errors import DigitLimitExceeded, DocumentError, MissingGenerator, ModeMismatch, shown
+from .errors import (DigitLimitExceeded, DocumentError, MissingGenerator, ModeMismatch,
+                     path_key, shown)
 
 __all__ = ["ScalarExpr", "GroupMode", "GroupElement"]
 
@@ -197,8 +198,8 @@ class ScalarExpr:
             except UnicodeEncodeError:  # a lone surrogate from a JSON escape
                 n = n.encode(errors="backslashreplace").decode()
                 raise DocumentError("generator name is not valid UTF-8",
-                                    f"{path}.exps.{n}") from None
-            p, q = _rational_parts(x, f"{path}.exps.{n}")
+                                    f"{path}.exps.{path_key(n)}") from None
+            p, q = _rational_parts(x, f"{path}.exps.{path_key(n)}")
             if p:
                 terms.append((n, p, q))
                 if d % q:

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from midconv import cli
 from midconv.cli import main
-from midconv.docio import parse_document, parse_json, render
+from midconv.docio import MAX_RAW_DIM, parse_document, parse_json, render
 from midconv.errors import DocumentError
 from midconv.katz import run_algorithm
 
@@ -442,9 +442,13 @@ DEEP_TEXT = "[" * 100_000 + "]" * 100_000
 # one digit past the default sys.get_int_max_str_digits(), and an Arabic-Indic
 # one: int() reads the second, the spec's ASCII "p/q" does not; values that
 # grow: deep nesting, 10^6-character strings (digits and not), a lone
-# surrogate as a key
+# surrogate as a key, and a rank or point count that puts the generate
+# document's (points - 1) * rank just past MAX_RAW_DIM
 SWAPS = ["x", "9" * 4301, "\u0661", 0.5, True, False, [1], {}, -1, 0, None,
-         DEEP, "9" * 10 ** 6, "x" * 10 ** 6, {"\ud800": "1"}]
+         DEEP, "9" * 10 ** 6, "x" * 10 ** 6, {"\ud800": "1"}, MAX_RAW_DIM // 2 + 2]
+
+# the shape of the valid generate document
+GENERATE_SHAPE = {"rank": 2, "points": 3}
 
 
 def forbidden(path, value):
@@ -453,8 +457,13 @@ def forbidden(path, value):
     if kind == "rational":
         return isinstance(value, (bool, float, list, dict, str)) or value is None
     if kind == "integer":
-        return (not isinstance(value, int) or isinstance(value, bool)
-                or (least is not None and value < least))
+        if (not isinstance(value, int) or isinstance(value, bool)
+                or (least is not None and value < least)):
+            return True
+        if path[-2:-1] == ("generate",):  # rank or points
+            shape = {**GENERATE_SHAPE, path[-1]: value}
+            return (shape["points"] - 1) * shape["rank"] > MAX_RAW_DIM
+        return False
     if kind == "number":  # an assignment may also be an [re, im] pair; [1] is not
         return (isinstance(value, bool) or not isinstance(value, (int, float))
                 or (path[-1] == "tol" and not 0 < value < 1))
@@ -539,6 +548,20 @@ class TestDocumentBoundary:
         ("verify", {"generate": {"rank": 2, "points": 3}, "tol": "x" * 10 ** 6}, "$.tol"),
         ("transform", {"classes": [[entry({}, const="x" * 10 ** 6)]] * 3},
          "$.classes[0][0].value.const"),
+        # a path cuts the name it carries
+        ("transform", {"classes": [[entry({"x" * 10 ** 6: "q"})]] * 3},
+         "$.classes[0][0].value.exps." + "x" * 40 + "...: "),
+        ("verify", {"classes": symbolic_verify_document()["classes"],
+                    "assignment": {"x" * 10 ** 6: "q"}}, "$.assignment." + "x" * 40 + "...: "),
+        ("transform", {"classes": referee_document()["classes"],
+                       "convoluter": {"h": [expr({"x" * 10 ** 6: "q"})] * 3}},
+         "$.convoluter.h[0].exps." + "x" * 40 + "...: "),
+        # (points - 1) * rank one or two past the cap
+        ("verify", {"generate": {"rank": 1, "points": MAX_RAW_DIM + 2}}, "$.generate.rank"),
+        ("verify", {"generate": {"rank": MAX_RAW_DIM // 2 + 1, "points": 3}}, "$.generate.rank"),
+        ("verify", {"classes": [[entry({}, const="1/3", mult=MAX_RAW_DIM // 2 + 1)]] * 3,
+                    "assignment": {"a": 0.5}}, "$.classes"),
+        ("verify", {"matrices": [[[[1, 0]]]] * (MAX_RAW_DIM + 2)}, "$.matrices"),
     ])
     def test_forbidden_inputs(self, verb, patch, where):
         doc = run_document() if verb == "run" else {}
@@ -834,12 +857,12 @@ class TestImportHygiene:
         assert code in (0, 2)
         assert not {m.split(".")[0] for m in modules} & {"numpy", "scipy"}
 
-    def test_verify_leaves_out_scipy_stats(self, tmp_path):
+    def test_verify_loads_numpy_but_not_scipy_or_orjson(self, tmp_path):
         doc = {"generate": {"rank": 2, "points": 3, "seed": 5}}
         code, modules = modules_after(tmp_path, "verify", doc)
         assert code == 0
-        assert "numpy" in modules and "scipy.linalg" in modules
-        assert "scipy.stats" not in modules
+        assert "numpy" in modules
+        assert not {m.split(".")[0] for m in modules} & {"scipy", "orjson"}
 
     def test_lazy_names_are_the_homology_objects(self):
         import midconv

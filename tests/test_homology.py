@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from midconv.errors import BoundaryNotSurjective, ConventionViolationNumeric
 from midconv.homology import (ChainSpace, NumericInstance, generate_instance,
                               braid_block_closed_form, match_multisets,
-                              middle_convolution_rep, predicted_middle_spectra,
-                              raw_convolution_rep, symbolic_instance, verify_instance)
+                              middle_convolution_rep, min_sum_assignment,
+                              predicted_middle_spectra, raw_convolution_rep,
+                              symbolic_instance, verify_instance)
 
 RNG = np.random.default_rng(2024)
 
@@ -335,3 +337,66 @@ class TestMatchMultisets:
         from midconv.errors import SizeMismatch
         with pytest.raises(SizeMismatch):
             match_multisets([1.0], [1.0, 2.0])
+
+
+def clustered_case(rng):
+    """Predicted values in clusters of multiplicity 1-4 and measured values
+    perturbed by 1e-14 to 1e-1, shuffled.  Some cases put the cluster
+    centres closer together than the perturbation (overlapping clusters),
+    some move measured values to another cluster (unequal counts)."""
+    k = int(rng.integers(1, 9))
+    centres = np.exp(2j * np.pi * rng.random(k))
+    if rng.random() < 0.3:
+        centres = centres[0] + rng.choice([1e-12, 1e-6, 1e-3], size=k) * centres
+    predicted = np.repeat(centres, rng.integers(1, 5, size=k))
+    near = predicted.copy()
+    if rng.random() < 0.5:
+        moved = rng.random(len(near)) < 0.3
+        near[moved] = centres[rng.integers(k, size=int(moved.sum()))]
+    noise = rng.normal(size=len(near)) + 1j * rng.normal(size=len(near))
+    return predicted, rng.permutation(near + 10 ** rng.uniform(-14, -1) * noise)
+
+
+class TestAssignmentOracle:
+    """``min_sum_assignment`` against scipy's ``linear_sum_assignment``."""
+
+    def test_clustered_multisets(self):
+        rng = np.random.default_rng(13)
+        reduced = augmented = 0
+        for _ in range(300):
+            predicted, measured = clustered_case(rng)
+            size = len(predicted)
+            values, counts = np.unique(predicted, return_counts=True)
+            cost = np.abs(values[:, None] - measured[None, :])
+            row, paths = min_sum_assignment(cost, counts)
+            assert list(np.bincount(row, minlength=len(values))) == list(counts)
+            square = np.abs(predicted[:, None] - measured[None, :])
+            rows, cols = linear_sum_assignment(square)
+            ours, theirs = cost[row, np.arange(size)], square[rows, cols]
+            assert ours.sum() == pytest.approx(theirs.sum(), rel=1e-12, abs=1e-15)
+            # the column reduction gives each measured value its nearest
+            # predicted value while that value has copies left; one
+            # augmenting path per measured value it could not place
+            nearest = np.abs(values[:, None] - measured[None, :]).argmin(axis=0)
+            wanted = np.bincount(nearest, minlength=len(values))
+            assert paths == np.maximum(wanted - counts, 0).sum()
+            if paths == 0:  # each term is its column's minimum: the same max
+                reduced += 1
+                assert match_multisets(list(predicted), list(measured)) == theirs.max()
+            else:
+                augmented += 1
+                assert match_multisets(list(predicted), list(measured)) == pytest.approx(
+                    theirs.max(), rel=1e-12, abs=1e-15)
+        assert reduced >= 50 and augmented >= 50, (reduced, augmented)
+
+    def test_random_square_matrices(self):
+        rng = np.random.default_rng(14)
+        for size in range(1, 61):
+            # continuous costs, then small integers with many ties
+            for cost in (rng.random((size, size)) * 10.0 ** rng.integers(-3, 4),
+                         rng.integers(0, 4, size=(size, size)).astype(float)):
+                row, _ = min_sum_assignment(cost, np.ones(size, dtype=int))
+                assert sorted(row) == list(range(size))
+                rows, cols = linear_sum_assignment(cost)
+                assert cost[row, np.arange(size)].sum() == pytest.approx(
+                    cost[rows, cols].sum(), rel=1e-12)
