@@ -12,6 +12,7 @@ mathematics says no: empty, unconstructible, convention failure);
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import sys
 
@@ -25,6 +26,9 @@ from .katz import NoneffectiveReport, TerminalStatus
 from .scalars import GroupMode
 
 OK, NEGATIVE, BAD_INPUT = 0, 2, 1
+# a symbolic verify realizes a value exp(2 pi i w) only for |Im w| <= MAX_IMAG, a
+# modulus in about [1/1000, 1000]: at 1e4 verify already misses its 1e-8 deviation bound
+MAX_IMAG = 1.1
 
 
 def cmd_defect(doc: ProblemDocument) -> tuple[dict, int]:
@@ -103,8 +107,21 @@ def cmd_verify(doc: dict) -> tuple[dict, int]:
         if missing:
             raise DocumentError(f"no value assigned to {shown(sorted(missing))}",
                                 "$.assignment")
-        problem = homology.symbolic_instance(parsed.vector, beta, parsed.assignment,
-                                             parsed.seed, parse_tol(doc, homology.DEFAULT_TOL))
+        for e in (*elems, beta.t):
+            try:
+                w = e.expr.evaluate(parsed.assignment)
+            except OverflowError:  # a coefficient past the float range
+                w = complex("nan")
+            if not (cmath.isfinite(w) and abs(w.imag) <= MAX_IMAG):
+                raise DocumentError(f"a value exp(2 pi i w) in {shown(e.expr.generators())} needs "
+                                    f"a finite w with |Im w| <= {MAX_IMAG}", "$.assignment")
+        tol = parse_tol(doc, homology.DEFAULT_TOL)
+        try:
+            problem = homology.symbolic_instance(parsed.vector, beta, parsed.assignment,
+                                                 parsed.seed, tol)
+        except ValueError:  # moduli off 1 compound over the points
+            raise DocumentError("the realized matrices miss their defining relations",
+                                "$.assignment") from None
     try:
         report = homology.verify_instance(problem)
     except ConventionViolationNumeric as exc:

@@ -17,7 +17,9 @@ at defect zero one point with unequal multiplicities is rearranged
 instead (``shifted_arrangement``).  k_1 then makes the degree exactly
 zero.
 
-Everything is exact rational arithmetic; no tolerances.
+Everything is exact integer arithmetic, no tolerances: weights are
+numerators over a common denominator, and ``Fraction`` appears only in
+the public views (``Arrangement.seq``, ``parabolic_degree``).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .divisors import EigDivisor, MonodromyVector
@@ -32,7 +35,7 @@ from .errors import (CyclicClosureViolation, DefectPrecondition, DegreeNotIntegr
                      ModeMismatch, PreconditionDim2, SizeMismatch)
 from .katz import defect
 from .moduli import DimensionReport, dimension_report
-from .scalars import GroupElement, GroupMode, _ratio
+from .scalars import GroupMode, _element, _normal, _ratio
 
 __all__ = [
     "Arrangement",
@@ -50,7 +53,9 @@ __all__ = [
 
 
 class Arrangement:
-    """A sequence listing a circle divisor's weights with multiplicity.
+    """A sequence listing a circle divisor's weights with multiplicity,
+    as numerators ``nums`` over ``den``, the lcm of their lowest-terms
+    denominators (one representation each; ``seq`` is the Fraction view).
 
     Descent positions are the cyclic indices t with a_t >= a_{t+1}
     (index r+1 wrapping to 1).  The arrangement is *good* when the
@@ -58,28 +63,42 @@ class Arrangement:
     is the least possible.
     """
 
-    __slots__ = ("seq",)
+    __slots__ = ("nums", "den")
 
-    def __init__(self, seq: Sequence[Fraction]):
-        seq = tuple(Fraction(a) for a in seq)
-        if not seq:
+    def __new__(cls, seq: Sequence[Fraction]):
+        seq = [Fraction(a) for a in seq]
+        den = lcm(*(a.denominator for a in seq))
+        return cls._from_ints([a.numerator * (den // a.denominator) for a in seq], den)
+
+    @classmethod
+    def _from_ints(cls, nums: Sequence[int], den: int) -> "Arrangement":
+        """The arrangement of the weights nums[t] / den, for any den > 0."""
+        if not nums:
             raise ValueError("empty arrangement")
-        if any(not (0 <= a < 1) for a in seq):
+        if any(not (0 <= x < den) for x in nums):
             raise ValueError("weights must lie in [0, 1)")
-        object.__setattr__(self, "seq", seq)
+        g = gcd(den, *nums)
+        arr = object.__new__(cls)
+        object.__setattr__(arr, "nums", tuple([x // g for x in nums]))
+        object.__setattr__(arr, "den", den // g)
+        return arr
 
     def __setattr__(self, name, value):
         raise AttributeError("Arrangement is immutable")
 
     @property
+    def seq(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.nums)
+
+    @property
     def r(self) -> int:
-        return len(self.seq)
+        return len(self.nums)
 
     def descents(self) -> tuple[int, ...]:
         """1-based cyclic descent positions."""
-        r = self.r
-        return tuple(t + 1 for t in range(r)
-                     if self.seq[t] >= self.seq[(t + 1) % r])
+        nums = self.nums
+        return tuple(t for t, (a, b) in enumerate(zip(nums, nums[1:] + nums[:1]), 1)
+                     if a >= b)
 
     def parts(self) -> list[tuple[Fraction, ...]]:
         """Maximal strictly increasing cyclic runs, split at the descents.
@@ -90,49 +109,53 @@ class Arrangement:
         one piece; concatenating the parts then reconstructs a rotation
         of the sequence, not the sequence itself.
         """
+        return self._runs(self.seq)
+
+    def _runs(self, items: tuple) -> list[tuple]:
+        """``items`` (one per position) cut into the runs of ``parts``."""
         ds = self.descents()
         out = []
         prev = ds[-1]
         for t in ds:
-            if prev < t:
-                out.append(self.seq[prev:t])
-            else:
-                out.append(self.seq[prev:] + self.seq[:t])
+            out.append(items[prev:t] if prev < t else items[prev:] + items[:t])
             prev = t
         return out
 
     def max_multiplicity(self) -> int:
-        return max(Counter(self.seq).values())
+        return max(Counter(self.nums).values())
 
     @property
     def is_good(self) -> bool:
         return len(self.descents()) == self.max_multiplicity()
 
     def weight_divisor(self) -> EigDivisor:
-        counts = Counter(self.seq)
-        return EigDivisor(GroupMode.CIRCLE,
-                          [(GroupElement.circle(a), m) for a, m in counts.items()])
+        counts = Counter(self.nums)
+        return EigDivisor(GroupMode.CIRCLE, [
+            (_element(GroupMode.CIRCLE, _normal(self.den, x, ())), m) for x, m in counts.items()])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Arrangement):
             return NotImplemented
-        return self.seq == other.seq
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(self.seq)
+        return hash((self.nums, self.den))
 
     def __repr__(self) -> str:
         return f"Arrangement({', '.join(str(a) for a in self.seq)})"
 
     def sawtooth(self) -> str:
         """Human-readable rendering of the ascending runs."""
-        return " | ".join(" < ".join(str(a) for a in part) for part in self.parts())
+        texts = tuple(_ratio(x, self.den) for x in self.nums)
+        return " | ".join(" < ".join(part) for part in self._runs(texts))
 
 
-def _circle_weights(g: EigDivisor) -> list[tuple[Fraction, int]]:
+def _circle_weights(g: EigDivisor) -> tuple[list[tuple[int, int]], int]:
+    """(numerator, multiplicity) pairs over the lcm of the denominators, and that lcm."""
     if g.mode is not GroupMode.CIRCLE:
         raise ModeMismatch("arrangements need circle-mode divisors")
-    return [(e.expr.const, m) for e, m in g.entries]
+    den = lcm(*(e.expr._d for e, _ in g.entries))
+    return [(e.expr._c * (den // e.expr._d), m) for e, m in g.entries], den
 
 
 def good_arrangement(g: EigDivisor) -> Arrangement:
@@ -142,14 +165,14 @@ def good_arrangement(g: EigDivisor) -> Arrangement:
     multiplicity >= j in increasing order; concatenating the layers puts
     one descent at each layer boundary, which meets the lower bound.
     """
-    weights = _circle_weights(g)
+    weights, den = _circle_weights(g)
     if not g.is_effective or not weights:
         raise ValueError("need a nonempty effective divisor")
     p = max(m for _, m in weights)
-    seq: list[Fraction] = []
+    seq: list[int] = []
     for j in range(1, p + 1):
         seq.extend(sorted(a for a, m in weights if m >= j))
-    arr = Arrangement(seq)
+    arr = Arrangement._from_ints(seq, den)
     assert len(arr.descents()) == p, "greedy arrangement must be good"
     return arr
 
@@ -167,7 +190,7 @@ def shifted_arrangement(g: EigDivisor, shift: int) -> Arrangement:
     rotation by one position lowers the sum by nu modulo r.  Needs
     unequal multiplicities (ValueError otherwise).
     """
-    weights = _circle_weights(g)
+    weights, den = _circle_weights(g)
     nu = max(m for _, m in weights)
     movable = [(a, m) for a, m in weights if m < nu]
     if not movable:
@@ -179,11 +202,11 @@ def shifted_arrangement(g: EigDivisor, shift: int) -> Arrangement:
         step = min(moves, nu - m)
         runs[i] += step
         moves -= step
-    seq: list[Fraction] = []
+    seq: list[int] = []
     for j in range(1, nu + 1):
         seq.extend(sorted([a for a, mult in weights if a != alpha and mult >= j]
                           + [alpha] * (j in runs)))
-    arr = Arrangement(seq[rotate:] + seq[:rotate])
+    arr = Arrangement._from_ints(seq[rotate:] + seq[:rotate], den)
     assert arr.is_good, "run placements and rotations keep arrangements good"
     return arr
 
@@ -249,34 +272,33 @@ class HiggsData:
 
     def to_json(self) -> dict:
         return {
-            "arrangements": [[_text(a) for a in arr.seq] for arr in self.arrangements],
+            "arrangements": [[_ratio(x, arr.den) for x in arr.nums]
+                             for arr in self.arrangements],
             "k": list(self.k),
             "z": list(self.z),
             "tau": list(self.tau),
-            "degree_check": _text(parabolic_degree(self)),
+            "degree_check": _ratio(*_degree(self)),
             "sawtooth": [arr.sawtooth() for arr in self.arrangements],
         }
 
     @classmethod
     def from_json(cls, doc) -> "HiggsData":
-        arrs = tuple(Arrangement([Fraction(a) for a in seq])
-                     for seq in doc["arrangements"])
+        arrs = tuple(Arrangement(seq) for seq in doc["arrangements"])
         return cls(arrangements=arrs, k=tuple(doc["k"]), z=tuple(doc["z"]),
                    tau=tuple(doc["tau"]))
 
 
-def _text(q: Fraction) -> str:
-    """``str(q)``; DigitLimitExceeded where Python would refuse to print it."""
-    return _ratio(q.numerator, q.denominator)
+def _degree(data: HiggsData) -> tuple[int, int]:
+    """The parabolic degree over the lcm of the arrangements' denominators."""
+    den = lcm(*(arr.den for arr in data.arrangements))
+    return sum(data.k) * den + sum(sum(arr.nums) * (den // arr.den)
+                                   for arr in data.arrangements), den
 
 
 def parabolic_degree(data: HiggsData) -> Fraction:
     """sum k_j + sum of all weights; the direct sum is the ground truth
     (the closed forms are cross-checks, see degree_closed_forms)."""
-    total = Fraction(sum(data.k))
-    for arr in data.arrangements:
-        total += sum(arr.seq)
-    return total
+    return Fraction(*_degree(data))
 
 
 def degree_closed_forms(data: HiggsData) -> dict:
@@ -289,18 +311,18 @@ def degree_closed_forms(data: HiggsData) -> dict:
     states which (if either) matches the direct sum.
     """
     r, n = data.r, data.n
-    weight_sum = sum((sum(arr.seq) for arr in data.arrangements), Fraction(0))
+    direct, den = _degree(data)  # numerators over den from here on
+    weight_sum = direct - sum(data.k) * den
     tail = data.k[0] * r + sum((r - (j + 1)) * (data.z[j] + data.tau[j])
                                for j in range(r))
     const_a = sum(j * (r - j) * (2 - n) for j in range(1, r + 1))
     const_b = (2 - n) * r * (r - 1) // 2
-    direct = parabolic_degree(data)
-    form_a = weight_sum + const_a + tail
-    form_b = weight_sum + const_b + tail
+    form_a = weight_sum + (const_a + tail) * den
+    form_b = weight_sum + (const_b + tail) * den
     return {
-        "direct": direct,
-        "form_with_j_r_minus_j_constant": form_a,
-        "form_with_substituted_constant": form_b,
+        "direct": Fraction(direct, den),
+        "form_with_j_r_minus_j_constant": Fraction(form_a, den),
+        "form_with_substituted_constant": Fraction(form_b, den),
         "matches_direct": {
             "form_with_j_r_minus_j_constant": form_a == direct,
             "form_with_substituted_constant": form_b == direct,
@@ -309,23 +331,24 @@ def degree_closed_forms(data: HiggsData) -> dict:
 
 
 def _degree_for(arrs: Sequence[Arrangement], z: Sequence[int], n: int,
-                k1: int = 0) -> tuple[Fraction, list[int]]:
+                k1: int = 0) -> tuple[int, HiggsData]:
+    """The data that k1 gives and its degree, an integer as the total weight is."""
     tau = taus(arrs)
-    k = derive_k(tau, z, k1, n)
-    data = HiggsData(arrangements=tuple(arrs), k=tuple(k), z=tuple(z), tau=tuple(tau))
-    return parabolic_degree(data), k
+    data = HiggsData(arrangements=tuple(arrs), k=tuple(derive_k(tau, z, k1, n)),
+                     z=tuple(z), tau=tuple(tau))
+    num, den = _degree(data)
+    assert num % den == 0, "the total weight is integral"
+    return num // den, data
 
 
 def _check_preconditions(vector: MonodromyVector) -> DimensionReport:
     if vector.mode is not GroupMode.CIRCLE:
         raise ModeMismatch("the construction needs circle-mode weights")
-    total = Fraction(0)
-    for g in vector:
-        for e, m in g.entries:
-            total += m * e.expr.const
-    if total.denominator != 1:
+    den = lcm(*(e.expr._d for g in vector for e, _ in g.entries))
+    total = sum(m * e.expr._c * (den // e.expr._d) for g in vector for e, m in g.entries)
+    if total % den:
         raise DegreeNotIntegral(
-            f"total weight {_text(total)} is not an integer; no degree-zero bundle exists")
+            f"total weight {_ratio(total, den)} is not an integer; no degree-zero bundle exists")
     report = dimension_report(vector)
     if report.defect < 0:
         raise DefectPrecondition(f"defect {report.defect} < 0")
@@ -354,7 +377,7 @@ def construct(vector: MonodromyVector) -> HiggsData:
     arrs = [good_arrangement(g) for g in vector]
     z = [0] * r
     z[r - 1] = d
-    shift = int(-_degree_for(arrs, z, n)[0]) % r
+    shift = -_degree_for(arrs, z, n)[0] % r
     if shift and d:
         z[r - 1] -= 1
         z[r - 1 - shift] += 1
@@ -363,10 +386,9 @@ def construct(vector: MonodromyVector) -> HiggsData:
         arrs[i] = shifted_arrangement(vector[i], shift)
     deg0, _ = _degree_for(arrs, z, n)
     assert deg0 % r == 0
-    deg, k = _degree_for(arrs, z, n, k1=-int(deg0) // r)
+    deg, data = _degree_for(arrs, z, n, k1=-deg0 // r)
     assert deg == 0
-    return HiggsData(arrangements=tuple(arrs), k=tuple(k), z=tuple(z),
-                     tau=tuple(taus(arrs)))
+    return data
 
 
 @dataclass(frozen=True)
@@ -405,7 +427,7 @@ def verify(data: HiggsData, vector: MonodromyVector) -> HiggsReport:
     checks["z_matches"] = tuple(z_re) == tuple(data.z)
     checks["theta_maps_exist"] = all(zj >= 0 for zj in z_re)
     checks["z_sums_to_defect"] = sum(z_re) == defect(vector)
-    checks["degree_zero"] = parabolic_degree(data) == 0
+    checks["degree_zero"] = _degree(data)[0] == 0
     checks["map_bounds"] = all(
         tau[j] <= k[(j + 1) % r] - k[j] + n - 2
         and ((tau[j] == k[(j + 1) % r] - k[j] + n - 2) == (z_re[j] == 0))

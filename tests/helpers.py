@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from fractions import Fraction
+
 import numpy as np
 
 from midconv import (Convoluter, EigDivisor, GroupElement, GroupMode, MonodromyVector,
-                     check_conventions, defect, kappa)
+                     check_conventions, defect, dimension_report, kappa)
 from midconv.errors import MaxStepsExceeded, ModeMismatch
+from midconv.higgs import derive_k
 from midconv.katz import NoneffectiveReport, fresh_names
 
 
@@ -103,3 +107,109 @@ def reference_run(vector, max_steps=None, v_policy="same"):
                       "defect": d, "output": out.to_json()})
         current = out
     raise MaxStepsExceeded(f"no terminal state after {max_steps} steps")
+
+
+def _descents(seq):
+    """1-based cyclic descent positions of a sequence of ``Fraction`` weights."""
+    r = len(seq)
+    return [t + 1 for t in range(r) if seq[t] >= seq[(t + 1) % r]]
+
+
+def _taus(seqs):
+    tau = [0] * len(seqs[0])
+    for seq in seqs:
+        for t in _descents(seq):
+            tau[t - 1] += 1
+    return tau
+
+
+def _sawtooth(seq):
+    ds = _descents(seq)
+    parts = [seq[p:t] if p < t else seq[p:] + seq[:t] for p, t in zip([ds[-1], *ds], ds)]
+    return " | ".join(" < ".join(str(a) for a in part) for part in parts)
+
+
+def _layers(weights, nu, alpha=None, runs=()):
+    """Run j (1..nu) holds, in increasing order, the weights of multiplicity
+    >= j other than ``alpha``, and ``alpha`` when j is in ``runs``."""
+    return [a for j in range(1, nu + 1)
+            for a in sorted([b for b, m in weights if b != alpha and m >= j]
+                            + [alpha] * (j in runs))]
+
+
+def _shifted(weights, shift):
+    """The good arrangement whose descent sum is the greedy one's minus ``shift``."""
+    nu = max(m for _, m in weights)
+    alpha, m = min((a, m) for a, m in weights if m < nu)
+    rotate, moves = divmod(shift % sum(m for _, m in weights), nu)
+    runs = list(range(1, m + 1))
+    for i in reversed(range(m)):
+        step = min(moves, nu - m)
+        runs[i] += step
+        moves -= step
+    seq = _layers(weights, nu, alpha, runs)
+    return seq[rotate:] + seq[:rotate]
+
+
+def reference_higgs(vector):
+    """The Higgs construction on ``Fraction`` weights, descent by descent
+    and with the degree as a plain ``Fraction`` sum: the oracle for the
+    integer numerators of ``higgs``.  Returns the ``DegreeNotIntegral``
+    message, or the ``construct(vector).to_json()`` and the
+    ``verify(...).checks`` it expects (the vector must be constructible
+    otherwise)."""
+    weights = [[(e.expr.const, m) for e, m in g.entries] for g in vector]
+    total = sum((a * m for w in weights for a, m in w), Fraction(0))
+    if total.denominator != 1:
+        return f"total weight {total} is not an integer; no degree-zero bundle exists"
+    n, r = vector.n, vector.rank
+    report = dimension_report(vector)
+    assert report.defect > 0 or report.superdefect > 0
+
+    def degree(seqs, z, k1=0):
+        tau = _taus(seqs)
+        k = derive_k(tau, z, k1, n)
+        return sum(k) + sum(sum(seq) for seq in seqs), k, tau
+
+    seqs = [_layers(w, max(m for _, m in w)) for w in weights]
+    z = [0] * r
+    z[r - 1] = report.defect
+    shift = int(-degree(seqs, z)[0]) % r
+    if shift and report.defect:
+        z[r - 1] -= 1
+        z[r - 1 - shift] += 1
+    elif shift:
+        i = next(i for i, s in enumerate(report.superdefects) if s)
+        seqs[i] = _shifted(weights[i], shift)
+    deg, k, tau = degree(seqs, z, -int(degree(seqs, z)[0]) // r)
+    assert deg == 0
+    data = {"arrangements": [[str(a) for a in seq] for seq in seqs], "k": k, "z": z,
+            "tau": tau, "degree_check": str(deg), "sawtooth": [_sawtooth(s) for s in seqs]}
+    return data, _checks(vector, seqs, k, z, tau)
+
+
+def reference_checks(data, vector):
+    """``higgs.verify(data, vector).checks`` from the ``Fraction`` weights."""
+    return _checks(vector, [arr.seq for arr in data.arrangements], list(data.k),
+                   list(data.z), list(data.tau))
+
+
+def _checks(vector, seqs, k, z, tau):
+    n, r = len(seqs), len(seqs[0])
+    tau_re = _taus(seqs)
+    z_re = [k[(j + 1) % r] - (tau_re[j] + k[j] + 2 - n) for j in range(r)]
+    bounds = [k[(j + 1) % r] - k[j] + n - 2 for j in range(r)]
+    return {
+        "point_count": n == vector.n and r == vector.rank,
+        "weights_match": all(Counter(seq) == Counter({e.expr.const: m for e, m in g.entries})
+                             for seq, g in zip(seqs, vector)),
+        "arrangements_good": all(len(_descents(seq)) == max(Counter(seq).values())
+                                 for seq in seqs),
+        "tau_matches": tau_re == tau,
+        "z_matches": z_re == z,
+        "theta_maps_exist": all(x >= 0 for x in z_re),
+        "z_sums_to_defect": sum(z_re) == defect(vector),
+        "degree_zero": sum(k) + sum(sum(seq) for seq in seqs) == 0,
+        "map_bounds": all(tau_re[j] <= bounds[j] and (tau_re[j] == bounds[j]) == (z_re[j] == 0)
+                          for j in range(r)),
+    }

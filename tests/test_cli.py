@@ -302,6 +302,13 @@ class TestSymbolicVerify:
         assert not rep["ok"] and rep["middle_dim"] != rep["expected_middle_dim"]
         assert rep["max_deviation"] is None and rep["per_point_deviation"] == []
 
+    @pytest.mark.parametrize("im", [-1.0, 1.0])
+    def test_values_off_the_circle_inside_the_range(self, im):
+        doc = symbolic_verify_document()
+        doc["assignment"]["a"] = [0.13, im]
+        code, out, err = call_main("verify", doc)
+        assert code == 0 and json.loads(out)["report"]["ok"], err
+
     def test_additive_mode_rejected(self, tmp_path, capsys):
         doc = symbolic_verify_document(mode="additive")
         code, out, _ = run_cli(tmp_path, "verify", doc)
@@ -562,6 +569,20 @@ class TestDocumentBoundary:
         ("verify", {"classes": [[entry({}, const="1/3", mult=MAX_RAW_DIM // 2 + 1)]] * 3,
                     "assignment": {"a": 0.5}}, "$.classes"),
         ("verify", {"matrices": [[[[1, 0]]]] * (MAX_RAW_DIM + 2)}, "$.matrices"),
+        # values off the unit circle: one that overflows, one that underflows to
+        # 0, and moduli inside the range that compound past the relations
+        ("verify", {**symbolic_verify_document(), "assignment": {
+            **symbolic_verify_document()["assignment"], "a": [0.1, -200]}}, "$.assignment"),
+        ("verify", {**symbolic_verify_document(), "assignment": {
+            **symbolic_verify_document()["assignment"], "a": [0.1, 200]}}, "$.assignment"),
+        ("verify", {**symbolic_verify_document(), "assignment": {
+            **symbolic_verify_document()["assignment"], "b0": [0.1, 5]}}, "$.assignment"),
+        ("verify", {"classes": [[entry({f"e{i}": "1"}), entry({f"f{i}": "1"})] for i in range(6)],
+                    "assignment": {**{f"e{i}": [0.1 * i, -1.09] for i in range(6)},
+                                   **{f"f{i}": [0.05 + 0.1 * i, 1.09] for i in range(6)},
+                                   **{f"x{i}": 0.1 * i + 0.05 for i in range(6)}},
+                    "convoluter": {"h": [expr({f"x{i}": "1"}) for i in range(6)]}},
+         "$.assignment: the realized matrices miss their defining relations"),
     ])
     def test_forbidden_inputs(self, verb, patch, where):
         doc = run_document() if verb == "run" else {}

@@ -1,4 +1,5 @@
-"""Every demo script runs to the end in a fresh interpreter."""
+"""Every demo script runs to the end in a fresh interpreter, and the exact
+ones print their committed output (``demos/expected``)."""
 
 import os
 import subprocess
@@ -20,3 +21,6 @@ def test_demo_runs(script):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
+    expected = ROOT / "demos" / "expected" / f"{script.stem}.txt"
+    if expected.exists():  # the exact demos; demo 04's numbers depend on the BLAS build
+        assert proc.stdout == expected.read_text(encoding="utf-8")

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from helpers import reference_checks, reference_higgs
 
 from midconv import (Arrangement, EigDivisor, GroupElement, GroupMode,
                      HiggsData, MonodromyVector, construct, defect,
@@ -13,6 +14,7 @@ from midconv.errors import (CyclicClosureViolation, DefectPrecondition,
                             DegreeNotIntegral, PreconditionDim2)
 from midconv.higgs import (degree_closed_forms, derive_k, shifted_arrangement,
                            taus, verify)
+from midconv.scalars import _element, _normal
 
 
 def circle(value):
@@ -411,3 +413,129 @@ def _random_circle_vector(rng, max_rank=6):
         return None
     vec = MonodromyVector(divisors)
     return vec if defect(vec) >= 0 else None
+
+
+# a point's weights are multiples of 1/q for one q drawn from these (the bench
+# draws every weight over 24), so the lcm across arrangements matters
+MIXED_DENOMS = (2, 3, 12, 30, 60)
+
+
+def _mixed_vector(rng, pmv, integral=True):
+    """Circle weights for a PMV, each point's distinct multiples of its own
+    1/q; with ``integral`` the last point's first weight makes the total
+    weight an integer (None when it collides with another weight)."""
+    divisors, total = [], F(0)
+    for i, parts in enumerate(pmv):
+        q = int(rng.choice([q for q in MIXED_DENOMS if q >= len(parts)]))
+        vals = rng.choice(q, size=len(parts), replace=False)
+        entries = [(F(int(v), q), m) for v, m in zip(vals, parts)]
+        if integral and i == len(pmv) - 1:
+            partial = total + sum(a * m for a, m in entries[1:])
+            entries[0] = ((-partial / entries[0][1]) % 1, entries[0][1])
+            if any(a == entries[0][0] for a, _ in entries[1:]):
+                return None
+        total += sum(a * m for a, m in entries)
+        divisors.append(divisor(*entries))
+    return MonodromyVector(divisors)
+
+
+def _sweep_vectors(branch):
+    """(vector, pmv) draws with r up to 10 and n from 3 to 5: positive
+    defect, defect zero with positive superdefect, or a total weight that
+    is not an integer."""
+    rng = np.random.default_rng({"positive": 14, "zero": 15, "fractional": 16}[branch])
+    for r in range(2 if branch != "zero" else 4, 11):
+        for n in (3, 4, 5):
+            if branch == "positive" and (n - 2) * r <= n:
+                continue  # the maximal multiplicities leave no positive defect
+            drawn = 0
+            while drawn < 3:
+                if branch == "zero":
+                    pmv = _defect_zero_pmv(rng, r, n)
+                else:
+                    bound = max(1, (n - 2) * r // n)
+                    pmv = [tuple(sorted(_parts(rng, r, bound), reverse=True)) for _ in range(n)]
+                vec = _mixed_vector(rng, pmv, integral=branch != "fractional")
+                if vec is None:
+                    continue
+                if branch == "fractional":
+                    if sum(a.expr.const * m for g in vec for a, m in g.entries).denominator == 1:
+                        continue
+                elif branch == "positive" and defect(vec) <= 0:
+                    continue
+                drawn += 1
+                yield vec, pmv
+
+
+def _parts(rng, r, cap):
+    parts, left = [], r
+    while left:
+        parts.append(int(rng.integers(1, min(cap, left) + 1)))
+        left -= parts[-1]
+    return parts
+
+
+class TestIntegerWeights:
+    """The integer numerators against the Fraction oracle of tests/helpers.py."""
+
+    @pytest.mark.parametrize("branch", ["positive", "zero"])
+    def test_sweep_matches_fraction_oracle(self, branch):
+        for vec, pmv in _sweep_vectors(branch):
+            expected, checks = reference_higgs(vec)
+            data = construct(vec)
+            assert data.to_json() == expected, pmv
+            assert verify(data, vec).checks == checks == reference_checks(data, vec), pmv
+            assert all(checks.values()), pmv
+            assert (data.z == (0,) * vec.rank) == (branch == "zero")
+            # tampered data: the checks still agree, value by value
+            bumped = HiggsData(arrangements=data.arrangements, k=tuple(kj + 1 for kj in data.k),
+                               z=data.z, tau=data.tau)
+            assert verify(bumped, vec).checks == reference_checks(bumped, vec)
+            assert not verify(bumped, vec).checks["degree_zero"]
+            assert parabolic_degree(bumped) == vec.rank
+            swapped = HiggsData(arrangements=data.arrangements[::-1], k=data.k, z=data.z,
+                                tau=data.tau)
+            assert verify(swapped, vec).checks == reference_checks(swapped, vec)
+
+    def test_sweep_degree_not_integral_message(self):
+        for vec, pmv in _sweep_vectors("fractional"):
+            with pytest.raises(DegreeNotIntegral) as exc:
+                construct(vec)
+            assert str(exc.value) == reference_higgs(vec), pmv
+
+    def test_fraction_and_integer_paths_agree(self):
+        from_fractions = Arrangement([F(1, 2), F(1, 4), F(0), F(3, 4)])
+        from_ints = Arrangement._from_ints([2, 1, 0, 3], 4)
+        assert from_ints.nums == (2, 1, 0, 3) and from_ints.den == 4
+        # 1/2 given as 2/4, over a denominator that is not the lcm
+        halves = Arrangement._from_ints([4, 0, 4], 8)
+        assert halves == Arrangement([F(1, 2), F(0), F(1, 2)])
+        assert halves.nums == (1, 0, 1) and halves.den == 2
+        for a, b in [(from_fractions, from_ints), (halves, Arrangement(["1/2", 0, "1/2"]))]:
+            assert a == b and hash(a) == hash(b)
+        assert Arrangement([F(1, 3)]) != Arrangement([F(1, 2)])
+        assert from_ints.seq == (F(1, 2), F(1, 4), F(0), F(3, 4))
+        assert from_ints.parts() == [(F(1, 2),), (F(1, 4),), (F(0), F(3, 4))]
+        assert all(isinstance(a, F) for part in from_ints.parts() for a in part)
+        assert from_ints.sawtooth() == "1/2 | 1/4 | 0 < 3/4"
+
+    @pytest.mark.parametrize("build", [
+        lambda: Arrangement([]),
+        lambda: Arrangement([F(1)]),
+        lambda: Arrangement([F(1, 2), F(-1, 4)]),
+        lambda: Arrangement([F(3, 2)]),
+        lambda: Arrangement._from_ints([], 4),
+        lambda: Arrangement._from_ints([4], 4),
+        lambda: Arrangement._from_ints([1, -1], 4),
+    ])
+    def test_invalid_weights_raise(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_weight_divisor_elements_are_canonical(self):
+        g = divisor(("0", 1), ("1/2", 2), ("5/12", 1), ("7/30", 3), ("11/60", 1))
+        arr = good_arrangement(g)
+        assert arr.den == 60 and arr.weight_divisor() == g
+        for e, _ in arr.weight_divisor().entries:
+            assert e == circle(e.expr.const) and hash(e) == hash(circle(e.expr.const))
+        assert _element(GroupMode.CIRCLE, _normal(4, 2, ())) == circle("1/2")
