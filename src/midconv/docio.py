@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring as _quote
 from typing import Any, Optional
 
 from .divisors import EigDivisor, MonodromyVector
@@ -201,36 +200,24 @@ def parse_json(text: str) -> Any:
         raise DocumentError(f"not valid JSON: {exc}", "$") from exc
 
 
-def _float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
 def render(doc: Any, exact: bool = False) -> str:
     """Canonical JSON rendering: sorted keys, fixed indentation, so the
     same (document, seed) always produces byte-identical output.
 
     The bytes are those of ``json.dumps(doc, sort_keys=True, indent=2,
-    ensure_ascii=False) + "\\n"``.  Values are str-keyed dicts, lists,
-    tuples, str, int, float, bool and None (subclasses included); anything
-    else raises TypeError.  With ``exact`` the caller promises that ``doc``
-    holds no float (orjson formats floats otherwise, and writes an Enum or
-    UUID as its value): orjson writes the tree in C, and what it refuses
-    (ints past 64 bits, lone surrogates, nesting past 255) goes to the
-    Python writer.  That one writes pieces into one list in one pass: with
-    ``indent`` the standard encoder falls back to Python generators.
+    ensure_ascii=False) + "\\n"``, and that call writes them unless
+    ``exact`` holds: what it cannot encode raises TypeError.  With
+    ``exact`` the caller promises that ``doc`` holds no float (orjson
+    formats floats otherwise, and writes an Enum or UUID as its value):
+    orjson writes the tree in C, and what it refuses (ints past 64 bits,
+    non-str keys, lone surrogates, nesting past 255) goes to ``json.dumps``.
     orjson loads on the first ``exact`` call, so verify never pays for it.
     """
     if exact:
         import orjson
 
         # render's bytes on float-free trees; dataclasses, datetimes and
-        # subclasses go to the Python writer
+        # subclasses go to json.dumps
         options = (orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE
                    | orjson.OPT_PASSTHROUGH_DATACLASS | orjson.OPT_PASSTHROUGH_DATETIME
                    | orjson.OPT_PASSTHROUGH_SUBCLASS)
@@ -238,51 +225,4 @@ def render(doc: Any, exact: bool = False) -> str:
             return orjson.dumps(doc, option=options).decode()
         except TypeError:  # orjson.JSONEncodeError
             pass
-    parts: list[str] = []
-    emit = parts.append
-
-    def write(o, nl):
-        if isinstance(o, str):
-            emit(_quote(o))
-        elif o is None:
-            emit("null")
-        elif o is True:
-            emit("true")
-        elif o is False:
-            emit("false")
-        elif isinstance(o, int):
-            emit(int.__repr__(o))
-        elif isinstance(o, float):
-            emit(_float(o))
-        elif isinstance(o, (list, tuple)):
-            if not o:
-                emit("[]")
-                return
-            inner = nl + "  "
-            sep = "[" + inner
-            for v in o:
-                emit(sep)
-                write(v, inner)
-                sep = "," + inner
-            emit(nl + "]")
-        elif isinstance(o, dict):
-            if not o:
-                emit("{}")
-                return
-            inner = nl + "  "
-            sep = "{" + inner
-            for k in sorted(o):
-                if not isinstance(k, str):
-                    raise TypeError(f"keys must be str, not {type(k).__name__}")
-                emit(sep)
-                emit(_quote(k))
-                emit(": ")
-                write(o[k], inner)
-                sep = "," + inner
-            emit(nl + "}")
-        else:
-            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-    write(doc, "\n")
-    emit("\n")
-    return "".join(parts)
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"

@@ -417,8 +417,9 @@ def verify(data: HiggsData, vector: MonodromyVector) -> HiggsReport:
     n, r = data.n, data.r
     checks = {}
     checks["point_count"] = n == vector.n and r == vector.rank
-    checks["weights_match"] = all(
-        arr.weight_divisor() == g for arr, g in zip(data.arrangements, vector))
+    checks["weights_match"] = vector.mode is GroupMode.CIRCLE and all(
+        (arr.den, Counter(arr.nums)) == (den, dict(w))
+        for arr, (w, den) in zip(data.arrangements, map(_circle_weights, vector)))
     checks["arrangements_good"] = all(arr.is_good for arr in data.arrangements)
     tau = taus(data.arrangements)
     checks["tau_matches"] = tuple(tau) == tuple(data.tau)

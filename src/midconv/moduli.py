@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .divisors import MonodromyVector
 from .errors import DefectPrecondition, NoFixedVectorFreePoint
-from .katz import defect
 from .scalars import GroupElement
 
 __all__ = [
@@ -103,12 +102,9 @@ def classify_dim2_pmv(r: int, pmv: Sequence[Sequence[int]]) -> Optional[str]:
     Matching is on the PMV only, up to reordering of points and parts;
     eigenvalue values are irrelevant.
     """
-    pmv = [tuple(sorted(p, reverse=True)) for p in pmv]
-    n = len(pmv)
-    d = (n - 2) * r - sum(p[0] for p in pmv)
-    if d < 0:
-        raise DefectPrecondition(f"defect {d} < 0")
     report = _report_from_pmv(r, pmv)
+    if report.defect < 0:
+        raise DefectPrecondition(f"defect {report.defect} < 0")
     if report.naive_dim != 2:
         return None
     # dimension 2 with d >= 0 forces d = 0 and all superdefects zero,

@@ -132,9 +132,6 @@ class ScalarExpr:
     def exps(self) -> tuple[tuple[str, Fraction], ...]:
         return tuple((n, Fraction(x, self._d)) for n, x in self._t)
 
-    def coefficient(self, name: str) -> Fraction:
-        return Fraction(dict(self._t).get(name, 0), self._d)
-
     def generators(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self._t)
 
