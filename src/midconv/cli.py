@@ -18,8 +18,8 @@ import sys
 
 from . import higgs as higgs_mod
 from . import katz, moduli
-from .docio import (ProblemDocument, check_raw_dim, parse_document, parse_generate,
-                    parse_json, parse_tol, render)
+from .docio import (MAX_HIGGS_WEIGHTS, ProblemDocument, check_raw_dim, parse_document,
+                    parse_generate, parse_json, parse_tol, render)
 from .errors import (ConventionViolation, ConventionViolationNumeric, DigitLimitExceeded,
                      DocumentError, MaxStepsExceeded, MidconvError, ModeMismatch, shown)
 from .katz import NoneffectiveReport, TerminalStatus
@@ -140,6 +140,9 @@ def cmd_verify(doc: dict) -> tuple[dict, int]:
 
 
 def cmd_higgs(doc: ProblemDocument) -> tuple[dict, int]:
+    if doc.vector.n * doc.vector.rank > MAX_HIGGS_WEIGHTS:
+        raise DocumentError(f"points * rank must be at most {MAX_HIGGS_WEIGHTS} for higgs",
+                            "$.classes")
     try:
         data = higgs_mod.construct(doc.vector)
     except (ModeMismatch, DigitLimitExceeded):

@@ -48,12 +48,13 @@ def _fail(message: str, path: str):
 
 def integer(value: Any, path: str, minimum: int | None = None) -> int:
     """A non-bool JSON integer, at least ``minimum`` when given."""
-    name = path.rsplit(".", 1)[-1]
     if isinstance(value, bool) or not isinstance(value, int):
-        _fail(f"'{name}' must be an integer", path)
-    if minimum is not None and value < minimum:
-        _fail(f"'{name}' must be at least {minimum}, got {value}", path)
-    return value
+        problem = "must be an integer"
+    elif minimum is not None and value < minimum:
+        problem = f"must be at least {minimum}, got {value}"
+    else:
+        return value
+    _fail(f"'{path.rsplit('.', 1)[-1]}' {problem}", path)  # the key named only on failure
 
 
 def _finite(value: Any) -> bool:
@@ -101,6 +102,11 @@ def parse_generate(doc: dict) -> dict:
 MAX_RAW_DIM = 1000
 
 
+# The most weights, points * rank, that a higgs answer lists: its time and size
+# follow that count, and at the cap (rank 50,000 at 5 points) it takes 0.5-0.8 s
+MAX_HIGGS_WEIGHTS = 250_000
+
+
 def check_raw_dim(points: int, rank: int, path: str) -> None:
     """DocumentError at ``path`` when (points - 1) * rank passes ``MAX_RAW_DIM``."""
     if (points - 1) * rank > MAX_RAW_DIM:
@@ -135,11 +141,15 @@ def parse_document(doc: dict) -> ProblemDocument:
             _fail("each class must be a nonempty list", f"$.classes[{i}]")
         entries = []
         for j, item in enumerate(cls):
-            path = f"$.classes[{i}][{j}]"
-            if not isinstance(item, dict) or "value" not in item or "mult" not in item:
-                _fail("entries need 'value' and 'mult'", path)
-            entries.append((_parse_element(mode, item["value"], f"{path}.value"),
-                            integer(item["mult"], f"{path}.mult", 1)))
+            # each entry is read as a document of its own, rooted at "$":
+            # its path in this document is built only when it fails
+            try:
+                if not isinstance(item, dict) or "value" not in item or "mult" not in item:
+                    _fail("entries need 'value' and 'mult'", "$")
+                entries.append((_parse_element(mode, item["value"], "$.value"),
+                                integer(item["mult"], "$.mult", 1)))
+            except DocumentError as exc:
+                raise DocumentError(exc.message, f"$.classes[{i}][{j}]{exc.path[1:]}") from None
         divisors.append(EigDivisor(mode, entries))
     if "points" in doc and integer(doc["points"], "$.points") != len(classes):
         _fail(f"'points' is {doc['points']} but {len(classes)} classes given",

@@ -84,7 +84,7 @@ class DocumentError(MidconvError):
     """A JSON problem document is malformed."""
 
     def __init__(self, message, path=""):
-        self.path = path
+        self.message, self.path = message, path
         super().__init__(f"{path}: {message}" if path else message)
 
 

@@ -63,7 +63,7 @@ class Arrangement:
     is the least possible.
     """
 
-    __slots__ = ("nums", "den")
+    __slots__ = ("nums", "den", "_ds")
 
     def __new__(cls, seq: Sequence[Fraction]):
         seq = [Fraction(a) for a in seq]
@@ -78,9 +78,13 @@ class Arrangement:
         if any(not (0 <= x < den) for x in nums):
             raise ValueError("weights must lie in [0, 1)")
         g = gcd(den, *nums)
+        nums = tuple([x // g for x in nums])
         arr = object.__new__(cls)
-        object.__setattr__(arr, "nums", tuple([x // g for x in nums]))
+        object.__setattr__(arr, "nums", nums)
         object.__setattr__(arr, "den", den // g)
+        # the descents, computed once: construct and verify read them many times
+        object.__setattr__(arr, "_ds", tuple(
+            [t for t, (a, b) in enumerate(zip(nums, nums[1:] + nums[:1]), 1) if a >= b]))
         return arr
 
     def __setattr__(self, name, value):
@@ -96,9 +100,7 @@ class Arrangement:
 
     def descents(self) -> tuple[int, ...]:
         """1-based cyclic descent positions."""
-        nums = self.nums
-        return tuple(t for t, (a, b) in enumerate(zip(nums, nums[1:] + nums[:1]), 1)
-                     if a >= b)
+        return self._ds
 
     def parts(self) -> list[tuple[Fraction, ...]]:
         """Maximal strictly increasing cyclic runs, split at the descents.

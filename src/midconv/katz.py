@@ -487,7 +487,9 @@ class AlgorithmTrace(NamedTuple):
         # step k's output is step k+1's input (and the last one is
         # ``final``): each vector's dict is built once and shared
         mode, names, vectors = self.rows.mode.value, self.rows.names, {}
-        text = cache(partial(_ratio, d=self.rows.den))  # each numerator's text made once
+        # each numerator's text made once; keyed on the numerator alone, this
+        # memo is faster here than the one _ratio keeps on (numerator, den)
+        text = cache(partial(_ratio, d=self.rows.den))
 
         def value(row: tuple) -> dict:
             terms = row[1:]

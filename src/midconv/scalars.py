@@ -24,6 +24,7 @@ import cmath
 import enum
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
@@ -41,26 +42,47 @@ def _as_fraction(x) -> Fraction:
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?", re.ASCII)
 
+# Bound of the memos of document and answer texts: a bench pass meets about
+# a hundred distinct input texts and at most a few hundred output rationals
+_MEMO_SIZE = 1024
 
-def _rational_parts(x, path: str) -> tuple[int, int]:
+
+def _rational_parts(x) -> tuple[int, int]:
     """A rational in a document, a non-bool int or a "p/q" string with
-    q > 0, as its lowest-terms numerator and denominator."""
-    if isinstance(x, str) and _RATIONAL.fullmatch(x):
-        p, _, q = x.partition("/")
-        try:
-            p, q = int(p), int(q or 1)
-        except ValueError:  # past sys.get_int_max_str_digits()
-            raise DocumentError(f"rational of {len(x)} characters has too many digits",
-                                path) from None
-        g = gcd(p, q)
-        return p // g, q // g
+    q > 0, as its lowest-terms numerator and denominator; ValueError,
+    with a message but no path, otherwise (the caller adds the path).
+    A string is read through the ``_text_parts`` memo of the last
+    ``_MEMO_SIZE`` distinct texts, which holds no failure and no path."""
+    if isinstance(x, str):
+        return _text_parts(x)
     if isinstance(x, bool) or not isinstance(x, int):
-        raise DocumentError(f"expected a \"p/q\" rational string, got {shown(x)}", path)
+        raise ValueError(f"expected a \"p/q\" rational string, got {shown(x)}")
     return x, 1
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
+def _text_parts(text: str) -> tuple[int, int]:
+    """``_rational_parts`` of a string, memoised on the text: the last
+    ``_MEMO_SIZE`` distinct texts read keep their parts.  A rejected text
+    raises each time it is met (``lru_cache`` stores no exception), and
+    no path is an argument, so the caller's path is never memoised."""
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"expected a \"p/q\" rational string, got {shown(text)}")
+    p, _, q = text.partition("/")
+    try:
+        p, q = int(p), int(q or 1)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise ValueError(f"rational of {len(text)} characters has too many digits") from None
+    g = gcd(p, q)
+    return p // g, q // g
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
 def _ratio(x: int, d: int) -> str:
-    """``str(Fraction(x, d))`` without building the Fraction."""
+    """``str(Fraction(x, d))`` without building the Fraction.  Every
+    output rational is written here, memoised on ``(x, d)`` as
+    ``_text_parts`` is on its text: the last ``_MEMO_SIZE`` distinct pairs
+    keep their text, and DigitLimitExceeded is raised afresh each time."""
     g = gcd(x, d)
     try:
         return str(x // g) if g == d else f"{x // g}/{d // g}"
@@ -78,6 +100,12 @@ class ScalarExpr:
     tuples.  ``from_json`` reads document text straight into these
     integers; ``const`` and ``exps`` are ``Fraction`` views.  The hash
     is computed once, with the parts, into ``_h``.
+
+    Texts are memoised both ways, each memo bounded to the last
+    ``_MEMO_SIZE`` distinct keys: ``from_json`` reads a rational text
+    once into its lowest-terms parts (``_text_parts``), and ``to_json``
+    writes each (numerator, denominator) pair once (``_ratio``).  Neither
+    memo holds a failure or a JSON path.
     """
 
     __slots__ = ("_d", "_c", "_t", "_h")
@@ -180,23 +208,33 @@ class ScalarExpr:
 
     @classmethod
     def from_json(cls, doc, path: str = "$") -> "ScalarExpr":
-        """Raises DocumentError at the JSON path of a malformed part."""
+        """Raises DocumentError at the JSON path of a malformed part.
+
+        Each rational text is read through the ``_text_parts`` memo; a
+        path is built only when a part is rejected."""
         if not isinstance(doc, dict):
             raise DocumentError("expected an object with 'const'/'exps', "
                                 f"got {type(doc).__name__}", path)
         exps = doc.get("exps", {})
         if not isinstance(exps, dict):
             raise DocumentError("'exps' must be an object", f"{path}.exps")
-        c, e = _rational_parts(doc.get("const", "0"), f"{path}.const")
+        try:
+            c, e = _rational_parts(doc.get("const", "0"))
+        except ValueError as exc:
+            raise DocumentError(str(exc), f"{path}.const") from None
         terms, d = [], e
         for n, x in exps.items():
+            if not n.isascii():
+                try:
+                    n.encode()
+                except UnicodeEncodeError:  # a lone surrogate from a JSON escape
+                    n = n.encode(errors="backslashreplace").decode()
+                    raise DocumentError("generator name is not valid UTF-8",
+                                        f"{path}.exps.{path_key(n)}") from None
             try:
-                n.encode()
-            except UnicodeEncodeError:  # a lone surrogate from a JSON escape
-                n = n.encode(errors="backslashreplace").decode()
-                raise DocumentError("generator name is not valid UTF-8",
-                                    f"{path}.exps.{path_key(n)}") from None
-            p, q = _rational_parts(x, f"{path}.exps.{path_key(n)}")
+                p, q = _rational_parts(x)
+            except ValueError as exc:
+                raise DocumentError(str(exc), f"{path}.exps.{path_key(n)}") from None
             if p:
                 terms.append((n, p, q))
                 if d % q:

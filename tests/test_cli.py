@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from midconv import cli
 from midconv.cli import main
-from midconv.docio import MAX_RAW_DIM, parse_document, parse_json, render
+from midconv.docio import MAX_HIGGS_WEIGHTS, MAX_RAW_DIM, parse_document, parse_json, render
 from midconv.errors import DocumentError
 from midconv.katz import run_algorithm
 
@@ -583,6 +583,30 @@ class TestDocumentBoundary:
                                    **{f"x{i}": 0.1 * i + 0.05 for i in range(6)}},
                     "convoluter": {"h": [expr({f"x{i}": "1"}) for i in range(6)]}},
          "$.assignment: the realized matrices miss their defining relations"),
+        # an entry past the first is named only when it fails, at its own path
+        ("transform", {"classes": [[entry({"a": "1"})], [entry({"b": "1"})],
+                                   [entry({"c": "1"}), entry({"d": "1"}, mult=0)]]},
+         "$.classes[2][1].mult: 'mult' must be at least 1, got 0"),
+        ("transform", {"classes": [[entry({"a": "1"})], [{"mult": 1}], [entry({"c": "1"})]]},
+         "$.classes[1][0]: entries need 'value' and 'mult'"),
+        ("transform", {"classes": [[entry({"a": "1"})], [entry({"b": "1"})],
+                                   [entry({"c": "1"}), {"value": [1], "mult": 1}]]},
+         "$.classes[2][1].value: expected an object"),
+        ("higgs", {"mode": "circle", "classes": [[entry({"a": "1"})]] * 3},
+         "$.classes[0][0].value: circle-mode elements must be constant weights"),
+        # higgs answers with points * rank just past its cap (in rank, then in
+        # points), and one that would be half a gigabyte
+        ("higgs", {"mode": "circle", "classes": [[
+            entry({}, const="1/8", mult=MAX_HIGGS_WEIGHTS // 10),
+            entry({}, const="3/8", mult=MAX_HIGGS_WEIGHTS // 10 + 1)]] * 5},
+         f"$.classes: points * rank must be at most {MAX_HIGGS_WEIGHTS} for higgs"),
+        ("higgs", {"mode": "circle", "classes": [[
+            entry({}, const="1/8", mult=MAX_HIGGS_WEIGHTS // 100),
+            entry({}, const="3/8", mult=MAX_HIGGS_WEIGHTS // 100)]] * 51},
+         "$.classes: points * rank must be at most"),
+        ("higgs", {"mode": "circle", "classes": [[
+            entry({}, const="1/8", mult=2 * 10 ** 6), entry({}, const="3/8", mult=2 * 10 ** 6)]] * 5},
+         "$.classes: points * rank must be at most"),
     ])
     def test_forbidden_inputs(self, verb, patch, where):
         doc = run_document() if verb == "run" else {}
@@ -597,6 +621,31 @@ class TestDocumentBoundary:
         code, out, err = call_main(verb, DEEP)
         assert code == 1 and out == "" and "Traceback" not in err
         assert err.startswith("input error: $: not valid JSON: "), err[:200]
+
+    def test_higgs_at_its_cap_answers(self):
+        m = MAX_HIGGS_WEIGHTS // 100  # 50 points of rank 2m: points * rank at the cap
+        doc = {"mode": "circle",
+               "classes": [[entry({}, const="1/8", mult=m), entry({}, const="3/8", mult=m)]] * 50}
+        code, out, err = call_main("higgs", doc)
+        assert code == 0 and err == "", err[:200]
+        assert json.loads(out)["status"] == "constructed"
+
+    @pytest.mark.parametrize("verb", ["defect", "classify"])
+    def test_integers_past_64_bits_stay_exact(self, verb):
+        # json.loads reads a long integer exactly; a float reader would round it
+        m, points = 2 ** 70 + 1, {"defect": 4, "classify": 3}[verb]
+        doc = {"mode": "multiplicative",
+               "classes": [[entry({f"e{i}_{j}": "1"}, mult=m) for j in range(3)]
+                           for i in range(points)]}
+        code, out, err = call_main(verb, doc)
+        assert code == 0, err
+        got = json.loads(out)
+        if verb == "defect":  # 4 (3m - m) - 2 (3m)
+            assert (got["rank"], got["defect"], got["vector_defect"]) == (3 * m, 2 * m, 2 * m)
+        else:  # a class of three eigenvalues, each of multiplicity m: 9 m^2 - 3 m^2
+            report = got["report"]
+            assert (report["rank"], report["class_dims"]) == (3 * m, [6 * m * m] * 3)
+            assert (report["naive_dim"], got["family"]) == (2, "Tri_ddd_x3")
 
     def test_long_rational_string_exits_one_at_its_path(self):
         doc = {"mode": "multiplicative", "classes": [[entry({}, const="9" * 5000)]] * 3}

@@ -281,6 +281,11 @@ rational_texts = (
     | st.integers(-10**40, 10**40))
 
 
+# texts that the "p/q" spec rejects, and valid texts next to them
+OUTSIDE_THE_SPEC = [" 1", "1 ", "1_0", "\u0661", "\uff11", "+-1", "1/00", "1/-2", "9" * 4301]
+NEIGHBOURS = ["1", "10", "-1", "+1", "1/2", "1/01", "9" * 4300]
+
+
 class TestScalarJsonBoundary:
     @pytest.mark.parametrize("doc, where", [
         ({"const": 0.5}, "$.const"),
@@ -299,23 +304,55 @@ class TestScalarJsonBoundary:
             ScalarExpr.from_json(doc)
         assert err.value.path == where
 
-    @pytest.mark.parametrize("text", [" 1", "1 ", "1_0", "\u0661", "\uff11", "+-1",
-                                      "1/00", "1/-2", "9" * 4301])
+    @pytest.mark.parametrize("text", OUTSIDE_THE_SPEC)
     def test_texts_outside_the_spec_rejected(self, text):
         from midconv.errors import DocumentError
-        for doc, where in [({"const": text}, "$.v.const"),
-                           ({"const": "1", "exps": {"x": "1", "y": text}}, "$.v.exps.y")]:
-            with pytest.raises(DocumentError) as err:
-                ScalarExpr.from_json(doc, "$.v")
-            assert err.value.path == where
+        # the valid neighbours are memoised first: no memo hit may let a bad text by
+        for near in NEIGHBOURS:
+            ScalarExpr.from_json({"const": near, "exps": {"x": near}})
+        for _ in range(2):
+            for doc, where in [({"const": text}, "$.v.const"),
+                               ({"const": "1", "exps": {"x": "1", "y": text}}, "$.v.exps.y")]:
+                with pytest.raises(DocumentError) as err:
+                    ScalarExpr.from_json(doc, "$.v")
+                assert err.value.path == where
+
+    @pytest.mark.parametrize("text", OUTSIDE_THE_SPEC + ["x", "1.5"])
+    def test_rejected_text_reports_each_path(self, text):
+        from midconv.errors import DocumentError
+        messages = set()
+        for path in ("$.a", "$.b", "$.a"):
+            for doc, where in [({"const": text}, f"{path}.const"),
+                               ({"exps": {"z": text}}, f"{path}.exps.z")]:
+                with pytest.raises(DocumentError) as err:
+                    ScalarExpr.from_json(doc, path)
+                assert err.value.path == where and str(err.value).startswith(f"{where}: ")
+                messages.add(err.value.message)
+        assert len(messages) == 1  # the message names the text, never a path
 
     @given(const=rational_texts, exps=st.dictionaries(
         st.sampled_from(["a", "b", "x1", "x10", "y"]), rational_texts, max_size=4))
     def test_matches_the_fraction_oracle(self, const, exps):
-        got = ScalarExpr.from_json({"const": const, "exps": exps})
         want = ScalarExpr(F(const), {n: F(c) for n, c in exps.items()})
-        assert (got._d, got._c, got._t) == (want._d, want._c, want._t)
-        assert hash(got) == hash(want)
+        for _ in range(2):  # a first read and a memoised one
+            got = ScalarExpr.from_json({"const": const, "exps": exps})
+            assert (got._d, got._c, got._t) == (want._d, want._c, want._t)
+            assert hash(got) == hash(want)
+
+    def test_memos_stay_at_their_bound(self):
+        from midconv.scalars import _ratio, _text_parts
+        for memo in (_text_parts, _ratio):
+            bound = memo.cache_info().maxsize
+            assert bound is not None
+            memo.cache_clear()
+            for k in range(bound + 50):
+                want = F(k, bound + 7)
+                if memo is _text_parts:
+                    got = ScalarExpr.from_json({"const": f"{k}/{bound + 7}"}).const
+                else:
+                    got = F(_ratio(k, bound + 7))
+                assert got == want
+            assert memo.cache_info().currsize == bound
 
     def test_integers_and_strings_accepted(self):
         assert ScalarExpr.from_json({"const": 1, "exps": {"x": "-2/4"}}) == \
