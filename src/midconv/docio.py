@@ -97,8 +97,10 @@ def parse_generate(doc: dict) -> dict:
 
 
 # The largest raw dimension (points - 1) * rank that verify builds a numeric
-# instance for: the chain space has points * rank columns and its SVD is
-# cubic, so one at the cap takes up to 9 s and 210 MB (bench shapes reach 180)
+# instance for.  Its factors have points * rank rows and width about rank; on
+# one BLAS thread one at the cap takes 0.5-4.3 s and up to 164 MB from rank 10
+# to 500, but 5.5 s at rank 2 and 17 s at rank 1, where the braid factors'
+# points^2 word letters dominate (bench shapes reach 180)
 MAX_RAW_DIM = 1000
 
 

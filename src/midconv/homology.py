@@ -15,7 +15,16 @@ of the kernel or of the middle quotient (dimension m) the action is
 therefore I + P_k Q_k^H with P_k = B^H X_k and Q_k^H = B[block k].  By
 Sylvester's identity det(lam I_m - P Q^H) = lam^(m-r) det(lam I_r - Q^H P)
 its spectrum is 1 with multiplicity m - r plus 1 + eig(Q_k^H P_k): one
-r x r eigenproblem per point, and no dense m x m matrix on the way.
+r x r eigenproblem per point.
+
+Neither B nor any other n r x n r matrix is formed on the way.  Both
+spaces are orthogonal complements of thin factors: the kernel that of
+R, the boundary's row space (n r x r, one thin SVD), and the middle
+quotient that of V = [R | U], with U the thin SVD basis of the middling
+cycles projected off R.  So B B^H = I - V V^H is a projector, and
+Q_k^H P_k = X_k[block k] - V[block k] (V^H X_k) costs O(n r^2 (r + f))
+per point, f the total fixed dimension.  B itself is built on demand, by
+a complete QR of V, for the dense matrices and for the m <= r case.
 
 The local eigendata (lam, V) of each M_k is computed once per instance
 and read by the convention check, the fixed spaces and the prediction.
@@ -32,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -154,6 +164,15 @@ class NumericInstance:
                        tol=parse_tol(doc, DEFAULT_TOL))
         except (ValueError, SizeMismatch) as exc:
             raise DocumentError(str(exc), "$") from None
+        # the chain space inverts each twisted action b_k M_k: both it and its
+        # inverse must have norm at most 1/tol
+        sv = np.linalg.svd(inst.b[:, None, None] * np.array(inst.M), compute_uv=False)
+        for k, (low, high) in enumerate(zip(sv[:, -1], sv[:, 0])):
+            if not inst.tol <= low <= high <= 1 / inst.tol:
+                raise DocumentError(
+                    f"the singular values of b_{k} M_{k} must lie in [tol, 1/tol] = "
+                    f"[{inst.tol:.3g}, {1 / inst.tol:.3g}], got {low:.3e} to {high:.3e}",
+                    f"$.matrices[{k}]")
         for key, size in (("points", inst.n), ("rank", inst.r)):
             if key in doc and integer(doc[key], f"$.{key}") != size:
                 raise DocumentError(f"'{key}' is {doc[key]} but the matrices give {size}",
@@ -196,7 +215,7 @@ class ChainSpace:
         self.A = [inst.b[i] * inst.M[i] for i in range(self.n)]
         self.Ainv = [np.linalg.inv(Ai) for Ai in self.A]
         self.boundary = np.hstack([Ai - np.eye(self.r) for Ai in self.A])
-        self._kernel = None
+        self._rows = None
 
     def expand_word(self, word: Sequence[int], v: np.ndarray) -> np.ndarray:
         """Expansion of G[word, v] over the basis symbols.
@@ -254,17 +273,29 @@ class ChainSpace:
         U[:, (k - 1) * self.r:k * self.r] += self.braid_factor(k)
         return U
 
-    def kernel_basis(self) -> np.ndarray:
-        """Orthonormal basis of ker(boundary); raises if the boundary is
-        not numerically surjective."""
-        if self._kernel is None:
-            _, sv, vh = np.linalg.svd(self.boundary, full_matrices=True)
+    def row_basis(self) -> np.ndarray:
+        """R: orthonormal basis (n r x r) of the boundary's row space, the
+        orthogonal complement of ker(boundary), from one thin SVD; raises
+        if the boundary is not numerically surjective."""
+        if self._rows is None:
+            _, sv, vh = np.linalg.svd(self.boundary, full_matrices=False)
             if sv[self.r - 1] <= self.inst.tol:
                 raise BoundaryNotSurjective(
                     f"boundary rank below {self.r}: smallest kept singular value "
                     f"{sv[self.r - 1]:.3e}")
-            self._kernel = vh[self.r:].conj().T
-        return self._kernel
+            self._rows = vh.conj().T
+        return self._rows
+
+    def kernel_basis(self) -> np.ndarray:
+        """Orthonormal basis of ker(boundary), the complement of
+        ``row_basis()``; raises if the boundary is not numerically surjective."""
+        return _complement(self.row_basis())
+
+
+def _complement(V: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the orthogonal complement of span(V), for V
+    with orthonormal columns: the trailing columns of a complete QR."""
+    return np.linalg.qr(V, mode="complete")[0][:, V.shape[1]:]
 
 
 def braid_block_closed_form(chi: complex, b_k: complex, r_kj: complex) -> np.ndarray:
@@ -282,16 +313,27 @@ def braid_block_closed_form(chi: complex, b_k: complex, r_kj: complex) -> np.nda
 
 @dataclass
 class _BraidAction:
-    """The w-twisted action w_k (I + P_k Q_k^H) of every u_k on span(basis),
-    kept as its factors: P_k = basis^H X_k, Q_k^H = basis[block k]."""
+    """The w-twisted action w_k (I + P_k Q_k^H) of every u_k on the
+    orthogonal complement of span(V), kept as its factors.
 
-    basis: np.ndarray           # (n r, dim), orthonormal columns
+    On an orthonormal basis B of that complement P_k = B^H X_k and
+    Q_k^H = B[block k].  Since B B^H = I - V V^H, the r x r product is
+    Q_k^H P_k = X_k[block k] - V[block k] (V^H X_k): ``spectrum`` needs V
+    alone, and B is built (by a complete QR of V) only on demand.
+    """
+
+    V: np.ndarray               # (n r, c), orthonormal columns: what is cut away
     X: list                     # ChainSpace.braid_factor per point
     w: np.ndarray               # the basepoint twists
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[1]
+        return self.V.shape[0] - self.V.shape[1]
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """B: (n r, dim), orthonormal columns spanning the complement of V."""
+        return _complement(self.V)
 
     def _factors(self, k: int):
         r = self.X[k].shape[1]
@@ -306,20 +348,23 @@ class _BraidAction:
     def spectrum(self, k: int) -> np.ndarray:
         """Eigenvalues of ``matrices[k]`` from the r x r product Q_k^H P_k,
         or from the m x m matrix when m <= r (0-based k)."""
-        P, Qh = self._factors(k)
-        m, r = P.shape
+        X, V = self.X[k], self.V
+        m, r = self.dim, X.shape[1]
         if m <= r:
+            P, Qh = self._factors(k)
             return self.w[k] * np.linalg.eigvals(np.eye(m) + P @ Qh)
-        return self.w[k] * np.concatenate([np.ones(m - r), 1 + np.linalg.eigvals(Qh @ P)])
+        QhP = X[k * r:(k + 1) * r] - V[k * r:(k + 1) * r] @ (V.conj().T @ X)
+        return self.w[k] * np.concatenate([np.ones(m - r), 1 + np.linalg.eigvals(QhP)])
 
 
 class RawConvolutionRep(_BraidAction):
-    """The action on ker(boundary)."""
+    """The action on ker(boundary): V is the boundary's row space R."""
 
 
 @dataclass
 class MiddleConvolutionRep(_BraidAction):
-    """The action on the kernel's complement of the middling span."""
+    """The action on the kernel's complement of the middling span: V is
+    [R | U], with U an orthonormal basis of the middling span."""
 
     fixed_dims: list            # dim of the local fixed spaces F_k
     raw: RawConvolutionRep
@@ -333,7 +378,7 @@ def raw_convolution_rep(inst: NumericInstance) -> RawConvolutionRep:
     chi * b_k M_k together with 1 of multiplicity (n-2) r.
     """
     space = ChainSpace(inst)
-    return RawConvolutionRep(space.kernel_basis(),
+    return RawConvolutionRep(space.row_basis(),
                              [space.braid_factor(k) for k in range(1, inst.n + 1)], inst.w)
 
 
@@ -353,7 +398,12 @@ def middle_convolution_rep(inst: NumericInstance) -> MiddleConvolutionRep:
 
     The quotient is realized on the orthogonal complement of the span
     inside ker(boundary); the span is invariant under every u_k, so the
-    compressed matrices carry exactly the quotient eigenvalues.
+    compressed matrices carry exactly the quotient eigenvalues.  With R
+    the boundary's row space, the middling columns Phi lie in the kernel
+    when R^H Phi vanishes, and Phi - R (R^H Phi) = K K^H Phi has the
+    singular values of K^H Phi for any kernel basis K: both checks and
+    the quotient's V = [R | U] come from thin factors of width r and
+    sum(fixed_dims), with no n r x n r matrix.
     """
     if abs(inst.chi - 1) <= inst.tol:
         raise ConventionViolationNumeric("chi is numerically 1")
@@ -362,30 +412,30 @@ def middle_convolution_rep(inst: NumericInstance) -> MiddleConvolutionRep:
             raise ConventionViolationNumeric(
                 f"chi * b_{k} * eigenvalue is numerically 1 at point {k}")
     raw = raw_convolution_rep(inst)
-    K = raw.basis
+    R = raw.V
     fixed = [_fixed_space(inst, k) for k in range(inst.n)]
     fixed_dims = [F.shape[1] for F in fixed]
     total = sum(fixed_dims)
     if total == 0:
-        return MiddleConvolutionRep(K, raw.X, inst.w, fixed_dims, raw)
+        return MiddleConvolutionRep(R, raw.X, inst.w, fixed_dims, raw)
     # column block k is G[a_{k+1}, F_k] (ChainSpace.embed of the fixed space)
-    phi_ambient = np.zeros((inst.n * inst.r, total), dtype=complex)
+    phi = np.zeros((inst.n * inst.r, total), dtype=complex)
     col = 0
     for k, F in enumerate(fixed):
-        phi_ambient[k * inst.r:(k + 1) * inst.r, col:col + F.shape[1]] = F
+        phi[k * inst.r:(k + 1) * inst.r, col:col + F.shape[1]] = F
         col += F.shape[1]
-    phi = K.conj().T @ phi_ambient
     # the columns must lie in the kernel and stay independent
-    residual = np.linalg.norm(phi_ambient - K @ phi)
+    off_kernel = R.conj().T @ phi
+    residual = np.linalg.norm(off_kernel)
     if residual > 100 * inst.tol:
         raise QuotientRankMismatch(
             f"middling cycles leave the kernel by {residual:.3e}")
-    U_phi, sv, _ = np.linalg.svd(phi, full_matrices=True)
+    U, sv, _ = np.linalg.svd(phi - R @ off_kernel, full_matrices=False)
     rank = int(np.sum(sv > inst.tol))
     if rank != total:
         raise QuotientRankMismatch(
             f"middling span has rank {rank}, expected {total}")
-    return MiddleConvolutionRep(K @ U_phi[:, rank:], raw.X, inst.w, fixed_dims, raw)
+    return MiddleConvolutionRep(np.hstack([R, U]), raw.X, inst.w, fixed_dims, raw)
 
 
 def predicted_middle_spectra(inst: NumericInstance) -> list[list[complex]]:

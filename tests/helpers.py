@@ -9,8 +9,10 @@ import numpy as np
 
 from midconv import (Convoluter, EigDivisor, GroupElement, GroupMode, MonodromyVector,
                      check_conventions, defect, dimension_report, kappa)
-from midconv.errors import MaxStepsExceeded, ModeMismatch
+from midconv.errors import (BoundaryNotSurjective, ConventionViolationNumeric,
+                            MaxStepsExceeded, ModeMismatch, QuotientRankMismatch)
 from midconv.higgs import derive_k
+from midconv.homology import ChainSpace, _fixed_space
 from midconv.katz import NoneffectiveReport, fresh_names
 
 
@@ -107,6 +109,49 @@ def reference_run(vector, max_steps=None, v_policy="same"):
                       "defect": d, "output": out.to_json()})
         current = out
     raise MaxStepsExceeded(f"no terminal state after {max_steps} steps")
+
+
+def reference_middle(inst):
+    """The middle quotient from full SVDs: an n r x n r kernel basis K from
+    the boundary's full SVD, and the quotient basis B = K C with C the
+    trailing left singular vectors of K^H Phi.  Returns ``(dim, fixed_dims,
+    spectra)``, each point's spectrum the eigenvalues of w_k (I + P Q^H)
+    with P = B^H X_k and Q^H = B[block k], taken from Q^H P when m > r: the
+    oracle for ``middle_convolution_rep``'s thin factors."""
+    if abs(inst.chi - 1) <= inst.tol:
+        raise ConventionViolationNumeric("chi is numerically 1")
+    for k, (lam, _) in enumerate(inst.eigs):
+        if np.any(np.abs(inst.chi * inst.b[k] * lam - 1) <= inst.tol):
+            raise ConventionViolationNumeric(f"chi * b_{k} * eigenvalue is 1 at point {k}")
+    n, r = inst.n, inst.r
+    space = ChainSpace(inst)
+    _, sv, vh = np.linalg.svd(space.boundary, full_matrices=True)
+    if sv[r - 1] <= inst.tol:
+        raise BoundaryNotSurjective("boundary rank below r")
+    K = vh[r:].conj().T
+    fixed = [_fixed_space(inst, k) for k in range(n)]
+    fixed_dims = [F.shape[1] for F in fixed]
+    B = K
+    if sum(fixed_dims):
+        phi_ambient = np.hstack([space.embed(k, F) for k, F in enumerate(fixed)])
+        phi = K.conj().T @ phi_ambient
+        if np.linalg.norm(phi_ambient - K @ phi) > 100 * inst.tol:
+            raise QuotientRankMismatch("middling cycles leave the kernel")
+        U_phi, sv, _ = np.linalg.svd(phi, full_matrices=True)
+        rank = int(np.sum(sv > inst.tol))
+        if rank != sum(fixed_dims):
+            raise QuotientRankMismatch("middling span has the wrong rank")
+        B = K @ U_phi[:, rank:]
+    m, spectra = B.shape[1], []
+    for k in range(n):
+        X = space.braid_factor(k + 1)
+        P, Qh = B.conj().T @ X, B[k * r:(k + 1) * r]
+        if m <= r:
+            spectra.append(inst.w[k] * np.linalg.eigvals(np.eye(m) + P @ Qh))
+        else:
+            spectra.append(inst.w[k] * np.concatenate([np.ones(m - r),
+                                                       1 + np.linalg.eigvals(Qh @ P)]))
+    return m, fixed_dims, spectra
 
 
 def _descents(seq):

@@ -512,6 +512,18 @@ def mutations(draw):
     return verb, path, value, drop, _mutated(doc, path, value, drop)
 
 
+def matrices_document(mats, b, chi, **extra):
+    """A numeric ``verify`` document with w = b."""
+    pair = lambda z: [float(np.real(z)), float(np.imag(z))]
+    b = [pair(z) for z in b]
+    return {"matrices": [[[pair(z) for z in row] for row in M] for M in mats],
+            "b": b, "w": b, "chi": pair(chi), **extra}
+
+
+# b = (e^{i pi/5}, 1, e^{i pi/3}), so that chi = 1 / prod(b) is not 1
+TWISTS = np.exp(1j * np.pi * np.array([1 / 5, 0, 1 / 3]))
+
+
 class TestDocumentBoundary:
     @pytest.mark.parametrize("verb, doc", valid_documents())
     def test_valid_documents_pass(self, verb, doc):
@@ -607,6 +619,16 @@ class TestDocumentBoundary:
         ("higgs", {"mode": "circle", "classes": [[
             entry({}, const="1/8", mult=2 * 10 ** 6), entry({}, const="3/8", mult=2 * 10 ** 6)]] * 5},
          "$.classes: points * rank must be at most"),
+        # twisted actions b_k M_k that are numerically singular at the document's
+        # tol: all zero, all 1e-200, and a tiny and a huge singular value in
+        # matrices whose product is exactly I
+        ("verify", matrices_document([np.zeros((2, 2))] * 3, [1] * 3, 2, tol=0.5),
+         "$.matrices[0]: the singular values of b_0 M_0 must lie in [tol, 1/tol]"),
+        ("verify", matrices_document([np.full((2, 2), 1e-200)] * 3, [1] * 3, 2, tol=0.5),
+         "$.matrices[0]: the singular values of b_0 M_0 must lie in [tol, 1/tol]"),
+        ("verify", matrices_document([np.diag([1e-200, 2]), np.diag([1e200, 0.5]), np.eye(2)],
+                                     TWISTS, 1 / np.prod(TWISTS)),
+         "$.matrices[0]: the singular values of b_0 M_0 must lie in [tol, 1/tol]"),
     ])
     def test_forbidden_inputs(self, verb, patch, where):
         doc = run_document() if verb == "run" else {}

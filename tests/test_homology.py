@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from midconv.errors import BoundaryNotSurjective, ConventionViolationNumeric
+from helpers import random_partition, reference_middle
+from midconv import homology
+from midconv.errors import (BoundaryNotSurjective, ConventionViolationNumeric, MidconvError,
+                            QuotientRankMismatch)
 from midconv.homology import (ChainSpace, NumericInstance, generate_instance,
                               braid_block_closed_form, match_multisets,
                               middle_convolution_rep, min_sum_assignment,
@@ -157,7 +160,7 @@ class TestRawConvolution:
     def test_boundary_not_surjective_detected(self):
         # identity matrices with trivial twists kill surjectivity
         ey = np.eye(2)
-        with pytest.raises((BoundaryNotSurjective, ValueError)):
+        with pytest.raises(BoundaryNotSurjective):
             inst = NumericInstance(M=[ey, ey, ey], b=[1, 1, 1], w=[1, 1, 1],
                                    chi=1.0)
             raw_convolution_rep(inst)
@@ -205,6 +208,25 @@ class TestMiddleConvolution:
             lam, vecs = np.linalg.eig(T)
             assert np.linalg.cond(vecs) < 1e6
 
+    def test_fixed_column_off_the_kernel(self, monkeypatch):
+        # G[a_1, e_1] is a cycle only when e_1 is fixed by b_1 M_1, which
+        # a random unitary conjugate does not do
+        fixed_space = homology._fixed_space
+        monkeypatch.setattr(homology, "_fixed_space", lambda inst, k: (
+            np.eye(inst.r, 1, dtype=complex) if k == 0 else fixed_space(inst, k)))
+        inst = small_instance(seed=15)
+        with pytest.raises(QuotientRankMismatch, match="leave the kernel"):
+            middle_convolution_rep(inst)
+
+    def test_duplicated_fixed_column(self, monkeypatch):
+        fixed_space = homology._fixed_space
+        monkeypatch.setattr(homology, "_fixed_space",
+                            lambda inst, k: np.hstack([fixed_space(inst, k)] * 2))
+        inst = small_instance(seed=15)
+        assert sum(map(inst.fixed_multiplicity, range(inst.n))) > 0
+        with pytest.raises(QuotientRankMismatch, match="middling span has rank"):
+            middle_convolution_rep(inst)
+
     def test_convention_violation_detected(self):
         inst = small_instance(seed=21)
         bad = NumericInstance(M=inst.M, b=inst.b, w=inst.w, chi=inst.chi,
@@ -247,6 +269,35 @@ class TestFactoredSpectrum:
                 assert match_multisets(oracle, list(rep.spectrum(k))) < 1e-9
                 view = list(np.linalg.eigvals(rep.matrices[k]))
                 assert match_multisets(oracle, view) < 1e-9
+
+
+class TestQuotientOracle:
+    """``middle_convolution_rep`` against ``reference_middle``, the quotient
+    built from full SVDs with an n r x n r kernel basis."""
+
+    def test_generated_sweep(self):
+        rng = np.random.default_rng(17)
+        shapes = {}
+        for seed in range(200):
+            r, n = int(rng.integers(1, 8)), int(rng.integers(3, 7))
+            inst = generate_instance(
+                seed=seed, r=r, n=n, aim=("support", "fresh")[int(rng.integers(2))],
+                v_policy=("same", "fresh")[int(rng.integers(2))],
+                mults=[random_partition(rng, r) for _ in range(n - 1)]).instance
+            try:
+                want = reference_middle(inst)
+            except MidconvError as exc:
+                with pytest.raises(type(exc)):
+                    middle_convolution_rep(inst)
+                shapes[type(exc).__name__] = shapes.get(type(exc).__name__, 0) + 1
+                continue
+            mid = middle_convolution_rep(inst)
+            assert (mid.dim, mid.fixed_dims) == want[:2], seed
+            for k, spectrum in enumerate(want[2]):
+                assert match_multisets(list(spectrum), list(mid.spectrum(k))) < 1e-9, (seed, k)
+            shape = ("m < r", "m = r", "m > r")[int(np.sign(mid.dim - r)) + 1]
+            shapes[shape] = shapes.get(shape, 0) + 1
+        assert all(shapes.get(s, 0) >= 10 for s in ("m < r", "m = r", "m > r")), shapes
 
 
 def assert_eigendata(inst):

@@ -11,16 +11,20 @@ goes through ``midconv.cli.main`` in process, every answer is checked by
 are built from the forward answers.  Each line gives the document count,
 the number of failed documents, the output bytes and a sha256 over the
 per-document digests (exit code plus stdout).  A refactor that keeps the
-behavioural contract prints the same lines before and after;
-``tools/answer_digest.expected`` holds the reduce-rigid and small-docs
-lines, which CI compares with the printed ones.  Each answer a checker
-rejects adds a ``FAIL`` line, and the exit status is then 1.
+behavioural contract prints the same lines before and after.  Each
+answer a checker rejects adds a ``FAIL`` line, and the exit status is
+then 1.
 
 For verify-numeric a second line per seed digests only the structural
 answer fields (exit code, ``ok``, ``status``, the raw and middle
 dimensions and their expected values) and gives the largest
 ``max_deviation``: a change to the numeric layer that moves only the
 low digits of the deviations keeps that line and changes the first.
+
+``tools/answer_digest.expected`` holds the reduce-rigid and small-docs
+lines and the verify-numeric structure lines up to ``max_deviation``,
+which CI compares with the printed ones; the other verify-numeric
+bytes depend on the BLAS build.
 """
 
 from __future__ import annotations
