@@ -15,9 +15,8 @@ from .higgs import (Arrangement, HiggsData, construct, good_arrangement,
 from .katz import (AlgorithmTrace, ConventionReport, Convoluter,
                    EmptinessCertificate, NoneffectiveReport, TerminalStatus,
                    check_conventions, check_involution, defect, detect_empty,
-                   kappa, kappa_de_rham, run_algorithm)
-from .moduli import (DimensionReport, classify_dim2, dim2_census,
-                     dimension_report, middle_h1_dim)
+                   kappa, run_algorithm)
+from .moduli import DimensionReport, classify_dim2, dim2_census, dimension_report
 from .scalars import GroupElement, GroupMode, ScalarExpr
 
 __version__ = "0.1.0"
@@ -40,11 +39,11 @@ __all__ = [
     "EigDivisor", "MonodromyVector",
     "Convoluter", "ConventionReport", "NoneffectiveReport",
     "EmptinessCertificate", "AlgorithmTrace", "TerminalStatus",
-    "defect", "kappa", "kappa_de_rham",
+    "defect", "kappa",
     "check_involution", "check_conventions",
     "detect_empty", "run_algorithm",
     "DimensionReport", "dimension_report", "classify_dim2",
-    "middle_h1_dim", "dim2_census",
+    "dim2_census",
     "NumericInstance", "raw_convolution_rep", "middle_convolution_rep",
     "generate_instance", "verify_instance",
     "Arrangement", "HiggsData", "good_arrangement",

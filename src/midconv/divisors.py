@@ -175,10 +175,6 @@ class MonodromyVector:
         """Polymultiplicity vector: the per-point multiplicity partitions."""
         return tuple(g.partition() for g in self.divisors)
 
-    def is_all_diagonal(self) -> bool:
-        """True iff every local class is scalar (a single eigenvalue)."""
-        return all(len(g.entries) == 1 for g in self.divisors)
-
     def total_determinant(self) -> GroupElement:
         return product((g.determinant() for g in self.divisors), self.mode)
 

@@ -41,11 +41,6 @@ class MaxStepsExceeded(MidconvError):
     """The rank-reduction loop ran longer than allowed (defensive)."""
 
 
-class NoFixedVectorFreePoint(MidconvError):
-    """Every point has identity eigenvalues; the middle-H1 formula is
-    not guaranteed."""
-
-
 class DefectPrecondition(MidconvError):
     """An operation requiring defect >= 0 was called with defect < 0."""
 

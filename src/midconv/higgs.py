@@ -35,7 +35,7 @@ from .errors import (CyclicClosureViolation, DefectPrecondition, DegreeNotIntegr
                      ModeMismatch, PreconditionDim2, SizeMismatch)
 from .katz import defect
 from .moduli import DimensionReport, dimension_report
-from .scalars import GroupMode, _element, _normal, _ratio
+from .scalars import GroupMode, _ratio
 
 __all__ = [
     "Arrangement",
@@ -129,11 +129,6 @@ class Arrangement:
     @property
     def is_good(self) -> bool:
         return len(self.descents()) == self.max_multiplicity()
-
-    def weight_divisor(self) -> EigDivisor:
-        counts = Counter(self.nums)
-        return EigDivisor(GroupMode.CIRCLE, [
-            (_element(GroupMode.CIRCLE, _normal(self.den, x, ())), m) for x, m in counts.items()])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Arrangement):
@@ -282,12 +277,6 @@ class HiggsData:
             "degree_check": _ratio(*_degree(self)),
             "sawtooth": [arr.sawtooth() for arr in self.arrangements],
         }
-
-    @classmethod
-    def from_json(cls, doc) -> "HiggsData":
-        arrs = tuple(Arrangement(seq) for seq in doc["arrangements"])
-        return cls(arrangements=arrs, k=tuple(doc["k"]), z=tuple(doc["z"]),
-                   tau=tuple(doc["tau"]))
 
 
 def _degree(data: HiggsData) -> tuple[int, int]:

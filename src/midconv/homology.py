@@ -106,8 +106,9 @@ class NumericInstance:
             raise SizeMismatch("need one b and one w scalar per point")
         self.chi = complex(self.chi)
         prod = np.eye(r, dtype=complex)
-        for Mi in self.M:
-            prod = prod @ Mi
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a NaN residual
+            for Mi in self.M:
+                prod = prod @ Mi
         checks = {
             "prod(M) = 1": np.linalg.norm(prod - np.eye(r)),
             "chi * prod(b) = 1": abs(self.chi * np.prod(self.b) - 1),
@@ -116,7 +117,8 @@ class NumericInstance:
         if self.eigs is not None:
             for k, (Mi, (lam, V)) in enumerate(zip(self.M, self.eigs, strict=True)):
                 checks[f"M_{k} V_{k} = V_{k} diag(lam_{k})"] = np.linalg.norm(Mi @ V - V * lam)
-        bad = {k: v for k, v in checks.items() if v > max(self.tol, 1e-10) * 100}
+        # not v <= bound: a NaN residual (an overflowed product) fails too
+        bad = {k: float(v) for k, v in checks.items() if not v <= max(self.tol, 1e-10) * 100}
         if bad:
             raise ValueError(f"instance violates its defining relations: {bad}")
         if self.eigs is None:

@@ -2,10 +2,14 @@
 
 Given a rank-one twisting datum (a "convoluter") and a local monodromy
 vector, middle convolution changes the rank by the defect and transforms
-each local divisor by an explicit substitution.  This module implements
-that transformation exactly, together with the eigenvalue conventions
-it requires, its involution partner, emptiness detection, and the
-iterative rank-reduction loop.
+each local divisor by an explicit substitution: [v_i] gets the
+coefficient m_i(h_i^{-1}) + d, and every other eigenvalue a of g_i moves
+to a u_i.  This module implements that transformation exactly, together
+with the eigenvalue conventions it requires, its involution partner,
+emptiness detection, and the iterative rank-reduction loop.  The formula
+is written once, in ``_aim`` and ``_apply``, over either group
+arithmetic: ``GroupElement`` objects for ``kappa`` and the checks, or
+the reduction loop's integer rows.
 
 Everything here is pure divisor arithmetic over the symbolic eigenvalue
 group; the numeric verification of these formulas lives in
@@ -36,7 +40,6 @@ __all__ = [
     "TerminalStatus",
     "defect",
     "kappa",
-    "kappa_de_rham",
     "check_involution",
     "check_conventions",
     "detect_empty",
@@ -46,15 +49,16 @@ __all__ = [
 
 
 class Convoluter:
-    """Rank-one twisting datum with components h_i, v_i, t, u_i.
+    """Rank-one twisting datum with components h_i, v_i and t.
 
     The components satisfy ``t * prod(h) = 1`` and ``t * prod(v) = 1``;
     the first relation *derives* t from h, the second is validated on a
-    given v (v omitted is h, which satisfies it by construction of t),
-    and ``u_i = t * h_i * v_i`` derives u.
+    given v (v omitted is h, which satisfies it by construction of t).
+    The transform moves each kept eigenvalue a of g_i to a u_i with
+    ``u_i = t * h_i * v_i``, which it computes as it goes.
     """
 
-    __slots__ = ("h", "v", "t", "u")
+    __slots__ = ("h", "v", "t")
 
     def __init__(self, h: Sequence[GroupElement], v: Sequence[GroupElement] | None = None):
         h = tuple(h)
@@ -74,11 +78,9 @@ class Convoluter:
                 raise ModeMismatch("all v components must share h's mode")
             if not t.combine(product(v)).is_identity():
                 raise ValueError("v violates the product relation t * prod(v) = 1")
-        u = tuple(t.combine(hi).combine(vi) for hi, vi in zip(h, v))
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "u", u)
 
     def __setattr__(self, name, value):
         raise AttributeError("Convoluter is immutable")
@@ -217,64 +219,76 @@ class EmptinessCertificate:
                 "rank": self.rank, "coefficient": self.coefficient}
 
 
-def _check_compat(beta: Convoluter, vector: MonodromyVector):
+class _Aim(NamedTuple):
+    """The transform formula's data for the aimed eigenvalues ``inv``
+    (h_i^{-1}), in the arithmetic ``_aim`` was given.
+
+    ``mults[i]`` is m_i(h_i^{-1}), ``defect`` is d = (n-2) r - sum(mults),
+    and ``noneffective`` lists (i, m_i + d, sum_{j != i}(r - m_j), r) for
+    every point whose new eigenvalue [v_i] gets a negative coefficient.
+    ``th[i]`` is t h_i with t = prod(h)^{-1}.  The abstract conventions
+    hold when ``chi_nontrivial`` (t != 1) and there are no ``witnesses``,
+    the (i, a) with a an eigenvalue of g_i and t h_i a = 1.
+    """
+
+    inv: list
+    mults: list
+    defect: int
+    noneffective: tuple
+    th: list
+    chi_nontrivial: bool
+    witnesses: tuple
+
+
+def _aim(plus, classes: list, inv: list, r: int) -> _Aim:
+    """The formula's data for ``classes``, one {eigenvalue: multiplicity}
+    per point.  ``plus(a, b)`` is the group law and ``plus(a)`` the
+    inverse: ``run_algorithm``'s on integer rows, or ``_plus`` on
+    ``GroupElement``s."""
+    n = len(classes)
+    mults = [g.get(a, 0) for g, a in zip(classes, inv)]
+    d = (n - 2) * r - sum(mults)
+    lhs = [sum(r - mults[j] for j in range(n) if j != i) for i in range(n)]
+    assert all((m + d < 0) == (l < r) for m, l in zip(mults, lhs)), \
+        "emptiness characterizations disagree"
+    t_inv = plus(reduce(plus, inv))  # t = prod(h)^{-1} = prod(h^{-1})
+    # t h_i a = 1 for one eigenvalue only, a = (t h_i)^{-1} = t^{-1} h_i^{-1};
+    # and t = 1 exactly when that a is h_i^{-1}
+    hit = [plus(t_inv, b) for b in inv]
+    witnesses = tuple((i, a) for i, (g, a) in enumerate(zip(classes, hit)) if a in g)
+    return _Aim(inv, mults, d, tuple((i, m + d, lhs[i], r) for i, m in enumerate(mults)
+                                     if m + d < 0), [plus(a) for a in hit], hit[0] != inv[0], witnesses)
+
+
+def _apply(plus, classes: list, aim: _Aim, v: Sequence) -> list[list]:
+    """The local transform, one entry list per point: m_i(a) [a u_i] for
+    each eigenvalue a of g_i with a h_i != 1, where u_i = t h_i v_i, then
+    (m_i + d) [v_i] unless m_i + d = 0.  When the conventions hold no two
+    entries meet, since a u_i = v_i would mean t h_i a = 1."""
+    d, out = aim.defect, []
+    for g, b, m, x, vi in zip(classes, aim.inv, aim.mults, aim.th, v):
+        ui = plus(x, vi)
+        entries = [(plus(a, ui), k) for a, k in g.items() if a != b]
+        if m + d:
+            entries.append((vi, m + d))
+        out.append(entries)
+    return out
+
+
+def _plus(a: GroupElement, b: GroupElement | None = None) -> GroupElement:
+    """The group law of ``GroupElement``s for ``_aim`` and ``_apply``."""
+    return a.invert() if b is None else a.combine(b)
+
+
+def _aimed(beta: Convoluter, vector: MonodromyVector) -> tuple[list, _Aim]:
+    """``vector``'s classes as dicts, and the formula's data for ``beta``."""
     if beta.n != vector.n:
         raise SizeMismatch(f"convoluter has {beta.n} points, vector has {vector.n}")
     if beta.mode is not vector.mode:
         raise ModeMismatch(
             f"convoluter mode {beta.mode.value} but vector mode {vector.mode.value}")
-
-
-class _Plan(NamedTuple):
-    """The transform formula for one (beta, vector) pair, evaluated once.
-
-    ``h_inv[i]`` is h_i^{-1}, ``mults[i]`` is m_i(h_i^{-1}), ``defect`` is
-    d = (n-2) r - sum(mults), and ``noneffective`` lists (i, m_i + d,
-    sum_{j != i}(r - m_j), r) for every point whose new eigenvalue [v_i]
-    gets a negative coefficient.
-    """
-
-    h_inv: tuple
-    mults: tuple
-    defect: int
-    noneffective: tuple
-
-
-def _plan(beta: Convoluter, vector: MonodromyVector) -> _Plan:
-    _check_compat(beta, vector)
-    n, r = vector.n, vector.rank
-    h_inv = tuple(hi.invert() for hi in beta.h)
-    mults = tuple(g.multiplicity(a) for g, a in zip(vector, h_inv))
-    d = (n - 2) * r - sum(mults)
-    lhs = [sum(r - mults[j] for j in range(n) if j != i) for i in range(n)]
-    assert all((m + d < 0) == (l < r) for m, l in zip(mults, lhs)), \
-        "emptiness characterizations disagree"
-    return _Plan(h_inv, mults, d, tuple((i, m + d, lhs[i], r)
-                                 for i, m in enumerate(mults) if m + d < 0))
-
-
-def _local(beta: Convoluter, vector: MonodromyVector, plan: _Plan, i: int) -> EigDivisor:
-    g, hi_inv, ui = vector[i], plan.h_inv[i], beta.u[i]
-    entries = [(beta.v[i], plan.mults[i] + plan.defect)]
-    for a, m in g.entries:
-        if a != hi_inv:  # a h_i != 1
-            entries.append((a.combine(ui), m))
-    return EigDivisor(vector.mode, entries)
-
-
-def _transform(beta: Convoluter, vector: MonodromyVector, plan: _Plan):
-    if plan.noneffective:
-        return NoneffectiveReport(points=plan.noneffective)
-    # every m_i + d >= 0 sums to (n-2) r + (n-1) d >= 0, so r + d > 0
-    out = MonodromyVector([_local(beta, vector, plan, i) for i in range(vector.n)])
-    assert all(k.degree() == vector.rank + plan.defect for k in out), "rank law r' = r + d"
-    return out
-
-
-def _require_conventions(beta: Convoluter, vector: MonodromyVector, de_rham: bool):
-    violation = check_conventions(beta, vector, de_rham=de_rham).first_violation()
-    if violation is not None:
-        raise violation
+    classes = [dict(g.entries) for g in vector]
+    return classes, _aim(_plus, classes, [hi.invert() for hi in beta.h], vector.rank)
 
 
 def fresh_names(count: int, taken: Collection[str], stem: str = "_s") -> list[str]:
@@ -308,7 +322,7 @@ def defect(vector: MonodromyVector, beta: Convoluter | None = None) -> int:
     """
     if beta is None:
         return (vector.n - 2) * vector.rank - sum(g.max_multiplicity()[1] for g in vector)
-    return _plan(beta, vector).defect
+    return _aimed(beta, vector)[1].defect
 
 
 def check_conventions(beta: Convoluter, vector: MonodromyVector,
@@ -319,24 +333,22 @@ def check_conventions(beta: Convoluter, vector: MonodromyVector,
     of g_i.  De Rham flavor (additive mode required): t not an integer,
     a + h_i + t not an integer, and a + h_i not a nonzero integer.
     """
-    _check_compat(beta, vector)
-    chirho_detail = []
-    for i, (g, hi) in enumerate(zip(vector, beta.h)):
-        shift_inv = beta.t.combine(hi).invert()
-        for a in g.support():
-            if a == shift_inv:  # t h_i a = 1
-                chirho_detail.append((i, a))
-    abstract = dict(chi_nontrivial=not beta.t.is_identity(),
-                    chirhobeta_ok=not chirho_detail,
-                    chirhobeta_detail=tuple(chirho_detail))
+    return _report(beta, vector, _aimed(beta, vector)[1], de_rham)
+
+
+def _report(beta: Convoluter, vector: MonodromyVector, aim: _Aim,
+            de_rham: bool) -> ConventionReport:
+    """``check_conventions``' report from the pair's formula data ``aim``."""
+    abstract = dict(chi_nontrivial=aim.chi_nontrivial, chirhobeta_ok=not aim.witnesses,
+                    chirhobeta_detail=aim.witnesses)
     if not de_rham:
         return ConventionReport(**abstract)
     if vector.mode is not GroupMode.ADDITIVE:
         raise ModeMismatch("de Rham conventions require additive mode")
     abb_detail = []
-    for i, (g, hi) in enumerate(zip(vector, beta.h)):
+    for i, (g, hi, thi) in enumerate(zip(vector, beta.h, aim.th)):
         for a in g.support():
-            s1 = a.combine(hi).combine(beta.t)
+            s1 = a.combine(thi)
             s2 = a.combine(hi)
             if s1.is_integer() or (s2.is_integer() and not s2.is_identity()):
                 abb_detail.append((i, a))
@@ -355,28 +367,24 @@ def kappa(beta: Convoluter, vector: MonodromyVector, check: bool = True,
 
     Returns a MonodromyVector of rank r + d, or a NoneffectiveReport if
     any coefficient went negative.  With ``check`` the conventions are
-    verified first and a ConventionViolation is raised on failure (the
-    flag exists for exploratory use).
+    verified first (the de Rham ones with ``de_rham``, on residue
+    eigenvalues in additive mode) and a ConventionViolation is raised on
+    failure (the flag exists for exploratory use).  The coefficient of
+    [v_i] in the output, m_i(h_i^{-1}) + d, is the dimension of the
+    new-eigenvalue block at point i.
     """
+    classes, aim = _aimed(beta, vector)
     if check:
-        _require_conventions(beta, vector, de_rham=de_rham)
-    return _transform(beta, vector, _plan(beta, vector))
-
-
-def kappa_de_rham(beta: Convoluter, vector: MonodromyVector, check: bool = True):
-    """Additive-mode transform on residue eigenvalues.
-
-    Identical combinatorics with the group written additively, guarded
-    by the de Rham conventions.  Also returns the per-point dimension
-    ``d_i = m_i(-h_i) + d = (n-2) r - sum_{j != i} m_j(-h_j)`` of the
-    new-eigenvalue block, the coefficient of [v_i].
-    """
-    if vector.mode is not GroupMode.ADDITIVE:
-        raise ModeMismatch("de Rham transform requires additive mode")
-    if check:
-        _require_conventions(beta, vector, de_rham=True)
-    plan = _plan(beta, vector)
-    return _transform(beta, vector, plan), [m + plan.defect for m in plan.mults]
+        violation = _report(beta, vector, aim, de_rham).first_violation()
+        if violation is not None:
+            raise violation
+    if aim.noneffective:
+        return NoneffectiveReport(points=aim.noneffective)
+    # every m_i + d >= 0 sums to (n-2) r + (n-1) d >= 0, so r + d > 0
+    out = MonodromyVector([EigDivisor(vector.mode, entries)
+                           for entries in _apply(_plus, classes, aim, beta.v)])
+    assert all(k.degree() == vector.rank + aim.defect for k in out), "rank law r' = r + d"
+    return out
 
 
 def check_involution(beta: Convoluter, vector: MonodromyVector,
@@ -394,7 +402,7 @@ def detect_empty(beta: Convoluter, vector: MonodromyVector) -> Optional[Emptines
     with a negative coefficient ``m_i + d``, equivalently with
     ``sum_{j != i}(r - m_j) < r`` (the two are asserted to agree at
     every point)."""
-    bad = _plan(beta, vector).noneffective
+    bad = _aimed(beta, vector)[1].noneffective
     return NoneffectiveReport(points=bad).certificate if bad else None
 
 
@@ -558,40 +566,24 @@ def run_algorithm(vector: MonodromyVector, max_steps: int | None = None,
         elif v_policy != "same":
             raise ValueError(f"unknown v policy {v_policy!r}")
         # h_i^{-1} is the first entry of g_i of maximal multiplicity
-        aim = [max(g.items(), key=itemgetter(1)) for g in work]
-        mults = [m for _, m in aim]
-        d = (n - 2) * r - sum(mults)
-        lhs = [sum(r - mults[j] for j in range(n) if j != i) for i in range(n)]
-        assert all((m + d < 0) == (l < r) for m, l in zip(mults, lhs)), \
-            "emptiness characterizations disagree"
+        aim = _aim(plus, work, [max(g.items(), key=itemgetter(1))[0] for g in work], r)
+        d = aim.defect
         if d >= 0:
             return AlgorithmTrace(rows, tuple(steps), TerminalStatus.POSITIVE_DEFECT, current)
-        h = [plus(a) for a, _ in aim]
-        t = reduce(plus, [a for a, _ in aim])  # t = prod(h)^{-1}
-        v = h
+        if not aim.chi_nontrivial or aim.witnesses:
+            report = ConventionReport(aim.chi_nontrivial, not aim.witnesses, tuple(
+                (i, rows.element(a)) for i, a in aim.witnesses))
+            return AlgorithmTrace(rows, tuple(steps), TerminalStatus.CONVENTION_FAILURE,
+                                  current, report=report)
+        if aim.noneffective:
+            return AlgorithmTrace(rows, tuple(steps), TerminalStatus.EMPTY_NONEFFECTIVE, current,
+                                  NoneffectiveReport(aim.noneffective).certificate)
+        h = v = [plus(b) for b in aim.inv]
         if v_policy == "fresh":  # v_i = h_i s_i, the fresh s_n closing prod(s) = 1
             s = [(0, *[rows.den if y == x else 0 for y in rows.names]) for x in names]
             v = [plus(hi, si) for hi, si in zip(h, [*s, plus(reduce(plus, s))])]
-        th = [plus(t, hi) for hi in h]
-        # the conventions: t != 1, and t h_i a != 1 for every eigenvalue a of g_i
-        if not any(t) or any(plus(x) in g for x, g in zip(th, work)):
-            beta = Convoluter(map(rows.element, h), map(rows.element, v))
-            return AlgorithmTrace(rows, tuple(steps), TerminalStatus.CONVENTION_FAILURE,
-                                  current, report=check_conventions(beta, rows.vector(work)))
-        for i, m in enumerate(mults):
-            if m + d < 0:
-                return AlgorithmTrace(rows, tuple(steps), TerminalStatus.EMPTY_NONEFFECTIVE,
-                                      current, EmptinessCertificate(i, lhs[i], r, m + d))
-        # (m_i + d) [v_i] + sum_{a h_i != 1} m_i(a) [a u_i] with u_i = t h_i v_i;
-        # no two entries meet, since a u_i = v_i would mean t h_i a = 1
-        output = []
-        for g, (b, m), x, vi in zip(work, aim, th, v):
-            ui = plus(x, vi)
-            entries = [(plus(a, ui), k) for a, k in g.items() if a != b]
-            if m + d:
-                entries.append((vi, m + d))
-            entries.sort(key=rows.entry_key)
-            output.append(dict(entries))
+        output = [dict(sorted(entries, key=rows.entry_key))
+                  for entries in _apply(plus, work, aim, v)]
         # The partner pair (beta', output) passes too: h' = v^-1 and t' = t^-1,
         # so t' h'_i v_i = t^-1 != 1 at the new eigenvalue [v_i] and
         # t' h'_i a u_i = a h_i != 1 at each kept a u_i (de Rham flavor alike).

@@ -13,15 +13,13 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .divisors import MonodromyVector
-from .errors import DefectPrecondition, NoFixedVectorFreePoint
-from .scalars import GroupElement
+from .errors import DefectPrecondition
 
 __all__ = [
     "DimensionReport",
     "dimension_report",
     "classify_dim2",
     "classify_dim2_pmv",
-    "middle_h1_dim",
     "dim2_census",
     "FAMILY_TAGS",
 ]
@@ -120,21 +118,6 @@ def classify_dim2_pmv(r: int, pmv: Sequence[Sequence[int]]) -> Optional[str]:
 
 def classify_dim2(vector: MonodromyVector) -> Optional[str]:
     return classify_dim2_pmv(vector.rank, vector.pmv())
-
-
-def middle_h1_dim(vector: MonodromyVector) -> int:
-    """r(n-2) minus the total multiplicity of the identity eigenvalue.
-
-    Requires at least one point whose class omits the identity (no local
-    fixed vectors); without such a point the formula is not guaranteed
-    and NoFixedVectorFreePoint is raised.
-    """
-    identity = GroupElement.identity(vector.mode)
-    cofix = [g.multiplicity(identity) for g in vector]
-    if all(c > 0 for c in cofix):
-        raise NoFixedVectorFreePoint(
-            "every point has identity eigenvalues; dimension formula not guaranteed")
-    return vector.rank * (vector.n - 2) - sum(cofix)
 
 
 # ---------------------------------------------------------------------------

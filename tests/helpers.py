@@ -7,13 +7,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from midconv import (Convoluter, EigDivisor, GroupElement, GroupMode, MonodromyVector,
-                     check_conventions, defect, dimension_report, kappa)
+from midconv import (ConventionReport, Convoluter, EigDivisor, EmptinessCertificate,
+                     GroupElement, GroupMode, MonodromyVector, defect, dimension_report)
 from midconv.errors import (BoundaryNotSurjective, ConventionViolationNumeric,
                             MaxStepsExceeded, ModeMismatch, QuotientRankMismatch)
 from midconv.higgs import derive_k
 from midconv.homology import ChainSpace, _fixed_space
-from midconv.katz import NoneffectiveReport, fresh_names
+from midconv.katz import fresh_names
 
 
 def random_partition(rng, r, max_part=None):
@@ -63,17 +63,20 @@ def naive_kappa_local(beta, vector, i):
     d = (n - 2) * r - sum(g.multiplicity(h.invert())
                           for g, h in zip(vector, beta.h))
     g = vector[i]
+    u = beta.t.combine(beta.h[i]).combine(beta.v[i])
     out = [(beta.v[i], g.multiplicity(beta.h[i].invert()) + d)]
     for a, m in g.entries:
         if not a.combine(beta.h[i]).is_identity():
-            out.append((a.combine(beta.u[i]), m))
+            out.append((a.combine(u), m))
     return out
 
 
 def reference_run(vector, max_steps=None, v_policy="same"):
-    """The reduction loop on ``GroupElement`` objects, step by step as
-    ``kappa`` transforms, returning the answer ``AlgorithmTrace.to_json``
-    gives: the oracle for ``run_algorithm``'s integer rows."""
+    """The reduction loop on ``GroupElement`` objects, returning the answer
+    ``AlgorithmTrace.to_json`` gives: the oracle for ``run_algorithm``'s
+    integer rows.  It shares no code with the library's transform formula:
+    each step takes its defect, noneffective and convention tests literally
+    from the definitions, and its output from ``naive_kappa_local``."""
     if vector.mode is GroupMode.CIRCLE:
         raise ModeMismatch("the reduction loop runs in multiplicative or additive mode")
     if max_steps is None:
@@ -85,7 +88,7 @@ def reference_run(vector, max_steps=None, v_policy="same"):
                 "steps": steps, "final": current.to_json(), **extra}
 
     for step in range(max_steps + 1):
-        if current.is_all_diagonal():
+        if all(len(g.entries) == 1 for g in current):
             return answer("AllDiagonal")
         h = [g.max_multiplicity()[0].invert() for g in current]
         if v_policy == "same":
@@ -93,17 +96,27 @@ def reference_run(vector, max_steps=None, v_policy="same"):
         else:
             taken = {x for g in current for a in g.support() for x in a.expr.generators()}
             beta = Convoluter.with_fresh_v(h, fresh_names(current.n - 1, taken, f"_s{step}_"))
-        d = defect(current, beta)
+        n, r = current.n, current.rank
+        mults = [g.multiplicity(hi.invert()) for g, hi in zip(current, beta.h)]
+        d = (n - 2) * r - sum(mults)
         if d >= 0:
             return answer("PositiveDefect")
-        report = check_conventions(beta, current)
-        if not report.ok:
+        witnesses = tuple((i, a) for i, (g, hi) in enumerate(zip(current, beta.h))
+                          for a in g.support() if beta.t.combine(hi).combine(a).is_identity())
+        if beta.t.is_identity() or witnesses:
+            report = ConventionReport(chi_nontrivial=not beta.t.is_identity(),
+                                      chirhobeta_ok=not witnesses, chirhobeta_detail=witnesses)
             return answer("ConventionFailure", convention_report=report.to_json(),
                           failed_side="forward")
-        out = kappa(beta, current, check=False)
-        if isinstance(out, NoneffectiveReport):
-            return answer("EmptyNoneffective", certificate=out.certificate.to_json())
-        assert out.rank == current.rank + d
+        for i in range(n):
+            if mults[i] + d < 0:
+                lhs = sum(r - mults[j] for j in range(n) if j != i)
+                assert lhs < r
+                certificate = EmptinessCertificate(i, lhs, r, mults[i] + d)
+                return answer("EmptyNoneffective", certificate=certificate.to_json())
+        out = MonodromyVector([EigDivisor(current.mode, naive_kappa_local(beta, current, i))
+                               for i in range(n)])
+        assert out.rank == r + d
         inputs.append(current)
         steps.append({"input": current.to_json(), "convoluter": beta.to_json(),
                       "defect": d, "output": out.to_json()})

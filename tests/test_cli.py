@@ -629,6 +629,10 @@ class TestDocumentBoundary:
         ("verify", matrices_document([np.diag([1e-200, 2]), np.diag([1e200, 0.5]), np.eye(2)],
                                      TWISTS, 1 / np.prod(TWISTS)),
          "$.matrices[0]: the singular values of b_0 M_0 must lie in [tol, 1/tol]"),
+        # admissible matrices whose running product overflows: prod(M) is NaN
+        ("verify", matrices_document([np.diag([1e8, 1e-8])] * 40 + [np.diag([1e-8, 1e8])] * 40
+                                     + [np.eye(2)], [0.5] + [1] * 80, 2),
+         "$: instance violates its defining relations: {'prod(M) = 1': nan}"),
     ])
     def test_forbidden_inputs(self, verb, patch, where):
         doc = run_document() if verb == "run" else {}

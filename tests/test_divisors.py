@@ -111,18 +111,6 @@ class TestMonodromyVector:
         ])
         assert simple.pmv() == ((1, 1, 1), (2, 1), (3,))
 
-    def test_is_all_diagonal(self):
-        r3 = MonodromyVector([EigDivisor(MULT, [(gen(f"d{i}"), 3)]) for i in range(3)])
-        assert r3.is_all_diagonal()
-        rank1 = MonodromyVector([EigDivisor.of(gen(f"r{i}")) for i in range(4)])
-        assert rank1.is_all_diagonal()
-        mixed = MonodromyVector([
-            EigDivisor(MULT, [(gen("a"), 2)]),
-            EigDivisor.of(gen("b"), gen("c")),
-            EigDivisor(MULT, [(gen("d"), 2)]),
-        ])
-        assert not mixed.is_all_diagonal()
-
     def test_json_round_trip(self):
         v = MonodromyVector([EigDivisor.of(gen("a"), gen("b")),
                              EigDivisor.of(gen("c"), gen("d")),

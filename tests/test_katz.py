@@ -11,7 +11,7 @@ from helpers import (naive_kappa_local, random_beta, random_partition, random_ve
 from midconv import (Convoluter, EigDivisor, GroupElement, GroupMode,
                      MonodromyVector, ScalarExpr, TerminalStatus,
                      check_conventions, check_involution, defect, detect_empty,
-                     dimension_report, kappa, kappa_de_rham, run_algorithm)
+                     dimension_report, kappa, run_algorithm)
 from midconv.docio import render
 from midconv.errors import (ConventionViolation, MaxStepsExceeded, ModeMismatch,
                             SizeMismatch)
@@ -40,11 +40,15 @@ def referee_setup():
 
 class TestConvoluter:
     def test_relations_derive_t_and_u(self):
-        beta = Convoluter([gen("x"), gen("y"), gen("z")])
+        beta = Convoluter.with_fresh_v([gen("x"), gen("y"), gen("z")], ["s1", "s2"])
         prod_h = beta.h[0].combine(beta.h[1]).combine(beta.h[2])
         assert beta.t.combine(prod_h).is_identity()
+        # the transform moves each eigenvalue a of g_i to a u_i, u_i = t h_i v_i
+        vec = MonodromyVector([EigDivisor.of(gen(f"a{i}"), gen(f"b{i}")) for i in range(3)])
+        out = kappa(beta, vec)
         for i in range(3):
-            assert beta.u[i] == beta.t.combine(beta.h[i]).combine(beta.v[i])
+            u = beta.t.combine(beta.h[i]).combine(beta.v[i])
+            assert out[i].multiplicity(gen(f"a{i}").combine(u)) == 1
 
     def test_v_product_relation_validated(self):
         h = [gen("x"), gen("y"), gen("z")]
@@ -138,19 +142,36 @@ class TestKappaRefereeExample:
 class TestKappaProperties:
     @pytest.mark.parametrize("mode", [MULT, ADD])
     def test_degree_matches_independent_recount(self, mode):
+        """The general-(h, v) sweep: every aim and v policy against the
+        literal formula, with the de Rham conventions in additive mode."""
         rng = np.random.default_rng(42)
-        for trial in range(40):
-            r = int(rng.integers(1, 6))
-            n = int(rng.integers(3, 6))
-            vec = random_vector(rng, mode, r, n, f"d{trial}")
-            beta = random_beta(rng, vec, "fresh", "same", f"d{trial}")
-            d = defect(vec, beta)
-            out = kappa(beta, vec)
-            for i in range(n):
-                loc = out[i]
-                naive = naive_kappa_local(beta, vec, i)
-                assert loc == EigDivisor(mode, naive)
-                assert loc.degree() == r + d == sum(c for _, c in naive)
+        seen = set()
+        for aim in ("fresh", "maxmult", "support"):
+            for v_policy in ("same", "fresh"):
+                for trial in range(40):
+                    r = int(rng.integers(1, 6))
+                    n = int(rng.integers(3, 6))
+                    tag = f"d{aim}{v_policy}{trial}"
+                    vec = random_vector(rng, mode, r, n, tag)
+                    beta = random_beta(rng, vec, aim, v_policy, tag)
+                    d = defect(vec, beta)
+                    naive = [naive_kappa_local(beta, vec, i) for i in range(n)]
+                    out = kappa(beta, vec, de_rham=mode is ADD)
+                    case = (aim, v_policy, vec, beta)
+                    if isinstance(out, NoneffectiveReport):
+                        assert [p[:2] for p in out.points] == [
+                            (i, loc[0][1]) for i, loc in enumerate(naive) if loc[0][1] < 0], case
+                        seen.add((aim, "empty"))
+                        continue
+                    assert all(loc[0][1] >= 0 for loc in naive), case
+                    for i in range(n):
+                        assert out[i] == EigDivisor(mode, naive[i]), case
+                        assert out[i].degree() == r + d == sum(c for _, c in naive[i]), case
+                    seen.add((aim, "ok"))
+        # every aim meets effective transforms; only the rank-reducing aims
+        # can go noneffective
+        assert seen >= {(aim, "ok") for aim in ("fresh", "maxmult", "support")}
+        assert (("maxmult", "empty") in seen) and (("support", "empty") in seen), seen
 
     def test_fully_diagonal_forced_noneffective(self):
         r, n = 3, 4
@@ -260,7 +281,7 @@ class TestDeRhamTransform:
             vec_a = random_vector(rng, ADD, int(rng.integers(1, 5)),
                                   int(rng.integers(3, 6)), f"m{trial}")
             beta_a = random_beta(rng, vec_a, "fresh", "same", f"m{trial}")
-            out_a, d_list = kappa_de_rham(beta_a, vec_a)
+            out_a = kappa(beta_a, vec_a, de_rham=True)
             assert isinstance(out_a, MonodromyVector)
             # exponentiate: same expressions read multiplicatively
             to_mult = lambda e: GroupElement(MULT, e.expr)
@@ -274,9 +295,12 @@ class TestDeRhamTransform:
                 EigDivisor(MULT, [(to_mult(e), m) for e, m in g.entries])
                 for g in out_a])
             assert out_m == expected
-            # the new-eigenvalue block dimensions match the v-coefficients
+            # the new-eigenvalue block at point i has dimension d_i = m_i + d, the
+            # coefficient of [v_i]
+            d = defect(vec_a, beta_a)
             for i, g in enumerate(out_a):
-                assert g.multiplicity(beta_a.v[i]) == d_list[i]
+                m = vec_a[i].multiplicity(beta_a.h[i].invert())
+                assert g.multiplicity(beta_a.v[i]) == m + d
 
     def test_trace_stays_integral(self):
         # residue data with integral total trace keeps an integral trace
@@ -290,7 +314,7 @@ class TestDeRhamTransform:
                                EigDivisor.of(c1, c2)])
         assert vec.total_determinant().is_integer()
         beta = random_beta(np.random.default_rng(2), vec, "fresh", "same", "tr")
-        out, _ = kappa_de_rham(beta, vec)
+        out = kappa(beta, vec, de_rham=True)
         assert out.total_determinant() == vec.total_determinant()
         assert out.total_determinant().is_integer()
 
@@ -301,7 +325,7 @@ class TestDeRhamTransform:
         assert beta.t == GroupElement.constant(1, ADD)
         vec = random_vector(np.random.default_rng(1), ADD, 2, 3, "dr")
         with pytest.raises(ConventionViolation) as err:
-            kappa_de_rham(beta, vec)
+            kappa(beta, vec, de_rham=True)
         assert "integer" in str(err.value)
 
 

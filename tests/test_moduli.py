@@ -8,8 +8,8 @@ import pytest
 from helpers import random_beta, random_vector
 from midconv import (EigDivisor, GroupElement, GroupMode, MonodromyVector,
                      classify_dim2, defect, dim2_census, dimension_report,
-                     kappa, middle_h1_dim)
-from midconv.errors import DefectPrecondition, NoFixedVectorFreePoint
+                     kappa)
+from midconv.errors import DefectPrecondition
 from midconv.katz import max_mult_convoluter
 from midconv.moduli import _partitions, _report_from_pmv, class_dim, classify_dim2_pmv
 
@@ -97,13 +97,10 @@ class TestClassifyDim2:
 
 
 class TestMiddleH1:
-    def test_no_identity_eigenvalues(self):
-        v = vector_with_pmv([(1, 1)] * 3)
-        assert middle_h1_dim(v) == 2 * (3 - 2)
-
     def test_transform_rank_via_identity_multiplicities(self):
         # shift each class by its twist and add the diagonal point: the
-        # middle-H1 dimension over the n+1 points equals r + defect
+        # middle-H1 dimension over the n+1 points, r (n+1-2) minus the
+        # identity multiplicities, equals r + defect
         rng = np.random.default_rng(4)
         for trial in range(15):
             r = int(rng.integers(1, 6))
@@ -115,13 +112,10 @@ class TestMiddleH1:
                        for g, h in zip(vec, beta.h)]
             diag = EigDivisor(MULT, [(beta.t, r)])
             extended = MonodromyVector(shifted + [diag])
-            assert middle_h1_dim(extended) == r + defect(vec, beta)
-
-    def test_identity_everywhere_rejected(self):
-        one = GroupElement.identity(MULT)
-        v = MonodromyVector([EigDivisor(MULT, [(one, 2)])] * 3)
-        with pytest.raises(NoFixedVectorFreePoint):
-            middle_h1_dim(v)
+            one = GroupElement.identity(MULT)
+            assert not diag.multiplicity(one)  # a point free of fixed vectors
+            h1 = r * (extended.n - 2) - sum(g.multiplicity(one) for g in extended)
+            assert h1 == r + defect(vec, beta)
 
 
 def brute_force_dim2(max_rank, max_points):
