@@ -48,10 +48,9 @@ def cmd_transform(doc: ProblemDocument) -> tuple[dict, int]:
     try:
         result = katz.kappa(beta, doc.vector)
     except ConventionViolation as exc:
-        report = katz.check_conventions(beta, doc.vector)
         return {"kind": "transform", "status": "ConventionFailure",
                 "convention": exc.convention,
-                "report": report.to_json()}, NEGATIVE
+                "report": exc.report.to_json()}, NEGATIVE
     if isinstance(result, NoneffectiveReport):
         return {"kind": "transform", "status": "EmptyNoneffective",
                 "report": result.to_json(),

@@ -98,9 +98,8 @@ def parse_generate(doc: dict) -> dict:
 
 # The largest raw dimension (points - 1) * rank that verify builds a numeric
 # instance for.  Its factors have points * rank rows and width about rank; on
-# one BLAS thread one at the cap takes 0.5-4.3 s and up to 164 MB from rank 10
-# to 500, but 5.5 s at rank 2 and 17 s at rank 1, where the braid factors'
-# points^2 word letters dominate (bench shapes reach 180)
+# one BLAS thread one at the cap takes 0.4-4.5 s and up to 200 MB, rank 500 at
+# 3 points the slowest, rank 1 at 1001 points 2.2 s (bench shapes reach 180)
 MAX_RAW_DIM = 1000
 
 

@@ -21,12 +21,14 @@ class ConventionViolation(MidconvError):
     """A required eigenvalue convention fails.
 
     Carries the name of the convention, the point index (or None for the
-    global diagonal check) and the offending eigenvalue, so callers can
-    render exactly what obstructed the transformation.
+    global diagonal check), the offending eigenvalue and the
+    ``ConventionReport`` it came from, so callers can render exactly what
+    obstructed the transformation.
     """
 
-    def __init__(self, convention, point=None, eigenvalue=None, message=None):
+    def __init__(self, convention, point=None, eigenvalue=None, message=None, report=None):
         self.convention = convention
+        self.report = report
         self.point = point
         self.eigenvalue = eigenvalue
         detail = message or f"convention {convention!r} fails"

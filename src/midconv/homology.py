@@ -3,11 +3,11 @@
 Working over the free group on loops a_1 .. a_n (the diagonal loop is
 eliminated through d = (a_1 ... a_n)^{-1}), the space C_1/dC_2 of
 one-cycles modulo simplex boundaries is C^{n r} with basis symbols
-G[a_i, v_j].  The braid generator u_k acts by an explicit word
-substitution; restricting to the kernel of the boundary map gives the
-raw convolution, and quotienting by the cycles on local fixed vectors
-gives the middle convolution.  Measured per-point eigenvalue multisets
-are then compared against the symbolic transform prediction.
+G[a_i, v_j].  The braid generator u_k conjugates a_k by a loop d_k, in
+closed form from prefix products (``ChainSpace``); restricting to the
+kernel of the boundary map gives the raw convolution, and quotienting by
+the cycles on local fixed vectors gives the middle convolution.  Measured
+per-point eigenvalue multisets are compared with the symbolic prediction.
 
 u_k moves only the cycles on a_k, so its matrix is U_k = I + X_k S_k^T,
 where X_k is n r x r and S_k selects block k.  On an orthonormal basis B
@@ -183,66 +183,34 @@ class NumericInstance:
 
 
 # ---------------------------------------------------------------------------
-# Words and the chain space
+# The chain space
 # ---------------------------------------------------------------------------
-
-def _delta_word(n: int) -> list[int]:
-    # d = (a_1 ... a_n)^{-1} = a_n^{-1} ... a_1^{-1}
-    return [-i for i in range(n, 0, -1)]
-
-
-def _delta_k_word(n: int, k: int) -> list[int]:
-    # d_k = (a_{k+1} ... a_n) d (a_{k+1} ... a_n)^{-1}, with d_n = d: the
-    # diagonal loop re-based through the gap next to point k.  This is the
-    # unique conjugate for which the closed-form 2x2 action below is the
-    # restriction of the substitution action on the a-basis.
-    suffix = list(range(k + 1, n + 1))
-    return suffix + _delta_word(n) + [-i for i in reversed(suffix)]
-
-
-def _inverse_word(word: Sequence[int]) -> list[int]:
-    return [-x for x in reversed(word)]
-
 
 class ChainSpace:
     """C_1/dC_2 = C^{n r} with basis G[a_i, v_j] and its boundary map.
 
     The twisted action of a_i is A_i = b_i M_i; the boundary sends
-    G[a_i, v] to (A_i - 1) v.
+    G[a_i, v] to (A_i - 1) v.  With the prefixes P_i = A_1 ... A_i and their
+    running inverses Pbar_i = A_i^-1 ... A_1^-1, the loop
+    d_k = (a_{k+1} ... a_n a_1 ... a_k)^-1 (the conjugate of d on which
+    ``braid_block_closed_form`` holds) acts by D_k = Pbar_k Pbar_n P_k,
+    and G[d_k, v] expands (G[xy, v] = G[y, v] + G[x, y(v)]) to block i
+    -Pbar_i Pbar_n P_k v for i <= k and -Pbar_i P_k v for i > k.  P_n =
+    chi^-1 I holds only to the relation bound, so it is not substituted.
     """
 
     def __init__(self, inst: NumericInstance):
         self.inst = inst
         self.n, self.r = inst.n, inst.r
         self.A = [inst.b[i] * inst.M[i] for i in range(self.n)]
-        self.Ainv = [np.linalg.inv(Ai) for Ai in self.A]
         self.boundary = np.hstack([Ai - np.eye(self.r) for Ai in self.A])
         self._rows = None
-
-    def expand_word(self, word: Sequence[int], v: np.ndarray) -> np.ndarray:
-        """Expansion of G[word, v] over the basis symbols.
-
-        Uses G[xy, v] = G[y, v] + G[x, y(v)] and
-        G[x^{-1}, v] = -G[x, x^{-1}(v)], processed from the rightmost
-        letter (which acts first).  ``v`` may be a vector or an (r, m)
-        block; the result has a leading axis of size n*r.
-        """
-        v = np.asarray(v, dtype=complex)
-        single = v.ndim == 1
-        cur = v.reshape(self.r, -1).copy()
-        out = np.zeros((self.n * self.r, cur.shape[1]), dtype=complex)
-        for letter in reversed(list(word)):
-            i = abs(letter) - 1
-            if not 0 <= i < self.n:
-                raise IndexError(f"letter {letter} out of range for n={self.n}")
-            block = slice(i * self.r, (i + 1) * self.r)
-            if letter > 0:
-                out[block] += cur
-                cur = self.A[i] @ cur
-            else:
-                cur = self.Ainv[i] @ cur
-                out[block] -= cur
-        return out[:, 0] if single else out
+        eye = np.eye(self.r, dtype=complex)
+        self._prefix, inverse = [eye], [eye]  # P_0 .. P_n and Pbar_0 .. Pbar_n
+        for Ai in self.A:
+            self._prefix.append(self._prefix[-1] @ Ai)
+            inverse.append(np.linalg.inv(Ai) @ inverse[-1])
+        self._inverse_rows = np.vstack(inverse[1:])  # [Pbar_1; ...; Pbar_n], n r x r
 
     def embed(self, i: int, v: np.ndarray) -> np.ndarray:
         """Coefficient vector of G[a_{i+1}, v] (i is 0-based)."""
@@ -252,20 +220,25 @@ class ChainSpace:
         return out
 
     def delta_k_vector(self, k: int, v: np.ndarray) -> np.ndarray:
-        """Coefficient vector of G[d_k, v] (k is 1-based)."""
-        return self.expand_word(_delta_k_word(self.n, k), v)
-
-    def braid_factor(self, k: int) -> np.ndarray:
-        """X_k: the n r x r columns of block k of U_k - I (1-based k).
-
-        u_k fixes a_i for i != k and conjugates a_k by d_k, so U_k - I is
-        zero outside block k's columns.
-        """
+        """Coefficient vector of G[d_k, v] (k is 1-based, v a vector or r x m)."""
         if not 1 <= k <= self.n:
             raise IndexError(f"k={k} out of range")
-        dk = _delta_k_word(self.n, k)
-        X = self.expand_word(_inverse_word(dk) + [k] + dk, np.eye(self.r, dtype=complex))
-        X[(k - 1) * self.r:k * self.r] -= np.eye(self.r)
+        rows, Pv = self._inverse_rows, self._prefix[k] @ np.asarray(v, dtype=complex)
+        return -np.concatenate([rows[:k * self.r] @ (rows[-self.r:] @ Pv), rows[k * self.r:] @ Pv])
+
+    def braid_factor(self, k: int) -> np.ndarray:
+        """X_k: the n r x r columns of block k of U_k - I (1-based k); u_k
+        sends a_k to d_k^-1 a_k d_k and fixes every other a_i.  Block i is
+        Pbar_i Y_k for i <= k and Pbar_i P_n Y_k for i > k, with
+        Y_k = P_k A_k D_k - Pbar_n P_k, and block k gains D_k - I."""
+        if not 1 <= k <= self.n:
+            raise IndexError(f"k={k} out of range")
+        r, P, rows = self.r, self._prefix, self._inverse_rows
+        C = rows[-r:] @ P[k]                # Pbar_n P_k
+        D = rows[(k - 1) * r:k * r] @ C     # D_k
+        Y = P[k] @ self.A[k - 1] @ D - C
+        X = np.concatenate([rows[:k * r] @ Y, rows[k * r:] @ (P[-1] @ Y)])
+        X[(k - 1) * r:k * r] += D - np.eye(r)
         return X
 
     def braid_matrix(self, k: int) -> np.ndarray:

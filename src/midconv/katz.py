@@ -157,15 +157,15 @@ class ConventionReport:
 
     def first_violation(self) -> Optional[ConventionViolation]:
         if self.de_rham and not self.diag_res_not_integer:
-            return ConventionViolation("diagonal-residue-not-integer")
+            return ConventionViolation("diagonal-residue-not-integer", report=self)
         if not self.chi_nontrivial:
-            return ConventionViolation("diagonal-monodromy-nontrivial")
+            return ConventionViolation("diagonal-monodromy-nontrivial", report=self)
         if self.de_rham and not self.alphabetabeta_ok:
             i, a = self.alphabetabeta_detail[0]
-            return ConventionViolation("residue-shift-not-integer", i, a)
+            return ConventionViolation("residue-shift-not-integer", i, a, report=self)
         if not self.chirhobeta_ok:
             i, a = self.chirhobeta_detail[0]
-            return ConventionViolation("twisted-eigenvalue-nontrivial", i, a)
+            return ConventionViolation("twisted-eigenvalue-nontrivial", i, a, report=self)
         return None
 
     def to_json(self) -> dict:

@@ -124,6 +124,46 @@ def reference_run(vector, max_steps=None, v_policy="same"):
     raise MaxStepsExceeded(f"no terminal state after {max_steps} steps")
 
 
+def fox_expand(space, word, v):
+    """Expansion of G[word, v] over the basis symbols, letter by letter: the
+    oracle for ``ChainSpace``'s closed forms.  Letter i > 0 is a_i and -i is
+    a_i^{-1}; the rightmost letter acts first, and G[xy, v] = G[y, v] +
+    G[x, y(v)] and G[x^{-1}, v] = -G[x, x^{-1}(v)] with the twisted actions
+    A_i = b_i M_i.  ``v`` may be a vector or an (r, m) block; the result
+    has a leading axis of size n r."""
+    inverses = [np.linalg.inv(Ai) for Ai in space.A]
+    v = np.asarray(v, dtype=complex)
+    cur = v.reshape(space.r, -1).copy()
+    out = np.zeros((space.n * space.r, cur.shape[1]), dtype=complex)
+    for letter in reversed(list(word)):
+        i = abs(letter) - 1
+        if not 0 <= i < space.n:
+            raise IndexError(f"letter {letter} out of range for n={space.n}")
+        block = slice(i * space.r, (i + 1) * space.r)
+        if letter > 0:
+            out[block] += cur
+            cur = space.A[i] @ cur
+        else:
+            cur = inverses[i] @ cur
+            out[block] -= cur
+    return out[:, 0] if v.ndim == 1 else out
+
+
+def delta_k_word(n, k):
+    """d_k = (a_{k+1} ... a_n) d (a_{k+1} ... a_n)^{-1}, with d = (a_1 ... a_n)^{-1}."""
+    suffix = list(range(k + 1, n + 1))
+    return suffix + [-i for i in range(n, 0, -1)] + [-i for i in reversed(suffix)]
+
+
+def reference_braid_factor(space, k):
+    """X_k from the word d_k^{-1} a_k d_k, the image of a_k under u_k,
+    expanded by ``fox_expand`` (1-based k)."""
+    dk = delta_k_word(space.n, k)
+    X = fox_expand(space, [-x for x in reversed(dk)] + [k] + dk, np.eye(space.r))
+    X[(k - 1) * space.r:k * space.r] -= np.eye(space.r)
+    return X
+
+
 def reference_middle(inst):
     """The middle quotient from full SVDs: an n r x n r kernel basis K from
     the boundary's full SVD, and the quotient basis B = K C with C the

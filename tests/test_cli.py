@@ -11,13 +11,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from midconv import cli
+from midconv import cli, katz
 from midconv.cli import main
 from midconv.docio import MAX_HIGGS_WEIGHTS, MAX_RAW_DIM, parse_document, parse_json, render
 from midconv.errors import DocumentError
@@ -656,6 +657,17 @@ class TestDocumentBoundary:
         assert code == 0 and err == "", err[:200]
         assert json.loads(out)["status"] == "constructed"
 
+    def test_verify_at_its_cap_answers(self):
+        # rank 1 at 1001 points: (points - 1) * rank is the cap, and the braid
+        # factors of the most points the cap allows come from prefix products
+        doc = {"generate": {"rank": 1, "points": MAX_RAW_DIM + 1, "seed": 1, "aim": "fresh"}}
+        start = time.perf_counter()
+        code, out, err = call_main("verify", doc)
+        elapsed = time.perf_counter() - start
+        assert code == 0 and err == "", err[:200]
+        assert json.loads(out)["report"]["ok"] is True
+        assert elapsed < 8, f"{elapsed:.1f} s"
+
     @pytest.mark.parametrize("verb", ["defect", "classify"])
     def test_integers_past_64_bits_stay_exact(self, verb):
         # json.loads reads a long integer exactly; a float reader would round it
@@ -743,6 +755,24 @@ class TestDocumentBoundary:
         out = json.loads(out)
         assert out["status"] == "ConventionFailure"
         assert out["convention"] == "diagonal-monodromy-nontrivial"
+
+    @pytest.mark.parametrize("verb", ["transform", "verify"])
+    def test_convention_failure_reads_the_raised_report(self, monkeypatch, verb):
+        """A ConventionFailure answer renders the report that ``kappa`` raised
+        with: ``check_conventions`` does not run again (verify reaches the
+        transform answer when its prediction has none)."""
+        doc = symbolic_verify_document()
+        del doc["convoluter"]  # the default twist aims at all three classes: t = 1
+        calls = []
+        monkeypatch.setattr(katz, "check_conventions", lambda *a, **kw: calls.append(a))
+        code, out, err = call_main(verb, doc)
+        assert code == 2 and calls == [], err
+        monkeypatch.undo()
+        parsed = parse_document(doc)
+        report = katz.check_conventions(parsed.convoluter_or_default(), parsed.vector)
+        assert out == render({"kind": verb, "status": "ConventionFailure",
+                              "convention": report.first_violation().convention,
+                              "report": report.to_json()}, exact=verb != "verify")
 
     def test_beta_v_flag_on_a_malformed_convoluter(self):
         doc = {**referee_document(), "convoluter": "x"}

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from helpers import random_partition, reference_middle
+from helpers import (delta_k_word, fox_expand, random_partition, reference_braid_factor,
+                     reference_middle)
 from midconv import homology
 from midconv.errors import (BoundaryNotSurjective, ConventionViolationNumeric, MidconvError,
                             QuotientRankMismatch)
@@ -27,26 +28,28 @@ def word_action(space, word):
     out = np.eye(space.r, dtype=complex)
     for letter in reversed(word):
         i = abs(letter) - 1
-        out = (space.A[i] if letter > 0 else space.Ainv[i]) @ out
+        out = (space.A[i] if letter > 0 else np.linalg.inv(space.A[i])) @ out
     return out
 
 
 class TestExpandWord:
+    """``fox_expand``, the letter-by-letter oracle of ``ChainSpace``'s closed forms."""
+
     def test_single_letter_is_block_embedding(self):
         inst = small_instance()
         space = ChainSpace(inst)
         v = np.array([1.0, -2.0])
         for k in range(inst.n):
-            out = space.expand_word([k + 1], v)
+            out = fox_expand(space, [k + 1], v)
             assert np.allclose(out, space.embed(k, v))
 
     def test_inverse_cancellation(self):
         inst = small_instance(seed=1)
         space = ChainSpace(inst)
         v = RNG.normal(size=inst.r) + 1j * RNG.normal(size=inst.r)
-        out = space.expand_word([1, -1], v)
+        out = fox_expand(space, [1, -1], v)
         assert np.allclose(out, 0)
-        out = space.expand_word([-2, 2], v)
+        out = fox_expand(space, [-2, 2], v)
         assert np.allclose(out, 0)
 
     def test_boundary_of_diagonal_word(self):
@@ -55,7 +58,7 @@ class TestExpandWord:
         space = ChainSpace(inst)
         word = [-i for i in range(inst.n, 0, -1)]
         v = RNG.normal(size=inst.r) + 1j * RNG.normal(size=inst.r)
-        assert np.allclose(space.boundary @ space.expand_word(word, v),
+        assert np.allclose(space.boundary @ fox_expand(space, word, v),
                            (inst.chi - 1) * v)
 
     def test_boundary_consistency_on_random_words(self):
@@ -67,7 +70,7 @@ class TestExpandWord:
                     zip(RNG.integers(1, inst.n + 1, size=m),
                         RNG.choice([-1, 1], size=m))]
             v = RNG.normal(size=inst.r) + 1j * RNG.normal(size=inst.r)
-            lhs = space.boundary @ space.expand_word(word, v)
+            lhs = space.boundary @ fox_expand(space, word, v)
             rhs = (word_action(space, word) - np.eye(inst.r)) @ v
             assert np.allclose(lhs, rhs, atol=1e-10)
 
@@ -113,6 +116,45 @@ class TestBraidAction:
                 prod = inst.chi * inst.b[k - 1] * r_kj
                 assert np.linalg.det(A2) == pytest.approx(prod)
                 assert np.trace(A2) == pytest.approx(1 + prod)
+
+
+    @pytest.mark.parametrize("kind", ["generated", "non-unitary", "perturbed"])
+    def test_closed_forms_match_fox_oracle(self, kind):
+        """``braid_factor`` and ``delta_k_vector`` against the letter-by-letter
+        expansion at every k, r 1-5 and n 3-8.  A perturbed instance moves M_0
+        by 4e-8, inside the relation bound, so that P_n = chi^-1 I holds only
+        to that bound: a closed form that substitutes it misses by about 3e-8."""
+        rng = np.random.default_rng({"generated": 1, "non-unitary": 2, "perturbed": 3}[kind])
+        gauss = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        rel = lambda got, want: np.linalg.norm(got - want) / np.linalg.norm(want)
+        for seed in range(20):
+            r, n = 1 + seed % 5, 3 + seed % 6
+            inst = small_instance(seed=seed, r=r, n=n, aim="fresh")
+            if kind == "non-unitary":
+                M = [np.eye(r) + 0.2 * gauss(r, r) for _ in range(n - 1)]
+                M.append(np.linalg.inv(np.linalg.multi_dot(M)))
+                b = rng.uniform(0.5, 2, size=n) * np.exp(2j * np.pi * rng.uniform(size=n))
+                inst = NumericInstance(M=M, b=b, w=b, chi=1 / np.prod(b))
+            elif kind == "perturbed":
+                E = gauss(r, r)
+                M = [inst.M[0] + 4e-8 * E / np.linalg.norm(E), *inst.M[1:]]
+                inst = NumericInstance(M=M, b=inst.b, w=inst.w, chi=inst.chi)
+            space = ChainSpace(inst)
+            for k in range(1, n + 1):
+                assert rel(space.braid_factor(k), reference_braid_factor(space, k)) <= 1e-9
+                v = gauss(r, 2)
+                assert rel(space.delta_k_vector(k, v),
+                           fox_expand(space, delta_k_word(n, k), v)) <= 1e-9
+                assert rel(space.delta_k_vector(k, v[:, 0]),
+                           fox_expand(space, delta_k_word(n, k), v[:, 0])) <= 1e-9
+
+    def test_out_of_range_point(self):
+        space = ChainSpace(small_instance())
+        for k in (0, space.n + 1, -1):
+            with pytest.raises(IndexError):
+                space.braid_factor(k)
+            with pytest.raises(IndexError):
+                space.delta_k_vector(k, np.ones(space.r))
 
 
 class TestRawConvolution:
