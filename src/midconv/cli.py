@@ -43,14 +43,18 @@ def cmd_defect(doc: ProblemDocument) -> tuple[dict, int]:
     }, OK
 
 
+def _convention_failure(kind: str, exc: ConventionViolation) -> tuple[dict, int]:
+    """The answer to a transform that fails a convention, from the raised report."""
+    return {"kind": kind, "status": "ConventionFailure", "convention": exc.convention,
+            "report": exc.report.to_json()}, NEGATIVE
+
+
 def cmd_transform(doc: ProblemDocument) -> tuple[dict, int]:
     beta = doc.convoluter_or_default()
     try:
         result = katz.kappa(beta, doc.vector)
     except ConventionViolation as exc:
-        return {"kind": "transform", "status": "ConventionFailure",
-                "convention": exc.convention,
-                "report": exc.report.to_json()}, NEGATIVE
+        return _convention_failure("transform", exc)
     if isinstance(result, NoneffectiveReport):
         return {"kind": "transform", "status": "EmptyNoneffective",
                 "report": result.to_json(),
@@ -126,6 +130,8 @@ def cmd_verify(doc: dict) -> tuple[dict, int]:
     except ConventionViolationNumeric as exc:
         return {"kind": "verify", "status": "ConventionFailure",
                 "detail": str(exc)}, NEGATIVE
+    except ConventionViolation as exc:  # raised by the symbolic prediction only
+        return _convention_failure("verify", exc)
     except MidconvError:
         if isinstance(problem, homology.NumericInstance):
             raise

@@ -24,6 +24,7 @@ the public views (``Arrangement.seq``, ``parabolic_degree``).
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -156,55 +157,43 @@ def _circle_weights(g: EigDivisor) -> tuple[list[tuple[int, int]], int]:
 
 
 def good_arrangement(g: EigDivisor) -> Arrangement:
-    """Greedy minimal-descent arrangement.
-
-    Layer j (j = 1..max multiplicity) collects every weight of
-    multiplicity >= j in increasing order; concatenating the layers puts
-    one descent at each layer boundary, which meets the lower bound.
-    """
-    weights, den = _circle_weights(g)
-    if not g.is_effective or not weights:
-        raise ValueError("need a nonempty effective divisor")
-    p = max(m for _, m in weights)
-    seq: list[int] = []
-    for j in range(1, p + 1):
-        seq.extend(sorted(a for a, m in weights if m >= j))
-    arr = Arrangement._from_ints(seq, den)
-    assert len(arr.descents()) == p, "greedy arrangement must be good"
-    return arr
+    """Greedy minimal-descent arrangement: ``shifted_arrangement(g, 0)``."""
+    return shifted_arrangement(g, 0)
 
 
 def shifted_arrangement(g: EigDivisor, shift: int) -> Arrangement:
     """A good arrangement whose descent positions sum to the greedy
     arrangement's minus ``shift``, modulo r.
 
-    The greedy arrangement is nu runs, run j holding in increasing order
-    the weights of multiplicity >= j.  Every run holds the weights of
-    multiplicity nu, so every run ends in a descent, and any placement of
-    the other weights, at most one copy per run, is good.  Moving a copy
-    of a weight of multiplicity m < nu one run later lowers the descent
-    sum by 1, and its copies allow m (nu - m) >= nu - 1 such moves; a left
-    rotation by one position lowers the sum by nu modulo r.  Needs
-    unequal multiplicities (ValueError otherwise).
+    The greedy arrangement is nu layers, layer j holding in increasing
+    order the weights of multiplicity >= j; concatenating the layers puts
+    one descent at each layer boundary, which meets the lower bound nu.
+    Every layer holds the weights of multiplicity nu, so every layer ends
+    in a descent, and any placement of the other weights, at most one
+    copy per layer, is good.  Moving a copy of a weight of multiplicity
+    m < nu one layer later lowers the descent sum by 1, and its copies
+    allow m (nu - m) >= nu - 1 such moves; a left rotation by one
+    position lowers the sum by nu modulo r.  Needs unequal multiplicities
+    when a move is needed (ValueError otherwise).
     """
     weights, den = _circle_weights(g)
+    if not g.is_effective or not weights:
+        raise ValueError("need a nonempty effective divisor")
     nu = max(m for _, m in weights)
-    movable = [(a, m) for a, m in weights if m < nu]
-    if not movable:
-        raise ValueError("all multiplicities are equal; no weight can move")
-    alpha, m = min(movable)
-    rotate, moves = divmod(shift % g.degree(), nu)
-    runs = list(range(1, m + 1))  # the runs holding a copy of alpha
-    for i in reversed(range(m)):
-        step = min(moves, nu - m)
-        runs[i] += step
-        moves -= step
-    seq: list[int] = []
-    for j in range(1, nu + 1):
-        seq.extend(sorted([a for a, mult in weights if a != alpha and mult >= j]
-                          + [alpha] * (j in runs)))
-    arr = Arrangement._from_ints(seq[rotate:] + seq[:rotate], den)
-    assert arr.is_good, "run placements and rotations keep arrangements good"
+    layers = [sorted([a for a, m in weights if m >= j]) for j in range(1, nu + 1)]
+    rotate, moves = divmod(shift % g.degree(), nu) if shift else (0, 0)
+    if moves:
+        if all(m == nu for _, m in weights):
+            raise ValueError("all multiplicities are equal; no weight can move")
+        alpha, m = min((a, m) for a, m in weights if m < nu)
+        for j in reversed(range(m)):  # the copy in layer j, the last copy first
+            step = min(moves, nu - m)
+            moves -= step
+            layers[j].remove(alpha)
+            insort(layers[j + step], alpha)
+    seq = [a for layer in layers for a in layer]
+    arr = Arrangement._from_ints(seq[rotate:] + seq[:rotate] if rotate else seq, den)
+    assert len(arr.descents()) == nu, "layer placements and rotations keep arrangements good"
     return arr
 
 

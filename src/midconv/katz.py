@@ -522,7 +522,6 @@ class AlgorithmTrace(NamedTuple):
             doc["certificate"] = self.certificate.to_json()
         if self.report is not None:
             doc["convention_report"] = self.report.to_json()
-            doc["failed_side"] = "forward"  # the one pair run_algorithm checks
         return doc
 
 

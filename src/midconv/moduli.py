@@ -4,12 +4,20 @@ Only numerical invariants are computed here: conjugacy-class dimensions,
 the naive dimension count, its defect/superdefect decomposition, the
 middle-cohomology dimension, and the classification of the dimension-2
 polymultiplicity vectors.  No moduli geometry is modeled.
+
+With nu_i the largest multiplicity at point i, the superdefect
+sigma_i = class_dim_i - r (r - nu_i) = sum_j m_j (nu_i - m_j) is >= 0,
+zero exactly when the point's parts are equal, and
+naive_dim = 2 + r d + sum_i sigma_i.  Dimension 2 with defect d >= 0 is
+therefore the equation d = 0 over equal-part points, which
+``dim2_census`` solves directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
 from .divisors import MonodromyVector
@@ -121,25 +129,17 @@ def classify_dim2(vector: MonodromyVector) -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive dimension-2 census
+# The dimension-2 census
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _partitions(r: int) -> tuple[tuple[int, ...], ...]:
-    """All partitions of r, parts in descending order."""
-    out = []
-
-    def rec(remaining, cap, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            prefix.append(part)
-            rec(remaining - part, part, prefix)
-            prefix.pop()
-
-    rec(r, r, [])
-    return tuple(out)
+def _partitions(r: int, cap: Optional[int] = None) -> tuple[tuple[int, ...], ...]:
+    """All partitions of r with parts at most cap (default r), parts in
+    descending order, listed in descending lexicographic order."""
+    if r == 0:
+        return ((),)
+    return tuple((part, *rest) for part in range(min(cap or r, r), 0, -1)
+                 for rest in _partitions(r - part, part))
 
 
 def dim2_census(max_rank: int, max_points: int,
@@ -152,50 +152,19 @@ def dim2_census(max_rank: int, max_points: int,
     solution yields another with the same invariants, so the census is
     stated for honest singularities.
 
+    No search: as sigma_i = sum_j m_j (nu_i - m_j) >= 0 is zero exactly
+    at equal parts, naive dimension 2 with d >= 0 means k_i | r equal
+    parts r / k_i at point i and d = 0, i.e. sum_i r / k_i = (n - 2) r.
+
     Returns (r, n, pmv) triples with the pmv sorted as a canonical
-    multiset of partitions.
+    multiset of partitions, by rank, then points, then the part counts
+    k_1 >= k_2 >= ... in descending lexicographic order.
     """
     solutions = []
     for r in range(1, max_rank + 1):
-        parts = [p for p in _partitions(r)
-                 if allow_scalar_points or len(p) > 1]
-        # Per-point data: (partition, class dim, max multiplicity).
-        data = sorted(((p, class_dim(r, p), p[0]) for p in parts),
-                      key=lambda t: -t[1])
-        if not data:
-            continue
-        max_dim = data[0][1]
+        ks = [k for k in range(r, 0 if allow_scalar_points else 1, -1) if r % k == 0]
         for n in range(3, max_points + 1):
-            target = 2 * r * r  # sum of class dims forced by naive_dim = 2
-            nu_budget = (n - 2) * r  # defect >= 0
-
-            # Sound pruning: sigma_i = dim_i - r^2 + r*nu_i >= 0 for every
-            # partition (checked in the test suite for this range), and on
-            # target the identities force sum(sigma_i) = 0; so any positive
-            # partial sigma sum kills the branch.
-            def rec(idx, count, dim_sum, nu_sum, sigma_sum, chosen):
-                if count == n:
-                    if dim_sum == target and nu_sum <= nu_budget:
-                        solutions.append((r, n, tuple(sorted(chosen))))
-                    return
-                remaining = n - count
-                if dim_sum + remaining * max_dim < target:
-                    return
-                for k in range(idx, len(data)):
-                    p, dim, nu = data[k]
-                    if dim_sum + dim + (remaining - 1) * dim < target:
-                        break  # data sorted by dim descending
-                    if dim_sum + dim > target:
-                        continue
-                    if nu_sum + nu + (remaining - 1) > nu_budget:
-                        continue
-                    sigma = dim - r * r + r * nu
-                    if sigma_sum + sigma > 0:
-                        continue
-                    chosen.append(p)
-                    rec(k, count + 1, dim_sum + dim, nu_sum + nu,
-                        sigma_sum + sigma, chosen)
-                    chosen.pop()
-
-            rec(0, 0, 0, 0, 0, [])
+            for combo in combinations_with_replacement(ks, n):
+                if sum(r // k for k in combo) == (n - 2) * r:
+                    solutions.append((r, n, tuple(sorted((r // k,) * k for k in combo))))
     return solutions

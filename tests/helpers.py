@@ -55,6 +55,47 @@ def random_beta(rng, vector, aim, v_policy, tag):
     return Convoluter.with_fresh_v(h, [f"{tag}s{i}" for i in range(vector.n - 1)])
 
 
+def tits_vector(r, pmv):
+    """A PMV as a dimension vector alpha on the star quiver: the centre r,
+    and arm i reading r - m_i1, r - m_i1 - m_i2, ... with the parts in
+    descending order and the trailing 0 dropped (a scalar point has an
+    empty arm).  Returns (centre, arms)."""
+    arms = []
+    for parts in pmv:
+        left, arm = r, []
+        for m in sorted(parts, reverse=True)[:-1]:
+            left -= m
+            arm.append(left)
+        arms.append(arm)
+    return r, arms
+
+
+def tits_form(r, pmv):
+    """q(alpha) = sum of alpha_v^2 minus sum over the edges of alpha_s alpha_t."""
+    centre, arms = tits_vector(r, pmv)
+    q = centre * centre
+    for arm in arms:
+        chain = [centre, *arm]
+        q += sum(a * a for a in arm) - sum(a * b for a, b in zip(chain, chain[1:]))
+    return q
+
+
+def centre_reflection_ranks(r, pmv):
+    """The ranks met by reflecting alpha at the centre while that lowers it:
+    r -> r + d while d < 0 and every m_i1 + d >= 0, where the largest part
+    of each point becomes m_i1 + d (a zero part is dropped) and the parts
+    are re-sorted.  The oracle for ``run_algorithm(v).ranks``."""
+    ranks = [r]
+    pmv = [sorted(p, reverse=True) for p in pmv]
+    while True:
+        d = (len(pmv) - 2) * r - sum(p[0] for p in pmv)
+        if d >= 0 or any(p[0] + d < 0 for p in pmv):
+            return ranks
+        pmv = [sorted([m for m in (p[0] + d, *p[1:]) if m], reverse=True) for p in pmv]
+        r += d
+        ranks.append(r)
+
+
 def naive_kappa_local(beta, vector, i):
     """Literal transcription of the local transform formula, kept
     independent of the library code path: returns the coefficient list
@@ -106,8 +147,7 @@ def reference_run(vector, max_steps=None, v_policy="same"):
         if beta.t.is_identity() or witnesses:
             report = ConventionReport(chi_nontrivial=not beta.t.is_identity(),
                                       chirhobeta_ok=not witnesses, chirhobeta_detail=witnesses)
-            return answer("ConventionFailure", convention_report=report.to_json(),
-                          failed_side="forward")
+            return answer("ConventionFailure", convention_report=report.to_json())
         for i in range(n):
             if mults[i] + d < 0:
                 lhs = sum(r - mults[j] for j in range(n) if j != i)

@@ -736,7 +736,7 @@ class TestDocumentBoundary:
         assert code == 2
         out = json.loads(out)
         assert out["status"] == "ConventionFailure"
-        assert out["failed_side"] == "forward" and out["steps"] == []
+        assert "failed_side" not in out and out["steps"] == []
         report = out["convention_report"]
         assert report["ok"] is False
         assert report["chirhobeta_violations"] == [
@@ -759,14 +759,23 @@ class TestDocumentBoundary:
     @pytest.mark.parametrize("verb", ["transform", "verify"])
     def test_convention_failure_reads_the_raised_report(self, monkeypatch, verb):
         """A ConventionFailure answer renders the report that ``kappa`` raised
-        with: ``check_conventions`` does not run again (verify reaches the
-        transform answer when its prediction has none)."""
+        with: neither ``check_conventions`` nor ``kappa`` runs again (verify
+        answers from the report its prediction raised)."""
+        from midconv import homology
+
         doc = symbolic_verify_document()
         del doc["convoluter"]  # the default twist aims at all three classes: t = 1
-        calls = []
+        calls, kappa_calls, real_kappa = [], [], katz.kappa
+
+        def spy(*args, **kwargs):
+            kappa_calls.append(args)
+            return real_kappa(*args, **kwargs)
+
         monkeypatch.setattr(katz, "check_conventions", lambda *a, **kw: calls.append(a))
+        monkeypatch.setattr(katz, "kappa", spy)
+        monkeypatch.setattr(homology, "kappa", spy)
         code, out, err = call_main(verb, doc)
-        assert code == 2 and calls == [], err
+        assert code == 2 and calls == [] and len(kappa_calls) == 1, err
         monkeypatch.undo()
         parsed = parse_document(doc)
         report = katz.check_conventions(parsed.convoluter_or_default(), parsed.vector)

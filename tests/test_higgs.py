@@ -7,7 +7,7 @@ from math import lcm
 
 import numpy as np
 import pytest
-from helpers import reference_checks, reference_higgs
+from helpers import _layers, reference_checks, reference_higgs
 
 from midconv import (Arrangement, EigDivisor, GroupElement, GroupMode,
                      HiggsData, MonodromyVector, construct, defect,
@@ -201,12 +201,16 @@ class TestShiftedArrangement:
 
     def test_zero_shift_is_greedy(self):
         g = divisor(("1/10", 3), ("1/2", 1), ("3/4", 2))
-        assert shifted_arrangement(g, 0) == good_arrangement(g)
-        assert shifted_arrangement(g, g.degree()) == good_arrangement(g)
+        greedy = Arrangement(_layers([(F(1, 10), 3), (F(1, 2), 1), (F(3, 4), 2)], 3))
+        assert shifted_arrangement(g, 0) == greedy == good_arrangement(g)
+        assert shifted_arrangement(g, g.degree()) == greedy
 
     def test_equal_multiplicities_rejected(self):
+        g = divisor(("1/4", 2), ("3/4", 2))
         with pytest.raises(ValueError):
-            shifted_arrangement(divisor(("1/4", 2), ("3/4", 2)), 1)
+            shifted_arrangement(g, 1)
+        # a shift that only rotates needs no move
+        assert shifted_arrangement(g, 2) == Arrangement([F(3, 4), F(1, 4), F(3, 4), F(1, 4)])
 
 
 class TestConstruct:

@@ -5,10 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import random_beta, random_vector
+from helpers import centre_reflection_ranks, random_beta, random_vector, tits_form
 from midconv import (EigDivisor, GroupElement, GroupMode, MonodromyVector,
                      classify_dim2, defect, dim2_census, dimension_report,
-                     kappa)
+                     kappa, run_algorithm)
 from midconv.errors import DefectPrecondition
 from midconv.katz import max_mult_convoluter
 from midconv.moduli import _partitions, _report_from_pmv, class_dim, classify_dim2_pmv
@@ -118,12 +118,12 @@ class TestMiddleH1:
             assert h1 == r + defect(vec, beta)
 
 
-def brute_force_dim2(max_rank, max_points):
-    """Plain enumeration over partition multisets (no pruning), for
-    cross-checking the pruned census on a small range."""
+def brute_force_dim2(max_rank, max_points, allow_scalar_points=False):
+    """Plain enumeration over partition multisets, for cross-checking the
+    census, which solves the defect-zero equation instead, on a small range."""
     out = []
     for r in range(1, max_rank + 1):
-        parts = [p for p in _partitions(r) if len(p) > 1]
+        parts = [p for p in _partitions(r) if allow_scalar_points or len(p) > 1]
         for n in range(3, max_points + 1):
             for combo in itertools.combinations_with_replacement(parts, n):
                 nus = [p[0] for p in combo]
@@ -136,8 +136,17 @@ def brute_force_dim2(max_rank, max_points):
 
 
 class TestCensus:
-    def test_pruned_census_matches_brute_force_small(self):
-        assert sorted(dim2_census(8, 5)) == sorted(brute_force_dim2(8, 5))
+    def test_census_matches_brute_force_small(self):
+        for scalars in (False, True):
+            assert sorted(dim2_census(8, 5, scalars)) == sorted(brute_force_dim2(8, 5, scalars))
+
+    def test_census_order(self):
+        # rank, then points, then the part counts k_1 >= k_2 >= ... in
+        # descending lexicographic order
+        for scalars in (False, True):
+            found = dim2_census(12, 6, scalars)
+            assert found == sorted(found, key=lambda row: (
+                row[0], row[1], sorted(-len(p) for p in row[2])))
 
     def test_census_families_only(self):
         found = dim2_census(12, 6)
@@ -164,6 +173,27 @@ class TestCensus:
             key = tuple(sorted(len(p) for p in core))
             assert key in {(2, 2, 2, 2), (3, 3, 3), (2, 4, 4), (2, 3, 6)}
             assert classify_dim2_pmv(r, pmv) is not None
+
+
+class TestTitsForm:
+    def test_sweep_against_the_star_quiver(self):
+        # naive_dim = 2 - 2 q(alpha), and the reduction loop is the
+        # reflection at the centre of the star quiver
+        rng = np.random.default_rng(2003)
+        for trial in range(600):
+            mode = (MULT, GroupMode.ADDITIVE)[trial % 2]
+            vec = random_vector(rng, mode, int(rng.integers(1, 13)),
+                                int(rng.integers(3, 6)), f"tf{trial}")
+            r, pmv = vec.rank, vec.pmv()
+            assert dimension_report(vec).naive_dim == 2 - 2 * tits_form(r, pmv)
+            assert run_algorithm(vec).ranks == centre_reflection_ranks(r, pmv), pmv
+
+    @pytest.mark.parametrize("scalars", [False, True])
+    def test_census_rows_are_isotropic(self, scalars):
+        # the dimension-2 families are multiples of the minimal imaginary
+        # roots of the affine star diagrams D4, E6, E7 and E8
+        for r, _, pmv in dim2_census(12, 6, scalars):
+            assert tits_form(r, pmv) == 0, pmv
 
 
 class TestTransformInvariance:
