@@ -18,10 +18,11 @@ import sys
 
 from . import higgs as higgs_mod
 from . import katz, moduli
-from .docio import (MAX_HIGGS_WEIGHTS, ProblemDocument, check_raw_dim, parse_document,
-                    parse_generate, parse_json, parse_tol, render)
+from .docio import (MAX_HIGGS_WEIGHTS, ProblemDocument, check_raw_dim, check_run_terms,
+                    parse_document, parse_generate, parse_json, parse_tol, render)
 from .errors import (ConventionViolation, ConventionViolationNumeric, DigitLimitExceeded,
-                     DocumentError, MaxStepsExceeded, MidconvError, ModeMismatch, shown)
+                     DocumentError, MaxStepsExceeded, MidconvError, ModeMismatch,
+                     NoneffectiveTransform, shown)
 from .katz import NoneffectiveReport, TerminalStatus
 from .scalars import GroupMode
 
@@ -49,6 +50,12 @@ def _convention_failure(kind: str, exc: ConventionViolation) -> tuple[dict, int]
             "report": exc.report.to_json()}, NEGATIVE
 
 
+def _noneffective(kind: str, report: NoneffectiveReport) -> tuple[dict, int]:
+    """The answer to an empty transform, from its NoneffectiveReport."""
+    return {"kind": kind, "status": "EmptyNoneffective", "report": report.to_json(),
+            "certificate": report.certificate.to_json()}, NEGATIVE
+
+
 def cmd_transform(doc: ProblemDocument) -> tuple[dict, int]:
     beta = doc.convoluter_or_default()
     try:
@@ -56,15 +63,14 @@ def cmd_transform(doc: ProblemDocument) -> tuple[dict, int]:
     except ConventionViolation as exc:
         return _convention_failure("transform", exc)
     if isinstance(result, NoneffectiveReport):
-        return {"kind": "transform", "status": "EmptyNoneffective",
-                "report": result.to_json(),
-                "certificate": result.certificate.to_json()}, NEGATIVE
+        return _noneffective("transform", result)
     return {"kind": "transform", "status": "ok",
             "defect": result.rank - doc.vector.rank,
             "output": result.to_json()}, OK
 
 
 def cmd_run(doc: ProblemDocument) -> tuple[dict, int]:
+    check_run_terms(doc)
     try:
         trace = katz.run_algorithm(doc.vector, doc.max_steps, doc.v_policy)
     except MaxStepsExceeded as exc:  # only a given max_steps can run out
@@ -130,16 +136,11 @@ def cmd_verify(doc: dict) -> tuple[dict, int]:
     except ConventionViolationNumeric as exc:
         return {"kind": "verify", "status": "ConventionFailure",
                 "detail": str(exc)}, NEGATIVE
-    except ConventionViolation as exc:  # raised by the symbolic prediction only
+    # the symbolic prediction raises these two with their reports: answer as `transform`
+    except ConventionViolation as exc:
         return _convention_failure("verify", exc)
-    except MidconvError:
-        if isinstance(problem, homology.NumericInstance):
-            raise
-        # the prediction is the transform: when it has none, answer as `transform`
-        out, code = cmd_transform(ProblemDocument(problem.vector, problem.beta))
-        if code != NEGATIVE:
-            raise
-        return {**out, "kind": "verify"}, code
+    except NoneffectiveTransform as exc:
+        return _noneffective("verify", exc.report)
     out = {"kind": "verify", "report": report.to_json()}
     return out, (OK if report.ok else NEGATIVE)
 

@@ -98,14 +98,39 @@ def parse_generate(doc: dict) -> dict:
 
 # The largest raw dimension (points - 1) * rank that verify builds a numeric
 # instance for.  Its factors have points * rank rows and width about rank; on
-# one BLAS thread one at the cap takes 0.4-4.5 s and up to 200 MB, rank 500 at
-# 3 points the slowest, rank 1 at 1001 points 2.2 s (bench shapes reach 180)
+# one BLAS thread one at the cap takes 0.3-3.6 s and up to 180 MB, rank 500 at
+# 3 points the slowest, rank 1 at 1001 points 1.5-1.7 s (bench shapes reach 180)
 MAX_RAW_DIM = 1000
 
 
 # The most weights, points * rank, that a higgs answer lists: its time and size
 # follow that count, and at the cap (rank 50,000 at 5 points) it takes 0.5-0.8 s
 MAX_HIGGS_WEIGHTS = 250_000
+
+
+# The most terms (a value's constant or one of its generator coefficients) that
+# a run answer may need by ``check_run_terms``' bound: at the cap the
+# hypergeometric document [[r-1, 1], [1]^r, [1]^r] under fresh v, one generator
+# per eigenvalue, answers at r = 86 (bound 7.8 million) in 0.8-0.9 s with a
+# 53 MB answer, and r = 87 is past it (bench documents reach 92,000)
+MAX_RUN_TERMS = 8_000_000
+
+
+def check_run_terms(doc: ProblemDocument) -> None:
+    """DocumentError at ``$.classes`` when a run of ``doc`` may write more
+    than ``MAX_RUN_TERMS`` terms.  Bound, before the loop runs: s =
+    min(rank, max_steps) steps, so s + 1 vectors of at most points * rank
+    entries, each value holding a constant, the document's generators and,
+    under fresh v, points - 1 new ones per step."""
+    vector = doc.vector
+    n, r = vector.n, vector.rank
+    steps = r if doc.max_steps is None else min(r, doc.max_steps)
+    gens = len({x for g in vector for a, _ in g.entries for x, _ in a.expr._t})
+    per_value = 1 + gens + ((n - 1) * steps if doc.v_policy == "fresh" else 0)
+    if (steps + 1) * n * r * per_value > MAX_RUN_TERMS:
+        _fail(f"a run answer may need (steps + 1) * points * rank * terms per value = "
+              f"{steps + 1} * {n} * {r} * {per_value} terms, more than {MAX_RUN_TERMS:,}",
+              "$.classes")
 
 
 def check_raw_dim(points: int, rank: int, path: str) -> None:

@@ -39,6 +39,16 @@ class ConventionViolation(MidconvError):
         super().__init__(detail)
 
 
+class NoneffectiveTransform(MidconvError):
+    """The transform has a negative coefficient, so no such local system
+    exists.  Carries the ``NoneffectiveReport``, as ConventionViolation
+    carries its report, so callers render it without transforming again."""
+
+    def __init__(self, report):
+        self.report = report
+        super().__init__(f"symbolic transform is not effective: {report!r}")
+
+
 class MaxStepsExceeded(MidconvError):
     """The rank-reduction loop ran longer than allowed (defensive)."""
 

@@ -7,7 +7,10 @@ G[a_i, v_j].  The braid generator u_k conjugates a_k by a loop d_k, in
 closed form from prefix products (``ChainSpace``); restricting to the
 kernel of the boundary map gives the raw convolution, and quotienting by
 the cycles on local fixed vectors gives the middle convolution.  Measured
-per-point eigenvalue multisets are compared with the symbolic prediction.
+per-point eigenvalue multisets are compared with the symbolic prediction,
+``katz.kappa_values``: the transform formula run with its third group
+law, the valuation x -> exp(2 pi i x(assignment)), so that no transformed
+vector is built.
 
 u_k moves only the cycles on a_k, so its matrix is U_k = I + X_k S_k^T,
 where X_k is n r x r and S_k selects block k.  On an orthonormal basis B
@@ -49,8 +52,9 @@ import numpy as np
 from .divisors import EigDivisor, MonodromyVector
 from .docio import check_raw_dim, complex_array, integer, parse_tol
 from .errors import (BoundaryNotSurjective, ConventionViolationNumeric, DocumentError,
-                     MidconvError, QuotientRankMismatch, SizeMismatch)
-from .katz import Convoluter, kappa
+                     NoneffectiveTransform, QuotientRankMismatch, SizeMismatch)
+# ``kappa`` is not called here; bench/spans.py wraps ``midconv.homology.kappa``
+from .katz import Convoluter, NoneffectiveReport, kappa, kappa_values  # noqa: F401
 from .scalars import GroupElement, GroupMode
 
 __all__ = [
@@ -294,11 +298,13 @@ class _BraidAction:
     On an orthonormal basis B of that complement P_k = B^H X_k and
     Q_k^H = B[block k].  Since B B^H = I - V V^H, the r x r product is
     Q_k^H P_k = X_k[block k] - V[block k] (V^H X_k): ``spectrum`` needs V
-    alone, and B is built (by a complete QR of V) only on demand.
+    alone, and B is built (by a complete QR of V) only on demand.  Each
+    braid factor X_k is built from the chain space where it is read, so
+    no more than one is held at a time.
     """
 
     V: np.ndarray               # (n r, c), orthonormal columns: what is cut away
-    X: list                     # ChainSpace.braid_factor per point
+    space: ChainSpace           # X_k = space.braid_factor(k)
     w: np.ndarray               # the basepoint twists
 
     @property
@@ -311,23 +317,24 @@ class _BraidAction:
         return _complement(self.V)
 
     def _factors(self, k: int):
-        r = self.X[k].shape[1]
-        return self.basis.conj().T @ self.X[k], self.basis[k * r:(k + 1) * r]
+        r = self.space.r
+        return (self.basis.conj().T @ self.space.braid_factor(k + 1),
+                self.basis[k * r:(k + 1) * r])
 
     @property
     def matrices(self) -> list:
         """The dense w_k (I + P_k Q_k^H), built on demand."""
         return [wk * (np.eye(self.dim) + P @ Qh)
-                for wk, (P, Qh) in zip(self.w, map(self._factors, range(len(self.X))))]
+                for wk, (P, Qh) in zip(self.w, map(self._factors, range(self.space.n)))]
 
     def spectrum(self, k: int) -> np.ndarray:
         """Eigenvalues of ``matrices[k]`` from the r x r product Q_k^H P_k,
         or from the m x m matrix when m <= r (0-based k)."""
-        X, V = self.X[k], self.V
-        m, r = self.dim, X.shape[1]
+        m, r = self.dim, self.space.r
         if m <= r:
             P, Qh = self._factors(k)
             return self.w[k] * np.linalg.eigvals(np.eye(m) + P @ Qh)
+        X, V = self.space.braid_factor(k + 1), self.V
         QhP = X[k * r:(k + 1) * r] - V[k * r:(k + 1) * r] @ (V.conj().T @ X)
         return self.w[k] * np.concatenate([np.ones(m - r), 1 + np.linalg.eigvals(QhP)])
 
@@ -353,8 +360,7 @@ def raw_convolution_rep(inst: NumericInstance) -> RawConvolutionRep:
     chi * b_k M_k together with 1 of multiplicity (n-2) r.
     """
     space = ChainSpace(inst)
-    return RawConvolutionRep(space.row_basis(),
-                             [space.braid_factor(k) for k in range(1, inst.n + 1)], inst.w)
+    return RawConvolutionRep(space.row_basis(), space, inst.w)
 
 
 def _fixed_space(inst: NumericInstance, k: int) -> np.ndarray:
@@ -392,7 +398,7 @@ def middle_convolution_rep(inst: NumericInstance) -> MiddleConvolutionRep:
     fixed_dims = [F.shape[1] for F in fixed]
     total = sum(fixed_dims)
     if total == 0:
-        return MiddleConvolutionRep(R, raw.X, inst.w, fixed_dims, raw)
+        return MiddleConvolutionRep(R, raw.space, inst.w, fixed_dims, raw)
     # column block k is G[a_{k+1}, F_k] (ChainSpace.embed of the fixed space)
     phi = np.zeros((inst.n * inst.r, total), dtype=complex)
     col = 0
@@ -410,7 +416,7 @@ def middle_convolution_rep(inst: NumericInstance) -> MiddleConvolutionRep:
     if rank != total:
         raise QuotientRankMismatch(
             f"middling span has rank {rank}, expected {total}")
-    return MiddleConvolutionRep(np.hstack([R, U]), raw.X, inst.w, fixed_dims, raw)
+    return MiddleConvolutionRep(np.hstack([R, U]), raw.space, inst.w, fixed_dims, raw)
 
 
 def predicted_middle_spectra(inst: NumericInstance) -> list[list[complex]]:
@@ -511,12 +517,15 @@ class VerificationProblem:
     assignment: dict
 
     def predicted_kappa_spectra(self) -> list[list[complex]]:
-        """Per-point eigenvalue multisets of the symbolic transform,
-        instantiated through the assignment."""
-        result = kappa(self.beta, self.vector, check=True)
-        if not isinstance(result, MonodromyVector):
-            raise MidconvError(f"symbolic transform is not effective: {result!r}")
-        return [_spectrum(g, self.assignment) for g in result]
+        """Per-point eigenvalue multisets of the symbolic transform under
+        the assignment: ``kappa_values`` runs the transform formula with
+        the valuation as its group law, so no transformed vector is built.
+        Raises ConventionViolation, or NoneffectiveTransform with the
+        report, when the transform has no such spectra."""
+        result = kappa_values(self.beta, self.vector, self.assignment)
+        if isinstance(result, NoneffectiveReport):
+            raise NoneffectiveTransform(result)
+        return [[z for z, m in entries for _ in range(m)] for entries in result]
 
 
 def _spectrum(g: EigDivisor, assignment: dict) -> list[complex]:

@@ -7,9 +7,12 @@ coefficient m_i(h_i^{-1}) + d, and every other eigenvalue a of g_i moves
 to a u_i.  This module implements that transformation exactly, together
 with the eigenvalue conventions it requires, its involution partner,
 emptiness detection, and the iterative rank-reduction loop.  The formula
-is written once, in ``_aim`` and ``_apply``, over either group
-arithmetic: ``GroupElement`` objects for ``kappa`` and the checks, or
-the reduction loop's integer rows.
+is written once, in ``_aim`` and ``_apply``, over one of three group
+laws: ``GroupElement`` objects for ``kappa`` and the checks, the
+reduction loop's integer rows, or, for ``kappa_values``, the valuation
+x -> exp(2 pi i x(assignment)) into the nonzero complex numbers, which
+turns ``_apply``'s output into the numeric spectra that
+:mod:`midconv.homology` compares with its measurement.
 
 Everything here is pure divisor arithmetic over the symbolic eigenvalue
 group; the numeric verification of these formulas lives in
@@ -40,6 +43,7 @@ __all__ = [
     "TerminalStatus",
     "defect",
     "kappa",
+    "kappa_values",
     "check_involution",
     "check_conventions",
     "detect_empty",
@@ -264,7 +268,9 @@ def _apply(plus, classes: list, aim: _Aim, v: Sequence) -> list[list]:
     """The local transform, one entry list per point: m_i(a) [a u_i] for
     each eigenvalue a of g_i with a h_i != 1, where u_i = t h_i v_i, then
     (m_i + d) [v_i] unless m_i + d = 0.  When the conventions hold no two
-    entries meet, since a u_i = v_i would mean t h_i a = 1."""
+    entries meet, since a u_i = v_i would mean t h_i a = 1.  Only the
+    two-argument law ``plus(a, b)`` is used, so ``kappa_values``' valuation
+    serves as well; the test a h_i != 1 compares the exact ``aim.inv``."""
     d, out = aim.defect, []
     for g, b, m, x, vi in zip(classes, aim.inv, aim.mults, aim.th, v):
         ui = plus(x, vi)
@@ -385,6 +391,32 @@ def kappa(beta: Convoluter, vector: MonodromyVector, check: bool = True,
                            for entries in _apply(_plus, classes, aim, beta.v)])
     assert all(k.degree() == vector.rank + aim.defect for k in out), "rank law r' = r + d"
     return out
+
+
+def kappa_values(beta: Convoluter, vector: MonodromyVector, assignment: dict):
+    """``kappa``'s output valued at ``assignment``, with no transformed vector:
+    one (value, multiplicity) list per point, or a NoneffectiveReport.
+
+    The conventions are checked exactly first, as by ``kappa``.  The
+    formula then runs with the valuation x -> exp(2 pi i x(assignment)) as
+    its group law, a homomorphism into the nonzero complex numbers that is
+    the identity on the values it has produced: each eigenvalue a of g_i is
+    valued once and u_i = t h_i v_i once per point, a kept a gives
+    val(a) val(u_i), and val(v_i) gets m_i(h_i^{-1}) + d.  Multiplicative
+    mode only.
+    """
+    if vector.mode is not GroupMode.MULTIPLICATIVE:
+        raise ModeMismatch("the valuation needs multiplicative mode")
+    classes, aim = _aimed(beta, vector)
+    violation = _report(beta, vector, aim, False).first_violation()
+    if violation is not None:
+        raise violation
+    if aim.noneffective:
+        return NoneffectiveReport(points=aim.noneffective)
+
+    def value(x) -> complex:
+        return x if isinstance(x, complex) else x.to_complex(assignment)
+    return _apply(lambda a, b: value(a) * value(b), classes, aim, [value(e) for e in beta.v])
 
 
 def check_involution(beta: Convoluter, vector: MonodromyVector,

@@ -8,7 +8,8 @@ from fractions import Fraction
 import numpy as np
 
 from midconv import (ConventionReport, Convoluter, EigDivisor, EmptinessCertificate,
-                     GroupElement, GroupMode, MonodromyVector, defect, dimension_report)
+                     GroupElement, GroupMode, MonodromyVector, defect, dimension_report,
+                     kappa)
 from midconv.errors import (BoundaryNotSurjective, ConventionViolationNumeric,
                             MaxStepsExceeded, ModeMismatch, QuotientRankMismatch)
 from midconv.higgs import derive_k
@@ -110,6 +111,18 @@ def naive_kappa_local(beta, vector, i):
         if not a.combine(beta.h[i]).is_identity():
             out.append((a.combine(u), m))
     return out
+
+
+def reference_kappa_spectra(problem):
+    """The symbolic prediction through the transformed vector: ``kappa``
+    of the problem's twist and vector, each output eigenvalue valued at
+    the assignment and listed with its multiplicity.  A NoneffectiveReport
+    is returned and a ConventionViolation raised, as by ``kappa``."""
+    result = kappa(problem.beta, problem.vector)
+    if not isinstance(result, MonodromyVector):
+        return result
+    return [[a.to_complex(problem.assignment) for a, m in g.entries for _ in range(m)]
+            for g in result]
 
 
 def reference_run(vector, max_steps=None, v_policy="same"):

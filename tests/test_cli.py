@@ -1,5 +1,6 @@
 """End-to-end command-line verbs and document handling."""
 
+import collections
 import contextlib
 import copy
 import dataclasses
@@ -18,11 +19,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import random_partition, reference_kappa_spectra
 from midconv import cli, katz
 from midconv.cli import main
-from midconv.docio import MAX_HIGGS_WEIGHTS, MAX_RAW_DIM, parse_document, parse_json, render
-from midconv.errors import DocumentError
-from midconv.katz import run_algorithm
+from midconv.docio import (MAX_HIGGS_WEIGHTS, MAX_RAW_DIM, MAX_RUN_TERMS, parse_document,
+                           parse_json, render)
+from midconv.errors import ConventionViolation, DocumentError, NoneffectiveTransform
+from midconv.katz import NoneffectiveReport, run_algorithm
 
 
 def expr(exps=None, const="0"):
@@ -318,6 +321,104 @@ class TestSymbolicVerify:
         assert "$.mode" in err and "Traceback" not in err
 
 
+def assert_prediction_matches_reference(problem) -> str:
+    """``predicted_kappa_spectra`` against ``reference_kappa_spectra``:
+    the same raised report, or equal lengths and deviations of at most
+    1e-12 at every point.  Returns the outcome's name."""
+    from midconv.homology import match_multisets
+
+    try:
+        expected = reference_kappa_spectra(problem)
+    except ConventionViolation as exc:
+        with pytest.raises(ConventionViolation) as raised:
+            problem.predicted_kappa_spectra()
+        assert raised.value.report == exc.report
+        return "ConventionFailure"
+    if isinstance(expected, NoneffectiveReport):
+        with pytest.raises(NoneffectiveTransform) as raised:
+            problem.predicted_kappa_spectra()
+        assert raised.value.report == expected
+        return "EmptyNoneffective"
+    predicted = problem.predicted_kappa_spectra()
+    assert len(predicted) == len(expected)
+    for got, want in zip(predicted, expected):
+        assert len(got) == len(want) and match_multisets(want, got) <= 1e-12
+    return "ok"
+
+
+class TestPredictionOracle:
+    """The transform formula run with the valuation as its group law, against
+    the transformed vector valued afterwards."""
+
+    def test_generate_sweep(self):
+        from midconv.homology import generate_instance
+
+        rng, outcomes = np.random.default_rng(22), collections.Counter()
+        for case in range(96):
+            n, r = int(rng.integers(3, 7)), int(rng.integers(1, 9))
+            mults = None if case % 3 == 0 else [random_partition(rng, r) for _ in range(n - 1)]
+            problem = generate_instance(seed=case, r=r, n=n, aim=("support", "fresh")[case % 2],
+                                        v_policy=("same", "fresh")[case // 2 % 2], mults=mults)
+            outcomes[assert_prediction_matches_reference(problem)] += 1
+        assert outcomes["ok"] >= 60 and outcomes["EmptyNoneffective"] >= 1, outcomes
+
+    @pytest.mark.parametrize("doc", [
+        symbolic_verify_document(),
+        symbolic_verify_document(UNRELATED_LAST),
+        symbolic_verify_document(UNRELATED_LAST, h3=expr({"c0": "-1"})),
+        {**symbolic_verify_document(), "assignment": {
+            **symbolic_verify_document()["assignment"], "a": [0.13, 1.0]}},
+        {k: v for k, v in symbolic_verify_document().items() if k != "convoluter"},
+    ], ids=["consistent", "unrelated", "unrelated-aimed", "off-circle", "convention"])
+    def test_symbolic_documents(self, doc):
+        from midconv.homology import VerificationProblem
+
+        parsed = parse_document(doc)
+        problem = VerificationProblem(None, parsed.vector, parsed.convoluter_or_default(),
+                                      parsed.assignment)
+        assert_prediction_matches_reference(problem)
+
+    def test_prediction_calls_no_kappa_and_builds_no_divisor(self, monkeypatch):
+        from midconv import homology
+        from midconv.divisors import EigDivisor
+
+        problem = homology.generate_instance(seed=4, r=5, n=4, v_policy="fresh")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the prediction built a transformed vector")
+
+        monkeypatch.setattr(katz, "kappa", forbidden)
+        monkeypatch.setattr(homology, "kappa", forbidden)
+        with monkeypatch.context() as inner:  # generate_instance builds the input's divisors
+            inner.setattr(EigDivisor, "__init__", forbidden)
+            predicted = problem.predicted_kappa_spectra()
+        code, out, err = call_main("verify", {"generate": {"rank": 3, "points": 4, "seed": 1}})
+        monkeypatch.undo()
+        assert code == 0 and json.loads(out)["report"]["ok"], err
+        assert [len(p) for p in predicted] == [len(e) for e in reference_kappa_spectra(problem)]
+
+    def test_noneffective_verify_answers_from_the_raised_report(self, monkeypatch):
+        """An empty transform answers EmptyNoneffective from the report the
+        prediction raised, with the bytes of ``transform``'s answer under
+        ``kind`` verify, and no ``kappa`` runs."""
+        from midconv.homology import generate_instance
+
+        doc = {"generate": {"rank": 1, "points": 3, "seed": 1}}
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("verify transformed again")
+
+        monkeypatch.setattr(katz, "kappa", forbidden)
+        code, out, err = call_main("verify", doc)
+        monkeypatch.undo()
+        problem = generate_instance(seed=1, r=1, n=3)
+        report = katz.kappa(problem.beta, problem.vector)
+        assert code == 2, err
+        assert out == render({"kind": "verify", "status": "EmptyNoneffective",
+                              "report": report.to_json(),
+                              "certificate": report.certificate.to_json()}, exact=False)
+
+
 class TestUsageErrors:
     def test_unknown_flag_exits_one(self, capsys):
         assert main(["defect", "--bogus"]) == 1
@@ -525,6 +626,27 @@ def matrices_document(mats, b, chi, **extra):
 TWISTS = np.exp(1j * np.pi * np.array([1 / 5, 0, 1 / 3]))
 
 
+def run_cap_document(generators):
+    """Rank 250 on 4 points with 1000 distinct eigenvalues, the first
+    ``generators`` of them generators and the rest constants, and
+    max_steps 7: a run's bound is 8 * 4 * 250 * (1 + generators) terms.
+    The defect is 496, so the run stops before its first step."""
+    values = ([entry({f"g{j}": "1"}) for j in range(generators)]
+              + [entry({}, const=f"{j}/1000") for j in range(1000 - generators)])
+    return {"mode": "multiplicative", "points": 4, "max_steps": 7,
+            "classes": [values[k * 250:(k + 1) * 250] for k in range(4)]}
+
+
+def hypergeometric_document(r):
+    """The PMV [[r - 1, 1], [1]^r, [1]^r], one generator per eigenvalue:
+    each step lowers the rank by one, and under fresh v every value gains
+    generators, so the run answer grows as r^3."""
+    return {"mode": "multiplicative",
+            "classes": [[entry({"a": "1"}, mult=r - 1), entry({"b": "1"})],
+                        [entry({f"c{j}": "1"}) for j in range(r)],
+                        [entry({f"d{j}": "1"}) for j in range(r)]]}
+
+
 class TestDocumentBoundary:
     @pytest.mark.parametrize("verb, doc", valid_documents())
     def test_valid_documents_pass(self, verb, doc):
@@ -634,6 +756,10 @@ class TestDocumentBoundary:
         ("verify", matrices_document([np.diag([1e8, 1e-8])] * 40 + [np.diag([1e-8, 1e8])] * 40
                                      + [np.eye(2)], [0.5] + [1] * 80, 2),
          "$: instance violates its defining relations: {'prod(M) = 1': nan}"),
+        # a run whose bound is just past its cap: one generator more than at the cap
+        ("run", run_cap_document(1000),
+         f"$.classes: a run answer may need (steps + 1) * points * rank * terms per value "
+         f"= 8 * 4 * 250 * 1001 terms, more than {MAX_RUN_TERMS:,}"),
     ])
     def test_forbidden_inputs(self, verb, patch, where):
         doc = run_document() if verb == "run" else {}
@@ -656,6 +782,20 @@ class TestDocumentBoundary:
         code, out, err = call_main("higgs", doc)
         assert code == 0 and err == "", err[:200]
         assert json.loads(out)["status"] == "constructed"
+
+    def test_run_at_its_cap_answers(self):
+        assert 8 * 4 * 250 * (1 + 999) == MAX_RUN_TERMS
+        code, out, err = call_main("run", run_cap_document(999))
+        assert code == 0 and err == "", err[:200]
+        assert json.loads(out)["status"] == "PositiveDefect"
+
+    def test_cubic_run_answer_exits_before_the_loop(self):
+        # about 2 GB of answer if it ran: the bound is 301 * 3 * 300 * 1203 terms
+        start = time.perf_counter()
+        code, out, err = call_main("run", hypergeometric_document(300), "--beta-v", "fresh")
+        elapsed = time.perf_counter() - start
+        assert code == 1 and out == "" and elapsed < 1, (elapsed, err[:200])
+        assert err.startswith("input error: $.classes: a run answer may need"), err[:200]
 
     def test_verify_at_its_cap_answers(self):
         # rank 1 at 1001 points: (points - 1) * rank is the cap, and the braid
@@ -758,24 +898,22 @@ class TestDocumentBoundary:
 
     @pytest.mark.parametrize("verb", ["transform", "verify"])
     def test_convention_failure_reads_the_raised_report(self, monkeypatch, verb):
-        """A ConventionFailure answer renders the report that ``kappa`` raised
-        with: neither ``check_conventions`` nor ``kappa`` runs again (verify
-        answers from the report its prediction raised)."""
-        from midconv import homology
-
+        """A ConventionFailure answer renders the report that the transform
+        raised with: the formula's data is evaluated once (``katz._aimed``,
+        by ``kappa`` for transform and by ``kappa_values`` for verify's
+        prediction) and ``check_conventions`` never runs."""
         doc = symbolic_verify_document()
         del doc["convoluter"]  # the default twist aims at all three classes: t = 1
-        calls, kappa_calls, real_kappa = [], [], katz.kappa
+        calls, aimed_calls, real_aimed = [], [], katz._aimed
 
-        def spy(*args, **kwargs):
-            kappa_calls.append(args)
-            return real_kappa(*args, **kwargs)
+        def spy(*args):
+            aimed_calls.append(args)
+            return real_aimed(*args)
 
         monkeypatch.setattr(katz, "check_conventions", lambda *a, **kw: calls.append(a))
-        monkeypatch.setattr(katz, "kappa", spy)
-        monkeypatch.setattr(homology, "kappa", spy)
+        monkeypatch.setattr(katz, "_aimed", spy)
         code, out, err = call_main(verb, doc)
-        assert code == 2 and calls == [] and len(kappa_calls) == 1, err
+        assert code == 2 and calls == [] and len(aimed_calls) == 1, err
         monkeypatch.undo()
         parsed = parse_document(doc)
         report = katz.check_conventions(parsed.convoluter_or_default(), parsed.vector)
