@@ -23,7 +23,7 @@ from .docio import (MAX_HIGGS_WEIGHTS, ProblemDocument, check_raw_dim, check_run
 from .errors import (ConventionViolation, ConventionViolationNumeric, DigitLimitExceeded,
                      DocumentError, MaxStepsExceeded, MidconvError, ModeMismatch,
                      NoneffectiveTransform, shown)
-from .katz import NoneffectiveReport, TerminalStatus
+from .katz import ConventionReport, NoneffectiveReport, TerminalStatus
 from .scalars import GroupMode
 
 OK, NEGATIVE, BAD_INPUT = 0, 2, 1
@@ -33,14 +33,16 @@ MAX_IMAG = 1.1
 
 
 def cmd_defect(doc: ProblemDocument) -> tuple[dict, int]:
-    beta = doc.convoluter_or_default()
+    rows, classes = doc.row_form[:2]
+    h, v = doc.twist()
+    value = rows.writer()[0]
     return {
         "kind": "defect",
-        "rank": doc.vector.rank,
-        "points": doc.vector.n,
-        "defect": katz.defect(doc.vector, beta),
-        "vector_defect": katz.defect(doc.vector),
-        "convoluter": beta.to_json(),
+        "rank": sum(classes[0].values()),
+        "points": len(classes),
+        "defect": katz.row_defect(classes, [rows.plus(a) for a in h]),
+        "vector_defect": katz.row_defect(classes),
+        "convoluter": {"h": [value(a) for a in h], "v": [value(a) for a in v]},
     }, OK
 
 
@@ -57,22 +59,20 @@ def _noneffective(kind: str, report: NoneffectiveReport) -> tuple[dict, int]:
 
 
 def cmd_transform(doc: ProblemDocument) -> tuple[dict, int]:
-    beta = doc.convoluter_or_default()
-    try:
-        result = katz.kappa(beta, doc.vector)
-    except ConventionViolation as exc:
-        return _convention_failure("transform", exc)
+    rows, classes = doc.row_form[:2]
+    aim, result = katz.row_step(rows, classes, *doc.twist())
+    if isinstance(result, ConventionReport):
+        return _convention_failure("transform", result.first_violation())
     if isinstance(result, NoneffectiveReport):
         return _noneffective("transform", result)
-    return {"kind": "transform", "status": "ok",
-            "defect": result.rank - doc.vector.rank,
-            "output": result.to_json()}, OK
+    return {"kind": "transform", "status": "ok", "defect": aim.defect,
+            "output": rows.writer()[1](result)}, OK
 
 
 def cmd_run(doc: ProblemDocument) -> tuple[dict, int]:
     check_run_terms(doc)
     try:
-        trace = katz.run_algorithm(doc.vector, doc.max_steps, doc.v_policy)
+        trace = katz.run_algorithm(doc.row_form[:2], doc.max_steps, doc.v_policy)
     except MaxStepsExceeded as exc:  # only a given max_steps can run out
         raise DocumentError(str(exc), "$.max_steps") from None
     out = {"kind": "run", **trace.to_json()}
@@ -194,9 +194,7 @@ def _process_one(verb: str, doc: dict, args) -> tuple[dict, int]:
     if args.beta_v and isinstance(conv, dict) and conv:
         v = {"same": "same-as-h", "fresh": "fresh"}[args.beta_v]
         doc = {**doc, "convoluter": {**conv, "v": v}}
-    parsed = parse_document(doc)
-    if args.beta_v == "fresh" and parsed.convoluter is None:
-        parsed.v_policy = "fresh"
+    parsed = parse_document(doc, "fresh" if args.beta_v == "fresh" and conv is None else "same")
     try:
         return _SYMBOLIC_VERBS[verb](parsed)
     except ModeMismatch as exc:  # the verb does not run in the document's mode

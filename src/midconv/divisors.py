@@ -123,6 +123,19 @@ class EigDivisor:
         return [{"value": e.to_json(), "mult": m} for e, m in self.entries]
 
 
+def check_degrees(degrees: Sequence[int]) -> None:
+    """ValueError unless the points' degrees make a monodromy vector: at
+    least 3 points, all of one degree >= 1.  ``MonodromyVector`` and the
+    integer rows of ``docio.parse_document`` share it."""
+    if len(degrees) < 3:
+        raise ValueError(f"need at least 3 points, got {len(degrees)}")
+    if degrees[0] < 1:
+        raise ValueError("divisors must have degree >= 1")
+    for i, k in enumerate(degrees):
+        if k != degrees[0]:
+            raise ValueError(f"divisor {i} has degree {k}, expected {degrees[0]}")
+
+
 class MonodromyVector:
     """An n-tuple of equal-degree effective divisors (n >= 3).
 
@@ -134,20 +147,13 @@ class MonodromyVector:
 
     def __init__(self, divisors: Sequence[EigDivisor]):
         divisors = tuple(divisors)
-        if len(divisors) < 3:
-            raise ValueError(f"need at least 3 points, got {len(divisors)}")
+        check_degrees([g.degree() for g in divisors])
         mode = divisors[0].mode
-        degree = divisors[0].degree()
-        if degree < 1:
-            raise ValueError("divisors must have degree >= 1")
         for i, g in enumerate(divisors):
             if g.mode is not mode:
                 raise ModeMismatch(f"divisor {i} has mode {g.mode.value}, expected {mode.value}")
             if not g.is_effective:
                 raise ValueError(f"divisor {i} is not effective: {g!r}")
-            if g.degree() != degree:
-                raise ValueError(
-                    f"divisor {i} has degree {g.degree()}, expected {degree}")
         object.__setattr__(self, "divisors", divisors)
 
     def __setattr__(self, name, value):

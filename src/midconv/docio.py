@@ -3,6 +3,14 @@
 One document format drives every command-line verb.  Rationals travel
 as "p/q" strings (never floats); complex numbers appear only in numeric
 instance documents, as [re, im] pairs.
+
+A symbolic document is validated once, into the exact parts of its
+values (``scalars._parts``), and read from there on first use into
+integer rows (one denominator, one column per generator in name order,
+fresh v names included, duplicate entries merged), from which
+``transform``, ``defect`` and ``run`` answer, or into the eigenvalue
+objects that ``classify``, ``higgs``, symbolic ``verify`` and library
+callers read.
 """
 
 from __future__ import annotations
@@ -10,12 +18,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
 from typing import Any, Optional
 
-from .divisors import EigDivisor, MonodromyVector
+from .divisors import EigDivisor, MonodromyVector, check_degrees
 from .errors import DocumentError, MidconvError, path_key, shown
-from .katz import Convoluter, fresh_names, max_mult_convoluter
-from .scalars import GroupElement, GroupMode, ScalarExpr
+from .katz import Convoluter, _Rows, check_v, max_mult_convoluter, row_defect
+from .scalars import GroupElement, GroupMode, _expr, _parts
 
 __all__ = ["ProblemDocument", "parse_document", "render", "parse_json"]
 
@@ -23,18 +32,61 @@ __all__ = ["ProblemDocument", "parse_document", "render", "parse_json"]
 @dataclass
 class ProblemDocument:
     """A parsed problem: the monodromy vector plus optional twisting
-    data, numeric assignment and seed."""
+    data, numeric assignment and seed.
 
-    vector: MonodromyVector
-    convoluter: Optional[Convoluter] = None
+    ``points`` holds each point's (value, multiplicity) pairs in document
+    order, a value as ``scalars._parts``' (c, e, terms); ``h`` is None for
+    the default convoluter (aimed at maximal multiplicities, with v by
+    ``v_policy``), and ``v`` the given list, "same-as-h" or "fresh".
+    ``transform``, ``defect`` and ``run`` read the integer rows of
+    ``row_form`` and ``twist()``; ``classify``, ``higgs``, symbolic
+    ``verify`` and library callers read the objects ``vector`` and
+    ``convoluter``.  Each form is built on first use."""
+
+    mode: GroupMode
+    points: list
+    h: Optional[list] = None
+    v: Any = "same-as-h"
     v_policy: str = "same"
     assignment: dict = field(default_factory=dict)
     seed: int = 0
     max_steps: Optional[int] = None
 
-    @property
-    def mode(self) -> GroupMode:
-        return self.vector.mode
+    @cached_property
+    def row_form(self) -> tuple:
+        """(rows, classes, h, v): ``katz._Rows.read`` of the classes and the
+        convoluter's rows, h and v None for the default convoluter."""
+        v = self.v if isinstance(self.v, list) else []
+        rows, classes = _Rows.read(self.mode, self.points, [*(self.h or ()), *v],
+                                   self.v_policy == "fresh")
+        if self.h is None:
+            return rows, classes, None, None
+        h = [rows.row(a) for a in self.h]
+        if not isinstance(self.v, list):
+            return rows, classes, h, (h if self.v == "same-as-h" else rows.fresh_v(h, rows.fresh))
+        v, plus = [rows.row(a) for a in v], rows.plus
+        check_v(h, v, lambda: not any(plus(reduce(plus, v), plus(reduce(plus, h)))))
+        return rows, classes, h, v
+
+    def twist(self) -> tuple[list, list]:
+        """The rows of h and v: the document's convoluter, or the default
+        one of ``max_mult_convoluter``."""
+        rows, classes, h, v = self.row_form
+        if h is None:
+            h = [rows.plus(rows.top(g)) for g in classes]
+            v = h if self.v_policy == "same" else rows.fresh_v(h, rows.fresh)
+        return h, v
+
+    @cached_property
+    def vector(self) -> MonodromyVector:
+        return MonodromyVector([EigDivisor(self.mode, [(GroupElement(self.mode, _expr(a)), m)
+                                                       for a, m in entries])
+                                for entries in self.points])
+
+    @cached_property
+    def convoluter(self) -> Optional[Convoluter]:
+        rows, _, h, v = self.row_form
+        return None if h is None else Convoluter(map(rows.element, h), map(rows.element, v))
 
     def convoluter_or_default(self) -> Convoluter:
         if self.convoluter is not None:
@@ -118,14 +170,16 @@ MAX_RUN_TERMS = 8_000_000
 
 def check_run_terms(doc: ProblemDocument) -> None:
     """DocumentError at ``$.classes`` when a run of ``doc`` may write more
-    than ``MAX_RUN_TERMS`` terms.  Bound, before the loop runs: s =
-    min(rank, max_steps) steps, so s + 1 vectors of at most points * rank
-    entries, each value holding a constant, the document's generators and,
-    under fresh v, points - 1 new ones per step."""
-    vector = doc.vector
-    n, r = vector.n, vector.rank
-    steps = r if doc.max_steps is None else min(r, doc.max_steps)
-    gens = len({x for g in vector for a, _ in g.entries for x, _ in a.expr._t})
+    than ``MAX_RUN_TERMS`` terms.  Bound, before the loop runs: s steps,
+    so s + 1 vectors of at most points * rank entries, each value holding
+    a constant, the document's generators and, under fresh v, points - 1
+    new ones per step.  s is 0 when the run stops at once, at scalar
+    classes or a defect d >= 0, and min(rank, max_steps) otherwise."""
+    classes = doc.row_form[1]
+    n, r = len(classes), sum(classes[0].values())
+    steps = 0 if row_defect(classes) >= 0 or all(len(g) == 1 for g in classes) else (
+        r if doc.max_steps is None else min(r, doc.max_steps))
+    gens = len({x for entries in doc.points for (_, _, t), _ in entries for x, _, _ in t})
     per_value = 1 + gens + ((n - 1) * steps if doc.v_policy == "fresh" else 0)
     if (steps + 1) * n * r * per_value > MAX_RUN_TERMS:
         _fail(f"a run answer may need (steps + 1) * points * rank * terms per value = "
@@ -139,18 +193,12 @@ def check_raw_dim(points: int, rank: int, path: str) -> None:
         _fail(f"(points - 1) * rank must be at most {MAX_RAW_DIM} for a numeric verify", path)
 
 
-def _parse_element(mode: GroupMode, doc: Any, path: str) -> GroupElement:
-    expr = ScalarExpr.from_json(doc, path)
-    try:
-        return GroupElement(mode, expr)
-    except ValueError as exc:
-        _fail(str(exc), path)
+def parse_document(doc: dict, v_policy: str = "same") -> ProblemDocument:
+    """Validate a JSON object into a ProblemDocument.
 
-
-def parse_document(doc: dict) -> ProblemDocument:
-    """Validate and convert a JSON object into module inputs.
-
-    Errors are DocumentError with a JSON-path-style position annotation.
+    ``v_policy`` ("same" or "fresh") is the default convoluter's v, for a
+    document without a convoluter.  Errors are DocumentError with a
+    JSON-path-style position annotation.
     """
     if not isinstance(doc, dict):
         _fail("top level must be an object", "$")
@@ -161,7 +209,7 @@ def parse_document(doc: dict) -> ProblemDocument:
     classes = doc.get("classes")
     if not isinstance(classes, list) or not classes:
         _fail("'classes' must be a nonempty list of divisor entry lists", "$.classes")
-    divisors = []
+    points = []
     for i, cls in enumerate(classes):
         if not isinstance(cls, list) or not cls:
             _fail("each class must be a nonempty list", f"$.classes[{i}]")
@@ -172,21 +220,20 @@ def parse_document(doc: dict) -> ProblemDocument:
             try:
                 if not isinstance(item, dict) or "value" not in item or "mult" not in item:
                     _fail("entries need 'value' and 'mult'", "$")
-                entries.append((_parse_element(mode, item["value"], "$.value"),
+                entries.append((_parts(item["value"], "$.value", mode),
                                 integer(item["mult"], "$.mult", 1)))
             except DocumentError as exc:
                 raise DocumentError(exc.message, f"$.classes[{i}][{j}]{exc.path[1:]}") from None
-        divisors.append(EigDivisor(mode, entries))
+        points.append(entries)
     if "points" in doc and integer(doc["points"], "$.points") != len(classes):
         _fail(f"'points' is {doc['points']} but {len(classes)} classes given",
               "$.points")
     try:
-        vector = MonodromyVector(divisors)
-    except (ValueError, MidconvError) as exc:
+        check_degrees([sum(m for _, m in entries) for entries in points])
+    except ValueError as exc:
         _fail(f"invalid monodromy vector: {exc}", "$.classes")
 
-    convoluter = None
-    v_policy = "same"
+    h, v = None, "same-as-h"
     conv_doc = doc.get("convoluter")
     if conv_doc is not None:
         if not isinstance(conv_doc, dict) or "h" not in conv_doc:
@@ -194,39 +241,30 @@ def parse_document(doc: dict) -> ProblemDocument:
         h = conv_doc["h"]
         if not isinstance(h, list) or len(h) != len(classes):
             _fail("'h' needs one scalar expression per class", "$.convoluter.h")
-        h = [_parse_element(mode, e, f"$.convoluter.h[{i}]") for i, e in enumerate(h)]
+        h = [_parts(e, f"$.convoluter.h[{i}]", mode) for i, e in enumerate(h)]
         v = conv_doc.get("v", "same-as-h")
         if isinstance(v, list):
-            v = [_parse_element(mode, e, f"$.convoluter.v[{i}]") for i, e in enumerate(v)]
+            v = [_parts(e, f"$.convoluter.v[{i}]", mode) for i, e in enumerate(v)]
         elif v not in ("same-as-h", "fresh"):
             _fail("'v' must be a list, 'same-as-h' or 'fresh'", "$.convoluter.v")
-        try:
-            if v == "fresh":
-                taken = {x for e in (*h, *(a for g in vector for a in g.support()))
-                         for x in e.expr.generators()}
-                names = fresh_names(len(h) - 1, taken)
-                convoluter = Convoluter.with_fresh_v(h, names)
-                v_policy = "fresh"
-            else:
-                convoluter = Convoluter(h, None if v == "same-as-h" else v)
-        except (ValueError, MidconvError) as exc:
-            _fail(f"invalid convoluter: {exc}", "$.convoluter")
+        v_policy = "fresh" if v == "fresh" else "same"
+    parsed = ProblemDocument(mode, points, h, v, v_policy)
+    try:
+        if v != "same-as-h":  # fresh v in circle mode, or a list that breaks a relation
+            parsed.row_form
+    except (ValueError, MidconvError) as exc:
+        _fail(f"invalid convoluter: {exc}", "$.convoluter")
 
     assignment = doc.get("assignment") or {}
     if not isinstance(assignment, dict):
         _fail("'assignment' must be an object", "$.assignment")
-    assignment = {name: complex(x) if _finite(x)
-                  else complex_array(x, f"$.assignment.{path_key(name)}")
-                  for name, x in assignment.items()}
-
-    return ProblemDocument(
-        vector=vector,
-        convoluter=convoluter,
-        v_policy=v_policy,
-        assignment=assignment,
-        seed=integer(doc.get("seed", 0), "$.seed", 0),
-        max_steps=integer(doc["max_steps"], "$.max_steps", 0) if "max_steps" in doc else None,
-    )
+    parsed.assignment = {name: complex(x) if _finite(x)
+                         else complex_array(x, f"$.assignment.{path_key(name)}")
+                         for name, x in assignment.items()}
+    parsed.seed = integer(doc.get("seed", 0), "$.seed", 0)
+    if "max_steps" in doc:
+        parsed.max_steps = integer(doc["max_steps"], "$.max_steps", 0)
+    return parsed
 
 
 def parse_json(text: str) -> Any:

@@ -8,8 +8,10 @@ to a u_i.  This module implements that transformation exactly, together
 with the eigenvalue conventions it requires, its involution partner,
 emptiness detection, and the iterative rank-reduction loop.  The formula
 is written once, in ``_aim`` and ``_apply``, over one of three group
-laws: ``GroupElement`` objects for ``kappa`` and the checks, the
-reduction loop's integer rows, or, for ``kappa_values``, the valuation
+laws: ``GroupElement`` objects for the library's ``kappa`` and the
+checks; integer rows (``_Rows``) for ``row_step``, which answers the
+``transform`` and ``defect`` verbs from a document's rows and is each
+step of the reduction loop; or, for ``kappa_values``, the valuation
 x -> exp(2 pi i x(assignment)) into the nonzero complex numbers, which
 turns ``_apply``'s output into the numeric spectra that
 :mod:`midconv.homology` compares with its measurement.
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from functools import cache, partial, reduce
 from itertools import compress
 from math import lcm
-from operator import add, itemgetter, neg
+from operator import add, neg
 from typing import Collection, NamedTuple, Optional, Sequence
 
 from .divisors import EigDivisor, MonodromyVector
@@ -76,12 +78,9 @@ class Convoluter:
             v = h
         else:
             v = tuple(v)
-            if len(v) != len(h):
-                raise SizeMismatch(f"h has {len(h)} components but v has {len(v)}")
             if any(e.mode is not mode for e in v):
                 raise ModeMismatch("all v components must share h's mode")
-            if not t.combine(product(v)).is_identity():
-                raise ValueError("v violates the product relation t * prod(v) = 1")
+            check_v(h, v, lambda: t.combine(product(v)).is_identity())
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "t", t)
@@ -105,8 +104,7 @@ class Convoluter:
         if len(names) != len(h) - 1:
             raise SizeMismatch("need n-1 fresh generator names")
         mode = h[0].mode
-        if mode is GroupMode.CIRCLE:
-            raise ModeMismatch("fresh generators need multiplicative or additive mode")
+        check_fresh(mode)
         s = [GroupElement.generator(name, mode) for name in names]
         s.append(product(s).invert())
         v = [hi.combine(si) for hi, si in zip(h, s)]
@@ -136,6 +134,21 @@ class Convoluter:
     def to_json(self) -> dict:
         return {"h": [e.to_json() for e in self.h],
                 "v": [e.to_json() for e in self.v]}
+
+
+def check_v(h: Sequence, v: Sequence, holds) -> None:
+    """``Convoluter``'s and ``docio.parse_document``'s checks of a given v:
+    one component per point, and t * prod(v) = 1, which ``holds()`` tests."""
+    if len(v) != len(h):
+        raise SizeMismatch(f"h has {len(h)} components but v has {len(v)}")
+    if not holds():
+        raise ValueError("v violates the product relation t * prod(v) = 1")
+
+
+def check_fresh(mode: GroupMode) -> None:
+    """ModeMismatch in circle mode, which has no generators to add as fresh v."""
+    if mode is GroupMode.CIRCLE:
+        raise ModeMismatch("fresh generators need multiplicative or additive mode")
 
 
 @dataclass(frozen=True)
@@ -247,12 +260,13 @@ class _Aim(NamedTuple):
 def _aim(plus, classes: list, inv: list, r: int) -> _Aim:
     """The formula's data for ``classes``, one {eigenvalue: multiplicity}
     per point.  ``plus(a, b)`` is the group law and ``plus(a)`` the
-    inverse: ``run_algorithm``'s on integer rows, or ``_plus`` on
+    inverse: ``_Rows.plus`` on integer rows, or ``_plus`` on
     ``GroupElement``s."""
     n = len(classes)
     mults = [g.get(a, 0) for g, a in zip(classes, inv)]
     d = (n - 2) * r - sum(mults)
-    lhs = [sum(r - mults[j] for j in range(n) if j != i) for i in range(n)]
+    total = sum(r - m for m in mults)
+    lhs = [total - (r - m) for m in mults]  # sum_{j != i} (r - m_j)
     assert all((m + d < 0) == (l < r) for m, l in zip(mults, lhs)), \
         "emptiness characterizations disagree"
     t_inv = plus(reduce(plus, inv))  # t = prod(h)^{-1} = prod(h^{-1})
@@ -447,48 +461,144 @@ class TerminalStatus(enum.Enum):
 
 
 class _Rows:
-    """The reduction loop's working form: eigenvalues as dense integer rows.
+    """Eigenvalues as dense integer rows: what ``docio.parse_document`` reads
+    a document into, and the working form of ``transform``, ``defect`` and
+    the reduction loop.
 
     c + sum e_j g_j is the tuple (c, e_1, ..., e_g) of numerators over one
-    denominator ``den``, c reduced mod ``mod`` (``den`` in multiplicative
-    mode, 0 for none), so equal elements have equal rows.  Position j holds
-    ``names[j - 1]``; fresh names join at the end, and ``order`` lists
-    (name, position) in name order.  A vector is a list of dicts {row:
-    multiplicity} in ``EigDivisor`` entry order."""
+    denominator ``den``, c reduced mod ``mod`` (``den`` unless additive, 0
+    for none), so equal elements have equal rows.  Position j holds
+    ``names[j - 1]``: in name order, then each loop step's fresh names.  A
+    vector is a list of dicts {row: multiplicity}, one per point."""
 
-    def __init__(self, vector: MonodromyVector):
-        exprs = [a.expr for g in vector for a, _ in g.entries]
-        self.mode, self.den = vector.mode, lcm(*[x._d for x in exprs])
-        self.mod = self.den if self.mode is GroupMode.MULTIPLICATIVE else 0
-        self.names, self.pos = [], {}
-        self.extend(sorted({n for x in exprs for n, _ in x._t}))
+    def __init__(self, mode: GroupMode, den: int, names: list[str], fresh: list[str] = ()):
+        self.mode, self.den, self.names, self.fresh = mode, den, names, fresh
+        self.mod = 0 if mode is GroupMode.ADDITIVE else den
+        self.pos = {n: k for k, n in enumerate(names, 1)}
 
-    def extend(self, names: Sequence[str]):
+    @classmethod
+    def read(cls, mode: GroupMode, points: list, values: list = (), fresh_v: bool = False):
+        """(rows, classes) of ``points``, per point (value, multiplicity) pairs
+        with values as ``scalars._parts`` reads them, duplicates merged; the
+        names are those of the points and ``values`` and, with ``fresh_v``,
+        ``fresh_names``' n - 1 fresh ones (none in circle mode)."""
+        every = [a for entries in points for a, _ in entries] + [*values]
+        taken = {x for _, _, t in every for x, _, _ in t}
+        fresh = fresh_names(len(points) - 1, taken) if fresh_v and mode is not GroupMode.CIRCLE else []
+        rows = cls(mode, lcm(*[e for _, e, _ in every], *[q for _, _, t in every for _, _, q in t]),
+                   sorted(taken.union(fresh)), fresh)
+        classes, row = [], rows.row
+        for entries in points:
+            g = {}
+            for a, m in entries:
+                a = row(a)
+                g[a] = g.get(a, 0) + m
+            classes.append(g)
+        return rows, classes
+
+    def extend(self, names: list[str]):
         for n in names:
             if n not in self.pos:
                 self.names.append(n)
                 self.pos[n] = len(self.names)
-        self.order = sorted(self.pos.items())
 
-    def encode(self, vector: MonodromyVector) -> list[dict]:
-        def row(x):
-            k, terms = self.den // x._d, dict(x._t)
-            return (x._c * k, *[terms.get(n, 0) * k for n in self.names])
-        return [{row(a.expr): m for a, m in g.entries} for g in vector]
+    def row(self, parts: tuple) -> tuple:
+        """The row of ``scalars._parts``' (c, e, [(name, p, q)]): c/e + sum p/q name."""
+        c, e, terms = parts
+        den, pos = self.den, self.pos
+        out = [0] * (len(self.names) + 1)
+        out[0] = c * (den // e) % self.mod if self.mod else c * (den // e)
+        for n, p, q in terms:
+            out[pos[n]] = p * (den // q)
+        return tuple(out)
 
-    def entry_key(self, entry: tuple) -> tuple:
-        """``ScalarExpr.__lt__``'s order of an entry's row: the constant,
-        then the nonzero terms in name order."""
-        row = entry[0]
-        return row[0], tuple([(n, row[k]) for n, k in self.order if row[k]])
+    def plus(self, a: tuple, b: tuple | None = None) -> tuple:
+        """The group law of rows: a + b, or -a with b omitted."""
+        s = [*map(add, a, b)] if b else [*map(neg, a)]
+        if self.mod:
+            s[0] %= self.mod
+        return tuple(s)
+
+    def key(self, row: tuple) -> tuple:
+        """``ScalarExpr.__lt__``'s order: the constant, then the nonzero
+        (name, numerator) terms in name order."""
+        t = row[1:]
+        return row[0], sorted(zip(compress(self.names, t), filter(None, t)))
+
+    def ordered(self, entries) -> dict:
+        """(row, multiplicity) ``entries`` as a class in ``EigDivisor`` entry order."""
+        key = self.key
+        return dict(sorted(entries, key=lambda e: key(e[0])))
+
+    def top(self, g: dict, in_order: bool = False) -> tuple:
+        """The eigenvalue of largest multiplicity in ``g``, ties broken to
+        the smallest as by ``EigDivisor.max_multiplicity`` (the first, when
+        g is ``in_order``)."""
+        m = max(g.values())
+        tied = [a for a, k in g.items() if k == m]
+        return tied[0] if in_order or len(tied) == 1 else min(tied, key=self.key)
+
+    def fresh_v(self, h: list, names: list[str]) -> list:
+        """``Convoluter.with_fresh_v``'s v in rows: v_i = h_i s_i with the fresh
+        ``names`` s_1 .. s_{n-1}, and s_n closing prod(s) = 1."""
+        check_fresh(self.mode)
+        v = [list(x) for x in h]
+        for vi, n in zip(v, names):
+            vi[self.pos[n]] += self.den
+            v[-1][self.pos[n]] -= self.den
+        return [*map(tuple, v)]
 
     def element(self, row: tuple) -> GroupElement:
-        terms = sorted((n, x) for n, x in zip(self.names, row[1:]) if x)
-        return _element(self.mode, _normal(self.den, row[0], tuple(terms)))
+        return _element(self.mode, _normal(self.den, row[0], tuple(self.key(row)[1])))
 
     def vector(self, classes: list[dict]) -> MonodromyVector:
         return MonodromyVector([EigDivisor(self.mode, [(self.element(a), m) for a, m in g.items()])
                                 for g in classes])
+
+    def writer(self):
+        """``(value, vector)``: a row and a list of classes written as
+        ``GroupElement.to_json`` and ``MonodromyVector.to_json`` write them,
+        each numerator's text made once (a memo on the numerator alone)."""
+        mode, names = self.mode.value, self.names
+        text = cache(partial(_ratio, d=self.den))
+
+        def value(row: tuple) -> dict:
+            terms = row[1:]
+            return {"const": text(row[0]),
+                    "exps": dict(zip(compress(names, terms), map(text, filter(None, terms))))}
+
+        def vector(classes: list) -> dict:
+            return {"mode": mode, "points": len(classes), "classes": [
+                [{"value": value(a), "mult": m} for a, m in g.items()] for g in classes]}
+        return value, vector
+
+
+def row_defect(classes: list, inv: Sequence | None = None) -> int:
+    """(n-2) r - sum of m_i(inv_i) over {eigenvalue: multiplicity} classes,
+    of the maximal multiplicities with ``inv`` omitted (the vector's own)."""
+    n, r = len(classes), sum(classes[0].values())
+    if inv is None:
+        return (n - 2) * r - sum(max(g.values()) for g in classes)
+    return (n - 2) * r - sum(g.get(a, 0) for g, a in zip(classes, inv))
+
+
+def row_step(rows: _Rows, classes: list, h: list, v: list, positive_stops: bool = False):
+    """``kappa`` by the twist (h, v) on rows, the step of ``transform`` and of
+    the reduction loop: the formula's data and a failing ConventionReport,
+    a NoneffectiveReport or the output classes in ``EigDivisor`` entry
+    order.  With ``positive_stops`` a defect d >= 0 gives None first."""
+    r = sum(classes[0].values())
+    aim = _aim(rows.plus, classes, [rows.plus(x) for x in h], r)
+    if positive_stops and aim.defect >= 0:
+        return aim, None
+    if not aim.chi_nontrivial or aim.witnesses:
+        return aim, ConventionReport(aim.chi_nontrivial, not aim.witnesses, tuple(
+            (i, rows.element(a)) for i, a in aim.witnesses))
+    if aim.noneffective:
+        return aim, NoneffectiveReport(aim.noneffective)
+    output = [rows.ordered(entries) for entries in _apply(rows.plus, classes, aim, v)]
+    assert all(sum(g.values()) == r + aim.defect for g in output), "rank law r' = r + d"
+    return aim, output
 
 
 class KatzStep(NamedTuple):
@@ -526,20 +636,12 @@ class AlgorithmTrace(NamedTuple):
     def to_json(self) -> dict:
         # step k's output is step k+1's input (and the last one is
         # ``final``): each vector's dict is built once and shared
-        mode, names, vectors = self.rows.mode.value, self.rows.names, {}
-        # each numerator's text made once; keyed on the numerator alone, this
-        # memo is faster here than the one _ratio keeps on (numerator, den)
-        text = cache(partial(_ratio, d=self.rows.den))
-
-        def value(row: tuple) -> dict:
-            terms = row[1:]
-            return {"const": text(row[0]),
-                    "exps": dict(zip(compress(names, terms), map(text, filter(None, terms))))}
+        value, write = self.rows.writer()
+        vectors = {}
 
         def vector(classes: list) -> dict:
             if id(classes) not in vectors:
-                vectors[id(classes)] = {"mode": mode, "points": len(classes), "classes": [
-                    [{"value": value(a), "mult": m} for a, m in g.items()] for g in classes]}
+                vectors[id(classes)] = write(classes)
             return vectors[id(classes)]
 
         steps = []
@@ -557,7 +659,7 @@ class AlgorithmTrace(NamedTuple):
         return doc
 
 
-def run_algorithm(vector: MonodromyVector, max_steps: int | None = None,
+def run_algorithm(vector, max_steps: int | None = None,
                   v_policy: str = "same") -> AlgorithmTrace:
     """Iterate the transformation while it strictly reduces the rank.
 
@@ -567,21 +669,22 @@ def run_algorithm(vector: MonodromyVector, max_steps: int | None = None,
     ConventionFailure with the report when (beta, input) fails the
     conventions, and at EmptyNoneffective with a certificate; else step.
     Every recorded step has d < 0, so at most ``rank`` steps can happen.
-    The steps run on ``_Rows``, with no ``ScalarExpr`` arithmetic.
+    ``vector`` is a MonodromyVector or a document's (rows, classes) as
+    ``docio.parse_document`` reads them; each step is ``row_step``, with
+    no ``ScalarExpr`` arithmetic.
     """
-    if vector.mode is GroupMode.CIRCLE:
+    if isinstance(vector, MonodromyVector):  # its classes are in EigDivisor entry order
+        rows, current = _Rows.read(vector.mode, [[(
+            (a.expr._c, a.expr._d, [(x, y, a.expr._d) for x, y in a.expr._t]), m)
+            for a, m in g.entries] for g in vector])
+    else:  # a document's classes, in its order: the answer writes them in EigDivisor's
+        rows, classes = vector
+        current = [rows.ordered(g.items()) for g in classes]
+    if rows.mode is GroupMode.CIRCLE:
         raise ModeMismatch("the reduction loop runs in multiplicative or additive mode")
-    max_steps = vector.rank if max_steps is None else max_steps
-    rows = _Rows(vector)
-    mod, n, r = rows.mod, vector.n, vector.rank
-
-    def plus(a: tuple, b: tuple | None = None) -> tuple:  # a + b, or -a with b omitted
-        s = [*map(add, a, b)] if b else [*map(neg, a)]
-        if mod:
-            s[0] %= mod
-        return tuple(s)
-
-    steps, current = [], rows.encode(vector)
+    n = len(current)
+    max_steps = sum(current[0].values()) if max_steps is None else max_steps
+    steps = []
     for step in range(max_steps + 1):
         if all(len(g) == 1 for g in current):
             return AlgorithmTrace(rows, tuple(steps), TerminalStatus.ALL_DIAGONAL, current)
@@ -596,29 +699,20 @@ def run_algorithm(vector: MonodromyVector, max_steps: int | None = None,
                 work = [{a + pad: m for a, m in g.items()} for g in current]
         elif v_policy != "same":
             raise ValueError(f"unknown v policy {v_policy!r}")
-        # h_i^{-1} is the first entry of g_i of maximal multiplicity
-        aim = _aim(plus, work, [max(g.items(), key=itemgetter(1))[0] for g in work], r)
-        d = aim.defect
-        if d >= 0:
+        h = [rows.plus(rows.top(g, in_order=True)) for g in work]
+        v = h if v_policy == "same" else rows.fresh_v(h, names)
+        aim, output = row_step(rows, work, h, v, positive_stops=True)
+        if output is None:
             return AlgorithmTrace(rows, tuple(steps), TerminalStatus.POSITIVE_DEFECT, current)
-        if not aim.chi_nontrivial or aim.witnesses:
-            report = ConventionReport(aim.chi_nontrivial, not aim.witnesses, tuple(
-                (i, rows.element(a)) for i, a in aim.witnesses))
+        if isinstance(output, ConventionReport):
             return AlgorithmTrace(rows, tuple(steps), TerminalStatus.CONVENTION_FAILURE,
-                                  current, report=report)
-        if aim.noneffective:
+                                  current, report=output)
+        if isinstance(output, NoneffectiveReport):
             return AlgorithmTrace(rows, tuple(steps), TerminalStatus.EMPTY_NONEFFECTIVE, current,
-                                  NoneffectiveReport(aim.noneffective).certificate)
-        h = v = [plus(b) for b in aim.inv]
-        if v_policy == "fresh":  # v_i = h_i s_i, the fresh s_n closing prod(s) = 1
-            s = [(0, *[rows.den if y == x else 0 for y in rows.names]) for x in names]
-            v = [plus(hi, si) for hi, si in zip(h, [*s, plus(reduce(plus, s))])]
-        output = [dict(sorted(entries, key=rows.entry_key))
-                  for entries in _apply(plus, work, aim, v)]
+                                  output.certificate)
         # The partner pair (beta', output) passes too: h' = v^-1 and t' = t^-1,
         # so t' h'_i v_i = t^-1 != 1 at the new eigenvalue [v_i] and
         # t' h'_i a u_i = a h_i != 1 at each kept a u_i (de Rham flavor alike).
-        assert all(sum(g.values()) == r + d for g in output), "rank law r' = r + d"
-        steps.append(KatzStep(rows, current, h, v, d, output))
-        current, r = output, r + d
+        steps.append(KatzStep(rows, current, h, v, aim.defect, output))
+        current = output
     raise MaxStepsExceeded(f"no terminal state after {max_steps} steps")

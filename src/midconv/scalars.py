@@ -208,44 +208,58 @@ class ScalarExpr:
 
     @classmethod
     def from_json(cls, doc, path: str = "$") -> "ScalarExpr":
-        """Raises DocumentError at the JSON path of a malformed part.
+        """Raises DocumentError at the JSON path of a malformed part (``_parts``)."""
+        return _expr(_parts(doc, path))
 
-        Each rational text is read through the ``_text_parts`` memo; a
-        path is built only when a part is rejected."""
-        if not isinstance(doc, dict):
-            raise DocumentError("expected an object with 'const'/'exps', "
-                                f"got {type(doc).__name__}", path)
-        exps = doc.get("exps", {})
-        if not isinstance(exps, dict):
-            raise DocumentError("'exps' must be an object", f"{path}.exps")
-        try:
-            c, e = _rational_parts(doc.get("const", "0"))
-        except ValueError as exc:
-            raise DocumentError(str(exc), f"{path}.const") from None
-        terms, d = [], e
-        for n, x in exps.items():
-            if not n.isascii():
-                try:
-                    n.encode()
-                except UnicodeEncodeError:  # a lone surrogate from a JSON escape
-                    n = n.encode(errors="backslashreplace").decode()
-                    raise DocumentError("generator name is not valid UTF-8",
-                                        f"{path}.exps.{path_key(n)}") from None
+
+def _expr(parts: tuple) -> ScalarExpr:
+    """The ScalarExpr of ``_parts``' (c, e, terms)."""
+    c, e, terms = parts
+    d, t = e, ()
+    if terms:  # over the lcm of lowest-terms denominators the numerators have gcd 1
+        d = lcm(e, *[q for _, _, q in terms])
+        t = tuple(sorted([(n, p * (d // q)) for n, p, q in terms]))
+    f = object.__new__(ScalarExpr)
+    f._d, f._c, f._t = d, c * (d // e), t
+    f._h = hash((f._c, d, t))
+    return f
+
+
+def _parts(doc, path: str, mode: "GroupMode | None" = None) -> tuple[int, int, list]:
+    """A document's scalar expression {"const": ..., "exps": {...}} as its
+    constant's lowest-terms numerator and denominator and its nonzero
+    terms (name, p, q), p/q in lowest terms: what ``from_json`` and the
+    integer rows of ``docio.parse_document`` are built from.  DocumentError
+    at the JSON path of a malformed part, or of a circle-mode value (with
+    ``mode``) that is not a constant weight; a path is built only then."""
+    if not isinstance(doc, dict):
+        raise DocumentError("expected an object with 'const'/'exps', "
+                            f"got {type(doc).__name__}", path)
+    exps = doc.get("exps", {})
+    if not isinstance(exps, dict):
+        raise DocumentError("'exps' must be an object", f"{path}.exps")
+    try:
+        c, e = _rational_parts(doc.get("const", "0"))
+    except ValueError as exc:
+        raise DocumentError(str(exc), f"{path}.const") from None
+    terms = []
+    for n, x in exps.items():
+        if not n.isascii():
             try:
-                p, q = _rational_parts(x)
-            except ValueError as exc:
-                raise DocumentError(str(exc), f"{path}.exps.{path_key(n)}") from None
-            if p:
-                terms.append((n, p, q))
-                if d % q:
-                    d = lcm(d, q)
-        terms.sort()
-        # over the lcm of lowest-terms denominators the numerators have gcd 1
-        f = object.__new__(cls)
-        f._d, f._c = d, c if e == d else c * (d // e)
-        f._t = tuple([(n, p if q == d else p * (d // q)) for n, p, q in terms])
-        f._h = hash((f._c, d, f._t))
-        return f
+                n.encode()
+            except UnicodeEncodeError:  # a lone surrogate from a JSON escape
+                n = n.encode(errors="backslashreplace").decode()
+                raise DocumentError("generator name is not valid UTF-8",
+                                    f"{path}.exps.{path_key(n)}") from None
+        try:
+            p, q = _text_parts(x) if type(x) is str else _rational_parts(x)
+        except ValueError as exc:
+            raise DocumentError(str(exc), f"{path}.exps.{path_key(n)}") from None
+        if p:
+            terms.append((n, p, q))
+    if terms and mode is GroupMode.CIRCLE:
+        raise DocumentError(_WEIGHTS_ONLY, path)
+    return c, e, terms
 
 
 def _normal(d: int, c: int, t: tuple) -> ScalarExpr:
@@ -288,6 +302,7 @@ def _merge(s: tuple, t: tuple, a: int = 1, b: int = 1) -> tuple:
 
 
 _ZERO = ScalarExpr(0)
+_WEIGHTS_ONLY = "circle-mode elements must be constant weights"
 
 
 class GroupMode(enum.Enum):
@@ -310,7 +325,7 @@ class GroupElement:
         if not isinstance(mode, GroupMode):
             raise TypeError(f"expected GroupMode, got {mode!r}")
         if mode is GroupMode.CIRCLE and expr._t:
-            raise ValueError("circle-mode elements must be constant weights")
+            raise ValueError(_WEIGHTS_ONLY)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "expr", expr if mode is _ADDITIVE else expr.mod1())
 
@@ -326,7 +341,7 @@ class GroupElement:
     @classmethod
     def generator(cls, name: str, mode: GroupMode = GroupMode.MULTIPLICATIVE) -> "GroupElement":
         if mode is GroupMode.CIRCLE:
-            raise ValueError("circle-mode elements must be constant weights")
+            raise ValueError(_WEIGHTS_ONLY)
         return _element(mode, _normal(1, 0, ((name, 1),)))
 
     @classmethod

@@ -10,14 +10,16 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
 from helpers import random_partition, reference_kappa_spectra
 from midconv import cli, katz
@@ -419,6 +421,102 @@ class TestPredictionOracle:
                               "certificate": report.certificate.to_json()}, exact=False)
 
 
+def object_answer(verb, doc, *flags):
+    """``verb``'s answer to ``doc`` built from the eigenvalue objects, the
+    library's ``katz.kappa`` and ``katz.defect`` on the decoded
+    ``ProblemDocument.vector``: (exit code, rendered answer)."""
+    fresh = "--beta-v" in flags and flags[flags.index("--beta-v") + 1] == "fresh"
+    parsed = parse_document(doc, "fresh" if fresh and "convoluter" not in doc else "same")
+    vector, beta = parsed.vector, parsed.convoluter_or_default()
+    if verb == "defect":
+        return 0, render({"kind": "defect", "rank": vector.rank, "points": vector.n,
+                          "defect": katz.defect(vector, beta),
+                          "vector_defect": katz.defect(vector),
+                          "convoluter": beta.to_json()}, exact=True)
+    try:
+        result = katz.kappa(beta, vector)
+    except ConventionViolation as exc:
+        return 2, render({"kind": verb, "status": "ConventionFailure",
+                          "convention": exc.convention, "report": exc.report.to_json()}, exact=True)
+    if isinstance(result, NoneffectiveReport):
+        return 2, render({"kind": verb, "status": "EmptyNoneffective", "report": result.to_json(),
+                          "certificate": result.certificate.to_json()}, exact=True)
+    return 0, render({"kind": verb, "status": "ok", "defect": result.rank - vector.rank,
+                      "output": result.to_json()}, exact=True)
+
+
+def row_oracle_cases(count=200, seed=23):
+    """Seeded (document, flags, features) for the row path's oracle sweep:
+    the three modes, constants outside [0, 1) and duplicate entries (one
+    value twice in a class, written alike, in other lowest terms, or 1 apart
+    in multiplicative mode), v as a list, "same-as-h" or "fresh", no
+    convoluter with tied maximal multiplicities, and ``--beta-v fresh``."""
+    rng, cases = random.Random(seed), []
+    consts = ["0", "1/2", "1/3", "2/3", "1/4", "3/4", "5/4", "-1/6", "7", "-2"]
+    for k in range(count):
+        mode = ("multiplicative", "additive", "circle")[k % 3]
+        n, r, features = rng.randint(3, 5), rng.randint(1, 7), set()
+
+        def value():
+            gens = [] if mode == "circle" else rng.sample(["a", "b", "c", "_s1"], rng.randint(0, 2))
+            return expr({g: rng.choice(["1", "-1", "1/2"]) for g in gens}, rng.choice(consts))
+
+        classes = []
+        for _ in range(n):
+            mults, left, cap = [], r, rng.randint(1, r)
+            while left:
+                mults.append(rng.randint(1, min(cap, left)))
+                left -= mults[-1]
+            entries = [{"value": value(), "mult": m} for m in mults]
+            if entries[0]["mult"] > 1 and rng.random() < 0.3:
+                twin = copy.deepcopy(entries[0])
+                twin["mult"], entries[0]["mult"] = 1, entries[0]["mult"] - 1
+                c = Fraction(twin["value"]["const"])
+                c += 1 if mode == "multiplicative" and rng.random() < 0.5 else 0
+                twin["value"]["const"] = rng.choice([str(c), f"{2 * c.numerator}/{2 * c.denominator}"])
+                entries.append(twin)
+                features.add("duplicate")
+            classes.append(entries)
+        doc, flags = {"mode": mode, "classes": classes}, ()
+        kind = rng.choice(["none", "none", "same-as-h", "fresh", "list"])
+        if mode == "circle" and kind == "fresh":
+            kind = "list"
+        if kind == "none":
+            if mode != "circle" and rng.random() < 0.5:
+                flags = ("--beta-v", "fresh")
+            if any(m.count(max(m)) > 1 for m in ([e["mult"] for e in c] for c in classes)):
+                features.add("tied")
+        else:
+            h = [value() for _ in range(n)]
+            doc["convoluter"] = {"h": h, "v": kind}
+            if kind == "list":  # v_i = h_i + s_i with sum(s) = 0
+                s = [rng.choice(["0", "1/3", "1/2"]) for _ in range(n - 1)]
+                s.append(str(-sum(map(Fraction, s))))
+                doc["convoluter"]["v"] = [{**e, "const": str(Fraction(e["const"]) + Fraction(x))}
+                                          for e, x in zip(h, s)]
+        cases.append((doc, flags, features | {kind, mode, *flags}))
+    return cases
+
+
+class TestRowOracle:
+    """``transform`` and ``defect`` answer from the document's integer rows;
+    their bytes equal the answers built from the eigenvalue objects by the
+    library's ``kappa`` and ``defect``."""
+
+    def test_sweep(self):
+        seen = collections.Counter()
+        for doc, flags, features in row_oracle_cases():
+            for verb in ("transform", "defect"):
+                code, out, err = call_main(verb, doc, *flags)
+                assert (code, out) == object_answer(verb, doc, *flags), (verb, flags, doc, err)
+                seen.update({verb: 1, json.loads(out).get("status", "defect"): 1})
+            seen.update(features)
+        for feature in ("multiplicative", "additive", "circle", "duplicate", "tied", "none",
+                        "same-as-h", "fresh", "list", "--beta-v", "ok", "EmptyNoneffective",
+                        "ConventionFailure"):
+            assert seen[feature] >= 5, (feature, seen)
+
+
 class TestUsageErrors:
     def test_unknown_flag_exits_one(self, capsys):
         assert main(["defect", "--bogus"]) == 1
@@ -629,8 +727,8 @@ TWISTS = np.exp(1j * np.pi * np.array([1 / 5, 0, 1 / 3]))
 def run_cap_document(generators):
     """Rank 250 on 4 points with 1000 distinct eigenvalues, the first
     ``generators`` of them generators and the rest constants, and
-    max_steps 7: a run's bound is 8 * 4 * 250 * (1 + generators) terms.
-    The defect is 496, so the run stops before its first step."""
+    max_steps 7.  The defect is 496, so the run stops before its first
+    step and its bound is 1 * 4 * 250 * (1 + generators) terms."""
     values = ([entry({f"g{j}": "1"}) for j in range(generators)]
               + [entry({}, const=f"{j}/1000") for j in range(1000 - generators)])
     return {"mode": "multiplicative", "points": 4, "max_steps": 7,
@@ -645,6 +743,14 @@ def hypergeometric_document(r):
             "classes": [[entry({"a": "1"}, mult=r - 1), entry({"b": "1"})],
                         [entry({f"c{j}": "1"}) for j in range(r)],
                         [entry({f"d{j}": "1"}) for j in range(r)]]}
+
+
+def fresh_hypergeometric_document(r):
+    """``hypergeometric_document(r)`` under fresh v, set by its convoluter's
+    ``"v": "fresh"``, with no step limit: the run takes r - 1 steps and its
+    bound is (r + 1) * 3 * r * (1 + 2 r + 2 + 2 r) terms."""
+    return {**hypergeometric_document(r), "max_steps": r,
+            "convoluter": {"h": [expr(const="1/5")] * 3, "v": "fresh"}}
 
 
 class TestDocumentBoundary:
@@ -756,10 +862,11 @@ class TestDocumentBoundary:
         ("verify", matrices_document([np.diag([1e8, 1e-8])] * 40 + [np.diag([1e-8, 1e8])] * 40
                                      + [np.eye(2)], [0.5] + [1] * 80, 2),
          "$: instance violates its defining relations: {'prod(M) = 1': nan}"),
-        # a run whose bound is just past its cap: one generator more than at the cap
-        ("run", run_cap_document(1000),
+        # a run whose bound is just past its cap: the fresh hypergeometric
+        # document one rank past the one that answers at the cap
+        ("run", fresh_hypergeometric_document(87),
          f"$.classes: a run answer may need (steps + 1) * points * rank * terms per value "
-         f"= 8 * 4 * 250 * 1001 terms, more than {MAX_RUN_TERMS:,}"),
+         f"= 88 * 3 * 87 * 351 terms, more than {MAX_RUN_TERMS:,}"),
     ])
     def test_forbidden_inputs(self, verb, patch, where):
         doc = run_document() if verb == "run" else {}
@@ -784,10 +891,20 @@ class TestDocumentBoundary:
         assert json.loads(out)["status"] == "constructed"
 
     def test_run_at_its_cap_answers(self):
-        assert 8 * 4 * 250 * (1 + 999) == MAX_RUN_TERMS
-        code, out, err = call_main("run", run_cap_document(999))
+        # the bound is 87 * 3 * 86 * 347 terms, the largest under the cap
+        assert 87 * 3 * 86 * 347 <= MAX_RUN_TERMS < 88 * 3 * 87 * 351
+        code, out, err = call_main("run", fresh_hypergeometric_document(86))
         assert code == 0 and err == "", err[:200]
-        assert json.loads(out)["status"] == "PositiveDefect"
+        answer = json.loads(out)
+        assert answer["status"] == "AllDiagonal" and answer["ranks"] == list(range(86, 0, -1))
+
+    def test_run_that_stops_at_once_answers(self):
+        # a bound that counted min(rank, max_steps) = 7 steps would pass the cap
+        assert 8 * 4 * 250 * (1 + 1000) > MAX_RUN_TERMS
+        code, out, err = call_main("run", run_cap_document(1000))
+        assert code == 0 and err == "", err[:200]
+        answer = json.loads(out)
+        assert answer["status"] == "PositiveDefect" and answer["steps"] == []
 
     def test_cubic_run_answer_exits_before_the_loop(self):
         # about 2 GB of answer if it ran: the bound is 301 * 3 * 300 * 1203 terms
@@ -899,19 +1016,21 @@ class TestDocumentBoundary:
     @pytest.mark.parametrize("verb", ["transform", "verify"])
     def test_convention_failure_reads_the_raised_report(self, monkeypatch, verb):
         """A ConventionFailure answer renders the report that the transform
-        raised with: the formula's data is evaluated once (``katz._aimed``,
-        by ``kappa`` for transform and by ``kappa_values`` for verify's
-        prediction) and ``check_conventions`` never runs."""
+        found: the formula's data is evaluated once (``katz.row_step`` on
+        the document's rows for transform, ``katz._aimed`` by
+        ``kappa_values`` for verify's prediction) and ``check_conventions``
+        never runs."""
         doc = symbolic_verify_document()
         del doc["convoluter"]  # the default twist aims at all three classes: t = 1
-        calls, aimed_calls, real_aimed = [], [], katz._aimed
+        formula = {"transform": "row_step", "verify": "_aimed"}[verb]
+        calls, aimed_calls, real_aimed = [], [], getattr(katz, formula)
 
         def spy(*args):
             aimed_calls.append(args)
             return real_aimed(*args)
 
         monkeypatch.setattr(katz, "check_conventions", lambda *a, **kw: calls.append(a))
-        monkeypatch.setattr(katz, "_aimed", spy)
+        monkeypatch.setattr(katz, formula, spy)
         code, out, err = call_main(verb, doc)
         assert code == 2 and calls == [] and len(aimed_calls) == 1, err
         monkeypatch.undo()
@@ -946,12 +1065,21 @@ _exact_leaves = (st.none() | st.booleans() | _text
 _leaves = _exact_leaves | _floats | _floats.map(np.float64)
 
 
+# Hypothesis judges whether ``extend`` recurses by finding its source from its
+# first line number; a lambda read from lines that no longer match the code
+# (a file changed while the tests run) looks non-recursive and warns, once per
+# validation.  The extends are named functions, and each recursive strategy is
+# built once, at import, so that a mismatch warns once rather than per draw.
+def _nest(inner):
+    return st.lists(inner, max_size=4) | st.dictionaries(_text, inner, max_size=4)
+
+
+def _nest_with_tuples(inner):
+    return _nest(inner) | st.lists(inner, max_size=4).map(tuple)
+
+
 def _trees_of(leaves):
-    return st.recursive(
-        leaves,
-        lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
-                       | st.dictionaries(_text, inner, max_size=4)),
-        max_leaves=30)
+    return st.recursive(leaves, _nest_with_tuples, max_leaves=30)
 
 
 _trees = _trees_of(_leaves)
@@ -981,6 +1109,9 @@ class _Slot:
         self.k = k
 
 
+_skeletons = st.recursive(_leaves | st.sampled_from([0, 1]).map(_Slot), _nest, max_leaves=20)
+
+
 @st.composite
 def _shared_trees(draw):
     """Trees holding the same two list objects at several depths: ``a``
@@ -988,10 +1119,7 @@ def _shared_trees(draw):
     a = draw(st.lists(_trees, max_size=3))
     b = draw(st.lists(_trees, max_size=3))
     b.insert(draw(st.integers(0, len(b))), a)
-    skeleton = draw(st.recursive(
-        _leaves | st.sampled_from([0, 1]).map(_Slot),
-        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_text, inner, max_size=4),
-        max_leaves=20))
+    skeleton = draw(_skeletons)
 
     def fill(node):
         if isinstance(node, _Slot):
@@ -1010,6 +1138,16 @@ class TestRenderSharedLists:
     @given(doc=_shared_trees())
     def test_matches_json_dumps(self, doc):
         assert render(doc) == oracle(doc)
+
+    @pytest.mark.parametrize("strategy", [_trees, _skeletons], ids=["trees", "skeletons"])
+    def test_strategies_draw_nested_trees(self, strategy):
+        def depth(node):
+            if isinstance(node, dict):
+                node = list(node.values())
+            return 1 + max(map(depth, node), default=0) if isinstance(node, (list, tuple)) else 0
+
+        nested = find(strategy, lambda tree: depth(tree) >= 3, settings=settings(database=None))
+        assert depth(nested) >= 3
 
     def test_run_trace(self):
         cls = [[entry({f"a{j}": "1"}) for j in range(4)], [entry({f"b{j}": "1"}) for j in range(4)],
