@@ -33,16 +33,19 @@ MAX_IMAG = 1.1
 
 
 def cmd_defect(doc: ProblemDocument) -> tuple[dict, int]:
-    rows, classes = doc.row_form[:2]
-    h, v = doc.twist()
-    value = rows.writer()[0]
+    if doc.row_form is None:  # too many generators for dense rows: the objects answer
+        vector, beta = doc.vector, doc.convoluter_or_default()
+        return {"kind": "defect", "rank": vector.rank, "points": vector.n,
+                "defect": katz.defect(vector, beta), "vector_defect": katz.defect(vector),
+                "convoluter": beta.to_json()}, OK
+    rows, classes, h, v = doc.row_form
     return {
         "kind": "defect",
         "rank": sum(classes[0].values()),
         "points": len(classes),
         "defect": katz.row_defect(classes, [rows.plus(a) for a in h]),
         "vector_defect": katz.row_defect(classes),
-        "convoluter": {"h": [value(a) for a in h], "v": [value(a) for a in v]},
+        "convoluter": rows.writer()[2](h, v),
     }, OK
 
 
@@ -59,8 +62,17 @@ def _noneffective(kind: str, report: NoneffectiveReport) -> tuple[dict, int]:
 
 
 def cmd_transform(doc: ProblemDocument) -> tuple[dict, int]:
-    rows, classes = doc.row_form[:2]
-    aim, result = katz.row_step(rows, classes, *doc.twist())
+    if doc.row_form is None:  # too many generators for dense rows: the objects answer
+        try:
+            result = katz.kappa(doc.convoluter_or_default(), doc.vector)
+        except ConventionViolation as exc:
+            return _convention_failure("transform", exc)
+        if isinstance(result, NoneffectiveReport):
+            return _noneffective("transform", result)
+        return {"kind": "transform", "status": "ok", "defect": result.rank - doc.vector.rank,
+                "output": result.to_json()}, OK
+    rows, *form = doc.row_form
+    aim, result = katz.row_step(rows, *form)
     if isinstance(result, ConventionReport):
         return _convention_failure("transform", result.first_violation())
     if isinstance(result, NoneffectiveReport):
@@ -72,7 +84,7 @@ def cmd_transform(doc: ProblemDocument) -> tuple[dict, int]:
 def cmd_run(doc: ProblemDocument) -> tuple[dict, int]:
     check_run_terms(doc)
     try:
-        trace = katz.run_algorithm(doc.row_form[:2], doc.max_steps, doc.v_policy)
+        trace = katz.run_algorithm((doc.mode, doc.points), doc.max_steps, doc.v_policy)
     except MaxStepsExceeded as exc:  # only a given max_steps can run out
         raise DocumentError(str(exc), "$.max_steps") from None
     out = {"kind": "run", **trace.to_json()}

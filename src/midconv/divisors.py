@@ -124,9 +124,8 @@ class EigDivisor:
 
 
 def check_degrees(degrees: Sequence[int]) -> None:
-    """ValueError unless the points' degrees make a monodromy vector: at
-    least 3 points, all of one degree >= 1.  ``MonodromyVector`` and the
-    integer rows of ``docio.parse_document`` share it."""
+    """ValueError unless the degrees are those of a monodromy vector:
+    at least 3 points, all of one degree >= 1."""
     if len(degrees) < 3:
         raise ValueError(f"need at least 3 points, got {len(degrees)}")
     if degrees[0] < 1:

@@ -4,26 +4,25 @@ One document format drives every command-line verb.  Rationals travel
 as "p/q" strings (never floats); complex numbers appear only in numeric
 instance documents, as [re, im] pairs.
 
-A symbolic document is validated once, into the exact parts of its
-values (``scalars._parts``), and read from there on first use into
-integer rows (one denominator, one column per generator in name order,
-fresh v names included, duplicate entries merged), from which
-``transform``, ``defect`` and ``run`` answer, or into the eigenvalue
-objects that ``classify``, ``higgs``, symbolic ``verify`` and library
-callers read.
+A symbolic document is validated once into the exact parts of its values
+(``scalars._parts``).  ``transform`` and ``defect`` answer from integer
+rows read from them (from the eigenvalue objects past ``MAX_ROW_CELLS``),
+``run`` bounds its answer on the parts and reads its own rows, and
+``classify``, ``higgs`` and symbolic ``verify`` build the objects.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Any, Optional
 
 from .divisors import EigDivisor, MonodromyVector, check_degrees
 from .errors import DocumentError, MidconvError, path_key, shown
-from .katz import Convoluter, _Rows, check_v, max_mult_convoluter, row_defect
+from .katz import Convoluter, _Rows, fresh_names, max_mult_convoluter, row_defect
 from .scalars import GroupElement, GroupMode, _expr, _parts
 
 __all__ = ["ProblemDocument", "parse_document", "render", "parse_json"]
@@ -34,14 +33,12 @@ class ProblemDocument:
     """A parsed problem: the monodromy vector plus optional twisting
     data, numeric assignment and seed.
 
-    ``points`` holds each point's (value, multiplicity) pairs in document
-    order, a value as ``scalars._parts``' (c, e, terms); ``h`` is None for
-    the default convoluter (aimed at maximal multiplicities, with v by
-    ``v_policy``), and ``v`` the given list, "same-as-h" or "fresh".
-    ``transform``, ``defect`` and ``run`` read the integer rows of
-    ``row_form`` and ``twist()``; ``classify``, ``higgs``, symbolic
-    ``verify`` and library callers read the objects ``vector`` and
-    ``convoluter``.  Each form is built on first use."""
+    ``points`` holds each point's (value, multiplicity) pairs, a value as
+    ``scalars._parts``' (c, e, terms); ``h`` is None for the default
+    convoluter (v by ``v_policy``), and ``v`` a list, "same-as-h" or
+    "fresh".  The rows of ``row_form`` (``transform``, ``defect``) and the
+    objects ``vector`` and ``convoluter`` (the other verbs, library
+    callers) are built from the parts on first use."""
 
     mode: GroupMode
     points: list
@@ -53,40 +50,50 @@ class ProblemDocument:
     max_steps: Optional[int] = None
 
     @cached_property
-    def row_form(self) -> tuple:
-        """(rows, classes, h, v): ``katz._Rows.read`` of the classes and the
-        convoluter's rows, h and v None for the default convoluter."""
-        v = self.v if isinstance(self.v, list) else []
-        rows, classes = _Rows.read(self.mode, self.points, [*(self.h or ()), *v],
-                                   self.v_policy == "fresh")
-        if self.h is None:
-            return rows, classes, None, None
-        h = [rows.row(a) for a in self.h]
-        if not isinstance(self.v, list):
-            return rows, classes, h, (h if self.v == "same-as-h" else rows.fresh_v(h, rows.fresh))
-        v, plus = [rows.row(a) for a in v], rows.plus
-        check_v(h, v, lambda: not any(plus(reduce(plus, v), plus(reduce(plus, h)))))
-        return rows, classes, h, v
+    def names(self) -> set[str]:
+        """The generators of the classes, of h and of a given v."""
+        values = [a for entries in self.points for a, _ in entries] + [*(self.h or ())]
+        values += self.v if isinstance(self.v, list) else []
+        return {x for _, _, t in values for x, _, _ in t}
 
-    def twist(self) -> tuple[list, list]:
-        """The rows of h and v: the document's convoluter, or the default
-        one of ``max_mult_convoluter``."""
-        rows, classes, h, v = self.row_form
-        if h is None:
-            h = [rows.plus(rows.top(g)) for g in classes]
-            v = h if self.v_policy == "same" else rows.fresh_v(h, rows.fresh)
-        return h, v
+    @cached_property
+    def fresh(self) -> list[str]:
+        """The n - 1 fresh v names under fresh v (none in circle mode)."""
+        if self.v_policy != "fresh" or self.mode is GroupMode.CIRCLE:
+            return []
+        return fresh_names(len(self.points) - 1, self.names)
+
+    @cached_property
+    def row_form(self) -> Optional[tuple]:
+        """(rows, classes, h, v): ``katz._Rows.read`` of the classes and the
+        twist, the document's convoluter or the default one; None when the
+        rows would hold more than ``MAX_ROW_CELLS`` integers."""
+        v = self.v if isinstance(self.v, list) else []
+        values, names = [*(self.h or ()), *v], self.names.union(self.fresh)
+        if (sum(map(len, self.points)) + len(values)) * (1 + len(names)) > MAX_ROW_CELLS:
+            return None
+        rows, classes = _Rows.read(self.mode, self.points, values, names)
+        h = None if self.h is None else [*map(rows.row, self.h)]
+        if v:
+            return rows, classes, h, [*map(rows.row, v)]
+        return rows, classes, *rows.twist(classes, self.v_policy, self.fresh, h)
 
     @cached_property
     def vector(self) -> MonodromyVector:
-        return MonodromyVector([EigDivisor(self.mode, [(GroupElement(self.mode, _expr(a)), m)
-                                                       for a, m in entries])
+        return MonodromyVector([EigDivisor(self.mode, [(self._element(a), m) for a, m in entries])
                                 for entries in self.points])
 
     @cached_property
     def convoluter(self) -> Optional[Convoluter]:
-        rows, _, h, v = self.row_form
-        return None if h is None else Convoluter(map(rows.element, h), map(rows.element, v))
+        if self.h is None:
+            return None
+        h = [*map(self._element, self.h)]
+        if self.v == "fresh":
+            return Convoluter.with_fresh_v(h, self.fresh)
+        return Convoluter(h, None if self.v == "same-as-h" else map(self._element, self.v))
+
+    def _element(self, parts: tuple) -> GroupElement:
+        return GroupElement(self.mode, _expr(parts))
 
     def convoluter_or_default(self) -> Convoluter:
         if self.convoluter is not None:
@@ -160,6 +167,16 @@ MAX_RAW_DIM = 1000
 MAX_HIGGS_WEIGHTS = 250_000
 
 
+# The most integers, values * (1 + names), in the dense rows that transform and
+# defect answer from; past it they answer from the sparse eigenvalue objects.
+# Rows cost values * names where objects cost values * terms: with one
+# generator per eigenvalue, 3 points of rank 100 (90,601 cells) take 20 ms as
+# rows and 6 ms as objects, and rank 1000 (9 million) 1.4-1.7 s and 160 MB
+# against 0.14-0.17 s and 25 MB; 101 points of rank 1 under fresh v (61,206)
+# take 23 ms and 28 ms, and bench documents reach 5,100
+MAX_ROW_CELLS = 1 << 16
+
+
 # The most terms (a value's constant or one of its generator coefficients) that
 # a run answer may need by ``check_run_terms``' bound: at the cap the
 # hypergeometric document [[r-1, 1], [1]^r, [1]^r] under fresh v, one generator
@@ -170,17 +187,23 @@ MAX_RUN_TERMS = 8_000_000
 
 def check_run_terms(doc: ProblemDocument) -> None:
     """DocumentError at ``$.classes`` when a run of ``doc`` may write more
-    than ``MAX_RUN_TERMS`` terms.  Bound, before the loop runs: s steps,
-    so s + 1 vectors of at most points * rank entries, each value holding
-    a constant, the document's generators and, under fresh v, points - 1
-    new ones per step.  s is 0 when the run stops at once, at scalar
-    classes or a defect d >= 0, and min(rank, max_steps) otherwise."""
-    classes = doc.row_form[1]
+    than ``MAX_RUN_TERMS`` terms.  Bound, from the parts before anything is
+    built: s steps, so s + 1 vectors of at most points * rank entries, each
+    value holding a constant, the document's generators and, under fresh v,
+    points - 1 new ones per step; s is 0 when the run stops at once (scalar
+    classes, or d >= 0), else min(rank, max_steps)."""
+    additive, classes, gens = doc.mode is GroupMode.ADDITIVE, [], set()
+    for entries in doc.points:  # equal values have equal keys: their parts are in lowest terms
+        g = {}
+        for (c, e, t), m in entries:
+            key = c if additive else c % e, e, frozenset(t)
+            g[key] = g.get(key, 0) + m
+            gens.update([x for x, _, _ in t])
+        classes.append(g)
     n, r = len(classes), sum(classes[0].values())
     steps = 0 if row_defect(classes) >= 0 or all(len(g) == 1 for g in classes) else (
         r if doc.max_steps is None else min(r, doc.max_steps))
-    gens = len({x for entries in doc.points for (_, _, t), _ in entries for x, _, _ in t})
-    per_value = 1 + gens + ((n - 1) * steps if doc.v_policy == "fresh" else 0)
+    per_value = 1 + len(gens) + ((n - 1) * steps if doc.v_policy == "fresh" else 0)
     if (steps + 1) * n * r * per_value > MAX_RUN_TERMS:
         _fail(f"a run answer may need (steps + 1) * points * rank * terms per value = "
               f"{steps + 1} * {n} * {r} * {per_value} terms, more than {MAX_RUN_TERMS:,}",
@@ -194,11 +217,10 @@ def check_raw_dim(points: int, rank: int, path: str) -> None:
 
 
 def parse_document(doc: dict, v_policy: str = "same") -> ProblemDocument:
-    """Validate a JSON object into a ProblemDocument.
+    """Validate a JSON object into a ProblemDocument; ``v_policy`` ("same"
+    or "fresh") is the default convoluter's v.
 
-    ``v_policy`` ("same" or "fresh") is the default convoluter's v, for a
-    document without a convoluter.  Errors are DocumentError with a
-    JSON-path-style position annotation.
+    Errors are DocumentError with a JSON-path-style position annotation.
     """
     if not isinstance(doc, dict):
         _fail("top level must be an object", "$")
@@ -248,23 +270,39 @@ def parse_document(doc: dict, v_policy: str = "same") -> ProblemDocument:
         elif v not in ("same-as-h", "fresh"):
             _fail("'v' must be a list, 'same-as-h' or 'fresh'", "$.convoluter.v")
         v_policy = "fresh" if v == "fresh" else "same"
-    parsed = ProblemDocument(mode, points, h, v, v_policy)
-    try:
-        if v != "same-as-h":  # fresh v in circle mode, or a list that breaks a relation
-            parsed.row_form
-    except (ValueError, MidconvError) as exc:
-        _fail(f"invalid convoluter: {exc}", "$.convoluter")
+        # a given v needs one component per point and t * prod(v) = 1, fresh v
+        # needs generators: when one fails, the object convoluter says which
+        if isinstance(v, list) and (len(v) != len(h) or not _same_product(mode, h, v)) or (
+                v == "fresh" and mode is GroupMode.CIRCLE):
+            try:
+                ProblemDocument(mode, points, h, v, v_policy).convoluter
+            except (ValueError, MidconvError) as exc:
+                _fail(f"invalid convoluter: {exc}", "$.convoluter")
 
     assignment = doc.get("assignment") or {}
     if not isinstance(assignment, dict):
         _fail("'assignment' must be an object", "$.assignment")
-    parsed.assignment = {name: complex(x) if _finite(x)
-                         else complex_array(x, f"$.assignment.{path_key(name)}")
-                         for name, x in assignment.items()}
-    parsed.seed = integer(doc.get("seed", 0), "$.seed", 0)
-    if "max_steps" in doc:
-        parsed.max_steps = integer(doc["max_steps"], "$.max_steps", 0)
-    return parsed
+    assignment = {name: complex(x) if _finite(x)
+                  else complex_array(x, f"$.assignment.{path_key(name)}")
+                  for name, x in assignment.items()}
+
+    return ProblemDocument(
+        mode, points, h, v, v_policy,
+        assignment=assignment,
+        seed=integer(doc.get("seed", 0), "$.seed", 0),
+        max_steps=integer(doc["max_steps"], "$.max_steps", 0) if "max_steps" in doc else None,
+    )
+
+
+def _same_product(mode: GroupMode, h: list, v: list) -> bool:
+    """prod(v) = prod(h), that is t * prod(v) = 1, on ``scalars._parts``."""
+    den = math.lcm(*[e for _, e, _ in h + v], *[q for _, _, t in h + v for _, _, q in t])
+    total = Counter()
+    for sign, (c, e, t) in [(1, a) for a in v] + [(-1, a) for a in h]:
+        total[None] += sign * c * (den // e)
+        total.update({x: sign * p * (den // q) for x, p, q in t})
+    c = total.pop(None)
+    return not (c if mode is GroupMode.ADDITIVE else c % den) and not any(total.values())
 
 
 def parse_json(text: str) -> Any:

@@ -9,12 +9,12 @@ with the eigenvalue conventions it requires, its involution partner,
 emptiness detection, and the iterative rank-reduction loop.  The formula
 is written once, in ``_aim`` and ``_apply``, over one of three group
 laws: ``GroupElement`` objects for the library's ``kappa`` and the
-checks; integer rows (``_Rows``) for ``row_step``, which answers the
-``transform`` and ``defect`` verbs from a document's rows and is each
-step of the reduction loop; or, for ``kappa_values``, the valuation
-x -> exp(2 pi i x(assignment)) into the nonzero complex numbers, which
-turns ``_apply``'s output into the numeric spectra that
-:mod:`midconv.homology` compares with its measurement.
+checks, integer rows (``_Rows``) for ``row_step``, which answers the
+``transform`` verb and runs each step of the reduction loop, or, for
+``kappa_values``, the valuation x -> exp(2 pi i x(assignment)) into the
+nonzero complex numbers, which turns ``_apply``'s output into the
+numeric spectra that :mod:`midconv.homology` compares with its
+measurement.
 
 Everything here is pure divisor arithmetic over the symbolic eigenvalue
 group; the numeric verification of these formulas lives in
@@ -80,7 +80,10 @@ class Convoluter:
             v = tuple(v)
             if any(e.mode is not mode for e in v):
                 raise ModeMismatch("all v components must share h's mode")
-            check_v(h, v, lambda: t.combine(product(v)).is_identity())
+            if len(v) != len(h):
+                raise SizeMismatch(f"h has {len(h)} components but v has {len(v)}")
+            if not t.combine(product(v)).is_identity():
+                raise ValueError("v violates the product relation t * prod(v) = 1")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "t", t)
@@ -101,10 +104,10 @@ class Convoluter:
         """v_i := h_i * s_i with fresh generators s_i, s_n forced so the
         product relation still holds."""
         h = tuple(h)
-        if len(names) != len(h) - 1:
-            raise SizeMismatch("need n-1 fresh generator names")
         mode = h[0].mode
         check_fresh(mode)
+        if len(names) != len(h) - 1:
+            raise SizeMismatch("need n-1 fresh generator names")
         s = [GroupElement.generator(name, mode) for name in names]
         s.append(product(s).invert())
         v = [hi.combine(si) for hi, si in zip(h, s)]
@@ -134,15 +137,6 @@ class Convoluter:
     def to_json(self) -> dict:
         return {"h": [e.to_json() for e in self.h],
                 "v": [e.to_json() for e in self.v]}
-
-
-def check_v(h: Sequence, v: Sequence, holds) -> None:
-    """``Convoluter``'s and ``docio.parse_document``'s checks of a given v:
-    one component per point, and t * prod(v) = 1, which ``holds()`` tests."""
-    if len(v) != len(h):
-        raise SizeMismatch(f"h has {len(h)} components but v has {len(v)}")
-    if not holds():
-        raise ValueError("v violates the product relation t * prod(v) = 1")
 
 
 def check_fresh(mode: GroupMode) -> None:
@@ -461,9 +455,8 @@ class TerminalStatus(enum.Enum):
 
 
 class _Rows:
-    """Eigenvalues as dense integer rows: what ``docio.parse_document`` reads
-    a document into, and the working form of ``transform``, ``defect`` and
-    the reduction loop.
+    """Eigenvalues as dense integer rows, read from a document's parts: the
+    working form of ``transform``, ``defect`` and the reduction loop.
 
     c + sum e_j g_j is the tuple (c, e_1, ..., e_g) of numerators over one
     denominator ``den``, c reduced mod ``mod`` (``den`` unless additive, 0
@@ -471,22 +464,21 @@ class _Rows:
     ``names[j - 1]``: in name order, then each loop step's fresh names.  A
     vector is a list of dicts {row: multiplicity}, one per point."""
 
-    def __init__(self, mode: GroupMode, den: int, names: list[str], fresh: list[str] = ()):
-        self.mode, self.den, self.names, self.fresh = mode, den, names, fresh
+    def __init__(self, mode: GroupMode, den: int, names: list[str]):
+        self.mode, self.den, self.names = mode, den, names
         self.mod = 0 if mode is GroupMode.ADDITIVE else den
         self.pos = {n: k for k, n in enumerate(names, 1)}
 
     @classmethod
-    def read(cls, mode: GroupMode, points: list, values: list = (), fresh_v: bool = False):
+    def read(cls, mode: GroupMode, points: list, values: list = (), names: set | None = None):
         """(rows, classes) of ``points``, per point (value, multiplicity) pairs
         with values as ``scalars._parts`` reads them, duplicates merged; the
-        names are those of the points and ``values`` and, with ``fresh_v``,
-        ``fresh_names``' n - 1 fresh ones (none in circle mode)."""
+        names are ``names``, or those of the points and ``values``."""
         every = [a for entries in points for a, _ in entries] + [*values]
-        taken = {x for _, _, t in every for x, _, _ in t}
-        fresh = fresh_names(len(points) - 1, taken) if fresh_v and mode is not GroupMode.CIRCLE else []
+        if names is None:
+            names = {x for _, _, t in every for x, _, _ in t}
         rows = cls(mode, lcm(*[e for _, e, _ in every], *[q for _, _, t in every for _, _, q in t]),
-                   sorted(taken.union(fresh)), fresh)
+                   sorted(names))
         classes, row = [], rows.row
         for entries in points:
             g = {}
@@ -538,15 +530,24 @@ class _Rows:
         tied = [a for a, k in g.items() if k == m]
         return tied[0] if in_order or len(tied) == 1 else min(tied, key=self.key)
 
-    def fresh_v(self, h: list, names: list[str]) -> list:
-        """``Convoluter.with_fresh_v``'s v in rows: v_i = h_i s_i with the fresh
-        ``names`` s_1 .. s_{n-1}, and s_n closing prod(s) = 1."""
+    def twist(self, classes: list, v_policy: str, names: list[str] = (), h: list | None = None,
+              in_order: bool = False) -> tuple[list, list]:
+        """(h, v) in rows: the given h or ``max_mult_convoluter``'s (h_i the
+        inverse of ``top`` of class i), and v = h or, under fresh v,
+        ``Convoluter.with_fresh_v``'s v_i = h_i s_i with the fresh ``names``
+        s_1 .. s_{n-1} and s_n closing prod(s) = 1."""
+        if h is None:
+            h = [self.plus(self.top(g, in_order)) for g in classes]
+        if v_policy == "same":
+            return h, h
+        if v_policy != "fresh":
+            raise ValueError(f"unknown v policy {v_policy!r}")
         check_fresh(self.mode)
         v = [list(x) for x in h]
         for vi, n in zip(v, names):
             vi[self.pos[n]] += self.den
             v[-1][self.pos[n]] -= self.den
-        return [*map(tuple, v)]
+        return h, [*map(tuple, v)]
 
     def element(self, row: tuple) -> GroupElement:
         return _element(self.mode, _normal(self.den, row[0], tuple(self.key(row)[1])))
@@ -556,9 +557,8 @@ class _Rows:
                                 for g in classes])
 
     def writer(self):
-        """``(value, vector)``: a row and a list of classes written as
-        ``GroupElement.to_json`` and ``MonodromyVector.to_json`` write them,
-        each numerator's text made once (a memo on the numerator alone)."""
+        """``(value, vector, twist)``, writing a row, classes and (h, v) as the
+        objects' ``to_json`` do, each numerator's text made once."""
         mode, names = self.mode.value, self.names
         text = cache(partial(_ratio, d=self.den))
 
@@ -570,12 +570,15 @@ class _Rows:
         def vector(classes: list) -> dict:
             return {"mode": mode, "points": len(classes), "classes": [
                 [{"value": value(a), "mult": m} for a, m in g.items()] for g in classes]}
-        return value, vector
 
+        def twist(h: list, v: list) -> dict:
+            h_json = [value(a) for a in h]
+            return {"h": h_json, "v": h_json if v is h else [value(a) for a in v]}
+        return value, vector, twist
 
 def row_defect(classes: list, inv: Sequence | None = None) -> int:
-    """(n-2) r - sum of m_i(inv_i) over {eigenvalue: multiplicity} classes,
-    of the maximal multiplicities with ``inv`` omitted (the vector's own)."""
+    """``defect`` on {eigenvalue: multiplicity} classes: (n-2) r - sum of
+    m_i(inv_i), or of the maximal multiplicities with ``inv`` omitted."""
     n, r = len(classes), sum(classes[0].values())
     if inv is None:
         return (n - 2) * r - sum(max(g.values()) for g in classes)
@@ -636,7 +639,7 @@ class AlgorithmTrace(NamedTuple):
     def to_json(self) -> dict:
         # step k's output is step k+1's input (and the last one is
         # ``final``): each vector's dict is built once and shared
-        value, write = self.rows.writer()
+        _, write, twist = self.rows.writer()
         vectors = {}
 
         def vector(classes: list) -> dict:
@@ -646,9 +649,7 @@ class AlgorithmTrace(NamedTuple):
 
         steps = []
         for s in self.steps:
-            h = [value(a) for a in s.h_rows]
-            v = h if s.v_rows is s.h_rows else [value(a) for a in s.v_rows]
-            steps.append({"input": vector(s.input_rows), "convoluter": {"h": h, "v": v},
+            steps.append({"input": vector(s.input_rows), "convoluter": twist(s.h_rows, s.v_rows),
                           "defect": s.defect, "output": vector(s.output_rows)})
         doc = {"status": self.status.value, "ranks": self.ranks, "steps": steps,
                "final": vector(self.final_rows)}
@@ -669,26 +670,24 @@ def run_algorithm(vector, max_steps: int | None = None,
     ConventionFailure with the report when (beta, input) fails the
     conventions, and at EmptyNoneffective with a certificate; else step.
     Every recorded step has d < 0, so at most ``rank`` steps can happen.
-    ``vector`` is a MonodromyVector or a document's (rows, classes) as
+    ``vector`` is a MonodromyVector or a document's (mode, points) as
     ``docio.parse_document`` reads them; each step is ``row_step``, with
     no ``ScalarExpr`` arithmetic.
     """
-    if isinstance(vector, MonodromyVector):  # its classes are in EigDivisor entry order
-        rows, current = _Rows.read(vector.mode, [[(
-            (a.expr._c, a.expr._d, [(x, y, a.expr._d) for x, y in a.expr._t]), m)
-            for a, m in g.entries] for g in vector])
-    else:  # a document's classes, in its order: the answer writes them in EigDivisor's
-        rows, classes = vector
-        current = [rows.ordered(g.items()) for g in classes]
+    if isinstance(vector, MonodromyVector):
+        vector = vector.mode, [[((a.expr._c, a.expr._d, [(x, y, a.expr._d) for x, y in a.expr._t]),
+                                 m) for a, m in g.entries] for g in vector]
+    rows, classes = _Rows.read(*vector)
     if rows.mode is GroupMode.CIRCLE:
         raise ModeMismatch("the reduction loop runs in multiplicative or additive mode")
+    current = [rows.ordered(g.items()) for g in classes]  # the answer writes EigDivisor's order
     n = len(current)
     max_steps = sum(current[0].values()) if max_steps is None else max_steps
     steps = []
     for step in range(max_steps + 1):
         if all(len(g) == 1 for g in current):
             return AlgorithmTrace(rows, tuple(steps), TerminalStatus.ALL_DIAGONAL, current)
-        work = current  # ``current`` widened by this step's fresh generators
+        work, names = current, ()  # ``current`` widened by this step's fresh generators
         if v_policy == "fresh":
             # fresh generators must be fresh per step, not reused across steps
             live = [any(col) for col in zip(*(a for g in current for a in g))]
@@ -697,10 +696,7 @@ def run_algorithm(vector, max_steps: int | None = None,
             rows.extend(names)
             if pad := (0,) * (len(rows.names) + 1 - len(live)):
                 work = [{a + pad: m for a, m in g.items()} for g in current]
-        elif v_policy != "same":
-            raise ValueError(f"unknown v policy {v_policy!r}")
-        h = [rows.plus(rows.top(g, in_order=True)) for g in work]
-        v = h if v_policy == "same" else rows.fresh_v(h, names)
+        h, v = rows.twist(work, v_policy, names, in_order=True)
         aim, output = row_step(rows, work, h, v, positive_stops=True)
         if output is None:
             return AlgorithmTrace(rows, tuple(steps), TerminalStatus.POSITIVE_DEFECT, current)

@@ -226,10 +226,8 @@ def _expr(parts: tuple) -> ScalarExpr:
 
 
 def _parts(doc, path: str, mode: "GroupMode | None" = None) -> tuple[int, int, list]:
-    """A document's scalar expression {"const": ..., "exps": {...}} as its
-    constant's lowest-terms numerator and denominator and its nonzero
-    terms (name, p, q), p/q in lowest terms: what ``from_json`` and the
-    integer rows of ``docio.parse_document`` are built from.  DocumentError
+    """A document's {"const": ..., "exps": {...}} as (c, e, [(name, p, q)]),
+    the constant c/e and nonzero terms p/q in lowest terms.  DocumentError
     at the JSON path of a malformed part, or of a circle-mode value (with
     ``mode``) that is not a constant weight; a path is built only then."""
     if not isinstance(doc, dict):
@@ -252,7 +250,7 @@ def _parts(doc, path: str, mode: "GroupMode | None" = None) -> tuple[int, int, l
                 raise DocumentError("generator name is not valid UTF-8",
                                     f"{path}.exps.{path_key(n)}") from None
         try:
-            p, q = _text_parts(x) if type(x) is str else _rational_parts(x)
+            p, q = _rational_parts(x)
         except ValueError as exc:
             raise DocumentError(str(exc), f"{path}.exps.{path_key(n)}") from None
         if p:

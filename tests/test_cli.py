@@ -22,10 +22,10 @@ import pytest
 from hypothesis import find, given, settings, strategies as st
 
 from helpers import random_partition, reference_kappa_spectra
-from midconv import cli, katz
+from midconv import cli, docio, katz
 from midconv.cli import main
-from midconv.docio import (MAX_HIGGS_WEIGHTS, MAX_RAW_DIM, MAX_RUN_TERMS, parse_document,
-                           parse_json, render)
+from midconv.docio import (MAX_HIGGS_WEIGHTS, MAX_RAW_DIM, MAX_ROW_CELLS, MAX_RUN_TERMS,
+                           parse_document, parse_json, render)
 from midconv.errors import ConventionViolation, DocumentError, NoneffectiveTransform
 from midconv.katz import NoneffectiveReport, run_algorithm
 
@@ -499,11 +499,15 @@ def row_oracle_cases(count=200, seed=23):
 
 
 class TestRowOracle:
-    """``transform`` and ``defect`` answer from the document's integer rows;
-    their bytes equal the answers built from the eigenvalue objects by the
-    library's ``kappa`` and ``defect``."""
+    """``transform`` and ``defect`` answer from the document's integer rows
+    (or, past ``MAX_ROW_CELLS``, from the eigenvalue objects); their bytes
+    equal the answers built from the objects by the library's ``kappa``
+    and ``defect``."""
 
-    def test_sweep(self):
+    @pytest.mark.parametrize("cells", ["rows", "objects"])
+    def test_sweep(self, monkeypatch, cells):
+        if cells == "objects":
+            monkeypatch.setattr(docio, "MAX_ROW_CELLS", 0)
         seen = collections.Counter()
         for doc, flags, features in row_oracle_cases():
             for verb in ("transform", "defect"):
@@ -515,6 +519,20 @@ class TestRowOracle:
                         "same-as-h", "fresh", "list", "--beta-v", "ok", "EmptyNoneffective",
                         "ConventionFailure"):
             assert seen[feature] >= 5, (feature, seen)
+
+
+    @pytest.mark.parametrize("verb", ["transform", "defect"])
+    def test_past_the_cells_cap_the_objects_answer(self, monkeypatch, verb):
+        # 300 values of 300 generators: 300 * 301 dense cells, past the cap
+        doc = {"mode": "additive", "classes": [
+            [entry({f"p{k}_{i}": "1"}) for i in range(100)] for k in range(3)]}
+        assert 300 * 301 > MAX_ROW_CELLS
+        kappa_calls, real_kappa = [], katz.kappa
+        monkeypatch.setattr(katz._Rows, "read", None)
+        monkeypatch.setattr(katz, "kappa", lambda *a: kappa_calls.append(a) or real_kappa(*a))
+        code, out, err = call_main(verb, doc)
+        assert len(kappa_calls) == (verb == "transform")
+        assert (code, out) == object_answer(verb, doc), err
 
 
 class TestUsageErrors:
@@ -745,12 +763,18 @@ def hypergeometric_document(r):
                         [entry({f"d{j}": "1"}) for j in range(r)]]}
 
 
-def fresh_hypergeometric_document(r):
-    """``hypergeometric_document(r)`` under fresh v, set by its convoluter's
-    ``"v": "fresh"``, with no step limit: the run takes r - 1 steps and its
-    bound is (r + 1) * 3 * r * (1 + 2 r + 2 + 2 r) terms."""
-    return {**hypergeometric_document(r), "max_steps": r,
-            "convoluter": {"h": [expr(const="1/5")] * 3, "v": "fresh"}}
+def stepping_cap_document(generators):
+    """Rank 250 on 4 points and max_steps 7: each point has one eigenvalue
+    of multiplicity 126 and 124 simple ones, 500 distinct values that carry
+    ``generators`` generators between them (g_k on value k mod 500).  The
+    defect is 2 * 250 - 4 * 126 = -4, so the run steps, and its bound is
+    8 * 4 * 250 * (1 + generators) terms."""
+    def value(j):
+        return entry({f"g{k}": "1" for k in range(j, generators, 500)})
+
+    return {"mode": "multiplicative", "points": 4, "max_steps": 7,
+            "classes": [[{**value(125 * k), "mult": 126}]
+                        + [value(125 * k + j) for j in range(1, 125)] for k in range(4)]}
 
 
 class TestDocumentBoundary:
@@ -862,11 +886,11 @@ class TestDocumentBoundary:
         ("verify", matrices_document([np.diag([1e8, 1e-8])] * 40 + [np.diag([1e-8, 1e8])] * 40
                                      + [np.eye(2)], [0.5] + [1] * 80, 2),
          "$: instance violates its defining relations: {'prod(M) = 1': nan}"),
-        # a run whose bound is just past its cap: the fresh hypergeometric
-        # document one rank past the one that answers at the cap
-        ("run", fresh_hypergeometric_document(87),
+        # a run that steps, with a bound just past its cap: one generator
+        # more than the document that answers at the cap
+        ("run", stepping_cap_document(1000),
          f"$.classes: a run answer may need (steps + 1) * points * rank * terms per value "
-         f"= 88 * 3 * 87 * 351 terms, more than {MAX_RUN_TERMS:,}"),
+         f"= 8 * 4 * 250 * 1001 terms, more than {MAX_RUN_TERMS:,}"),
     ])
     def test_forbidden_inputs(self, verb, patch, where):
         doc = run_document() if verb == "run" else {}
@@ -891,12 +915,26 @@ class TestDocumentBoundary:
         assert json.loads(out)["status"] == "constructed"
 
     def test_run_at_its_cap_answers(self):
-        # the bound is 87 * 3 * 86 * 347 terms, the largest under the cap
+        assert 8 * 4 * 250 * (1 + 999) == MAX_RUN_TERMS
+        code, out, err = call_main("run", stepping_cap_document(999))
+        assert code == 0 and err == "", err[:200]
+        answer = json.loads(out)
+        assert answer["status"] == "PositiveDefect" and answer["ranks"] == [250, 246]
+
+    def test_fresh_run_near_its_cap(self):
+        # the fresh hypergeometric document runs r - 1 steps; its bound is
+        # (r + 1) * 3 * r * (1 + 2 r + 2 + 2 r) terms, under the cap at r = 86
         assert 87 * 3 * 86 * 347 <= MAX_RUN_TERMS < 88 * 3 * 87 * 351
-        code, out, err = call_main("run", fresh_hypergeometric_document(86))
+        code, out, err = call_main("run", {**hypergeometric_document(86), "max_steps": 86},
+                                   "--beta-v", "fresh")
         assert code == 0 and err == "", err[:200]
         answer = json.loads(out)
         assert answer["status"] == "AllDiagonal" and answer["ranks"] == list(range(86, 0, -1))
+        code, out, err = call_main("run", {**hypergeometric_document(87), "max_steps": 87},
+                                   "--beta-v", "fresh")
+        assert code == 1 and out == "", err[:200]
+        assert err.startswith("input error: $.classes: a run answer may need "
+                              "(steps + 1) * points * rank * terms per value = 88 * 3 * 87 * 351")
 
     def test_run_that_stops_at_once_answers(self):
         # a bound that counted min(rank, max_steps) = 7 steps would pass the cap
@@ -1039,6 +1077,33 @@ class TestDocumentBoundary:
         assert out == render({"kind": verb, "status": "ConventionFailure",
                               "convention": report.first_violation().convention,
                               "report": report.to_json()}, exact=verb != "verify")
+
+    @pytest.mark.parametrize("mode, shift, problem", [
+        ("multiplicative", ["0", "1/2", "1/2"], None),  # prod(v) = prod(h): 1 is 0 mod 1
+        ("additive", ["0", "1/2", "1/2"], "v violates the product relation t * prod(v) = 1"),
+        ("additive", ["0", "1/2"], "h has 3 components but v has 2"),
+        ("circle", "fresh", "fresh generators need multiplicative or additive mode"),
+    ])
+    def test_convoluter_checks_read_no_rows(self, monkeypatch, mode, shift, problem):
+        """A given v is checked on the document's parts: neither the checks
+        nor classify, which reads objects, build the integer rows."""
+        h = [expr(const=c) for c in ("1/2", "1/4", "1/8")]
+        v = shift if shift == "fresh" else [expr(const=str(Fraction(e["const"]) + Fraction(x)))
+                                            for e, x in zip(h, shift)]
+        doc = {"mode": mode, "classes": [[entry({}, const=c)] for c in ("1/5", "1/7", "2/3")],
+               "convoluter": {"h": h, "v": v}}
+        monkeypatch.setattr(katz._Rows, "read", None)
+        code, out, err = call_main("classify", doc)
+        if problem is None:
+            assert code == 0 and err == "", err
+        else:
+            assert (code, out) == (1, "")
+            assert err == f"input error: $.convoluter: invalid convoluter: {problem}\n"
+
+    def test_run_bound_reads_no_rows(self, monkeypatch):
+        monkeypatch.setattr(katz._Rows, "read", None)
+        code, out, err = call_main("run", stepping_cap_document(1000))
+        assert (code, out) == (1, "") and "more than 8,000,000" in err, err[:200]
 
     def test_beta_v_flag_on_a_malformed_convoluter(self):
         doc = {**referee_document(), "convoluter": "x"}
