@@ -56,6 +56,17 @@ class EigDivisor:
         raise AttributeError("EigDivisor is immutable")
 
     @classmethod
+    def _canonical(cls, mode: GroupMode,
+                   entries: Iterable[tuple[GroupElement, int]]) -> "EigDivisor":
+        """The divisor of ``entries`` that are canonical already: distinct
+        elements of ``mode`` in the element order, nonzero int
+        multiplicities.  Nothing is checked, merged or sorted."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "entries", tuple(entries))
+        return self
+
+    @classmethod
     def of(cls, *elements: GroupElement) -> "EigDivisor":
         """Divisor with multiplicity one at each listed element."""
         if not elements:

@@ -22,9 +22,10 @@ r x r eigenproblem per point.
 
 Neither B nor any other n r x n r matrix is formed on the way.  Both
 spaces are orthogonal complements of thin factors: the kernel that of
-R, the boundary's row space (n r x r, one thin SVD), and the middle
-quotient that of V = [R | U], with U the thin SVD basis of the middling
-cycles projected off R.  So B B^H = I - V V^H is a projector, and
+R, the boundary's row space (n r x r, the Q of one thin Householder QR
+of the boundary's adjoint), and the middle quotient that of V = [R | U],
+with U the Q of a thin QR of the middling cycles projected off R.  So
+B B^H = I - V V^H is a projector, and
 Q_k^H P_k = X_k[block k] - V[block k] (V^H X_k) costs O(n r^2 (r + f))
 per point, f the total fixed dimension.  B itself is built on demand, by
 a complete QR of V, for the dense matrices and for the m <= r case.
@@ -36,8 +37,14 @@ Q D Q^* with known D and Q; only the last matrix is decomposed), and it
 is checked against the matrices; a ``matrices`` document is decomposed
 once per point.
 
-Arrays are complex numpy arrays; tolerances are explicit and every rank
-decision is an SVD/eigenvalue threshold.  The layer needs numpy only.
+The prediction reaches the matcher as ``kappa_values`` makes it, one
+(value, multiplicity) list per point, and the assignment runs on those
+counts.
+
+Arrays are complex numpy arrays; tolerances are explicit.  Every rank
+decision is a threshold on eigenvalues or on singular values, the latter
+those of a QR's small triangular factor, which equal the factored
+matrix's.  The layer needs numpy only.
 """
 
 from __future__ import annotations
@@ -254,15 +261,17 @@ class ChainSpace:
 
     def row_basis(self) -> np.ndarray:
         """R: orthonormal basis (n r x r) of the boundary's row space, the
-        orthogonal complement of ker(boundary), from one thin SVD; raises
-        if the boundary is not numerically surjective."""
+        orthogonal complement of ker(boundary): the Q of the thin QR
+        boundary^H = R T.  T is r x r with the boundary's singular values,
+        and BoundaryNotSurjective is raised when the smallest is at most tol."""
         if self._rows is None:
-            _, sv, vh = np.linalg.svd(self.boundary, full_matrices=False)
+            R, T = np.linalg.qr(self.boundary.conj().T)
+            sv = np.linalg.svd(T, compute_uv=False)
             if sv[self.r - 1] <= self.inst.tol:
                 raise BoundaryNotSurjective(
                     f"boundary rank below {self.r}: smallest kept singular value "
                     f"{sv[self.r - 1]:.3e}")
-            self._rows = vh.conj().T
+            self._rows = R
         return self._rows
 
     def kernel_basis(self) -> np.ndarray:
@@ -364,10 +373,14 @@ def raw_convolution_rep(inst: NumericInstance) -> RawConvolutionRep:
 
 
 def _fixed_space(inst: NumericInstance, k: int) -> np.ndarray:
-    """Orthonormal basis of the eigenvalue-1 eigenspace of b_k M_k; a
+    """Orthonormal basis of the eigenvalue-1 eigenspace of b_k M_k, an
+    (r, 0) array with no work when no |b_k lam - 1| is at most tol; a
     DocumentError at ``$.matrices[k]`` when that eigenvalue is not semisimple."""
     lam, vecs = inst.eigs[k]
-    F, _ = np.linalg.qr(vecs[:, np.abs(inst.b[k] * lam - 1) <= inst.tol])
+    ones = np.abs(inst.b[k] * lam - 1) <= inst.tol
+    if not ones.any():
+        return np.zeros((inst.r, 0), dtype=complex)
+    F, _ = np.linalg.qr(vecs[:, ones])
     if np.linalg.norm((inst.b[k] * inst.M[k] - np.eye(inst.r)) @ F) > 100 * inst.tol:
         raise DocumentError(f"eigenvalue 1 of b_{k} M_{k} is not semisimple",
                             f"$.matrices[{k}]")
@@ -382,9 +395,10 @@ def middle_convolution_rep(inst: NumericInstance) -> MiddleConvolutionRep:
     compressed matrices carry exactly the quotient eigenvalues.  With R
     the boundary's row space, the middling columns Phi lie in the kernel
     when R^H Phi vanishes, and Phi - R (R^H Phi) = K K^H Phi has the
-    singular values of K^H Phi for any kernel basis K: both checks and
-    the quotient's V = [R | U] come from thin factors of width r and
-    sum(fixed_dims), with no n r x n r matrix.
+    singular values of K^H Phi for any kernel basis K.  Its thin QR U T
+    gives the quotient's V = [R | U], and T's singular values, which are
+    its own, the rank test.  Both checks and V come from thin factors of
+    width r and sum(fixed_dims), with no n r x n r matrix.
     """
     if abs(inst.chi - 1) <= inst.tol:
         raise ConventionViolationNumeric("chi is numerically 1")
@@ -411,8 +425,8 @@ def middle_convolution_rep(inst: NumericInstance) -> MiddleConvolutionRep:
     if residual > 100 * inst.tol:
         raise QuotientRankMismatch(
             f"middling cycles leave the kernel by {residual:.3e}")
-    U, sv, _ = np.linalg.svd(phi - R @ off_kernel, full_matrices=False)
-    rank = int(np.sum(sv > inst.tol))
+    U, T = np.linalg.qr(phi - R @ off_kernel)
+    rank = int(np.sum(np.linalg.svd(T, compute_uv=False) > inst.tol))
     if rank != total:
         raise QuotientRankMismatch(
             f"middling span has rank {rank}, expected {total}")
@@ -432,15 +446,24 @@ def predicted_middle_spectra(inst: NumericInstance) -> list[list[complex]]:
     return out
 
 
-def match_multisets(predicted: Sequence[complex], measured: Sequence[complex]) -> float:
+def match_multisets(predicted: Sequence, measured: Sequence[complex]) -> float:
     """Best-matching maximum deviation between two equal-size multisets
-    of complex numbers (optimal assignment, not greedy)."""
-    if len(predicted) != len(measured):
+    of complex numbers (optimal assignment, not greedy).
+
+    ``predicted`` is grouped, (value, multiplicity) pairs as
+    ``kappa_values`` gives them, and the assignment runs on those counts;
+    or it is expanded, each value listed once per copy, and is grouped
+    first.  A value may sit in more than one group."""
+    if len(predicted) and isinstance(predicted[0], tuple):
+        values, counts = zip(*predicted)
+        values, counts = np.array(values, dtype=complex), np.array(counts)
+    else:
+        values, counts = np.unique(np.asarray(predicted, dtype=complex), return_counts=True)
+    if counts.sum() != len(measured):
         raise SizeMismatch(
-            f"multiset sizes differ: {len(predicted)} vs {len(measured)}")
-    if not predicted:
+            f"multiset sizes differ: {counts.sum()} vs {len(measured)}")
+    if not len(measured):
         return 0.0
-    values, counts = np.unique(np.asarray(predicted, dtype=complex), return_counts=True)
     cost = np.abs(values[:, None] - np.asarray(measured, dtype=complex)[None, :])
     row, _ = min_sum_assignment(cost, counts)
     return float(cost[row, np.arange(len(measured))].max())
@@ -516,16 +539,22 @@ class VerificationProblem:
     beta: Convoluter
     assignment: dict
 
-    def predicted_kappa_spectra(self) -> list[list[complex]]:
+    def predicted_kappa_groups(self) -> list[list[tuple[complex, int]]]:
         """Per-point eigenvalue multisets of the symbolic transform under
-        the assignment: ``kappa_values`` runs the transform formula with
-        the valuation as its group law, so no transformed vector is built.
-        Raises ConventionViolation, or NoneffectiveTransform with the
-        report, when the transform has no such spectra."""
+        the assignment, as (value, multiplicity) pairs: ``kappa_values``
+        runs the transform formula with the valuation as its group law, so
+        no transformed vector is built.  Raises ConventionViolation, or
+        NoneffectiveTransform with the report, when the transform has no
+        such spectra."""
         result = kappa_values(self.beta, self.vector, self.assignment)
         if isinstance(result, NoneffectiveReport):
             raise NoneffectiveTransform(result)
-        return [[z for z, m in entries for _ in range(m)] for entries in result]
+        return result
+
+    def predicted_kappa_spectra(self) -> list[list[complex]]:
+        """``predicted_kappa_groups`` with each value listed once per copy."""
+        return [[z for z, m in entries for _ in range(m)]
+                for entries in self.predicted_kappa_groups()]
 
 
 def _spectrum(g: EigDivisor, assignment: dict) -> list[complex]:
@@ -604,11 +633,11 @@ def generate_instance(seed: int, r: int, n: int,
     mode = GroupMode.MULTIPLICATIVE
     if mults is None:
         mults = [[1] * r for _ in range(n - 1)]
-    if len(mults) != n - 1 or any(sum(p) != r for p in mults):
-        raise SizeMismatch("need n-1 multiplicity patterns summing to r")
+    if len(mults) != n - 1 or any(sum(p) != r or min(p) < 1 for p in mults):
+        raise SizeMismatch("need n-1 multiplicity patterns of parts >= 1 summing to r")
 
     assignment: dict[str, float] = {}
-    gens: list[list[GroupElement]] = []
+    classes: list[list[tuple[str, int]]] = []  # (generator name, multiplicity) per point
 
     def diagonals():
         # consumed one point at a time: each point's angles are drawn
@@ -617,27 +646,26 @@ def generate_instance(seed: int, r: int, n: int,
             names = [f"e{i}_{j}" for j in range(len(mults[i]))]
             thetas = rng.uniform(0.02, 0.98, size=len(names)).tolist()
             assignment.update(zip(names, thetas))
-            gens.append([GroupElement.generator(name, mode) for name in names])
+            classes.append([(name, int(m)) for name, m in zip(names, mults[i])])
             yield np.concatenate([[np.exp(2j * np.pi * th)] * m for th, m in zip(thetas, mults[i])])
 
     matrices, eigs = _realize(diagonals(), r, rng)
     angles = np.angle(eigs[-1][0]) / (2 * np.pi) % 1.0
-    last_classes = []
+    classes.append([])
     for j, (theta, m) in enumerate(_cluster_angles(angles, tol)):
-        name = f"e{n - 1}_{j}"
-        assignment[name] = float(theta)
-        last_classes.append((GroupElement.generator(name, mode), m))
-    gens.append([c[0] for c in last_classes])
+        assignment[f"e{n - 1}_{j}"] = float(theta)
+        classes[-1].append((f"e{n - 1}_{j}", m))
 
-    divisors = [EigDivisor(mode, list(zip(gens[i], mults[i])))
-                for i in range(n - 1)]
-    divisors.append(EigDivisor(mode, last_classes))
-    vector = MonodromyVector(divisors)
+    # one generator per class: sorted by name, the entries are in element order
+    vector = MonodromyVector([
+        EigDivisor._canonical(mode, [(GroupElement.generator(name, mode), m)
+                                     for name, m in sorted(c)])
+        for c in classes])
 
     if aim == "support":
-        h = [g[0].invert() for g in gens]
-        b = np.array([np.conj(np.exp(2j * np.pi * assignment[g[0].expr.generators()[0]]))
-                      for g in gens])
+        # e{i}_0, the point's first class, has the smallest name
+        h = [g.entries[0][0].invert() for g in vector]
+        b = np.array([np.conj(np.exp(2j * np.pi * assignment[f"e{i}_0"])) for i in range(n)])
     elif aim == "fresh":
         h = []
         b = []
@@ -723,20 +751,22 @@ def verify_instance(problem: VerificationProblem | NumericInstance,
     """Compare the measured middle-convolution data with the prediction.
 
     With a full VerificationProblem the prediction comes from the
-    symbolic transform through the assignment; with a bare instance it
-    comes from the instance's own eigenvalue data.  A middle quotient
+    symbolic transform through the assignment, grouped as
+    ``kappa_values`` gives it; with a bare instance it comes from the
+    instance's own eigenvalue data, listed with repetition.  A middle quotient
     whose dimension differs from the prediction is not ok and has no
     deviations to report.
     """
     if isinstance(problem, NumericInstance):
         inst = problem
         predicted = predicted_middle_spectra(inst)
+        expected_middle = len(predicted[0])  # r + d of the prediction
     else:
         inst = problem.instance
-        predicted = problem.predicted_kappa_spectra()
+        predicted = problem.predicted_kappa_groups()
+        expected_middle = sum(m for _, m in predicted[0])
     middle = middle_convolution_rep(inst)
     n, r = inst.n, inst.r
-    expected_middle = len(predicted[0])  # r + d of the prediction
     deviations = []
     det_prod = 1.0 + 0j
     for k in range(n):

@@ -553,7 +553,9 @@ class _Rows:
         return _element(self.mode, _normal(self.den, row[0], tuple(self.key(row)[1])))
 
     def vector(self, classes: list[dict]) -> MonodromyVector:
-        return MonodromyVector([EigDivisor(self.mode, [(self.element(a), m) for a, m in g.items()])
+        """Classes in ``EigDivisor`` entry order (as ``ordered`` leaves them) as a vector."""
+        return MonodromyVector([EigDivisor._canonical(self.mode, [(self.element(a), m)
+                                                                  for a, m in g.items()])
                                 for g in classes])
 
     def writer(self):

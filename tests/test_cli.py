@@ -139,6 +139,18 @@ class TestRun:
         assert out["status"] == "AllDiagonal"
         assert out["ranks"] == [2, 1]
 
+    def test_document_convoluter_h_is_not_read(self):
+        # run aims its own convoluter at every step; of a document's
+        # convoluter it reads only "v": "fresh", as --beta-v fresh
+        bare = hypergeometric_document(4)
+        h = [expr({"x": "1"}), expr({"y": "1/2"}), expr({"z": "-1"}, const="1/3")]
+        same = call_main("run", {**bare, "convoluter": {"h": h}})
+        assert same[0] == 0 and same == call_main("run", bare)
+        assert json.loads(same[1])["ranks"] == [4, 3, 2, 1]
+        fresh = call_main("run", {**bare, "convoluter": {"h": h, "v": "fresh"}})
+        assert fresh[0] == 0 and fresh == call_main("run", bare, "--beta-v", "fresh")
+        assert fresh != same
+
 
 def _renamed(node, names):
     """``node`` with generators renamed by ``names``; any other name that

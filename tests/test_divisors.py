@@ -194,3 +194,48 @@ class TestSymbolicFastPaths:
         if not off.is_identity():
             with pytest.raises(ValueError, match="product relation"):
                 Convoluter(h, v[:i] + [v[i].combine(off)] + v[i + 1:])
+
+
+class TestCanonicalConstructor:
+    """``EigDivisor._canonical`` takes entries that are canonical already;
+    its callers' divisors equal the validating, sorting constructor's."""
+
+    @staticmethod
+    def assert_canonical(vector):
+        for g in vector:
+            assert g == EigDivisor(g.mode, g.entries) and g.entries == EigDivisor(
+                g.mode, g.entries).entries
+            assert all(type(m) is int and m >= 1 for _, m in g.entries)
+
+    def test_generated_vectors(self):
+        from helpers import random_partition
+        from midconv.homology import generate_instance
+        rng = np.random.default_rng(3)
+        for seed in range(40):
+            # up to 13 classes a point: e0_10 sorts before e0_2
+            r, n = int(rng.integers(1, 14)), int(rng.integers(3, 6))
+            problem = generate_instance(
+                seed=seed, r=r, n=n, aim=("support", "fresh")[seed % 2],
+                v_policy=("same", "fresh")[seed // 2 % 2],
+                mults=[random_partition(rng, r) for _ in range(n - 1)])
+            self.assert_canonical(problem.vector)
+        assert [e.expr.generators()[0] for e, _ in generate_instance(
+            seed=1, r=11, n=3).vector[0].entries][:3] == ["e0_0", "e0_1", "e0_10"]
+
+    @pytest.mark.parametrize("mode", [MULT, ADD])
+    @pytest.mark.parametrize("v_policy", ["same", "fresh"])
+    def test_run_algorithm_decodes(self, mode, v_policy):
+        from helpers import random_vector
+        from midconv.katz import run_algorithm
+        rng = np.random.default_rng(4)
+        steps = 0
+        for case in range(30):
+            vector = random_vector(rng, mode, int(rng.integers(2, 7)), int(rng.integers(3, 6)),
+                                   f"c{case}", max_part=3)
+            trace = run_algorithm(vector, v_policy=v_policy)
+            for step in trace.steps:
+                self.assert_canonical(step.input)
+                self.assert_canonical(step.output)
+            self.assert_canonical(trace.final)
+            steps += len(trace.steps)
+        assert steps >= 10, steps

@@ -1,5 +1,7 @@
 """Numeric verification of the transform via chain-level matrices."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -342,6 +344,126 @@ class TestQuotientOracle:
         assert all(shapes.get(s, 0) >= 10 for s in ("m < r", "m = r", "m > r")), shapes
 
 
+def svd_row_space(space):
+    """The parent oracle for ``row_basis``: the leading r right singular
+    vectors of the boundary, from its thin SVD."""
+    return np.linalg.svd(space.boundary, full_matrices=False)[2][:space.r].conj().T
+
+
+def projector(V):
+    return V @ V.conj().T
+
+
+class TestQRBases:
+    """``row_basis`` and the middling basis come from thin QRs; their spans
+    and rank decisions are those of the SVDs they replace."""
+
+    def test_sweep_against_svd(self):
+        rng = np.random.default_rng(41)
+        middles = surjective_fails = 0
+        for n, r, aim, vp in itertools.product((3, 4, 5), range(1, 13), ("support", "fresh"),
+                                               ("same", "fresh")):
+            mults = [random_partition(rng, r) for _ in range(n - 1)]
+            inst = generate_instance(seed=int(rng.integers(1 << 30)), r=r, n=n, aim=aim,
+                                     v_policy=vp, mults=mults).instance
+            space = ChainSpace(inst)
+            if np.linalg.svd(space.boundary, compute_uv=False)[-1] <= inst.tol:
+                # every b_i M_i fixes one covector, as at rank one under the support aim
+                with pytest.raises(BoundaryNotSurjective):
+                    space.row_basis()
+                surjective_fails += 1
+                continue
+            R, V = space.row_basis(), svd_row_space(space)
+            assert np.linalg.norm(projector(R) - projector(V)) <= 1e-10
+            assert np.linalg.norm(R.conj().T @ R - np.eye(r)) <= 1e-10
+            # boundary^H = R T: T's singular values are the boundary's
+            T = R.conj().T @ space.boundary.conj().T
+            np.testing.assert_allclose(np.linalg.svd(T, compute_uv=False),
+                                       np.linalg.svd(space.boundary, compute_uv=False),
+                                       rtol=1e-12, atol=0)
+            try:
+                mid = middle_convolution_rep(inst)
+            except ConventionViolationNumeric:
+                continue
+            fixed = [homology._fixed_space(inst, k) for k in range(n)]
+            if not sum(F.shape[1] for F in fixed):
+                continue
+            # the middling basis against the thin SVD of the projected columns
+            phi = np.hstack([space.embed(k, F) for k, F in enumerate(fixed)])
+            U = np.linalg.svd(phi - V @ (V.conj().T @ phi), full_matrices=False)[0]
+            assert np.linalg.norm(projector(mid.V) - projector(np.hstack([V, U]))) <= 1e-10
+            middles += 1
+        assert middles >= 25 and surjective_fails, (middles, surjective_fails)
+
+    @pytest.mark.parametrize("scale,raises", [(0.1, True), (10.0, False)])
+    def test_rank_one_threshold(self, scale, raises):
+        # at rank 1 the boundary is the row (b_i m_i - 1): its norm is its
+        # one singular value
+        tol = 1e-9
+        eps = scale * tol / np.sqrt(2)
+        b = np.array([1 + eps, 1 - eps, 1 / (1 - eps ** 2)])
+        one = np.ones((1, 1))
+        inst = NumericInstance(M=[one, one, one], b=b, w=b, chi=1 / np.prod(b), tol=tol)
+        space = ChainSpace(inst)
+        assert np.linalg.norm(space.boundary) == pytest.approx(scale * tol, rel=1e-6)
+        if raises:
+            with pytest.raises(BoundaryNotSurjective):
+                space.row_basis()
+        else:
+            R = space.row_basis()
+            assert np.linalg.norm(projector(R) - projector(svd_row_space(space))) <= 1e-10
+
+    def test_one_dependent_middling_column(self, monkeypatch):
+        inst = small_instance(seed=15, r=3, n=4)
+        k0 = next(k for k in range(inst.n) if inst.fixed_multiplicity(k))
+        fixed_space = homology._fixed_space
+
+        def with_dependent_column(inst, k):
+            F = fixed_space(inst, k)
+            return np.hstack([F, F @ np.full((F.shape[1], 1), 0.5 - 2j)]) if k == k0 else F
+        monkeypatch.setattr(homology, "_fixed_space", with_dependent_column)
+        with pytest.raises(QuotientRankMismatch, match="middling span has rank"):
+            middle_convolution_rep(inst)
+
+
+class TestVerifyPathCuts:
+    """A generated verify pays for its eigenproblems: no SVD vectors, no
+    regrouping of the prediction, no QR for an empty fixed space."""
+
+    @pytest.mark.parametrize("aim", ["support", "fresh"])
+    def test_spies(self, monkeypatch, aim):
+        calls = {"svd": [], "unique": 0, "qr": 0}
+        svd, unique, qr = np.linalg.svd, np.unique, np.linalg.qr
+
+        def spy_svd(*args, **kwargs):
+            calls["svd"].append(kwargs.get("compute_uv", True))
+            return svd(*args, **kwargs)
+
+        def spy_unique(*args, **kwargs):
+            calls["unique"] += 1
+            return unique(*args, **kwargs)
+
+        def spy_qr(*args, **kwargs):
+            calls["qr"] += 1
+            return qr(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", spy_svd)
+        monkeypatch.setattr(np, "unique", spy_unique)
+        monkeypatch.setattr(np.linalg, "qr", spy_qr)
+        problem = generate_instance(seed=7, r=4, n=4, aim=aim,
+                                    mults=[[2, 1, 1], [1] * 4, [3, 1]])
+        report = verify_instance(problem)
+        assert report.ok
+        assert calls["svd"] and not any(calls["svd"]), calls["svd"]
+        assert calls["unique"] == 0
+        inst = problem.instance
+        empty = [k for k in range(inst.n) if not inst.fixed_multiplicity(k)]
+        assert empty if aim == "fresh" else not empty
+        for k in empty:
+            calls["qr"] = 0
+            F = homology._fixed_space(inst, k)
+            assert F.shape == (inst.r, 0) and calls["qr"] == 0
+
+
 def assert_eigendata(inst):
     """The stored (lam, V) per point against ``eigvals`` of the matrix."""
     for M, (lam, V) in zip(inst.M, inst.eigs):
@@ -430,6 +552,41 @@ class TestMatchMultisets:
         from midconv.errors import SizeMismatch
         with pytest.raises(SizeMismatch):
             match_multisets([1.0], [1.0, 2.0])
+        with pytest.raises(SizeMismatch):
+            match_multisets([(1.0, 2)], [1.0, 2.0, 3.0])
+
+    def test_equal_values_split_across_groups(self):
+        a = np.exp(0.7j)
+        measured = [a + 1e-9, a - 2e-9j, a + 3e-10]
+        expanded = match_multisets([a] * 3, measured)
+        assert match_multisets([(a, 3)], measured) == expanded
+        assert match_multisets([(a, 1), (a, 2)], measured) == expanded
+        assert match_multisets([(a, 2), (a, 1)], measured) == expanded
+
+    def test_grouped_takes_the_hungarian_path(self):
+        predicted, measured = [(0.0, 1), (1.0, 2)], [0.4, 0.45, 1.1]
+        cost = np.abs(np.array([[0.0], [1.0]]) - np.array(measured)[None, :])
+        assert min_sum_assignment(cost, np.array([1, 2]))[1] > 0
+        assert match_multisets(predicted, measured) == match_multisets(
+            [0.0, 1.0, 1.0], measured) == pytest.approx(0.55)
+
+    def test_grouped_equals_expanded(self):
+        rng = np.random.default_rng(15)
+        augmented = 0
+        for _ in range(200):
+            predicted, measured = clustered_case(rng)
+            values, counts = np.unique(predicted, return_counts=True)
+            # each cluster split into groups at random, the groups shuffled
+            groups = [(complex(z), int(part)) for z, c in zip(values, counts)
+                      for part in np.diff([0, *sorted(rng.choice(range(1, c), int(
+                          rng.integers(0, c)), replace=False)), c])]
+            groups = [groups[i] for i in rng.permutation(len(groups))]
+            got, want = match_multisets(groups, list(measured)), match_multisets(
+                list(predicted), list(measured))
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+            cost = np.abs(values[:, None] - measured[None, :])
+            augmented += min_sum_assignment(cost, counts)[1] > 0
+        assert augmented >= 20, augmented
 
 
 def clustered_case(rng):

@@ -18,11 +18,13 @@ then 1.
 For verify-numeric a second line per seed digests only the structural
 answer fields (exit code, ``ok``, ``status``, the raw and middle
 dimensions and their expected values) and gives the largest
-``max_deviation``: a change to the numeric layer that moves only the
-low digits of the deviations keeps that line and changes the first.
-A largest ``max_deviation`` above ``MAX_DEVIATION`` (1e-12; the corpus
-reads about 1e-14) adds a ``FAIL`` line, and the exit status is then 1.
-CI's comparison with the expected lines cuts that value off, so this
+``max_deviation`` and the largest ``det_product_error``: a change to the
+numeric layer that moves only the low digits of those floats keeps that
+line and changes the first.  A largest ``max_deviation`` above
+``MAX_DEVIATION`` (1e-12; the corpus reads about 1e-14), or a largest
+``det_product_error`` above ``MAX_DET_ERROR`` (1e-10; the corpus reads
+about 3e-13), adds a ``FAIL`` line, and the exit status is then 1.
+CI's comparison with the expected lines cuts both values off, so this
 is what guards the precision of the prediction and the measurement.
 
 ``tools/answer_digest.expected`` holds the reduce-rigid and small-docs
@@ -55,22 +57,26 @@ from midconv import cli  # noqa: E402
 
 STRUCTURE = ("ok", "raw_dim", "middle_dim", "expected_raw_dim", "expected_middle_dim")
 MAX_DEVIATION = 1e-12
+MAX_DET_ERROR = 1e-10
 
 
 def sha256(lines) -> str:
     return hashlib.sha256("\n".join(map(str, lines)).encode()).hexdigest()
 
 
-def structure_line(answers) -> tuple[str, float]:
+def structure_line(answers) -> tuple[str, float, float]:
     """Digest of the structural fields of (exit code, stdout) verify
-    answers, and their largest deviation; the line and that deviation."""
-    fields, worst = [], 0.0
+    answers, and their largest deviation and determinant error; the line
+    and those two."""
+    fields, worst, det_err = [], 0.0, 0.0
     for code, out in answers:
         ans = json.loads(out) if out else {}
         report = ans.get("report", {})
         fields.append((code, ans.get("status"), *(report.get(key) for key in STRUCTURE)))
         worst = max(worst, report.get("max_deviation") or 0.0)
-    return f"structure sha256 {sha256(fields)} max_deviation {worst:.3e}", worst
+        det_err = max(det_err, report.get("det_product_error") or 0.0)
+    return (f"structure sha256 {sha256(fields)} max_deviation {worst:.3e} "
+            f"det_product_error {det_err:.3e}", worst, det_err)
 
 
 def main() -> int:
@@ -93,15 +99,18 @@ def main() -> int:
             runner.run_pass()
             print(f"{workload} seed {seed}: docs {len(docs)} failed {runner.failed} "
                   f"out_bytes {runner.out_bytes} sha256 {sha256(runner.digests)}")
-            worst = 0.0
+            worst = det_err = 0.0
             if workload == "verify-numeric":
-                line, worst = structure_line(answers)
+                line, worst, det_err = structure_line(answers)
                 print(f"{workload} seed {seed}: {line}")
             for problem in runner.problems:
                 print(f"  FAIL {problem}")
             if worst > MAX_DEVIATION:
                 print(f"  FAIL max_deviation {worst:.3e} > {MAX_DEVIATION:.0e}")
-            failed = failed or runner.failed > 0 or worst > MAX_DEVIATION
+            if det_err > MAX_DET_ERROR:
+                print(f"  FAIL det_product_error {det_err:.3e} > {MAX_DET_ERROR:.0e}")
+            failed = (failed or runner.failed > 0 or worst > MAX_DEVIATION
+                      or det_err > MAX_DET_ERROR)
     return 1 if failed else 0
 
 
