@@ -33,11 +33,6 @@ MAX_IMAG = 1.1
 
 
 def cmd_defect(doc: ProblemDocument) -> tuple[dict, int]:
-    if doc.row_form is None:  # too many generators for dense rows: the objects answer
-        vector, beta = doc.vector, doc.convoluter_or_default()
-        return {"kind": "defect", "rank": vector.rank, "points": vector.n,
-                "defect": katz.defect(vector, beta), "vector_defect": katz.defect(vector),
-                "convoluter": beta.to_json()}, OK
     rows, classes, h, v = doc.row_form
     return {
         "kind": "defect",
@@ -62,15 +57,6 @@ def _noneffective(kind: str, report: NoneffectiveReport) -> tuple[dict, int]:
 
 
 def cmd_transform(doc: ProblemDocument) -> tuple[dict, int]:
-    if doc.row_form is None:  # too many generators for dense rows: the objects answer
-        try:
-            result = katz.kappa(doc.convoluter_or_default(), doc.vector)
-        except ConventionViolation as exc:
-            return _convention_failure("transform", exc)
-        if isinstance(result, NoneffectiveReport):
-            return _noneffective("transform", result)
-        return {"kind": "transform", "status": "ok", "defect": result.rank - doc.vector.rank,
-                "output": result.to_json()}, OK
     rows, *form = doc.row_form
     aim, result = katz.row_step(rows, *form)
     if isinstance(result, ConventionReport):

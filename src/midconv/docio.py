@@ -5,10 +5,10 @@ as "p/q" strings (never floats); complex numbers appear only in numeric
 instance documents, as [re, im] pairs.
 
 A symbolic document is validated once into the exact parts of its values
-(``scalars._parts``).  ``transform`` and ``defect`` answer from integer
-rows read from them (from the eigenvalue objects past ``MAX_ROW_CELLS``),
-``run`` bounds its answer on the parts and reads its own rows, and
-``classify``, ``higgs`` and symbolic ``verify`` build the objects.
+(``scalars._parts``).  ``transform`` and ``defect`` answer from the sparse
+integer rows read from them, at any size, ``run`` bounds its answer on
+the parts and reads its own rows, and ``classify``, ``higgs`` and
+symbolic ``verify`` build the objects.
 """
 
 from __future__ import annotations
@@ -64,15 +64,11 @@ class ProblemDocument:
         return fresh_names(len(self.points) - 1, self.names)
 
     @cached_property
-    def row_form(self) -> Optional[tuple]:
+    def row_form(self) -> tuple:
         """(rows, classes, h, v): ``katz._Rows.read`` of the classes and the
-        twist, the document's convoluter or the default one; None when the
-        rows would hold more than ``MAX_ROW_CELLS`` integers."""
+        twist, the document's convoluter or the default one."""
         v = self.v if isinstance(self.v, list) else []
-        values, names = [*(self.h or ()), *v], self.names.union(self.fresh)
-        if (sum(map(len, self.points)) + len(values)) * (1 + len(names)) > MAX_ROW_CELLS:
-            return None
-        rows, classes = _Rows.read(self.mode, self.points, values, names)
+        rows, classes = _Rows.read(self.mode, self.points, [*(self.h or ()), *v])
         h = None if self.h is None else [*map(rows.row, self.h)]
         if v:
             return rows, classes, h, [*map(rows.row, v)]
@@ -165,16 +161,6 @@ MAX_RAW_DIM = 1000
 # The most weights, points * rank, that a higgs answer lists: its time and size
 # follow that count, and at the cap (rank 50,000 at 5 points) it takes 0.5-0.8 s
 MAX_HIGGS_WEIGHTS = 250_000
-
-
-# The most integers, values * (1 + names), in the dense rows that transform and
-# defect answer from; past it they answer from the sparse eigenvalue objects.
-# Rows cost values * names where objects cost values * terms: with one
-# generator per eigenvalue, 3 points of rank 100 (90,601 cells) take 20 ms as
-# rows and 6 ms as objects, and rank 1000 (9 million) 1.4-1.7 s and 160 MB
-# against 0.14-0.17 s and 25 MB; 101 points of rank 1 under fresh v (61,206)
-# take 23 ms and 28 ms, and bench documents reach 5,100
-MAX_ROW_CELLS = 1 << 16
 
 
 # The most terms (a value's constant or one of its generator coefficients) that

@@ -9,8 +9,9 @@ with the eigenvalue conventions it requires, its involution partner,
 emptiness detection, and the iterative rank-reduction loop.  The formula
 is written once, in ``_aim`` and ``_apply``, over one of three group
 laws: ``GroupElement`` objects for the library's ``kappa`` and the
-checks, integer rows (``_Rows``) for ``row_step``, which answers the
-``transform`` verb and runs each step of the reduction loop, or, for
+checks, sparse integer rows (``_Rows``, each costing its terms) for
+``row_step``, which answers the ``transform`` verb at any size and runs
+each step of the reduction loop, or, for
 ``kappa_values``, the valuation x -> exp(2 pi i x(assignment)) into the
 nonzero complex numbers, which turns ``_apply``'s output into the
 numeric spectra that :mod:`midconv.homology` compares with its
@@ -26,14 +27,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cache, partial, reduce
-from itertools import compress
 from math import lcm
-from operator import add, neg
 from typing import Collection, NamedTuple, Optional, Sequence
 
 from .divisors import EigDivisor, MonodromyVector
 from .errors import ConventionViolation, MaxStepsExceeded, ModeMismatch, SizeMismatch
-from .scalars import GroupElement, GroupMode, _element, _normal, _ratio, product
+from .scalars import GroupElement, GroupMode, _element, _merge, _normal, _ratio, _times, product
 
 __all__ = [
     "Convoluter",
@@ -317,15 +316,12 @@ def max_mult_convoluter(vector: MonodromyVector, v_policy: str = "same") -> Conv
     """The default convoluter, the one the reduction loop aims: h_i is the
     inverse of a maximal-multiplicity eigenvalue of g_i (ties broken to the
     smallest element in the deterministic order).  Fresh v generators
-    are named by ``fresh_names`` over the vector's eigenvalues."""
-    h = [g.max_multiplicity()[0].invert() for g in vector]
-    if v_policy == "same":
-        return Convoluter(h)
-    if v_policy == "fresh":
-        taken = {x for g in vector for a in g.support() for x in a.expr.generators()}
-        names = fresh_names(vector.n - 1, taken)
-        return Convoluter.with_fresh_v(h, names)
-    raise ValueError(f"unknown v policy {v_policy!r}")
+    are named by ``fresh_names`` over the vector's eigenvalues.  The policy
+    is ``_Rows.twist``'s, on the vector's rows."""
+    rows, classes = _Rows.read(vector.mode, _points(vector))
+    names = fresh_names(vector.n - 1, _generators(classes)) if v_policy == "fresh" else ()
+    h, v = rows.twist(classes, v_policy, names)
+    return Convoluter([*map(rows.element, h)], None if v is h else map(rows.element, v))
 
 
 def defect(vector: MonodromyVector, beta: Convoluter | None = None) -> int:
@@ -455,30 +451,29 @@ class TerminalStatus(enum.Enum):
 
 
 class _Rows:
-    """Eigenvalues as dense integer rows, read from a document's parts: the
-    working form of ``transform``, ``defect`` and the reduction loop.
+    """Eigenvalues as sparse integer rows, read from a document's parts: the
+    working form of ``transform``, ``defect``, the default convoluter and
+    the reduction loop.
 
-    c + sum e_j g_j is the tuple (c, e_1, ..., e_g) of numerators over one
-    denominator ``den``, c reduced mod ``mod`` (``den`` unless additive, 0
-    for none), so equal elements have equal rows.  Position j holds
-    ``names[j - 1]``: in name order, then each loop step's fresh names.  A
-    vector is a list of dicts {row: multiplicity}, one per point."""
+    c + sum e_j g_j is the row (c, terms): ``ScalarExpr``'s ``(_c, _t)``
+    over one denominator ``den`` for every row, the numerator c reduced mod
+    ``mod`` (``den`` unless additive, 0 for none) and ``terms`` the
+    name-sorted nonzero (name, numerator) pairs.  So equal elements have
+    equal rows, a row costs its terms, not the document's generators, and
+    rows compare in ``ScalarExpr.__lt__``'s order.  A vector is a list of
+    dicts {row: multiplicity}, one per point."""
 
-    def __init__(self, mode: GroupMode, den: int, names: list[str]):
-        self.mode, self.den, self.names = mode, den, names
+    def __init__(self, mode: GroupMode, den: int):
+        self.mode, self.den = mode, den
         self.mod = 0 if mode is GroupMode.ADDITIVE else den
-        self.pos = {n: k for k, n in enumerate(names, 1)}
 
     @classmethod
-    def read(cls, mode: GroupMode, points: list, values: list = (), names: set | None = None):
+    def read(cls, mode: GroupMode, points: list, values: list = ()):
         """(rows, classes) of ``points``, per point (value, multiplicity) pairs
         with values as ``scalars._parts`` reads them, duplicates merged; the
-        names are ``names``, or those of the points and ``values``."""
+        denominator is that of the points and ``values``."""
         every = [a for entries in points for a, _ in entries] + [*values]
-        if names is None:
-            names = {x for _, _, t in every for x, _, _ in t}
-        rows = cls(mode, lcm(*[e for _, e, _ in every], *[q for _, _, t in every for _, _, q in t]),
-                   sorted(names))
+        rows = cls(mode, lcm(*[e for _, e, _ in every], *[q for _, _, t in every for _, _, q in t]))
         classes, row = [], rows.row
         for entries in points:
             g = {}
@@ -488,39 +483,26 @@ class _Rows:
             classes.append(g)
         return rows, classes
 
-    def extend(self, names: list[str]):
-        for n in names:
-            if n not in self.pos:
-                self.names.append(n)
-                self.pos[n] = len(self.names)
-
     def row(self, parts: tuple) -> tuple:
         """The row of ``scalars._parts``' (c, e, [(name, p, q)]): c/e + sum p/q name."""
         c, e, terms = parts
-        den, pos = self.den, self.pos
-        out = [0] * (len(self.names) + 1)
-        out[0] = c * (den // e) % self.mod if self.mod else c * (den // e)
-        for n, p, q in terms:
-            out[pos[n]] = p * (den // q)
-        return tuple(out)
+        den = self.den
+        c *= den // e
+        return (c % self.mod if self.mod else c,
+                tuple(sorted([(n, p * (den // q)) for n, p, q in terms])))
 
     def plus(self, a: tuple, b: tuple | None = None) -> tuple:
         """The group law of rows: a + b, or -a with b omitted."""
-        s = [*map(add, a, b)] if b else [*map(neg, a)]
-        if self.mod:
-            s[0] %= self.mod
-        return tuple(s)
-
-    def key(self, row: tuple) -> tuple:
-        """``ScalarExpr.__lt__``'s order: the constant, then the nonzero
-        (name, numerator) terms in name order."""
-        t = row[1:]
-        return row[0], sorted(zip(compress(self.names, t), filter(None, t)))
+        if b is None:
+            c, t = -a[0], _times(a[1], -1)
+        else:
+            c, s, t = a[0] + b[0], a[1], b[1]
+            t = _merge(s, t) if s and t else s or t
+        return (c % self.mod if self.mod else c, t)
 
     def ordered(self, entries) -> dict:
         """(row, multiplicity) ``entries`` as a class in ``EigDivisor`` entry order."""
-        key = self.key
-        return dict(sorted(entries, key=lambda e: key(e[0])))
+        return dict(sorted(entries))
 
     def top(self, g: dict, in_order: bool = False) -> tuple:
         """The eigenvalue of largest multiplicity in ``g``, ties broken to
@@ -528,10 +510,10 @@ class _Rows:
         g is ``in_order``)."""
         m = max(g.values())
         tied = [a for a, k in g.items() if k == m]
-        return tied[0] if in_order or len(tied) == 1 else min(tied, key=self.key)
+        return tied[0] if in_order or len(tied) == 1 else min(tied)
 
-    def twist(self, classes: list, v_policy: str, names: list[str] = (), h: list | None = None,
-              in_order: bool = False) -> tuple[list, list]:
+    def twist(self, classes: list, v_policy: str, names: Sequence[str] = (),
+              h: list | None = None, in_order: bool = False) -> tuple[list, list]:
         """(h, v) in rows: the given h or ``max_mult_convoluter``'s (h_i the
         inverse of ``top`` of class i), and v = h or, under fresh v,
         ``Convoluter.with_fresh_v``'s v_i = h_i s_i with the fresh ``names``
@@ -543,14 +525,12 @@ class _Rows:
         if v_policy != "fresh":
             raise ValueError(f"unknown v policy {v_policy!r}")
         check_fresh(self.mode)
-        v = [list(x) for x in h]
-        for vi, n in zip(v, names):
-            vi[self.pos[n]] += self.den
-            v[-1][self.pos[n]] -= self.den
-        return h, [*map(tuple, v)]
+        den, plus = self.den, self.plus
+        v = [plus(x, (0, ((n, den),))) for x, n in zip(h, names)]
+        return h, [*v, plus(h[-1], (0, tuple(sorted([(n, -den) for n in names]))))]
 
     def element(self, row: tuple) -> GroupElement:
-        return _element(self.mode, _normal(self.den, row[0], tuple(self.key(row)[1])))
+        return _element(self.mode, _normal(self.den, *row))
 
     def vector(self, classes: list[dict]) -> MonodromyVector:
         """Classes in ``EigDivisor`` entry order (as ``ordered`` leaves them) as a vector."""
@@ -561,13 +541,11 @@ class _Rows:
     def writer(self):
         """``(value, vector, twist)``, writing a row, classes and (h, v) as the
         objects' ``to_json`` do, each numerator's text made once."""
-        mode, names = self.mode.value, self.names
+        mode = self.mode.value
         text = cache(partial(_ratio, d=self.den))
 
         def value(row: tuple) -> dict:
-            terms = row[1:]
-            return {"const": text(row[0]),
-                    "exps": dict(zip(compress(names, terms), map(text, filter(None, terms))))}
+            return {"const": text(row[0]), "exps": {n: text(x) for n, x in row[1]}}
 
         def vector(classes: list) -> dict:
             return {"mode": mode, "points": len(classes), "classes": [
@@ -577,6 +555,19 @@ class _Rows:
             h_json = [value(a) for a in h]
             return {"h": h_json, "v": h_json if v is h else [value(a) for a in v]}
         return value, vector, twist
+
+
+def _points(vector: MonodromyVector) -> list:
+    """``vector``'s classes as (value, multiplicity) pairs, each value as
+    ``scalars._parts`` reads it, for ``_Rows.read``."""
+    return [[((a.expr._c, a.expr._d, [(x, y, a.expr._d) for x, y in a.expr._t]), m)
+             for a, m in g.entries] for g in vector]
+
+
+def _generators(classes: list) -> set[str]:
+    """The generator names in the terms of ``classes``' rows."""
+    return {x for g in classes for _, t in g for x, _ in t}
+
 
 def row_defect(classes: list, inv: Sequence | None = None) -> int:
     """``defect`` on {eigenvalue: multiplicity} classes: (n-2) r - sum of
@@ -677,8 +668,7 @@ def run_algorithm(vector, max_steps: int | None = None,
     no ``ScalarExpr`` arithmetic.
     """
     if isinstance(vector, MonodromyVector):
-        vector = vector.mode, [[((a.expr._c, a.expr._d, [(x, y, a.expr._d) for x, y in a.expr._t]),
-                                 m) for a, m in g.entries] for g in vector]
+        vector = vector.mode, _points(vector)
     rows, classes = _Rows.read(*vector)
     if rows.mode is GroupMode.CIRCLE:
         raise ModeMismatch("the reduction loop runs in multiplicative or additive mode")
@@ -689,17 +679,11 @@ def run_algorithm(vector, max_steps: int | None = None,
     for step in range(max_steps + 1):
         if all(len(g) == 1 for g in current):
             return AlgorithmTrace(rows, tuple(steps), TerminalStatus.ALL_DIAGONAL, current)
-        work, names = current, ()  # ``current`` widened by this step's fresh generators
-        if v_policy == "fresh":
-            # fresh generators must be fresh per step, not reused across steps
-            live = [any(col) for col in zip(*(a for g in current for a in g))]
-            names = fresh_names(n - 1, {x for x, y in zip(rows.names, live[1:]) if y},
-                                f"_s{step}_")
-            rows.extend(names)
-            if pad := (0,) * (len(rows.names) + 1 - len(live)):
-                work = [{a + pad: m for a, m in g.items()} for g in current]
-        h, v = rows.twist(work, v_policy, names, in_order=True)
-        aim, output = row_step(rows, work, h, v, positive_stops=True)
+        # fresh generators must be fresh per step, not reused across steps
+        names = (fresh_names(n - 1, _generators(current), f"_s{step}_")
+                 if v_policy == "fresh" else ())
+        h, v = rows.twist(current, v_policy, names, in_order=True)
+        aim, output = row_step(rows, current, h, v, positive_stops=True)
         if output is None:
             return AlgorithmTrace(rows, tuple(steps), TerminalStatus.POSITIVE_DEFECT, current)
         if isinstance(output, ConventionReport):

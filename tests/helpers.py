@@ -125,6 +125,18 @@ def reference_kappa_spectra(problem):
             for g in result]
 
 
+def reference_convoluter(vector, v_policy="same", stem="_s"):
+    """The default convoluter on ``GroupElement`` objects: h_i the inverse of
+    ``EigDivisor.max_multiplicity`` of g_i, and v = h or, under fresh v,
+    ``Convoluter.with_fresh_v`` with ``fresh_names`` over the vector's
+    generators.  The oracle for ``katz.max_mult_convoluter``'s rows."""
+    h = [g.max_multiplicity()[0].invert() for g in vector]
+    if v_policy == "same":
+        return Convoluter(h)
+    taken = {x for g in vector for a in g.support() for x in a.expr.generators()}
+    return Convoluter.with_fresh_v(h, fresh_names(vector.n - 1, taken, stem))
+
+
 def reference_run(vector, max_steps=None, v_policy="same"):
     """The reduction loop on ``GroupElement`` objects, returning the answer
     ``AlgorithmTrace.to_json`` gives: the oracle for ``run_algorithm``'s
@@ -144,12 +156,7 @@ def reference_run(vector, max_steps=None, v_policy="same"):
     for step in range(max_steps + 1):
         if all(len(g.entries) == 1 for g in current):
             return answer("AllDiagonal")
-        h = [g.max_multiplicity()[0].invert() for g in current]
-        if v_policy == "same":
-            beta = Convoluter(h)
-        else:
-            taken = {x for g in current for a in g.support() for x in a.expr.generators()}
-            beta = Convoluter.with_fresh_v(h, fresh_names(current.n - 1, taken, f"_s{step}_"))
+        beta = reference_convoluter(current, v_policy, f"_s{step}_")
         n, r = current.n, current.rank
         mults = [g.multiplicity(hi.invert()) for g, hi in zip(current, beta.h)]
         d = (n - 2) * r - sum(mults)

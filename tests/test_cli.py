@@ -21,10 +21,10 @@ import numpy as np
 import pytest
 from hypothesis import find, given, settings, strategies as st
 
-from helpers import random_partition, reference_kappa_spectra
-from midconv import cli, docio, katz
+from helpers import random_partition, reference_convoluter, reference_kappa_spectra
+from midconv import cli, katz
 from midconv.cli import main
-from midconv.docio import (MAX_HIGGS_WEIGHTS, MAX_RAW_DIM, MAX_ROW_CELLS, MAX_RUN_TERMS,
+from midconv.docio import (MAX_HIGGS_WEIGHTS, MAX_RAW_DIM, MAX_RUN_TERMS,
                            parse_document, parse_json, render)
 from midconv.errors import ConventionViolation, DocumentError, NoneffectiveTransform
 from midconv.katz import NoneffectiveReport, run_algorithm
@@ -436,10 +436,12 @@ class TestPredictionOracle:
 def object_answer(verb, doc, *flags):
     """``verb``'s answer to ``doc`` built from the eigenvalue objects, the
     library's ``katz.kappa`` and ``katz.defect`` on the decoded
-    ``ProblemDocument.vector``: (exit code, rendered answer)."""
+    ``ProblemDocument.vector``, and the default convoluter from
+    ``reference_convoluter``: (exit code, rendered answer)."""
     fresh = "--beta-v" in flags and flags[flags.index("--beta-v") + 1] == "fresh"
     parsed = parse_document(doc, "fresh" if fresh and "convoluter" not in doc else "same")
-    vector, beta = parsed.vector, parsed.convoluter_or_default()
+    vector = parsed.vector
+    beta = parsed.convoluter or reference_convoluter(vector, parsed.v_policy)
     if verb == "defect":
         return 0, render({"kind": "defect", "rank": vector.rank, "points": vector.n,
                           "defect": katz.defect(vector, beta),
@@ -511,15 +513,11 @@ def row_oracle_cases(count=200, seed=23):
 
 
 class TestRowOracle:
-    """``transform`` and ``defect`` answer from the document's integer rows
-    (or, past ``MAX_ROW_CELLS``, from the eigenvalue objects); their bytes
-    equal the answers built from the objects by the library's ``kappa``
-    and ``defect``."""
+    """``transform`` and ``defect`` answer from the document's sparse
+    integer rows; their bytes equal the answers built from the objects by
+    the library's ``kappa`` and ``defect``."""
 
-    @pytest.mark.parametrize("cells", ["rows", "objects"])
-    def test_sweep(self, monkeypatch, cells):
-        if cells == "objects":
-            monkeypatch.setattr(docio, "MAX_ROW_CELLS", 0)
+    def test_sweep(self):
         seen = collections.Counter()
         for doc, flags, features in row_oracle_cases():
             for verb in ("transform", "defect"):
@@ -532,19 +530,30 @@ class TestRowOracle:
                         "ConventionFailure"):
             assert seen[feature] >= 5, (feature, seen)
 
+    @pytest.mark.parametrize("verb, flags", [("transform", ()), ("defect", ()),
+                                             ("transform", ("--beta-v", "fresh"))],
+                             ids=["transform", "defect", "transform-fresh"])
+    @pytest.mark.parametrize("rank, mode", [(100, "additive"), (3000, "multiplicative"),
+                                            (3000, "additive")])
+    def test_tall_documents(self, verb, flags, rank, mode):
+        """A row costs its terms, not the document's generators: 3 points of
+        ``rank`` values, each with a generator of its own and multiplicity 1
+        (so every maximal multiplicity is tied), 300 values of 300
+        generators or 9,000 of 9,000, answer within a second (0.12 s at rank
+        3,000 on a 2-CPU VM)."""
+        doc = tall_document(rank, mode)
+        start = time.perf_counter()
+        code, out, err = call_main(verb, doc, *flags)
+        elapsed = time.perf_counter() - start
+        assert (code, out) == object_answer(verb, doc, *flags), err
+        assert elapsed < 1.0, elapsed
 
-    @pytest.mark.parametrize("verb", ["transform", "defect"])
-    def test_past_the_cells_cap_the_objects_answer(self, monkeypatch, verb):
-        # 300 values of 300 generators: 300 * 301 dense cells, past the cap
-        doc = {"mode": "additive", "classes": [
-            [entry({f"p{k}_{i}": "1"}) for i in range(100)] for k in range(3)]}
-        assert 300 * 301 > MAX_ROW_CELLS
-        kappa_calls, real_kappa = [], katz.kappa
-        monkeypatch.setattr(katz._Rows, "read", None)
-        monkeypatch.setattr(katz, "kappa", lambda *a: kappa_calls.append(a) or real_kappa(*a))
-        code, out, err = call_main(verb, doc)
-        assert len(kappa_calls) == (verb == "transform")
-        assert (code, out) == object_answer(verb, doc), err
+
+def tall_document(rank, mode):
+    """3 points of ``rank`` eigenvalues of multiplicity 1, each the one
+    generator of its own ("p<point>_<index>")."""
+    return {"mode": mode, "classes": [
+        [entry({f"p{k}_{i}": "1"}) for i in range(rank)] for k in range(3)]}
 
 
 class TestUsageErrors:

@@ -5,9 +5,10 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (naive_kappa_local, random_beta, random_partition, random_vector,
-                     reference_run)
+                     reference_convoluter, reference_run)
 from midconv import (Convoluter, EigDivisor, GroupElement, GroupMode,
                      MonodromyVector, ScalarExpr, TerminalStatus,
                      check_conventions, check_involution, defect, detect_empty,
@@ -15,7 +16,7 @@ from midconv import (Convoluter, EigDivisor, GroupElement, GroupMode,
 from midconv.docio import render
 from midconv.errors import (ConventionViolation, MaxStepsExceeded, ModeMismatch,
                             SizeMismatch)
-from midconv.katz import NoneffectiveReport, max_mult_convoluter
+from midconv.katz import NoneffectiveReport, _Rows, max_mult_convoluter
 
 MULT = GroupMode.MULTIPLICATIVE
 ADD = GroupMode.ADDITIVE
@@ -524,6 +525,79 @@ class TestRowsMatchObjects:
                                for cls in consts])
         status = self.check(vec, v_policy=v_policy)
         assert status == ("ConventionFailure" if mode is MULT else "AllDiagonal")
+
+
+# a value as ``scalars._parts`` reads it, over one denominator: (c, den, [(name, p, den)]);
+# "_" sorts between upper- and lower-case letters, and few names and numerators
+# make two values' terms often meet and cancel
+ROW_NAMES = ("A", "_s1", "a", "b")
+DENS = (1, 2, 3, 4, 6)
+
+
+@st.composite
+def row_model_case(draw):
+    """(mode, den, a, b, class): two values and a class of (value, multiplicity)
+    pairs, each value's constant in [-den, 2 den] so that sums wrap at den."""
+    mode, den = draw(st.sampled_from([MULT, ADD])), draw(st.sampled_from(DENS))
+
+    def value():
+        names = draw(st.lists(st.sampled_from(ROW_NAMES), unique=True, max_size=3))
+        return (draw(st.integers(-den, 2 * den)), den,
+                [(n, draw(st.sampled_from([-2, -1, 1, 2, den])), den) for n in names])
+    mults = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    return mode, den, value(), value(), [(value(), m) for m in mults]
+
+
+def model_element(mode, parts):
+    c, den, terms = parts
+    return GroupElement(mode, ScalarExpr(F(c, den), {n: F(p, q) for n, p, q in terms}))
+
+
+def model_row(element, den):
+    """The row of ``element`` over ``den``, read off its ``ScalarExpr``."""
+    k = den // element.expr._d
+    return element.expr._c * k, tuple((n, x * k) for n, x in element.expr._t)
+
+
+class TestRowsModel:
+    """``katz._Rows``' group law, order and decoding against the objects:
+    ``plus`` is ``GroupElement.combine`` and ``invert`` row for row (zero
+    terms dropped, the constant reduced mod den unless additive, terms in
+    name order), ``ordered`` is ``EigDivisor``'s entry order, ``top`` its
+    ``max_multiplicity`` and ``element`` the value's object."""
+
+    @given(row_model_case())
+    @settings(max_examples=300, deadline=None)
+    @example((MULT, 2, (1, 2, [("a", 1, 2)]), (1, 2, [("a", -1, 2)]), [((0, 2, []), 1)]))
+    @example((ADD, 2, (1, 2, [("a", 1, 2)]), (1, 2, [("a", -1, 2)]), [((0, 2, []), 1)]))
+    @example((MULT, 4, (3, 4, []), (3, 4, [("b", 1, 4)]), [((3, 4, []), 2), ((-1, 4, []), 1)]))
+    def test_rows_match_objects(self, case):
+        mode, den, a, b, pairs = case
+        rows = _Rows(mode, den)
+        x, y = rows.row(a), rows.row(b)
+        ea, eb = model_element(mode, a), model_element(mode, b)
+        assert x == model_row(ea, den) and y == model_row(eb, den)
+        assert rows.plus(x, y) == model_row(ea.combine(eb), den)
+        assert rows.plus(x) == model_row(ea.invert(), den)
+        assert rows.element(x) == ea and rows.element(rows.plus(x, y)) == ea.combine(eb)
+        g = {}
+        for parts, m in pairs:
+            g[rows.row(parts)] = g.get(rows.row(parts), 0) + m
+        divisor = EigDivisor(mode, [(model_element(mode, parts), m) for parts, m in pairs])
+        ordered = rows.ordered(g.items())
+        assert list(ordered.items()) == [(model_row(e, den), m) for e, m in divisor.entries]
+        top = model_row(divisor.max_multiplicity()[0], den)
+        assert rows.top(g) == top and rows.top(ordered, in_order=True) == top
+
+    @pytest.mark.parametrize("mode", [MULT, ADD])
+    @pytest.mark.parametrize("v_policy", ["same", "fresh"])
+    def test_default_convoluter_matches_objects(self, mode, v_policy):
+        """``max_mult_convoluter`` aims by ``_Rows.twist``; ``reference_convoluter``
+        aims on the objects, ties to the smallest eigenvalue."""
+        rng = np.random.default_rng(25)
+        for _ in range(40):
+            vec = TestRowsMatchObjects().vector(rng, mode, shared=bool(rng.integers(2)))
+            assert max_mult_convoluter(vec, v_policy) == reference_convoluter(vec, v_policy)
 
 
 class TestPartnerConventions:

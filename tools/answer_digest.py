@@ -27,10 +27,16 @@ about 3e-13), adds a ``FAIL`` line, and the exit status is then 1.
 CI's comparison with the expected lines cuts both values off, so this
 is what guards the precision of the prediction and the measurement.
 
+A last line, ``small-docs tall``, digests the same way the answers to
+documents far taller than the corpus's: ``transform``, ``defect`` and
+``transform --beta-v fresh`` on 3 points of rank 100 (additive) and rank
+3,000 (both modes), every eigenvalue of multiplicity 1 and a generator of
+its own.  An answer that exits nonzero or raises counts as failed.
+
 ``tools/answer_digest.expected`` holds the reduce-rigid and small-docs
-lines and the verify-numeric structure lines up to ``max_deviation``,
-which CI compares with the printed ones; the other verify-numeric
-bytes depend on the BLAS build.
+lines (the tall line among them) and the verify-numeric structure lines
+up to ``max_deviation``, which CI compares with the printed ones; the
+other verify-numeric bytes depend on the BLAS build.
 """
 
 from __future__ import annotations
@@ -58,6 +64,8 @@ from midconv import cli  # noqa: E402
 STRUCTURE = ("ok", "raw_dim", "middle_dim", "expected_raw_dim", "expected_middle_dim")
 MAX_DEVIATION = 1e-12
 MAX_DET_ERROR = 1e-10
+TALL = ((100, "additive"), (3000, "multiplicative"), (3000, "additive"))
+TALL_ARGV = (["transform"], ["defect"], ["transform", "--beta-v", "fresh"])
 
 
 def sha256(lines) -> str:
@@ -77,6 +85,23 @@ def structure_line(answers) -> tuple[str, float, float]:
         det_err = max(det_err, report.get("det_product_error") or 0.0)
     return (f"structure sha256 {sha256(fields)} max_deviation {worst:.3e} "
             f"det_product_error {det_err:.3e}", worst, det_err)
+
+
+def tall_line(call) -> tuple[str, int]:
+    """The ``small-docs tall`` line, answering by ``call`` as ``bench/run.py``
+    does, and the number of failed answers."""
+    digests, out_bytes, failed = [], 0, 0
+    for rank, mode in TALL:
+        text = json.dumps({"mode": mode, "classes": [
+            [{"value": {"const": "0", "exps": {f"p{k}_{i}": "1"}}, "mult": 1}
+             for i in range(rank)] for k in range(3)]})
+        for argv in TALL_ARGV:
+            code, out, _, exc = call(cli, argv, text)
+            failed += code != 0 or exc is not None
+            out_bytes += len(out.encode("utf-8"))
+            digests.append(hashlib.sha256(f"{code}\n{out}".encode()).hexdigest())
+    return (f"small-docs tall: docs {len(digests)} failed {failed} out_bytes {out_bytes} "
+            f"sha256 {sha256(digests)}", failed)
 
 
 def main() -> int:
@@ -111,7 +136,9 @@ def main() -> int:
                 print(f"  FAIL det_product_error {det_err:.3e} > {MAX_DET_ERROR:.0e}")
             failed = (failed or runner.failed > 0 or worst > MAX_DEVIATION
                       or det_err > MAX_DET_ERROR)
-    return 1 if failed else 0
+    line, tall_failed = tall_line(call)
+    print(line)
+    return 1 if failed or tall_failed else 0
 
 
 if __name__ == "__main__":
