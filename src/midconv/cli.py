@@ -70,7 +70,7 @@ def cmd_transform(doc: ProblemDocument) -> tuple[dict, int]:
 def cmd_run(doc: ProblemDocument) -> tuple[dict, int]:
     check_run_terms(doc)
     try:
-        trace = katz.run_algorithm((doc.mode, doc.points), doc.max_steps, doc.v_policy)
+        trace = katz.run_algorithm(doc.read[:2], doc.max_steps, doc.v_policy)
     except MaxStepsExceeded as exc:  # only a given max_steps can run out
         raise DocumentError(str(exc), "$.max_steps") from None
     out = {"kind": "run", **trace.to_json()}
@@ -233,7 +233,12 @@ def main(argv=None) -> int:
         payload = parse_json(text)
 
         if isinstance(payload, list):
-            results = [_process_one(args.verb, d, args) for d in payload]
+            results = []
+            for i, d in enumerate(payload):
+                try:
+                    results.append(_process_one(args.verb, d, args))
+                except DocumentError as exc:  # its path in the batch, not in the document
+                    raise DocumentError(exc.message, f"$[{i}]{exc.path[1:]}") from None
             out_doc = [r[0] for r in results]
             code = max((r[1] for r in results), default=OK)
         else:

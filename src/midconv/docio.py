@@ -5,25 +5,26 @@ as "p/q" strings (never floats); complex numbers appear only in numeric
 instance documents, as [re, im] pairs.
 
 A symbolic document is validated once into the exact parts of its values
-(``scalars._parts``).  ``transform`` and ``defect`` answer from the sparse
-integer rows read from them, at any size, ``run`` bounds its answer on
-the parts and reads its own rows, and ``classify``, ``higgs`` and
-symbolic ``verify`` build the objects.
+(``scalars._parts``) and read once into sparse integer rows
+(``ProblemDocument.read``).  Every verb answers from that read:
+``transform``, ``defect`` and ``run`` on the rows, at any size, and
+``classify``, ``higgs`` and symbolic ``verify`` on the objects decoded
+from them.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Any, Optional
 
-from .divisors import EigDivisor, MonodromyVector, check_degrees
+from .divisors import MonodromyVector, check_degrees
 from .errors import DocumentError, MidconvError, path_key, shown
-from .katz import Convoluter, _Rows, fresh_names, max_mult_convoluter, row_defect
-from .scalars import GroupElement, GroupMode, _expr, _parts
+from .katz import Convoluter, _generators, _Rows, row_defect
+from .katz import max_mult_convoluter  # noqa: F401  (unused: bench/spans.py traces it here)
+from .scalars import GroupMode, _parts
 
 __all__ = ["ProblemDocument", "parse_document", "render", "parse_json"]
 
@@ -36,9 +37,9 @@ class ProblemDocument:
     ``points`` holds each point's (value, multiplicity) pairs, a value as
     ``scalars._parts``' (c, e, terms); ``h`` is None for the default
     convoluter (v by ``v_policy``), and ``v`` a list, "same-as-h" or
-    "fresh".  The rows of ``row_form`` (``transform``, ``defect``) and the
-    objects ``vector`` and ``convoluter`` (the other verbs, library
-    callers) are built from the parts on first use."""
+    "fresh".  ``parse_document`` reads the parts into rows once
+    (``read``); the twist ``row_form`` and the objects ``vector`` and
+    ``convoluter`` are decoded from that read on first use."""
 
     mode: GroupMode
     points: list
@@ -50,51 +51,36 @@ class ProblemDocument:
     max_steps: Optional[int] = None
 
     @cached_property
-    def names(self) -> set[str]:
-        """The generators of the classes, of h and of a given v."""
-        values = [a for entries in self.points for a, _ in entries] + [*(self.h or ())]
-        values += self.v if isinstance(self.v, list) else []
-        return {x for _, _, t in values for x, _, _ in t}
-
-    @cached_property
-    def fresh(self) -> list[str]:
-        """The n - 1 fresh v names under fresh v (none in circle mode)."""
-        if self.v_policy != "fresh" or self.mode is GroupMode.CIRCLE:
-            return []
-        return fresh_names(len(self.points) - 1, self.names)
-
-    @cached_property
-    def row_form(self) -> tuple:
-        """(rows, classes, h, v): ``katz._Rows.read`` of the classes and the
-        twist, the document's convoluter or the default one."""
+    def read(self) -> tuple:
+        """(rows, classes, h, v): ``katz._Rows.read`` of the classes, with h
+        and a given v read as rows over the same denominator (h None with
+        no convoluter, v the policy string unless given)."""
         v = self.v if isinstance(self.v, list) else []
         rows, classes = _Rows.read(self.mode, self.points, [*(self.h or ()), *v])
         h = None if self.h is None else [*map(rows.row, self.h)]
-        if v:
-            return rows, classes, h, [*map(rows.row, v)]
-        return rows, classes, *rows.twist(classes, self.v_policy, self.fresh, h)
+        return rows, classes, h, [*map(rows.row, v)] if v else self.v
+
+    @cached_property
+    def row_form(self) -> tuple:
+        """(rows, classes, h, v): the read with the twist in rows, the
+        document's convoluter or the default one."""
+        rows, classes, h, v = self.read
+        if isinstance(v, list):
+            return rows, classes, h, v
+        return rows, classes, *rows.twist(classes, self.v_policy, h)
 
     @cached_property
     def vector(self) -> MonodromyVector:
-        return MonodromyVector([EigDivisor(self.mode, [(self._element(a), m) for a, m in entries])
-                                for entries in self.points])
+        rows, classes, _, _ = self.read
+        return rows.vector([rows.ordered(g.items()) for g in classes])
 
     @cached_property
     def convoluter(self) -> Optional[Convoluter]:
-        if self.h is None:
-            return None
-        h = [*map(self._element, self.h)]
-        if self.v == "fresh":
-            return Convoluter.with_fresh_v(h, self.fresh)
-        return Convoluter(h, None if self.v == "same-as-h" else map(self._element, self.v))
-
-    def _element(self, parts: tuple) -> GroupElement:
-        return GroupElement(self.mode, _expr(parts))
+        return None if self.h is None else self.convoluter_or_default()
 
     def convoluter_or_default(self) -> Convoluter:
-        if self.convoluter is not None:
-            return self.convoluter
-        return max_mult_convoluter(self.vector, v_policy=self.v_policy)
+        rows, _, h, v = self.row_form
+        return Convoluter([*map(rows.element, h)], None if v is h else map(rows.element, v))
 
 
 def _fail(message: str, path: str):
@@ -173,23 +159,16 @@ MAX_RUN_TERMS = 8_000_000
 
 def check_run_terms(doc: ProblemDocument) -> None:
     """DocumentError at ``$.classes`` when a run of ``doc`` may write more
-    than ``MAX_RUN_TERMS`` terms.  Bound, from the parts before anything is
-    built: s steps, so s + 1 vectors of at most points * rank entries, each
-    value holding a constant, the document's generators and, under fresh v,
+    than ``MAX_RUN_TERMS`` terms.  Bound, on the document's read before the
+    loop: s steps, so s + 1 vectors of at most points * rank entries, each
+    value holding a constant, the classes' generators and, under fresh v,
     points - 1 new ones per step; s is 0 when the run stops at once (scalar
     classes, or d >= 0), else min(rank, max_steps)."""
-    additive, classes, gens = doc.mode is GroupMode.ADDITIVE, [], set()
-    for entries in doc.points:  # equal values have equal keys: their parts are in lowest terms
-        g = {}
-        for (c, e, t), m in entries:
-            key = c if additive else c % e, e, frozenset(t)
-            g[key] = g.get(key, 0) + m
-            gens.update([x for x, _, _ in t])
-        classes.append(g)
+    classes = doc.read[1]
     n, r = len(classes), sum(classes[0].values())
     steps = 0 if row_defect(classes) >= 0 or all(len(g) == 1 for g in classes) else (
         r if doc.max_steps is None else min(r, doc.max_steps))
-    per_value = 1 + len(gens) + ((n - 1) * steps if doc.v_policy == "fresh" else 0)
+    per_value = 1 + len(_generators(classes)) + ((n - 1) * steps if doc.v_policy == "fresh" else 0)
     if (steps + 1) * n * r * per_value > MAX_RUN_TERMS:
         _fail(f"a run answer may need (steps + 1) * points * rank * terms per value = "
               f"{steps + 1} * {n} * {r} * {per_value} terms, more than {MAX_RUN_TERMS:,}",
@@ -256,39 +235,29 @@ def parse_document(doc: dict, v_policy: str = "same") -> ProblemDocument:
         elif v not in ("same-as-h", "fresh"):
             _fail("'v' must be a list, 'same-as-h' or 'fresh'", "$.convoluter.v")
         v_policy = "fresh" if v == "fresh" else "same"
-        # a given v needs one component per point and t * prod(v) = 1, fresh v
-        # needs generators: when one fails, the object convoluter says which
-        if isinstance(v, list) and (len(v) != len(h) or not _same_product(mode, h, v)) or (
-                v == "fresh" and mode is GroupMode.CIRCLE):
-            try:
-                ProblemDocument(mode, points, h, v, v_policy).convoluter
-            except (ValueError, MidconvError) as exc:
-                _fail(f"invalid convoluter: {exc}", "$.convoluter")
+
+    parsed = ProblemDocument(mode, points, h, v, v_policy)
+    rows, _, h, v = parsed.read  # the one read of the parts that every verb answers from
+    # a given v needs one component per point and t * prod(v) = 1, fresh v
+    # needs generators: when one fails, the object convoluter says which
+    if isinstance(v, list) and (len(v) != len(h)
+                                or reduce(rows.plus, [*v, *map(rows.plus, h)]) != (0, ())) or (
+            v == "fresh" and mode is GroupMode.CIRCLE):
+        try:
+            parsed.convoluter
+        except (ValueError, MidconvError) as exc:
+            _fail(f"invalid convoluter: {exc}", "$.convoluter")
 
     assignment = doc.get("assignment") or {}
     if not isinstance(assignment, dict):
         _fail("'assignment' must be an object", "$.assignment")
-    assignment = {name: complex(x) if _finite(x)
-                  else complex_array(x, f"$.assignment.{path_key(name)}")
-                  for name, x in assignment.items()}
-
-    return ProblemDocument(
-        mode, points, h, v, v_policy,
-        assignment=assignment,
-        seed=integer(doc.get("seed", 0), "$.seed", 0),
-        max_steps=integer(doc["max_steps"], "$.max_steps", 0) if "max_steps" in doc else None,
-    )
-
-
-def _same_product(mode: GroupMode, h: list, v: list) -> bool:
-    """prod(v) = prod(h), that is t * prod(v) = 1, on ``scalars._parts``."""
-    den = math.lcm(*[e for _, e, _ in h + v], *[q for _, _, t in h + v for _, _, q in t])
-    total = Counter()
-    for sign, (c, e, t) in [(1, a) for a in v] + [(-1, a) for a in h]:
-        total[None] += sign * c * (den // e)
-        total.update({x: sign * p * (den // q) for x, p, q in t})
-    c = total.pop(None)
-    return not (c if mode is GroupMode.ADDITIVE else c % den) and not any(total.values())
+    parsed.assignment = {name: complex(x) if _finite(x)
+                         else complex_array(x, f"$.assignment.{path_key(name)}")
+                         for name, x in assignment.items()}
+    parsed.seed = integer(doc.get("seed", 0), "$.seed", 0)
+    if "max_steps" in doc:
+        parsed.max_steps = integer(doc["max_steps"], "$.max_steps", 0)
+    return parsed
 
 
 def parse_json(text: str) -> Any:

@@ -319,8 +319,7 @@ def max_mult_convoluter(vector: MonodromyVector, v_policy: str = "same") -> Conv
     are named by ``fresh_names`` over the vector's eigenvalues.  The policy
     is ``_Rows.twist``'s, on the vector's rows."""
     rows, classes = _Rows.read(vector.mode, _points(vector))
-    names = fresh_names(vector.n - 1, _generators(classes)) if v_policy == "fresh" else ()
-    h, v = rows.twist(classes, v_policy, names)
+    h, v = rows.twist(classes, v_policy)
     return Convoluter([*map(rows.element, h)], None if v is h else map(rows.element, v))
 
 
@@ -512,12 +511,13 @@ class _Rows:
         tied = [a for a, k in g.items() if k == m]
         return tied[0] if in_order or len(tied) == 1 else min(tied)
 
-    def twist(self, classes: list, v_policy: str, names: Sequence[str] = (),
-              h: list | None = None, in_order: bool = False) -> tuple[list, list]:
+    def twist(self, classes: list, v_policy: str, h: list | None = None,
+              in_order: bool = False, stem: str = "_s") -> tuple[list, list]:
         """(h, v) in rows: the given h or ``max_mult_convoluter``'s (h_i the
         inverse of ``top`` of class i), and v = h or, under fresh v,
-        ``Convoluter.with_fresh_v``'s v_i = h_i s_i with the fresh ``names``
-        s_1 .. s_{n-1} and s_n closing prod(s) = 1."""
+        ``Convoluter.with_fresh_v``'s v_i = h_i s_i with s_1 .. s_{n-1} the
+        ``fresh_names`` from ``stem`` that avoid the generators of the
+        classes and h, and s_n closing prod(s) = 1."""
         if h is None:
             h = [self.plus(self.top(g, in_order)) for g in classes]
         if v_policy == "same":
@@ -526,6 +526,7 @@ class _Rows:
             raise ValueError(f"unknown v policy {v_policy!r}")
         check_fresh(self.mode)
         den, plus = self.den, self.plus
+        names = fresh_names(len(classes) - 1, _generators([*classes, dict.fromkeys(h)]), stem)
         v = [plus(x, (0, ((n, den),))) for x, n in zip(h, names)]
         return h, [*v, plus(h[-1], (0, tuple(sorted([(n, -den) for n in names]))))]
 
@@ -663,26 +664,22 @@ def run_algorithm(vector, max_steps: int | None = None,
     ConventionFailure with the report when (beta, input) fails the
     conventions, and at EmptyNoneffective with a certificate; else step.
     Every recorded step has d < 0, so at most ``rank`` steps can happen.
-    ``vector`` is a MonodromyVector or a document's (mode, points) as
-    ``docio.parse_document`` reads them; each step is ``row_step``, with
-    no ``ScalarExpr`` arithmetic.
+    ``vector`` is a MonodromyVector or the (rows, classes) of a document's
+    ``ProblemDocument.read``; each step is ``row_step``, with no
+    ``ScalarExpr`` arithmetic.
     """
-    if isinstance(vector, MonodromyVector):
-        vector = vector.mode, _points(vector)
-    rows, classes = _Rows.read(*vector)
+    rows, classes = (_Rows.read(vector.mode, _points(vector))
+                     if isinstance(vector, MonodromyVector) else vector)
     if rows.mode is GroupMode.CIRCLE:
         raise ModeMismatch("the reduction loop runs in multiplicative or additive mode")
     current = [rows.ordered(g.items()) for g in classes]  # the answer writes EigDivisor's order
-    n = len(current)
     max_steps = sum(current[0].values()) if max_steps is None else max_steps
     steps = []
     for step in range(max_steps + 1):
         if all(len(g) == 1 for g in current):
             return AlgorithmTrace(rows, tuple(steps), TerminalStatus.ALL_DIAGONAL, current)
         # fresh generators must be fresh per step, not reused across steps
-        names = (fresh_names(n - 1, _generators(current), f"_s{step}_")
-                 if v_policy == "fresh" else ())
-        h, v = rows.twist(current, v_policy, names, in_order=True)
+        h, v = rows.twist(current, v_policy, in_order=True, stem=f"_s{step}_")
         aim, output = row_step(rows, current, h, v, positive_stops=True)
         if output is None:
             return AlgorithmTrace(rows, tuple(steps), TerminalStatus.POSITIVE_DEFECT, current)

@@ -597,6 +597,15 @@ class TestDeterminismAndBatch:
         code, out, _ = run_cli(tmp_path / "jobs", "transform", docs, "--jobs", "2")
         assert code == 1 and out is None
 
+    def test_batch_error_names_the_document(self):
+        """A malformed document of a batch is reported at its path in the list."""
+        doc = {"classes": [[{"value": {"const": "x"}, "mult": 1}]]}
+        code, out, err = call_main("transform", [referee_document(), doc])
+        _, _, alone = call_main("transform", doc)
+        assert (code, out) == (1, "")
+        assert alone.startswith("input error: $.classes[0][0].value.const: ")
+        assert err == alone.replace("$.", "$[1].", 1)
+
     def test_document_round_trip(self):
         doc = referee_document()
         parsed = parse_document(doc)
@@ -1105,15 +1114,16 @@ class TestDocumentBoundary:
         ("additive", ["0", "1/2"], "h has 3 components but v has 2"),
         ("circle", "fresh", "fresh generators need multiplicative or additive mode"),
     ])
-    def test_convoluter_checks_read_no_rows(self, monkeypatch, mode, shift, problem):
-        """A given v is checked on the document's parts: neither the checks
-        nor classify, which reads objects, build the integer rows."""
+    def test_convoluter_checks_read_no_rows(self, mode, shift, problem):
+        """A given v is checked on the document's one read, a fold of the
+        rows' group law, and the object convoluter words a failure: the
+        product holds mod 1 in multiplicative mode and not in additive mode,
+        and a short v or circle-mode fresh v fails."""
         h = [expr(const=c) for c in ("1/2", "1/4", "1/8")]
         v = shift if shift == "fresh" else [expr(const=str(Fraction(e["const"]) + Fraction(x)))
                                             for e, x in zip(h, shift)]
         doc = {"mode": mode, "classes": [[entry({}, const=c)] for c in ("1/5", "1/7", "2/3")],
                "convoluter": {"h": h, "v": v}}
-        monkeypatch.setattr(katz._Rows, "read", None)
         code, out, err = call_main("classify", doc)
         if problem is None:
             assert code == 0 and err == "", err
@@ -1121,10 +1131,29 @@ class TestDocumentBoundary:
             assert (code, out) == (1, "")
             assert err == f"input error: $.convoluter: invalid convoluter: {problem}\n"
 
-    def test_run_bound_reads_no_rows(self, monkeypatch):
-        monkeypatch.setattr(katz._Rows, "read", None)
+    def test_run_bound_reads_no_rows(self):
+        """The run bound refuses on the document's read, before the loop."""
+        start = time.perf_counter()
         code, out, err = call_main("run", stepping_cap_document(1000))
+        elapsed = time.perf_counter() - start
         assert (code, out) == (1, "") and "more than 8,000,000" in err, err[:200]
+        assert elapsed < 1, f"{elapsed:.2f} s"
+
+    @pytest.mark.parametrize("verb, doc", valid_documents()[:5])
+    def test_each_document_is_read_once(self, monkeypatch, verb, doc):
+        """Every symbolic verb answers from one ``_Rows.read`` per parsed
+        document: its rows, bound, twist and objects all come from it."""
+        calls, read = [], katz._Rows.read.__func__
+
+        def spy(cls, *args):
+            calls.append(args)
+            return read(cls, *args)
+
+        monkeypatch.setattr(katz._Rows, "read", classmethod(spy))
+        for batch, reads in ((doc, 1), ([doc, doc], 2)):
+            calls.clear()
+            code, _, err = call_main(verb, batch)
+            assert (code, len(calls)) == (0, reads), err
 
     def test_beta_v_flag_on_a_malformed_convoluter(self):
         doc = {**referee_document(), "convoluter": "x"}

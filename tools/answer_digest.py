@@ -27,6 +27,14 @@ about 3e-13), adds a ``FAIL`` line, and the exit status is then 1.
 CI's comparison with the expected lines cuts both values off, so this
 is what guards the precision of the prediction and the measurement.
 
+Each reduce-rigid and small-docs corpus is also run as JSON-list
+batches, one per distinct argv, in corpus order.  A batch whose exit code
+is not the largest of its documents' single exit codes, or whose answer
+is not the canonical rendering of the list of their single answers,
+adds a ``FAIL`` line, and the exit status is then 1.  This guards the
+batch path (list rendering, memos shared across documents) with no line
+of its own.
+
 A last line, ``small-docs tall``, digests the same way the answers to
 documents far taller than the corpus's: ``transform``, ``defect`` and
 ``transform --beta-v fresh`` on 3 points of rank 100 (additive) and rank
@@ -60,6 +68,7 @@ sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "src")]
 import corpus  # noqa: E402
 import run as bench_run  # noqa: E402
 from midconv import cli  # noqa: E402
+from midconv.docio import render  # noqa: E402
 
 STRUCTURE = ("ok", "raw_dim", "middle_dim", "expected_raw_dim", "expected_middle_dim")
 MAX_DEVIATION = 1e-12
@@ -85,6 +94,25 @@ def structure_line(answers) -> tuple[str, float, float]:
         det_err = max(det_err, report.get("det_product_error") or 0.0)
     return (f"structure sha256 {sha256(fields)} max_deviation {worst:.3e} "
             f"det_product_error {det_err:.3e}", worst, det_err)
+
+
+def batch_problems(call, docs, answers) -> list[str]:
+    """``docs`` run as one batch per argv, by ``call``; a problem for each
+    batch that does not answer as its (exit code, stdout) ``answers`` did one
+    by one."""
+    if len(answers) != len(docs):
+        return [f"{len(answers)} single answers for {len(docs)} documents: no batch run"]
+    groups, problems = {}, []
+    for doc, answer in zip(docs, answers):
+        groups.setdefault(tuple(doc.argv), []).append((doc.text, *answer))
+    for argv, items in groups.items():
+        code, out, _, exc = call(cli, list(argv), f"[{','.join(t for t, _, _ in items)}]")
+        want = max(c for _, c, _ in items), render([json.loads(o) for _, _, o in items], exact=True)
+        if exc is not None or (code, out) != want:
+            problems.append(f"batch {' '.join(argv)} of {len(items)} documents: exit {code} "
+                            f"(singles' largest {want[0]}), answer "
+                            f"{'equal to' if out == want[1] else 'not'} the list of single answers")
+    return problems
 
 
 def tall_line(call) -> tuple[str, int]:
@@ -128,13 +156,14 @@ def main() -> int:
             if workload == "verify-numeric":
                 line, worst, det_err = structure_line(answers)
                 print(f"{workload} seed {seed}: {line}")
-            for problem in runner.problems:
+            batch = batch_problems(call, docs, answers) if workload != "verify-numeric" else []
+            for problem in runner.problems + batch:
                 print(f"  FAIL {problem}")
             if worst > MAX_DEVIATION:
                 print(f"  FAIL max_deviation {worst:.3e} > {MAX_DEVIATION:.0e}")
             if det_err > MAX_DET_ERROR:
                 print(f"  FAIL det_product_error {det_err:.3e} > {MAX_DET_ERROR:.0e}")
-            failed = (failed or runner.failed > 0 or worst > MAX_DEVIATION
+            failed = (failed or runner.failed > 0 or batch or worst > MAX_DEVIATION
                       or det_err > MAX_DET_ERROR)
     line, tall_failed = tall_line(call)
     print(line)
