@@ -39,7 +39,7 @@ class ProblemDocument:
     convoluter (v by ``v_policy``), and ``v`` a list, "same-as-h" or
     "fresh".  ``parse_document`` reads the parts into rows once
     (``read``); the twist ``row_form`` and the objects ``vector`` and
-    ``convoluter`` are decoded from that read on first use."""
+    ``convoluter_or_default()`` are decoded from that read."""
 
     mode: GroupMode
     points: list
@@ -74,13 +74,9 @@ class ProblemDocument:
         rows, classes, _, _ = self.read
         return rows.vector([rows.ordered(g.items()) for g in classes])
 
-    @cached_property
-    def convoluter(self) -> Optional[Convoluter]:
-        return None if self.h is None else self.convoluter_or_default()
-
     def convoluter_or_default(self) -> Convoluter:
         rows, _, h, v = self.row_form
-        return Convoluter([*map(rows.element, h)], None if v is h else map(rows.element, v))
+        return rows.convoluter(h, v)
 
 
 def _fail(message: str, path: str):
@@ -244,7 +240,7 @@ def parse_document(doc: dict, v_policy: str = "same") -> ProblemDocument:
                                 or reduce(rows.plus, [*v, *map(rows.plus, h)]) != (0, ())) or (
             v == "fresh" and mode is GroupMode.CIRCLE):
         try:
-            parsed.convoluter
+            parsed.convoluter_or_default()
         except (ValueError, MidconvError) as exc:
             _fail(f"invalid convoluter: {exc}", "$.convoluter")
 

@@ -8,9 +8,9 @@ closed form from prefix products (``ChainSpace``); restricting to the
 kernel of the boundary map gives the raw convolution, and quotienting by
 the cycles on local fixed vectors gives the middle convolution.  Measured
 per-point eigenvalue multisets are compared with the symbolic prediction,
-``katz.kappa_values``: the transform formula run with its third group
-law, the valuation x -> exp(2 pi i x(assignment)), so that no transformed
-vector is built.
+``katz.kappa_values``: the transform formula run on rows with the
+valuation x -> exp(2 pi i x(assignment)) as its output's group law, so
+that no transformed vector is built.
 
 u_k moves only the cycles on a_k, so its matrix is U_k = I + X_k S_k^T,
 where X_k is n r x r and S_k selects block k.  On an orthonormal basis B

@@ -7,15 +7,15 @@ coefficient m_i(h_i^{-1}) + d, and every other eigenvalue a of g_i moves
 to a u_i.  This module implements that transformation exactly, together
 with the eigenvalue conventions it requires, its involution partner,
 emptiness detection, and the iterative rank-reduction loop.  The formula
-is written once, in ``_aim`` and ``_apply``, over one of three group
-laws: ``GroupElement`` objects for the library's ``kappa`` and the
-checks, sparse integer rows (``_Rows``, each costing its terms) for
-``row_step``, which answers the ``transform`` verb at any size and runs
-each step of the reduction loop, or, for
-``kappa_values``, the valuation x -> exp(2 pi i x(assignment)) into the
-nonzero complex numbers, which turns ``_apply``'s output into the
-numeric spectra that :mod:`midconv.homology` compares with its
-measurement.
+is written once, in ``_aim`` and ``_apply``, and runs in ``row_step`` on
+sparse integer rows (``_Rows``, each costing its terms): documents are
+read into rows, and the library's ``GroupElement`` objects too
+(``_read``), so the ``transform`` verb, each step of the reduction loop,
+``kappa`` and the checks share one exact arithmetic.  Its output's group
+law is the rows' own or, for ``kappa_values``, the valuation
+x -> exp(2 pi i x(assignment)) into the nonzero complex numbers, which
+turns ``_apply``'s output into the numeric spectra that
+:mod:`midconv.homology` compares with its measurement.
 
 Everything here is pure divisor arithmetic over the symbolic eigenvalue
 group; the numeric verification of these formulas lives in
@@ -30,9 +30,10 @@ from functools import cache, partial, reduce
 from math import lcm
 from typing import Collection, NamedTuple, Optional, Sequence
 
-from .divisors import EigDivisor, MonodromyVector
+from .divisors import EigDivisor, MonodromyVector, _over
 from .errors import ConventionViolation, MaxStepsExceeded, ModeMismatch, SizeMismatch
-from .scalars import GroupElement, GroupMode, _element, _merge, _normal, _ratio, _times, product
+from .scalars import (GroupElement, GroupMode, _element, _evaluate, _merge, _normal, _ratio,
+                      _times, product)
 
 __all__ = [
     "Convoluter",
@@ -230,8 +231,7 @@ class EmptinessCertificate:
 
 
 class _Aim(NamedTuple):
-    """The transform formula's data for the aimed eigenvalues ``inv``
-    (h_i^{-1}), in the arithmetic ``_aim`` was given.
+    """The transform formula's data for the aimed eigenvalues ``inv`` (h_i^{-1}), in rows.
 
     ``mults[i]`` is m_i(h_i^{-1}), ``defect`` is d = (n-2) r - sum(mults),
     and ``noneffective`` lists (i, m_i + d, sum_{j != i}(r - m_j), r) for
@@ -250,12 +250,12 @@ class _Aim(NamedTuple):
     witnesses: tuple
 
 
-def _aim(plus, classes: list, inv: list, r: int) -> _Aim:
+def _aim(rows: "_Rows", classes: list, h: list) -> _Aim:
     """The formula's data for ``classes``, one {eigenvalue: multiplicity}
-    per point.  ``plus(a, b)`` is the group law and ``plus(a)`` the
-    inverse: ``_Rows.plus`` on integer rows, or ``_plus`` on
-    ``GroupElement``s."""
-    n = len(classes)
+    per point, and the twist's h, in ``rows``."""
+    plus = rows.plus
+    inv = [plus(x) for x in h]
+    n, r = len(classes), sum(classes[0].values())
     mults = [g.get(a, 0) for g, a in zip(classes, inv)]
     d = (n - 2) * r - sum(mults)
     total = sum(r - m for m in mults)
@@ -275,9 +275,9 @@ def _apply(plus, classes: list, aim: _Aim, v: Sequence) -> list[list]:
     """The local transform, one entry list per point: m_i(a) [a u_i] for
     each eigenvalue a of g_i with a h_i != 1, where u_i = t h_i v_i, then
     (m_i + d) [v_i] unless m_i + d = 0.  When the conventions hold no two
-    entries meet, since a u_i = v_i would mean t h_i a = 1.  Only the
-    two-argument law ``plus(a, b)`` is used, so ``kappa_values``' valuation
-    serves as well; the test a h_i != 1 compares the exact ``aim.inv``."""
+    entries meet, since a u_i = v_i would mean t h_i a = 1.  ``plus(a, b)``
+    takes a row a and b of the output's group: the rows' law, or ``kappa_values``'
+    valuation with ``v`` valued; a h_i != 1 compares the exact ``aim.inv``."""
     d, out = aim.defect, []
     for g, b, m, x, vi in zip(classes, aim.inv, aim.mults, aim.th, v):
         ui = plus(x, vi)
@@ -288,20 +288,15 @@ def _apply(plus, classes: list, aim: _Aim, v: Sequence) -> list[list]:
     return out
 
 
-def _plus(a: GroupElement, b: GroupElement | None = None) -> GroupElement:
-    """The group law of ``GroupElement``s for ``_aim`` and ``_apply``."""
-    return a.invert() if b is None else a.combine(b)
-
-
-def _aimed(beta: Convoluter, vector: MonodromyVector) -> tuple[list, _Aim]:
-    """``vector``'s classes as dicts, and the formula's data for ``beta``."""
+def _read(beta: Convoluter, vector: MonodromyVector) -> tuple:
+    """(rows, classes, h, v): ``vector`` and ``beta``'s twist in rows
+    (``_Rows.of``), the form every exact client of the library answers from."""
     if beta.n != vector.n:
         raise SizeMismatch(f"convoluter has {beta.n} points, vector has {vector.n}")
     if beta.mode is not vector.mode:
         raise ModeMismatch(
             f"convoluter mode {beta.mode.value} but vector mode {vector.mode.value}")
-    classes = [dict(g.entries) for g in vector]
-    return classes, _aim(_plus, classes, [hi.invert() for hi in beta.h], vector.rank)
+    return _Rows.of(vector, beta.h, beta.v)
 
 
 def fresh_names(count: int, taken: Collection[str], stem: str = "_s") -> list[str]:
@@ -313,14 +308,11 @@ def fresh_names(count: int, taken: Collection[str], stem: str = "_s") -> list[st
 
 
 def max_mult_convoluter(vector: MonodromyVector, v_policy: str = "same") -> Convoluter:
-    """The default convoluter, the one the reduction loop aims: h_i is the
-    inverse of a maximal-multiplicity eigenvalue of g_i (ties broken to the
-    smallest element in the deterministic order).  Fresh v generators
-    are named by ``fresh_names`` over the vector's eigenvalues.  The policy
-    is ``_Rows.twist``'s, on the vector's rows."""
-    rows, classes = _Rows.read(vector.mode, _points(vector))
-    h, v = rows.twist(classes, v_policy)
-    return Convoluter([*map(rows.element, h)], None if v is h else map(rows.element, v))
+    """The default convoluter, the one the reduction loop aims: ``_Rows.twist``'s
+    on the vector's rows, h_i the inverse of a maximal-multiplicity eigenvalue
+    of g_i (ties broken to the smallest element in the deterministic order)."""
+    rows, classes = _Rows.of(vector)
+    return rows.convoluter(*rows.twist(classes, v_policy))
 
 
 def defect(vector: MonodromyVector, beta: Convoluter | None = None) -> int:
@@ -331,7 +323,7 @@ def defect(vector: MonodromyVector, beta: Convoluter | None = None) -> int:
     """
     if beta is None:
         return (vector.n - 2) * vector.rank - sum(g.max_multiplicity()[1] for g in vector)
-    return _aimed(beta, vector)[1].defect
+    return _aim(*_read(beta, vector)[:3]).defect
 
 
 def check_conventions(beta: Convoluter, vector: MonodromyVector,
@@ -342,29 +334,33 @@ def check_conventions(beta: Convoluter, vector: MonodromyVector,
     of g_i.  De Rham flavor (additive mode required): t not an integer,
     a + h_i + t not an integer, and a + h_i not a nonzero integer.
     """
-    return _report(beta, vector, _aimed(beta, vector)[1], de_rham)
+    form = _read(beta, vector)[:3]
+    return _report(*form, _aim(*form), de_rham)
 
 
-def _report(beta: Convoluter, vector: MonodromyVector, aim: _Aim,
+def _report(rows: "_Rows", classes: list, h: list, aim: _Aim,
             de_rham: bool) -> ConventionReport:
-    """``check_conventions``' report from the pair's formula data ``aim``."""
+    """``check_conventions``' report on rows, from the formula's data ``aim``."""
     abstract = dict(chi_nontrivial=aim.chi_nontrivial, chirhobeta_ok=not aim.witnesses,
-                    chirhobeta_detail=aim.witnesses)
+                    chirhobeta_detail=tuple((i, rows.element(a)) for i, a in aim.witnesses))
     if not de_rham:
         return ConventionReport(**abstract)
-    if vector.mode is not GroupMode.ADDITIVE:
+    if rows.mode is not GroupMode.ADDITIVE:
         raise ModeMismatch("de Rham conventions require additive mode")
+    plus = rows.plus
+
+    def integer(x: tuple) -> bool:  # generators are not integers (the genericity model)
+        return not x[1] and x[0] % rows.den == 0
     abb_detail = []
-    for i, (g, hi, thi) in enumerate(zip(vector, beta.h, aim.th)):
-        for a in g.support():
-            s1 = a.combine(thi)
-            s2 = a.combine(hi)
-            if s1.is_integer() or (s2.is_integer() and not s2.is_identity()):
-                abb_detail.append((i, a))
+    for i, (g, hi, thi) in enumerate(zip(classes, h, aim.th)):
+        for a in g:
+            s2 = plus(a, hi)
+            if integer(plus(a, thi)) or (integer(s2) and s2 != (0, ())):
+                abb_detail.append((i, rows.element(a)))
     return ConventionReport(
         **abstract,
         de_rham=True,
-        diag_res_not_integer=not beta.t.is_integer(),
+        diag_res_not_integer=not integer(plus(aim.th[0], aim.inv[0])),  # t = t h_1 h_1^{-1}
         alphabetabeta_ok=not abb_detail,
         alphabetabeta_detail=tuple(abb_detail),
     )
@@ -382,44 +378,32 @@ def kappa(beta: Convoluter, vector: MonodromyVector, check: bool = True,
     [v_i] in the output, m_i(h_i^{-1}) + d, is the dimension of the
     new-eigenvalue block at point i.
     """
-    classes, aim = _aimed(beta, vector)
-    if check:
-        violation = _report(beta, vector, aim, de_rham).first_violation()
-        if violation is not None:
-            raise violation
-    if aim.noneffective:
-        return NoneffectiveReport(points=aim.noneffective)
-    # every m_i + d >= 0 sums to (n-2) r + (n-1) d >= 0, so r + d > 0
-    out = MonodromyVector([EigDivisor(vector.mode, entries)
-                           for entries in _apply(_plus, classes, aim, beta.v)])
-    assert all(k.degree() == vector.rank + aim.defect for k in out), "rank law r' = r + d"
-    return out
+    rows, *form = _read(beta, vector)
+    out = row_step(rows, *form, check=check, de_rham=de_rham)[1]
+    if isinstance(out, ConventionReport):
+        raise out.first_violation()
+    return out if isinstance(out, NoneffectiveReport) else rows.vector(out)
 
 
 def kappa_values(beta: Convoluter, vector: MonodromyVector, assignment: dict):
     """``kappa``'s output valued at ``assignment``, with no transformed vector:
     one (value, multiplicity) list per point, or a NoneffectiveReport.
 
-    The conventions are checked exactly first, as by ``kappa``.  The
-    formula then runs with the valuation x -> exp(2 pi i x(assignment)) as
-    its group law, a homomorphism into the nonzero complex numbers that is
+    The conventions are checked exactly first, on rows, as by ``kappa``.  The
+    output then takes the valuation x -> exp(2 pi i x(assignment)) as its
+    group law, a homomorphism into the nonzero complex numbers that is
     the identity on the values it has produced: each eigenvalue a of g_i is
     valued once and u_i = t h_i v_i once per point, a kept a gives
-    val(a) val(u_i), and val(v_i) gets m_i(h_i^{-1}) + d.  Multiplicative
-    mode only.
+    val(a) val(u_i), and val(v_i) gets m_i(h_i^{-1}) + d, each row valued
+    as ``GroupElement.to_complex`` values it.  Multiplicative mode only.
     """
     if vector.mode is not GroupMode.MULTIPLICATIVE:
         raise ModeMismatch("the valuation needs multiplicative mode")
-    classes, aim = _aimed(beta, vector)
-    violation = _report(beta, vector, aim, False).first_violation()
-    if violation is not None:
-        raise violation
-    if aim.noneffective:
-        return NoneffectiveReport(points=aim.noneffective)
-
-    def value(x) -> complex:
-        return x if isinstance(x, complex) else x.to_complex(assignment)
-    return _apply(lambda a, b: value(a) * value(b), classes, aim, [value(e) for e in beta.v])
+    rows, *form = _read(beta, vector)
+    out = row_step(rows, *form, value=lambda x: _evaluate(rows.den, *x, assignment, rows.mode))[1]
+    if isinstance(out, ConventionReport):
+        raise out.first_violation()
+    return out
 
 
 def check_involution(beta: Convoluter, vector: MonodromyVector,
@@ -437,7 +421,7 @@ def detect_empty(beta: Convoluter, vector: MonodromyVector) -> Optional[Emptines
     with a negative coefficient ``m_i + d``, equivalently with
     ``sum_{j != i}(r - m_j) < r`` (the two are asserted to agree at
     every point)."""
-    bad = _aimed(beta, vector)[1].noneffective
+    bad = _aim(*_read(beta, vector)[:3]).noneffective
     return NoneffectiveReport(points=bad).certificate if bad else None
 
 
@@ -450,9 +434,9 @@ class TerminalStatus(enum.Enum):
 
 
 class _Rows:
-    """Eigenvalues as sparse integer rows, read from a document's parts: the
-    working form of ``transform``, ``defect``, the default convoluter and
-    the reduction loop.
+    """Eigenvalues as sparse integer rows, read from a document's parts or
+    from ``GroupElement`` objects: the working form of every exact
+    transform, check and twist.
 
     c + sum e_j g_j is the row (c, terms): ``ScalarExpr``'s ``(_c, _t)``
     over one denominator ``den`` for every row, the numerator c reduced mod
@@ -482,6 +466,16 @@ class _Rows:
             classes.append(g)
         return rows, classes
 
+    @classmethod
+    def of(cls, vector: MonodromyVector, *twist: Sequence[GroupElement]) -> tuple:
+        """(rows, classes, *twist) of the objects ``vector`` and the element
+        lists ``twist`` over one denominator: an element is reduced (mod 1
+        unless additive) and name-sorted already, so ``_over`` is its row."""
+        den = lcm(*[a.expr._d for g in vector for a, _ in g.entries],
+                  *[e.expr._d for t in twist for e in t])
+        classes = [{_over(a.expr, den): m for a, m in g.entries} for g in vector]
+        return cls(vector.mode, den), classes, *([_over(e.expr, den) for e in t] for t in twist)
+
     def row(self, parts: tuple) -> tuple:
         """The row of ``scalars._parts``' (c, e, [(name, p, q)]): c/e + sum p/q name."""
         c, e, terms = parts
@@ -500,8 +494,12 @@ class _Rows:
         return (c % self.mod if self.mod else c, t)
 
     def ordered(self, entries) -> dict:
-        """(row, multiplicity) ``entries`` as a class in ``EigDivisor`` entry order."""
-        return dict(sorted(entries))
+        """(row, multiplicity) ``entries`` as a class in ``EigDivisor`` entry
+        order, the multiplicities of equal rows added."""
+        g = dict(sorted(entries))
+        if len(g) < len(entries):  # a transform met a convention witness unchecked
+            g = {a: sum(m for b, m in entries if b == a) for a in g}
+        return g
 
     def top(self, g: dict, in_order: bool = False) -> tuple:
         """The eigenvalue of largest multiplicity in ``g``, ties broken to
@@ -533,6 +531,10 @@ class _Rows:
     def element(self, row: tuple) -> GroupElement:
         return _element(self.mode, _normal(self.den, *row))
 
+    def convoluter(self, h: list, v: list) -> Convoluter:
+        """The twist (h, v) in rows as a Convoluter, v omitted when it is h."""
+        return Convoluter([*map(self.element, h)], None if v is h else map(self.element, v))
+
     def vector(self, classes: list[dict]) -> MonodromyVector:
         """Classes in ``EigDivisor`` entry order (as ``ordered`` leaves them) as a vector."""
         return MonodromyVector([EigDivisor._canonical(self.mode, [(self.element(a), m)
@@ -558,13 +560,6 @@ class _Rows:
         return value, vector, twist
 
 
-def _points(vector: MonodromyVector) -> list:
-    """``vector``'s classes as (value, multiplicity) pairs, each value as
-    ``scalars._parts`` reads it, for ``_Rows.read``."""
-    return [[((a.expr._c, a.expr._d, [(x, y, a.expr._d) for x, y in a.expr._t]), m)
-             for a, m in g.entries] for g in vector]
-
-
 def _generators(classes: list) -> set[str]:
     """The generator names in the terms of ``classes``' rows."""
     return {x for g in classes for _, t in g for x, _ in t}
@@ -579,21 +574,28 @@ def row_defect(classes: list, inv: Sequence | None = None) -> int:
     return (n - 2) * r - sum(g.get(a, 0) for g, a in zip(classes, inv))
 
 
-def row_step(rows: _Rows, classes: list, h: list, v: list, positive_stops: bool = False):
-    """``kappa`` by the twist (h, v) on rows, the step of ``transform`` and of
-    the reduction loop: the formula's data and a failing ConventionReport,
-    a NoneffectiveReport or the output classes in ``EigDivisor`` entry
-    order.  With ``positive_stops`` a defect d >= 0 gives None first."""
-    r = sum(classes[0].values())
-    aim = _aim(rows.plus, classes, [rows.plus(x) for x in h], r)
+def row_step(rows: _Rows, classes: list, h: list, v: list, positive_stops: bool = False,
+             check: bool = True, de_rham: bool = False, value=None):
+    """``kappa`` by the twist (h, v) on rows, the step of ``transform``, of the
+    reduction loop and of the library: the formula's data and a failing
+    ConventionReport (``kappa``'s ``check`` and ``de_rham``), a NoneffectiveReport
+    or the output classes in ``EigDivisor`` entry order, or with a valuation
+    ``value`` of rows one (value, multiplicity) list per point.  With
+    ``positive_stops`` a defect d >= 0 gives None first."""
+    aim = _aim(rows, classes, h)
     if positive_stops and aim.defect >= 0:
         return aim, None
-    if not aim.chi_nontrivial or aim.witnesses:
-        return aim, ConventionReport(aim.chi_nontrivial, not aim.witnesses, tuple(
-            (i, rows.element(a)) for i, a in aim.witnesses))
+    if check and (de_rham or not aim.chi_nontrivial or aim.witnesses):
+        report = _report(rows, classes, h, aim, de_rham)
+        if not report.ok:
+            return aim, report
     if aim.noneffective:
         return aim, NoneffectiveReport(aim.noneffective)
+    if value is not None:
+        return aim, _apply(lambda a, b: value(a) * b, classes, aim, [*map(value, v)])
+    # every m_i + d >= 0 sums to (n-2) r + (n-1) d >= 0, so r + d > 0
     output = [rows.ordered(entries) for entries in _apply(rows.plus, classes, aim, v)]
+    r = sum(classes[0].values())
     assert all(sum(g.values()) == r + aim.defect for g in output), "rank law r' = r + d"
     return aim, output
 
@@ -610,8 +612,7 @@ class KatzStep(NamedTuple):
 
     input = property(lambda self: self.rows.vector(self.input_rows))
     output = property(lambda self: self.rows.vector(self.output_rows))
-    beta = property(lambda self: Convoluter(map(self.rows.element, self.h_rows),
-                                            map(self.rows.element, self.v_rows)))
+    beta = property(lambda self: self.rows.convoluter(self.h_rows, self.v_rows))
 
 
 class AlgorithmTrace(NamedTuple):
@@ -668,8 +669,7 @@ def run_algorithm(vector, max_steps: int | None = None,
     ``ProblemDocument.read``; each step is ``row_step``, with no
     ``ScalarExpr`` arithmetic.
     """
-    rows, classes = (_Rows.read(vector.mode, _points(vector))
-                     if isinstance(vector, MonodromyVector) else vector)
+    rows, classes = _Rows.of(vector) if isinstance(vector, MonodromyVector) else vector
     if rows.mode is GroupMode.CIRCLE:
         raise ModeMismatch("the reduction loop runs in multiplicative or additive mode")
     current = [rows.ordered(g.items()) for g in classes]  # the answer writes EigDivisor's order

@@ -164,13 +164,7 @@ class ScalarExpr:
         return tuple(n for n, _ in self._t)
 
     def evaluate(self, assignment: Mapping[str, complex]) -> complex:
-        d = self._d
-        value = complex(self._c / d)  # int division rounds as float(Fraction)
-        for name, x in self._t:
-            if name not in assignment:
-                raise MissingGenerator(f"no value assigned to generator {name!r}")
-            value += (x / d) * complex(assignment[name])
-        return value
+        return _evaluate(self._d, self._c, self._t, assignment)
 
     def sort_key(self) -> "ScalarExpr":
         """The form: ordered as ``(const, exps)``, by cross-multiplication."""
@@ -270,6 +264,18 @@ def _normal(d: int, c: int, t: tuple) -> ScalarExpr:
     f = object.__new__(ScalarExpr)
     f._d, f._c, f._t, f._h = d, c, t, hash((c, d, t))
     return f
+
+
+def _evaluate(d: int, c: int, t: tuple, assignment: Mapping[str, complex],
+              mode: "GroupMode | None" = None) -> complex:
+    """(c + sum x name) / d at ``assignment`` as ``ScalarExpr.evaluate`` gives it,
+    or its exp(2 pi i value) in a nonadditive ``mode`` as ``GroupElement.to_complex``."""
+    value = complex(c / d)  # int division rounds as float(Fraction)
+    for name, x in t:
+        if name not in assignment:
+            raise MissingGenerator(f"no value assigned to generator {name!r}")
+        value += (x / d) * complex(assignment[name])
+    return value if mode in (None, GroupMode.ADDITIVE) else cmath.exp(2j * cmath.pi * value)
 
 
 def _times(t: tuple, k: int) -> tuple:
@@ -383,10 +389,7 @@ class GroupElement:
         return not self.expr._t and self.expr._d == 1
 
     def to_complex(self, assignment: Mapping[str, complex] | None = None) -> complex:
-        value = self.expr.evaluate(assignment or {})
-        if self.mode is GroupMode.ADDITIVE:
-            return value
-        return cmath.exp(2j * cmath.pi * value)
+        return _evaluate(self.expr._d, self.expr._c, self.expr._t, assignment or {}, self.mode)
 
     # -- ordering / protocol -------------------------------------------------
 

@@ -8,8 +8,8 @@ from fractions import Fraction
 import numpy as np
 
 from midconv import (ConventionReport, Convoluter, EigDivisor, EmptinessCertificate,
-                     GroupElement, GroupMode, MonodromyVector, defect, dimension_report,
-                     kappa)
+                     GroupElement, GroupMode, MonodromyVector, NoneffectiveReport, defect,
+                     dimension_report)
 from midconv.errors import (BoundaryNotSurjective, ConventionViolationNumeric,
                             MaxStepsExceeded, ModeMismatch, QuotientRankMismatch)
 from midconv.higgs import derive_k
@@ -113,12 +113,58 @@ def naive_kappa_local(beta, vector, i):
     return out
 
 
+def reference_kappa(beta, vector, check=True):
+    """The transform on ``GroupElement`` objects, taken literally from the
+    definitions and sharing no code with the library's formula: (defect,
+    answer), the answer a failing ConventionReport (abstract flavor, with
+    ``check``), a NoneffectiveReport or the output vector from
+    ``naive_kappa_local`` (entries that meet merged, as they can only past a
+    failing convention).  The oracle for ``katz.row_step`` and ``katz.kappa``."""
+    n, r = vector.n, vector.rank
+    mults = [g.multiplicity(hi.invert()) for g, hi in zip(vector, beta.h)]
+    d = (n - 2) * r - sum(mults)
+    witnesses = tuple((i, a) for i, (g, hi) in enumerate(zip(vector, beta.h))
+                      for a in g.support() if beta.t.combine(hi).combine(a).is_identity())
+    if check and (beta.t.is_identity() or witnesses):
+        return d, ConventionReport(chi_nontrivial=not beta.t.is_identity(),
+                                   chirhobeta_ok=not witnesses, chirhobeta_detail=witnesses)
+    points = []
+    for i in range(n):
+        if mults[i] + d < 0:
+            lhs = sum(r - mults[j] for j in range(n) if j != i)
+            assert lhs < r
+            points.append((i, mults[i] + d, lhs, r))
+    if points:
+        return d, NoneffectiveReport(tuple(points))
+    out = MonodromyVector([EigDivisor(vector.mode, naive_kappa_local(beta, vector, i))
+                           for i in range(n)])
+    assert out.rank == r + d
+    return d, out
+
+
+def reference_de_rham(beta, vector):
+    """The de Rham conventions on ``GroupElement`` objects (additive mode):
+    whether t is not an integer, and the (point, eigenvalue) pairs with
+    a + h_i + t an integer or a + h_i a nonzero integer.  The oracle for
+    the de Rham fields of ``check_conventions(..., de_rham=True)``."""
+    bad = []
+    for i, (g, hi) in enumerate(zip(vector, beta.h)):
+        for a in g.support():
+            shifted = a.combine(hi)
+            if shifted.combine(beta.t).is_integer() or (
+                    shifted.is_integer() and not shifted.is_identity()):
+                bad.append((i, a))
+    return not beta.t.is_integer(), tuple(bad)
+
+
 def reference_kappa_spectra(problem):
-    """The symbolic prediction through the transformed vector: ``kappa``
+    """The symbolic prediction through the transformed vector: ``reference_kappa``
     of the problem's twist and vector, each output eigenvalue valued at
     the assignment and listed with its multiplicity.  A NoneffectiveReport
     is returned and a ConventionViolation raised, as by ``kappa``."""
-    result = kappa(problem.beta, problem.vector)
+    result = reference_kappa(problem.beta, problem.vector)[1]
+    if isinstance(result, ConventionReport):
+        raise result.first_violation()
     if not isinstance(result, MonodromyVector):
         return result
     return [[a.to_complex(problem.assignment) for a, m in g.entries for _ in range(m)]
@@ -141,8 +187,7 @@ def reference_run(vector, max_steps=None, v_policy="same"):
     """The reduction loop on ``GroupElement`` objects, returning the answer
     ``AlgorithmTrace.to_json`` gives: the oracle for ``run_algorithm``'s
     integer rows.  It shares no code with the library's transform formula:
-    each step takes its defect, noneffective and convention tests literally
-    from the definitions, and its output from ``naive_kappa_local``."""
+    each step is ``reference_kappa``."""
     if vector.mode is GroupMode.CIRCLE:
         raise ModeMismatch("the reduction loop runs in multiplicative or additive mode")
     if max_steps is None:
@@ -157,26 +202,15 @@ def reference_run(vector, max_steps=None, v_policy="same"):
         if all(len(g.entries) == 1 for g in current):
             return answer("AllDiagonal")
         beta = reference_convoluter(current, v_policy, f"_s{step}_")
-        n, r = current.n, current.rank
-        mults = [g.multiplicity(hi.invert()) for g, hi in zip(current, beta.h)]
-        d = (n - 2) * r - sum(mults)
+        d, out = reference_kappa(beta, current)
         if d >= 0:
             return answer("PositiveDefect")
-        witnesses = tuple((i, a) for i, (g, hi) in enumerate(zip(current, beta.h))
-                          for a in g.support() if beta.t.combine(hi).combine(a).is_identity())
-        if beta.t.is_identity() or witnesses:
-            report = ConventionReport(chi_nontrivial=not beta.t.is_identity(),
-                                      chirhobeta_ok=not witnesses, chirhobeta_detail=witnesses)
-            return answer("ConventionFailure", convention_report=report.to_json())
-        for i in range(n):
-            if mults[i] + d < 0:
-                lhs = sum(r - mults[j] for j in range(n) if j != i)
-                assert lhs < r
-                certificate = EmptinessCertificate(i, lhs, r, mults[i] + d)
-                return answer("EmptyNoneffective", certificate=certificate.to_json())
-        out = MonodromyVector([EigDivisor(current.mode, naive_kappa_local(beta, current, i))
-                               for i in range(n)])
-        assert out.rank == r + d
+        if isinstance(out, ConventionReport):
+            return answer("ConventionFailure", convention_report=out.to_json())
+        if isinstance(out, NoneffectiveReport):
+            i, coefficient, lhs, r = out.points[0]
+            return answer("EmptyNoneffective",
+                          certificate=EmptinessCertificate(i, lhs, r, coefficient).to_json())
         inputs.append(current)
         steps.append({"input": current.to_json(), "convoluter": beta.to_json(),
                       "defect": d, "output": out.to_json()})

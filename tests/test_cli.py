@@ -21,13 +21,14 @@ import numpy as np
 import pytest
 from hypothesis import find, given, settings, strategies as st
 
-from helpers import random_partition, reference_convoluter, reference_kappa_spectra
+from helpers import (random_partition, reference_convoluter, reference_kappa,
+                     reference_kappa_spectra)
 from midconv import cli, katz
 from midconv.cli import main
 from midconv.docio import (MAX_HIGGS_WEIGHTS, MAX_RAW_DIM, MAX_RUN_TERMS,
                            parse_document, parse_json, render)
 from midconv.errors import ConventionViolation, DocumentError, NoneffectiveTransform
-from midconv.katz import NoneffectiveReport, run_algorithm
+from midconv.katz import ConventionReport, NoneffectiveReport, run_algorithm
 
 
 def expr(exps=None, const="0"):
@@ -434,24 +435,26 @@ class TestPredictionOracle:
 
 
 def object_answer(verb, doc, *flags):
-    """``verb``'s answer to ``doc`` built from the eigenvalue objects, the
-    library's ``katz.kappa`` and ``katz.defect`` on the decoded
-    ``ProblemDocument.vector``, and the default convoluter from
-    ``reference_convoluter``: (exit code, rendered answer)."""
+    """``verb``'s answer to ``doc`` built from the eigenvalue objects:
+    ``reference_kappa`` on the decoded ``ProblemDocument.vector``, with the
+    document's convoluter or the default one from ``reference_convoluter``:
+    (exit code, rendered answer)."""
     fresh = "--beta-v" in flags and flags[flags.index("--beta-v") + 1] == "fresh"
     parsed = parse_document(doc, "fresh" if fresh and "convoluter" not in doc else "same")
     vector = parsed.vector
-    beta = parsed.convoluter or reference_convoluter(vector, parsed.v_policy)
+    beta = (reference_convoluter(vector, parsed.v_policy) if parsed.h is None
+            else parsed.convoluter_or_default())
+    d, result = reference_kappa(beta, vector)
     if verb == "defect":
         return 0, render({"kind": "defect", "rank": vector.rank, "points": vector.n,
-                          "defect": katz.defect(vector, beta),
-                          "vector_defect": katz.defect(vector),
+                          "defect": d, "vector_defect": (vector.n - 2) * vector.rank
+                          - sum(g.max_multiplicity()[1] for g in vector),
                           "convoluter": beta.to_json()}, exact=True)
-    try:
-        result = katz.kappa(beta, vector)
-    except ConventionViolation as exc:
+    if isinstance(result, ConventionReport):
+        violation = result.first_violation()
         return 2, render({"kind": verb, "status": "ConventionFailure",
-                          "convention": exc.convention, "report": exc.report.to_json()}, exact=True)
+                          "convention": violation.convention, "report": result.to_json()},
+                         exact=True)
     if isinstance(result, NoneffectiveReport):
         return 2, render({"kind": verb, "status": "EmptyNoneffective", "report": result.to_json(),
                           "certificate": result.certificate.to_json()}, exact=True)
@@ -1085,12 +1088,12 @@ class TestDocumentBoundary:
     def test_convention_failure_reads_the_raised_report(self, monkeypatch, verb):
         """A ConventionFailure answer renders the report that the transform
         found: the formula's data is evaluated once (``katz.row_step`` on
-        the document's rows for transform, ``katz._aimed`` by
+        the document's rows for transform, ``katz._read`` of the objects by
         ``kappa_values`` for verify's prediction) and ``check_conventions``
         never runs."""
         doc = symbolic_verify_document()
         del doc["convoluter"]  # the default twist aims at all three classes: t = 1
-        formula = {"transform": "row_step", "verify": "_aimed"}[verb]
+        formula = {"transform": "row_step", "verify": "_read"}[verb]
         calls, aimed_calls, real_aimed = [], [], getattr(katz, formula)
 
         def spy(*args):

@@ -8,15 +8,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import (naive_kappa_local, random_beta, random_partition, random_vector,
-                     reference_convoluter, reference_run)
-from midconv import (Convoluter, EigDivisor, GroupElement, GroupMode,
+                     reference_convoluter, reference_de_rham, reference_kappa, reference_run)
+from midconv import (ConventionReport, Convoluter, EigDivisor, GroupElement, GroupMode,
                      MonodromyVector, ScalarExpr, TerminalStatus,
                      check_conventions, check_involution, defect, detect_empty,
                      dimension_report, kappa, run_algorithm)
 from midconv.docio import render
 from midconv.errors import (ConventionViolation, MaxStepsExceeded, ModeMismatch,
                             SizeMismatch)
-from midconv.katz import NoneffectiveReport, _Rows, max_mult_convoluter
+from midconv.katz import NoneffectiveReport, _Rows, kappa_values, max_mult_convoluter
 
 MULT = GroupMode.MULTIPLICATIVE
 ADD = GroupMode.ADDITIVE
@@ -671,3 +671,113 @@ class TestVirtualDimension:
                 continue
             assert dimension_report(out).naive_dim == dimension_report(vec).naive_dim
             done += 1
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("the objects' group law ran")
+
+
+class TestLibraryOnRows:
+    """The library's exact transform, checks and prediction read the objects
+    into rows (``katz._read``) and run the formula there, so they answer with
+    the objects' group law made to raise; and they answer as the object
+    transcription in ``tests/helpers.py`` does."""
+
+    @staticmethod
+    def library(beta, vec, assignment):
+        """Each exact library answer for the pair, a ConventionViolation as
+        (convention, report), with ``GroupElement.combine`` and
+        ``ScalarExpr.__add__`` raising."""
+        def outcome(fn, *args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except ConventionViolation as exc:
+                return exc.convention, exc.report
+
+        additive = vec.mode is ADD
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(GroupElement, "combine", forbidden)
+            patch.setattr(ScalarExpr, "__add__", forbidden)
+            return {
+                "kappa": outcome(kappa, beta, vec),
+                "unchecked": kappa(beta, vec, check=False),
+                "de_rham": outcome(kappa, beta, vec, de_rham=True) if additive else None,
+                "conventions": check_conventions(beta, vec, de_rham=additive),
+                "defect": defect(vec, beta),
+                "empty": detect_empty(beta, vec),
+                "values": None if additive else outcome(kappa_values, beta, vec, assignment),
+            }
+
+    @staticmethod
+    def same_values(values, out, assignment):
+        """``kappa_values``' (value, multiplicity) lists against the output
+        vector valued at the assignment, point by point, within 1e-9."""
+        assert len(values) == out.n
+        for got, g in zip(values, out):
+            want = [(a.to_complex(assignment), m) for a, m in g.entries]
+            assert len(got) == len(want)
+            for z, m in got:
+                match = next(k for k, (w, k_m) in enumerate(want) if k_m == m and abs(z - w) < 1e-9)
+                want.pop(match)
+
+    def test_library_answers_as_the_object_oracle_without_object_arithmetic(self):
+        rng = np.random.default_rng(27)
+        sweep = TestPartnerConventions()
+        seen = set()
+        for case in range(300):
+            mode = (MULT, ADD)[case % 2]
+            vec = sweep.colliding_vector(rng, mode)
+            beta = sweep.convoluter(rng, vec, f"lr{case}")
+            names = {x for g in vec for a in g.support() for x in a.expr.generators()}
+            names |= {x for e in (*beta.h, *beta.v) for x in e.expr.generators()}
+            assignment = {x: complex(rng.normal(), 0.1 * rng.normal()) for x in sorted(names)}
+            got = self.library(beta, vec, assignment)
+
+            d, expected = reference_kappa(beta, vec)
+            _, unchecked = reference_kappa(beta, vec, check=False)
+            assert got["defect"] == d
+            assert got["unchecked"] == unchecked
+            points = unchecked.points if isinstance(unchecked, NoneffectiveReport) else ()
+            assert got["empty"] == (NoneffectiveReport(points).certificate if points else None)
+            abstract = (expected if isinstance(expected, ConventionReport) else
+                        ConventionReport(chi_nontrivial=True, chirhobeta_ok=True))
+            report = got["conventions"]
+            assert (report.chi_nontrivial, report.chirhobeta_ok, report.chirhobeta_detail) == (
+                abstract.chi_nontrivial, abstract.chirhobeta_ok, abstract.chirhobeta_detail)
+            if mode is ADD:
+                assert (report.diag_res_not_integer, report.alphabetabeta_detail) == \
+                    reference_de_rham(beta, vec)
+                assert report.alphabetabeta_ok == (not report.alphabetabeta_detail)
+                violation = report.first_violation()
+                assert got["de_rham"] == ((violation.convention, report) if violation
+                                          else unchecked)
+            if isinstance(expected, ConventionReport):
+                violation = expected.first_violation()
+                assert got["kappa"] == (violation.convention, expected)
+                if mode is MULT:
+                    assert got["values"] == (violation.convention, expected)
+                seen.add("ConventionFailure")
+                continue
+            assert got["kappa"] == expected
+            if mode is MULT and isinstance(expected, MonodromyVector):
+                self.same_values(got["values"], expected, assignment)
+            elif mode is MULT:
+                assert got["values"] == expected
+            seen.add(type(expected).__name__)
+            if unchecked != expected:
+                seen.add("merged")
+        assert seen >= {"ConventionFailure", "NoneffectiveReport", "MonodromyVector"}, seen
+
+    def test_unchecked_transform_merges_entries_that_meet(self):
+        """Past a failing convention a kept a u_i can equal [v_i]; ``kappa``
+        with ``check=False`` then adds their multiplicities, as the objects'
+        divisors do."""
+        x, y, z = gen("x"), gen("y"), gen("z")
+        # t h_1 = (y z)^-1, so a = y z at the first point is a witness
+        vec = MonodromyVector([EigDivisor.of(y.combine(z), gen("p")),
+                               EigDivisor.of(gen("q"), gen("r")), EigDivisor.of(gen("s"), gen("w"))])
+        beta = Convoluter([x, y, z])
+        assert check_conventions(beta, vec).chirhobeta_detail == ((0, y.combine(z)),)
+        out = kappa(beta, vec, check=False)
+        assert out == reference_kappa(beta, vec, check=False)[1]
+        assert out[0].multiplicity(x) == 3  # a u_1 = x = v_1, with 1 + (m_1 + d) = 1 + 2

@@ -3,8 +3,9 @@
 Katz's transform acts point by point: the twist aimed at a vector is one
 choice per point, its t is a product over the points, and the defect is a
 sum over them.  So rotating the points rotates every answer, an
-order-preserving renaming of the generators renames every answer, and the
-verbs that report the vector's defect agree.  These relations come from
+order-preserving renaming of the generators renames every answer, the
+verbs that report the vector's defect agree, and a rank-one twist of the
+vector twists every vector of a run.  These relations come from
 the paper's symmetries rather than from a second transcription of the
 formula, so a slip that a transcription repeats still breaks one of them.
 """
@@ -14,10 +15,15 @@ import io
 import json
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
+from midconv import EigDivisor, GroupElement, GroupMode, MonodromyVector, ScalarExpr, kappa
 from midconv.cli import main
+from midconv.docio import parse_document
+from midconv.errors import ConventionViolation
+from midconv.katz import Convoluter, max_mult_convoluter
 
 CONSTS = ("0", "1/2", "1/3", "2/3", "1/4")
 GENERATORS = ("g1", "g2", "g3")
@@ -185,3 +191,212 @@ def test_the_documents_reach_every_answer():
                         ("transform", "ConventionFailure"), ("run", "AllDiagonal"),
                         ("run", "EmptyNoneffective"), ("run", "ConventionFailure")}, statuses
     assert any(call("run", doc)[1]["steps"] for _, doc in CASES)
+
+
+# -- the rank-one twist ---------------------------------------------------------
+#
+# Adding c_i to every value at point i, with sum(c) an integer (0 in additive
+# mode), is a twist by a rank-one system: h_i becomes h_i c_i^-1 and t stays.
+# So each kept a u_i becomes a u_i c_i^-1 and each [v_i] becomes [v_i c_i^-1],
+# and a run's vector after step k is twisted by c^((-1)^k).  With a tie, the
+# loop aims at the smallest tied eigenvalue; where the twist keeps the smallest
+# tied value smallest at every aimed point, the whole answer is twisted too.
+# Otherwise the status, ranks and defects still are unchanged.  On the
+# library's ``kappa`` with the twist moved by hand, c need not close up:
+# t then moves by lam = prod(c), and so does each kept a u_i.
+
+def twist_value(value, ci, sign, mode):
+    """``value`` + sign * ci, the constant reduced mod 1 in multiplicative mode."""
+    const = Fraction(value["const"]) + sign * ci[0]
+    exps = {g: Fraction(x) for g, x in value["exps"].items()}
+    for g, x in ci[1].items():
+        exps[g] = exps.get(g, 0) + sign * x
+    return {"const": str(const % 1 if mode == "multiplicative" else const),
+            "exps": {g: str(x) for g, x in exps.items() if x}}
+
+
+def order_key(value, mode):
+    """The eigenvalue order of the loop's ties and of the answer's classes:
+    the constant (mod 1 in multiplicative mode), then the name-sorted terms."""
+    const = Fraction(value["const"])
+    return (const % 1 if mode == "multiplicative" else const,
+            tuple(sorted((g, Fraction(x)) for g, x in value["exps"].items() if Fraction(x))))
+
+
+def twist_classes(classes, c, sign, mode):
+    return [sorted(({**e, "value": twist_value(e["value"], ci, sign, mode)} for e in cls),
+                   key=lambda e: order_key(e["value"], mode)) for cls, ci in zip(classes, c)]
+
+
+def keeps(classes, c, sign, mode, pick=min):
+    """Whether the twist keeps the ``pick`` (the smallest, or with max the
+    largest) of each point's tied largest multiplicities where it was."""
+    for cls, ci in zip(classes, c):
+        top = max(e["mult"] for e in cls)
+        tied = [e["value"] for e in cls if e["mult"] == top]
+        chosen = pick(tied, key=lambda v: order_key(v, mode))
+        moved = [order_key(twist_value(v, ci, sign, mode), mode) for v in tied]
+        if pick(moved) != order_key(twist_value(chosen, ci, sign, mode), mode):
+            return False
+    return True
+
+
+def aimed_stages(answer):
+    """The vectors a run aimed a twist at: each step's input, and the final
+    vector of a convention failure."""
+    stages = [s["input"] for s in answer["steps"]]
+    return stages + [answer["final"]] if answer["status"] == "ConventionFailure" else stages
+
+
+def twisted_run(answer, c, mode):
+    """``run``'s answer twisted by c, or None when a tie is not kept."""
+    steps = answer["steps"]
+    if not all(keeps(v["classes"], c, (-1) ** k, mode) for k, v in enumerate(aimed_stages(answer))):
+        return None
+
+    def vector(vec, k):
+        return {**vec, "classes": twist_classes(vec["classes"], c, (-1) ** k, mode)}
+
+    out = {**answer, "final": vector(answer["final"], len(steps)), "steps": [
+        {**s, "input": vector(s["input"], k), "output": vector(s["output"], k + 1),
+         "convoluter": {key: [twist_value(x, ci, (-1) ** (k + 1), mode)
+                              for x, ci in zip(s["convoluter"][key], c)] for key in ("h", "v")}}
+        for k, s in enumerate(steps)]}
+    if "convention_report" in answer:
+        report = answer["convention_report"]
+        out["convention_report"] = {**report, "chirhobeta_violations": [
+            {**w, "eigenvalue": twist_value(w["eigenvalue"], c[w["point"]], (-1) ** len(steps), mode)}
+            for w in report["chirhobeta_violations"]]}
+    return out
+
+
+def rank_one_twist(rng, n, mode, total):
+    """c_1 .. c_n as (constant, {generator: coefficient}): the constants sum to
+    ``total``, and each generator's coefficients to 0."""
+    consts = [Fraction(rng.choice(("0", "1/2", "1/3", "-1/4", "1/5"))) for _ in range(n - 1)]
+    consts.append(total - sum(consts))
+    exps = [{} for _ in range(n)]
+    for g in rng.sample(GENERATORS, rng.randint(0, 2)):
+        i, j = rng.sample(range(n), 2)
+        x = Fraction(rng.choice((1, -1, 2)))
+        exps[i][g], exps[j][g] = x, -x
+    return list(zip(consts, exps))
+
+
+def untied_documents(mode, count=24, seed=3):
+    """Documents whose largest multiplicities are not tied, with a negative
+    defect d and every m_i + d >= 0, so that runs step with no tie at their
+    first input."""
+    rng = random.Random(f"untied:{mode}:{seed}")
+    docs = []
+    while len(docs) < count:
+        n, r = rng.choice((3, 3, 4)), rng.randint(3, 8)
+        tops = [rng.randint(2, r) for _ in range(n)]
+        d = (n - 2) * r - sum(tops)
+        if d >= 0 or min(tops) + d < 0:
+            continue
+        classes = []
+        for top in tops:
+            parts = [top]
+            while sum(parts) < r:
+                parts.append(rng.randint(1, min(top - 1, r - sum(parts))))
+            values = {}
+            while len(values) < len(parts):
+                v = value(rng, mode)
+                values[json.dumps(v, sort_keys=True)] = v
+            classes.append([{"value": v, "mult": m} for v, m in zip(values.values(), parts)])
+        docs.append({"mode": mode, "classes": classes})
+    return docs
+
+
+def twists(doc, mode, count=3):
+    """``count`` seeded rank-one twists of ``doc``, sum(c) 0 or 1 in
+    multiplicative mode."""
+    rng = random.Random(json.dumps(doc, sort_keys=True))
+    return [rank_one_twist(rng, len(doc["classes"]), mode,
+                           rng.choice((0, 1)) if mode == "multiplicative" else 0)
+            for _ in range(count)]
+
+
+TWIST_CASES = [(mode, doc) for mode in ("multiplicative", "additive")
+               for doc in documents(mode, 20, seed=2) + untied_documents(mode)]
+
+
+def elements(ci, mode):
+    return GroupElement(GroupMode(mode), ScalarExpr(ci[0], ci[1]))
+
+
+def transform(beta, vector):
+    """``kappa``'s answer, or the ConventionViolation it raised."""
+    try:
+        return kappa(beta, vector)
+    except ConventionViolation as exc:
+        return exc
+
+
+@pytest.mark.parametrize("mode, doc", TWIST_CASES,
+                         ids=[f"{mode}-{i}" for i, (mode, _) in enumerate(TWIST_CASES)])
+def test_a_rank_one_twist_twists_the_run(mode, doc):
+    answers = {flags: call("run", doc, *flags) for flags in ((), ("--beta-v", "fresh"))}
+    for c in twists(doc, mode):
+        other = {**doc, "classes": twist_classes(doc["classes"], c, 1, mode)}
+        for flags, (code, answer) in answers.items():
+            twisted_code, twisted = call("run", other, *flags)
+            assert (twisted_code, twisted["status"], twisted["ranks"]) == (
+                code, answer["status"], answer["ranks"]), (c, flags)
+            assert [s["defect"] for s in twisted["steps"]] == [s["defect"] for s in answer["steps"]]
+            expected = twisted_run(answer, c, mode)
+            if expected is not None:
+                assert twisted == expected, (c, flags)
+
+
+def test_the_twists_reach_steps_and_pin_the_tie_rule():
+    """The twisted runs compared whole include steps with no tie, and a tie
+    whose smallest value the twist keeps smallest while it moves the largest:
+    there ties broken to the largest would break the relation."""
+    seen = set()
+    for mode, doc in TWIST_CASES:
+        answer = call("run", doc)[1]
+        for c in twists(doc, mode):
+            if answer["steps"] and twisted_run(answer, c, mode) is not None:
+                seen.add("steps")
+                seen.update("tie" for k, v in enumerate(aimed_stages(answer))
+                            if not keeps(v["classes"], c, (-1) ** k, mode, max))
+    assert seen == {"steps", "tie"}, seen
+
+
+@pytest.mark.parametrize("mode", ["multiplicative", "additive"])
+def test_a_rank_one_twist_twists_the_library_transform(mode):
+    """``kappa`` on the decoded vector: twisting the vector by c and the twist
+    (h, v) by c^-1 moves each [v_i] by c_i^-1 and each kept a u_i by
+    lam c_i^-1, lam = prod(c), since t moves by lam (so c need not close up);
+    the defect and the emptiness do not move, and with lam = 1 neither do the
+    conventions."""
+    seen = set()
+    for k, (_, doc) in enumerate(case for case in TWIST_CASES if case[0] == mode):
+        rng = random.Random(k)
+        vector = parse_document(doc).vector
+        c = [elements(ci, mode) for ci in rank_one_twist(rng, vector.n, mode, Fraction(k % 3, 7))]
+        lam = c[0]
+        for ci in c[1:]:
+            lam = lam.combine(ci)
+        for beta in (max_mult_convoluter(vector), max_mult_convoluter(vector, "fresh")):
+            other = MonodromyVector([EigDivisor(g.mode, [(a.combine(ci), m) for a, m in g.entries])
+                                     for g, ci in zip(vector, c)])
+            moved = Convoluter([x.combine(ci.invert()) for x, ci in zip(beta.h, c)],
+                               [x.combine(ci.invert()) for x, ci in zip(beta.v, c)])
+            out, twisted = transform(beta, vector), transform(moved, other)
+            if isinstance(out, ConventionViolation) or isinstance(twisted, ConventionViolation):
+                if lam.is_identity():
+                    assert type(twisted) is type(out) and twisted.convention == out.convention
+                seen.add("ConventionFailure")
+                continue
+            if not isinstance(out, MonodromyVector):
+                assert twisted == out
+                seen.add("noneffective")
+                continue
+            assert twisted == MonodromyVector([EigDivisor(g.mode, [
+                (a.combine(ci.invert()) if a == vi else a.combine(lam).combine(ci.invert()), m)
+                for a, m in g.entries]) for g, ci, vi in zip(out, c, beta.v)])
+            seen.add("lam" if not lam.is_identity() else "closed")
+    assert seen >= {"lam", "closed", "noneffective"}, seen

@@ -35,16 +35,25 @@ adds a ``FAIL`` line, and the exit status is then 1.  This guards the
 batch path (list rendering, memos shared across documents) with no line
 of its own.
 
-A last line, ``small-docs tall``, digests the same way the answers to
+A line ``small-docs tall`` digests the same way the answers to
 documents far taller than the corpus's: ``transform``, ``defect`` and
 ``transform --beta-v fresh`` on 3 points of rank 100 (additive) and rank
 3,000 (both modes), every eigenvalue of multiplicity 1 and a generator of
 its own.  An answer that exits nonzero or raises counts as failed.
 
+The last line, ``small-docs library``, digests the library's exact
+transform rather than the CLI's: ``katz.defect`` (with and without the twist), ``katz.kappa``
+(checked, and with ``check=False``) and ``katz.detect_empty`` on the decoded
+vector and twist (``ProblemDocument.vector`` and ``convoluter_or_default``)
+of every seed-1 small-docs ``transform`` and ``defect`` document, and of
+each transform's partner document built from that ``kappa`` output; in
+additive mode also ``kappa`` and ``check_conventions`` in the de Rham
+flavor.
+
 ``tools/answer_digest.expected`` holds the reduce-rigid and small-docs
-lines (the tall line among them) and the verify-numeric structure lines
-up to ``max_deviation``, which CI compares with the printed ones; the
-other verify-numeric bytes depend on the BLAS build.
+lines (the tall and library lines among them) and the verify-numeric
+structure lines up to ``max_deviation``, which CI compares with the
+printed ones; the other verify-numeric bytes depend on the BLAS build.
 """
 
 from __future__ import annotations
@@ -67,8 +76,9 @@ sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "src")]
 
 import corpus  # noqa: E402
 import run as bench_run  # noqa: E402
-from midconv import cli  # noqa: E402
-from midconv.docio import render  # noqa: E402
+from midconv import GroupMode, MonodromyVector, cli, katz  # noqa: E402
+from midconv.docio import parse_document, render  # noqa: E402
+from midconv.errors import ConventionViolation  # noqa: E402
 
 STRUCTURE = ("ok", "raw_dim", "middle_dim", "expected_raw_dim", "expected_middle_dim")
 MAX_DEVIATION = 1e-12
@@ -132,6 +142,46 @@ def tall_line(call) -> tuple[str, int]:
             f"sha256 {sha256(digests)}", failed)
 
 
+def library_answers(beta, vector) -> tuple[list, object]:
+    """The library's exact answers for (beta, vector) as JSON values, and the
+    checked ``kappa`` output when it is a vector (else None)."""
+    def transform(**flags) -> tuple[list, object]:
+        try:
+            result = katz.kappa(beta, vector, **flags)
+        except ConventionViolation as exc:
+            return [exc.convention, exc.report.to_json()], None
+        return ([type(result).__name__, result.to_json()],
+                result if isinstance(result, MonodromyVector) else None)
+
+    empty = katz.detect_empty(beta, vector)
+    checked, output = transform()
+    answers = [katz.defect(vector, beta), katz.defect(vector), checked,
+               transform(check=False)[0], empty and empty.to_json()]
+    if vector.mode is GroupMode.ADDITIVE:
+        answers += [transform(de_rham=True)[0],
+                    katz.check_conventions(beta, vector, de_rham=True).to_json()]
+    return answers, output
+
+
+def library_line() -> str:
+    """The ``small-docs library`` line."""
+    digests = []
+
+    def digest(doc: dict):
+        parsed = parse_document(doc)
+        answers, output = library_answers(parsed.convoluter_or_default(), parsed.vector)
+        digests.append(sha256([json.dumps(a, sort_keys=True) for a in answers]))
+        return output
+
+    for doc in corpus.build("small-docs", 1):
+        if doc.verb in ("transform", "defect") and doc.text:  # a partner's text is made below
+            forward = json.loads(doc.text)
+            output = digest(forward)
+            if doc.partner is not None and output is not None:
+                digest(corpus.partner_doc(forward, {"output": output.to_json()}))
+    return f"small-docs library: docs {len(digests)} sha256 {sha256(digests)}"
+
+
 def main() -> int:
     assert (bench_run.THREAD_VARS, bench_run.BLAS_THREADS) == (THREAD_VARS, BLAS_THREADS), \
         "bench/run.py pins BLAS differently"
@@ -167,6 +217,7 @@ def main() -> int:
                       or det_err > MAX_DET_ERROR)
     line, tall_failed = tall_line(call)
     print(line)
+    print(library_line())
     return 1 if failed or tall_failed else 0
 
 
