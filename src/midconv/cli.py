@@ -24,7 +24,7 @@ from .errors import (ConventionViolation, ConventionViolationNumeric, DigitLimit
                      DocumentError, MaxStepsExceeded, MidconvError, ModeMismatch,
                      NoneffectiveTransform, shown)
 from .katz import ConventionReport, NoneffectiveReport, TerminalStatus
-from .scalars import GroupMode
+from .scalars import GroupMode, _evaluate
 
 OK, NEGATIVE, BAD_INPUT = 0, 2, 1
 # a symbolic verify realizes a value exp(2 pi i w) only for |Im w| <= MAX_IMAG, a
@@ -107,25 +107,25 @@ def cmd_verify(doc: dict) -> tuple[dict, int]:
                 "'assignment'", "$")
         if parsed.mode is not GroupMode.MULTIPLICATIVE:
             raise DocumentError("symbolic verify needs multiplicative mode", "$.mode")
-        check_raw_dim(parsed.vector.n, parsed.vector.rank, "$.classes")
-        beta = parsed.convoluter_or_default()
-        elems = (*beta.h, *beta.v, *(a for g in parsed.vector for a in g.support()))
-        missing = {n for e in elems for n in e.expr.generators()} - parsed.assignment.keys()
+        rows, classes, h, v = parsed.row_form
+        check_raw_dim(len(classes), sum(classes[0].values()), "$.classes")
+        model = (rows, [rows.ordered(g.items()) for g in classes], h, v)
+        elems = [*h, *v, *(a for g in model[1] for a in g)]
+        missing = {x for _, terms in elems for x, _ in terms} - parsed.assignment.keys()
         if missing:
             raise DocumentError(f"no value assigned to {shown(sorted(missing))}",
                                 "$.assignment")
-        for e in (*elems, beta.t):
+        for c, terms in (*elems, rows.t(h)):
             try:
-                w = e.expr.evaluate(parsed.assignment)
+                w = _evaluate(rows.den, c, terms, parsed.assignment)
             except OverflowError:  # a coefficient past the float range
                 w = complex("nan")
             if not (cmath.isfinite(w) and abs(w.imag) <= MAX_IMAG):
-                raise DocumentError(f"a value exp(2 pi i w) in {shown(e.expr.generators())} needs "
-                                    f"a finite w with |Im w| <= {MAX_IMAG}", "$.assignment")
+                raise DocumentError(f"a value exp(2 pi i w) in {shown(tuple(x for x, _ in terms))} "
+                                    f"needs a finite w with |Im w| <= {MAX_IMAG}", "$.assignment")
         tol = parse_tol(doc, homology.DEFAULT_TOL)
         try:
-            problem = homology.symbolic_instance(parsed.vector, beta, parsed.assignment,
-                                                 parsed.seed, tol)
+            problem = homology.symbolic_instance(model, parsed.assignment, parsed.seed, tol)
         except ValueError:  # moduli off 1 compound over the points
             raise DocumentError("the realized matrices miss their defining relations",
                                 "$.assignment") from None

@@ -7,9 +7,8 @@ instance documents, as [re, im] pairs.
 A symbolic document is validated once into the exact parts of its values
 (``scalars._parts``) and read once into sparse integer rows
 (``ProblemDocument.read``).  Every verb answers from that read:
-``transform``, ``defect`` and ``run`` on the rows, at any size, and
-``classify``, ``higgs`` and symbolic ``verify`` on the objects decoded
-from them.
+``transform``, ``defect``, ``run`` and symbolic ``verify`` on the rows,
+and ``classify`` and ``higgs`` on the objects decoded from them.
 """
 
 from __future__ import annotations

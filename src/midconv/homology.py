@@ -8,9 +8,12 @@ closed form from prefix products (``ChainSpace``); restricting to the
 kernel of the boundary map gives the raw convolution, and quotienting by
 the cycles on local fixed vectors gives the middle convolution.  Measured
 per-point eigenvalue multisets are compared with the symbolic prediction,
-``katz.kappa_values``: the transform formula run on rows with the
+``katz.row_values``: the transform formula run on rows with the
 valuation x -> exp(2 pi i x(assignment)) as its output's group law, so
-that no transformed vector is built.
+that no transformed vector is built.  The symbolic model is held in
+those rows (``VerificationProblem.model``): ``generate_instance`` builds
+it in rows and ``symbolic_instance`` values a document's rows, so no
+eigenvalue object is built on the way.
 
 u_k moves only the cycles on a_k, so its matrix is U_k = I + X_k S_k^T,
 where X_k is n r x r and S_k selects block k.  On an orthonormal basis B
@@ -37,7 +40,7 @@ Q D Q^* with known D and Q; only the last matrix is decomposed), and it
 is checked against the matrices; a ``matrices`` document is decomposed
 once per point.
 
-The prediction reaches the matcher as ``kappa_values`` makes it, one
+The prediction reaches the matcher as ``row_values`` makes it, one
 (value, multiplicity) list per point, and the assignment runs on those
 counts.
 
@@ -56,13 +59,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .divisors import EigDivisor, MonodromyVector
 from .docio import check_raw_dim, complex_array, integer, parse_tol
 from .errors import (BoundaryNotSurjective, ConventionViolationNumeric, DocumentError,
                      NoneffectiveTransform, QuotientRankMismatch, SizeMismatch)
 # ``kappa`` is not called here; bench/spans.py wraps ``midconv.homology.kappa``
-from .katz import Convoluter, NoneffectiveReport, kappa, kappa_values  # noqa: F401
-from .scalars import GroupElement, GroupMode
+from .katz import NoneffectiveReport, _Rows, fresh_names, kappa, row_values  # noqa: F401
+from .scalars import GroupMode, _evaluate
 
 __all__ = [
     "NumericInstance",
@@ -451,7 +453,7 @@ def match_multisets(predicted: Sequence, measured: Sequence[complex]) -> float:
     of complex numbers (optimal assignment, not greedy).
 
     ``predicted`` is grouped, (value, multiplicity) pairs as
-    ``kappa_values`` gives them, and the assignment runs on those counts;
+    ``row_values`` gives them, and the assignment runs on those counts;
     or it is expanded, each value listed once per copy, and is grouped
     first.  A value may sit in more than one group."""
     if len(predicted) and isinstance(predicted[0], tuple):
@@ -532,34 +534,31 @@ def min_sum_assignment(cost: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray
 
 @dataclass
 class VerificationProblem:
-    """A numeric instance together with the symbolic model it realizes."""
+    """A numeric instance together with the symbolic model it realizes.
+
+    ``model`` is (rows, classes, h, v) in ``katz._Rows``: the vector's
+    classes, each a {row: multiplicity} dict in ``EigDivisor`` entry
+    order, and the twist.  The prediction runs on those rows;
+    ``vector`` and ``beta`` decode them into objects for other callers."""
 
     instance: NumericInstance
-    vector: MonodromyVector
-    beta: Convoluter
+    model: tuple
     assignment: dict
+
+    vector = property(lambda self: self.model[0].vector(self.model[1]))
+    beta = property(lambda self: self.model[0].convoluter(*self.model[2:]))
 
     def predicted_kappa_groups(self) -> list[list[tuple[complex, int]]]:
         """Per-point eigenvalue multisets of the symbolic transform under
-        the assignment, as (value, multiplicity) pairs: ``kappa_values``
-        runs the transform formula with the valuation as its group law, so
-        no transformed vector is built.  Raises ConventionViolation, or
-        NoneffectiveTransform with the report, when the transform has no
-        such spectra."""
-        result = kappa_values(self.beta, self.vector, self.assignment)
+        the assignment, as (value, multiplicity) pairs: ``katz.row_values``
+        runs the transform formula on the model's rows with the valuation
+        as its group law, so no transformed vector is built.  Raises
+        ConventionViolation, or NoneffectiveTransform with the report, when
+        the transform has no such spectra."""
+        result = row_values(*self.model, self.assignment)
         if isinstance(result, NoneffectiveReport):
             raise NoneffectiveTransform(result)
         return result
-
-    def predicted_kappa_spectra(self) -> list[list[complex]]:
-        """``predicted_kappa_groups`` with each value listed once per copy."""
-        return [[z for z, m in entries for _ in range(m)]
-                for entries in self.predicted_kappa_groups()]
-
-
-def _spectrum(g: EigDivisor, assignment: dict) -> list[complex]:
-    """The eigenvalues of a class under ``assignment``, with multiplicity."""
-    return [z for e, m in g.entries for z in [e.to_complex(assignment)] * m]
 
 
 def _cluster_angles(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
@@ -620,24 +619,26 @@ def generate_instance(seed: int, r: int, n: int,
                       tol: float = DEFAULT_TOL) -> VerificationProblem:
     """Random unit-modulus instance plus the symbolic model it realizes.
 
-    Points 1..n-1 get prescribed eigenvalue angles (one fresh angle per
-    class, with multiplicities from ``mults``, default all ones) and are
-    realized as random unitary conjugates of diagonal matrices; the last
-    matrix is the inverse of the product, its classes measured by
-    eigenvalue clustering.  ``aim="support"`` points each b_i at the
-    inverse of the point's first class; ``aim="fresh"`` draws free
-    twisting angles.  ``v_policy`` is "same" (w = b) or "fresh"
-    (w_i = b_i * fresh, product-corrected).
+    Points 1..n-1 get prescribed eigenvalue angles (one fresh generator
+    e<i>_<j> per class, with multiplicities from ``mults``, default all
+    ones) and are realized as random unitary conjugates of diagonal
+    matrices; the last matrix is the inverse of the product, its classes
+    measured by eigenvalue clustering.  ``aim="support"`` points each b_i
+    at the inverse of the point's first class; ``aim="fresh"`` draws free
+    twisting angles h<i>.  ``v_policy`` is "same" (w = b) or "fresh"
+    (w_i = b_i * fresh, product-corrected), the v of ``_Rows.twist`` on
+    fresh generators s1 .. s<n-1>.  The model is built in rows directly.
     """
     rng = np.random.default_rng(seed)
-    mode = GroupMode.MULTIPLICATIVE
     if mults is None:
         mults = [[1] * r for _ in range(n - 1)]
     if len(mults) != n - 1 or any(sum(p) != r or min(p) < 1 for p in mults):
         raise SizeMismatch("need n-1 multiplicity patterns of parts >= 1 summing to r")
 
+    rows = _Rows(GroupMode.MULTIPLICATIVE, 1)
+    generator = lambda name: (0, ((name, 1),))
     assignment: dict[str, float] = {}
-    classes: list[list[tuple[str, int]]] = []  # (generator name, multiplicity) per point
+    classes: list[dict] = []  # {generator row: multiplicity} per point, in entry order
 
     def diagonals():
         # consumed one point at a time: each point's angles are drawn
@@ -646,74 +647,61 @@ def generate_instance(seed: int, r: int, n: int,
             names = [f"e{i}_{j}" for j in range(len(mults[i]))]
             thetas = rng.uniform(0.02, 0.98, size=len(names)).tolist()
             assignment.update(zip(names, thetas))
-            classes.append([(name, int(m)) for name, m in zip(names, mults[i])])
+            classes.append(rows.ordered([(generator(x), int(m)) for x, m in zip(names, mults[i])]))
             yield np.concatenate([[np.exp(2j * np.pi * th)] * m for th, m in zip(thetas, mults[i])])
 
     matrices, eigs = _realize(diagonals(), r, rng)
     angles = np.angle(eigs[-1][0]) / (2 * np.pi) % 1.0
-    classes.append([])
-    for j, (theta, m) in enumerate(_cluster_angles(angles, tol)):
-        assignment[f"e{n - 1}_{j}"] = float(theta)
-        classes[-1].append((f"e{n - 1}_{j}", m))
-
-    # one generator per class: sorted by name, the entries are in element order
-    vector = MonodromyVector([
-        EigDivisor._canonical(mode, [(GroupElement.generator(name, mode), m)
-                                     for name, m in sorted(c)])
-        for c in classes])
+    last = _cluster_angles(angles, tol)
+    assignment.update((f"e{n - 1}_{j}", float(theta)) for j, (theta, _) in enumerate(last))
+    classes.append(rows.ordered([(generator(f"e{n - 1}_{j}"), m) for j, (_, m) in enumerate(last)]))
 
     if aim == "support":
         # e{i}_0, the point's first class, has the smallest name
-        h = [g.entries[0][0].invert() for g in vector]
+        h = [rows.plus(next(iter(g))) for g in classes]
         b = np.array([np.conj(np.exp(2j * np.pi * assignment[f"e{i}_0"])) for i in range(n)])
     elif aim == "fresh":
-        h = []
-        b = []
+        h, b = [], []
         for i in range(n):
-            name = f"h{i}"
             theta = float(rng.uniform(0.02, 0.98))
-            assignment[name] = theta
-            h.append(GroupElement.generator(name, mode))
+            assignment[f"h{i}"] = theta
+            h.append(generator(f"h{i}"))
             b.append(np.exp(2j * np.pi * theta))
         b = np.array(b)
     else:
         raise ValueError(f"unknown aim {aim!r}")
 
-    if v_policy == "same":
-        beta = Convoluter(h)
-        w = b.copy()
-    elif v_policy == "fresh":
-        names = [f"s{i}" for i in range(n - 1)]
-        beta = Convoluter.with_fresh_v(h, names)
+    # twist's fresh names avoid the generators so far, the assignment's keys
+    h, v = rows.twist(classes, v_policy, h, stem="s")
+    w = b.copy()
+    if v is not h:
         phis = rng.uniform(0.0, 1.0, size=n - 1)
-        for name, phi in zip(names, phis):
-            assignment[name] = float(phi)
+        assignment.update(zip(fresh_names(n - 1, assignment, "s"), phis.tolist()))
         w = b * np.exp(2j * np.pi * np.concatenate([phis, [-phis.sum()]]))
-    else:
-        raise ValueError(f"unknown v policy {v_policy!r}")
 
     chi = 1 / np.prod(b)
     inst = NumericInstance(M=matrices, b=b, w=w, chi=chi, tol=tol, eigs=eigs)
-    return VerificationProblem(instance=inst, vector=vector, beta=beta,
-                               assignment=assignment)
+    return VerificationProblem(inst, (rows, classes, h, v), assignment)
 
 
-def symbolic_instance(vector: MonodromyVector, beta: Convoluter, assignment: dict,
-                      seed: int = 0, tol: float = DEFAULT_TOL) -> VerificationProblem:
-    """Numeric instance of a multiplicative vector and twist under ``assignment``.
+def symbolic_instance(model: tuple, assignment: dict, seed: int = 0,
+                      tol: float = DEFAULT_TOL) -> VerificationProblem:
+    """Numeric instance of a multiplicative model under ``assignment``.
 
-    The first n-1 classes are realized as in ``generate_instance`` and
-    the last matrix closes the product; the vector's own last class then
-    enters the prediction, so a last class that the matrices do not
-    carry fails the comparison.
+    ``model`` is ``VerificationProblem.model``'s (rows, classes, h, v), as
+    ``cli`` reads it from a document's ``ProblemDocument.row_form``; each
+    row is valued by ``scalars._evaluate``.  The first n-1 classes are
+    realized as in ``generate_instance`` and the last matrix closes the
+    product; the model's own last class then enters the prediction, so a
+    last class that the matrices do not carry fails the comparison.
     """
-    value = lambda e: e.to_complex(assignment)
-    diagonals = [_spectrum(g, assignment) for g in vector.divisors[:-1]]
-    matrices, eigs = _realize(diagonals, vector.rank, np.random.default_rng(seed))
-    inst = NumericInstance(M=matrices, b=[value(e) for e in beta.h],
-                           w=[value(e) for e in beta.v], chi=value(beta.t), tol=tol, eigs=eigs)
-    return VerificationProblem(instance=inst, vector=vector, beta=beta,
-                               assignment=assignment)
+    rows, classes, h, v = model
+    value = lambda x: _evaluate(rows.den, *x, assignment, rows.mode)
+    diagonals = [[z for a, m in g.items() for z in [value(a)] * m] for g in classes[:-1]]
+    matrices, eigs = _realize(diagonals, sum(classes[0].values()), np.random.default_rng(seed))
+    inst = NumericInstance(M=matrices, b=[*map(value, h)], w=[*map(value, v)],
+                           chi=value(rows.t(h)), tol=tol, eigs=eigs)
+    return VerificationProblem(inst, model, assignment)
 
 
 @dataclass
@@ -752,7 +740,7 @@ def verify_instance(problem: VerificationProblem | NumericInstance,
 
     With a full VerificationProblem the prediction comes from the
     symbolic transform through the assignment, grouped as
-    ``kappa_values`` gives it; with a bare instance it comes from the
+    ``row_values`` gives it; with a bare instance it comes from the
     instance's own eigenvalue data, listed with repetition.  A middle quotient
     whose dimension differs from the prediction is not ok and has no
     deviations to report.

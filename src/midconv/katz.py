@@ -12,7 +12,8 @@ sparse integer rows (``_Rows``, each costing its terms): documents are
 read into rows, and the library's ``GroupElement`` objects too
 (``_read``), so the ``transform`` verb, each step of the reduction loop,
 ``kappa`` and the checks share one exact arithmetic.  Its output's group
-law is the rows' own or, for ``kappa_values``, the valuation
+law is the rows' own or, for ``row_values`` (verify's prediction, and
+``kappa_values`` on objects), the valuation
 x -> exp(2 pi i x(assignment)) into the nonzero complex numbers, which
 turns ``_apply``'s output into the numeric spectra that
 :mod:`midconv.homology` compares with its measurement.
@@ -276,7 +277,7 @@ def _apply(plus, classes: list, aim: _Aim, v: Sequence) -> list[list]:
     each eigenvalue a of g_i with a h_i != 1, where u_i = t h_i v_i, then
     (m_i + d) [v_i] unless m_i + d = 0.  When the conventions hold no two
     entries meet, since a u_i = v_i would mean t h_i a = 1.  ``plus(a, b)``
-    takes a row a and b of the output's group: the rows' law, or ``kappa_values``'
+    takes a row a and b of the output's group: the rows' law, or ``row_values``'
     valuation with ``v`` valued; a h_i != 1 compares the exact ``aim.inv``."""
     d, out = aim.defect, []
     for g, b, m, x, vi in zip(classes, aim.inv, aim.mults, aim.th, v):
@@ -399,8 +400,14 @@ def kappa_values(beta: Convoluter, vector: MonodromyVector, assignment: dict):
     """
     if vector.mode is not GroupMode.MULTIPLICATIVE:
         raise ModeMismatch("the valuation needs multiplicative mode")
-    rows, *form = _read(beta, vector)
-    out = row_step(rows, *form, value=lambda x: _evaluate(rows.den, *x, assignment, rows.mode))[1]
+    return row_values(*_read(beta, vector), assignment)
+
+
+def row_values(rows: "_Rows", classes: list, h: list, v: list, assignment: dict):
+    """``kappa_values`` on rows, the prediction of ``verify``: ``row_step``
+    with the valuation of ``scalars._evaluate`` at ``assignment``."""
+    out = row_step(rows, classes, h, v,
+                   value=lambda x: _evaluate(rows.den, *x, assignment, rows.mode))[1]
     if isinstance(out, ConventionReport):
         raise out.first_violation()
     return out
@@ -492,6 +499,10 @@ class _Rows:
             c, s, t = a[0] + b[0], a[1], b[1]
             t = _merge(s, t) if s and t else s or t
         return (c % self.mod if self.mod else c, t)
+
+    def t(self, h: list) -> tuple:
+        """The twist's t = prod(h)^-1 as a row."""
+        return self.plus(reduce(self.plus, h))
 
     def ordered(self, entries) -> dict:
         """(row, multiplicity) ``entries`` as a class in ``EigDivisor`` entry

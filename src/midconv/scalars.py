@@ -203,20 +203,9 @@ class ScalarExpr:
     @classmethod
     def from_json(cls, doc, path: str = "$") -> "ScalarExpr":
         """Raises DocumentError at the JSON path of a malformed part (``_parts``)."""
-        return _expr(_parts(doc, path))
-
-
-def _expr(parts: tuple) -> ScalarExpr:
-    """The ScalarExpr of ``_parts``' (c, e, terms)."""
-    c, e, terms = parts
-    d, t = e, ()
-    if terms:  # over the lcm of lowest-terms denominators the numerators have gcd 1
+        c, e, terms = _parts(doc, path)
         d = lcm(e, *[q for _, _, q in terms])
-        t = tuple(sorted([(n, p * (d // q)) for n, p, q in terms]))
-    f = object.__new__(ScalarExpr)
-    f._d, f._c, f._t = d, c * (d // e), t
-    f._h = hash((f._c, d, t))
-    return f
+        return _normal(d, c * (d // e), tuple(sorted([(n, p * (d // q)) for n, p, q in terms])))
 
 
 def _parts(doc, path: str, mode: "GroupMode | None" = None) -> tuple[int, int, list]:

@@ -336,8 +336,13 @@ class TestSymbolicVerify:
         assert "$.mode" in err and "Traceback" not in err
 
 
+def expanded(groups):
+    """(value, multiplicity) groups per point with each value listed once per copy."""
+    return [[z for z, m in entries for _ in range(m)] for entries in groups]
+
+
 def assert_prediction_matches_reference(problem) -> str:
-    """``predicted_kappa_spectra`` against ``reference_kappa_spectra``:
+    """``predicted_kappa_groups``, expanded, against ``reference_kappa_spectra``:
     the same raised report, or equal lengths and deviations of at most
     1e-12 at every point.  Returns the outcome's name."""
     from midconv.homology import match_multisets
@@ -346,15 +351,15 @@ def assert_prediction_matches_reference(problem) -> str:
         expected = reference_kappa_spectra(problem)
     except ConventionViolation as exc:
         with pytest.raises(ConventionViolation) as raised:
-            problem.predicted_kappa_spectra()
+            problem.predicted_kappa_groups()
         assert raised.value.report == exc.report
         return "ConventionFailure"
     if isinstance(expected, NoneffectiveReport):
         with pytest.raises(NoneffectiveTransform) as raised:
-            problem.predicted_kappa_spectra()
+            problem.predicted_kappa_groups()
         assert raised.value.report == expected
         return "EmptyNoneffective"
-    predicted = problem.predicted_kappa_spectra()
+    predicted = expanded(problem.predicted_kappa_groups())
     assert len(predicted) == len(expected)
     for got, want in zip(predicted, expected):
         assert len(got) == len(want) and match_multisets(want, got) <= 1e-12
@@ -389,8 +394,9 @@ class TestPredictionOracle:
         from midconv.homology import VerificationProblem
 
         parsed = parse_document(doc)
-        problem = VerificationProblem(None, parsed.vector, parsed.convoluter_or_default(),
-                                      parsed.assignment)
+        rows, classes, h, v = parsed.row_form
+        model = (rows, [rows.ordered(g.items()) for g in classes], h, v)
+        problem = VerificationProblem(None, model, parsed.assignment)
         assert_prediction_matches_reference(problem)
 
     def test_prediction_calls_no_kappa_and_builds_no_divisor(self, monkeypatch):
@@ -404,9 +410,9 @@ class TestPredictionOracle:
 
         monkeypatch.setattr(katz, "kappa", forbidden)
         monkeypatch.setattr(homology, "kappa", forbidden)
-        with monkeypatch.context() as inner:  # generate_instance builds the input's divisors
+        with monkeypatch.context() as inner:  # the prediction alone; TestVerifyOnRows spies the verb
             inner.setattr(EigDivisor, "__init__", forbidden)
-            predicted = problem.predicted_kappa_spectra()
+            predicted = expanded(problem.predicted_kappa_groups())
         code, out, err = call_main("verify", {"generate": {"rank": 3, "points": 4, "seed": 1}})
         monkeypatch.undo()
         assert code == 0 and json.loads(out)["report"]["ok"], err
@@ -432,6 +438,53 @@ class TestPredictionOracle:
         assert out == render({"kind": "verify", "status": "EmptyNoneffective",
                               "report": report.to_json(),
                               "certificate": report.certificate.to_json()}, exact=False)
+
+
+ROW_VERIFY_CASES = {  # id: (document, exit code)
+    "consistent": (symbolic_verify_document(), 0),
+    "unrelated": (symbolic_verify_document(UNRELATED_LAST), 2),
+    "tol": ({**symbolic_verify_document(), "tol": 1e-7}, 0),
+    "fresh-v": ({**symbolic_verify_document(), "convoluter": {
+        **symbolic_verify_document()["convoluter"], "v": "fresh"}, "assignment": {
+        **symbolic_verify_document()["assignment"], "_s1": 0.31, "_s2": 0.59}}, 0),
+    "default-empty": ({k: v for k, v in symbolic_verify_document(UNRELATED_LAST).items()
+                       if k != "convoluter"}, 2),
+    "convention": ({k: v for k, v in symbolic_verify_document().items() if k != "convoluter"}, 2),
+    "missing": ({**symbolic_verify_document(), "assignment": {"a": 0.13}}, 1),
+    "imaginary": ({**symbolic_verify_document(), "assignment": {
+        **symbolic_verify_document()["assignment"], "x": [0.1, 2.0]}}, 1),
+    "generate": ({"generate": {"rank": 3, "points": 4, "seed": 1}}, 0),
+    "generate-fresh": ({"generate": {"rank": 2, "points": 5, "seed": 2, "aim": "fresh",
+                                     "v_policy": "fresh"}}, 0),
+    "generate-empty": ({"generate": {"rank": 1, "points": 3, "seed": 1}}, 2),
+}
+
+
+class TestVerifyOnRows:
+    """Symbolic and ``generate`` verify answer from the model's rows: no
+    eigenvalue, divisor, vector or convoluter object is built, and no object
+    is read back into rows.  A convention failure answers with
+    ``transform``'s report, whose witnesses are written from elements."""
+
+    @pytest.mark.parametrize("doc, code", ROW_VERIFY_CASES.values(), ids=ROW_VERIFY_CASES)
+    def test_builds_no_objects(self, monkeypatch, doc, code):
+        from midconv import scalars
+        from midconv.divisors import EigDivisor, MonodromyVector
+        from midconv.scalars import GroupElement
+
+        expected = call_main("verify", doc)
+        assert expected[0] == code and "Traceback" not in expected[2], expected
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("verify built an eigenvalue object or read one into rows")
+
+        elements = ((GroupElement, "__init__"), (scalars, "_element"), (katz, "_element"))
+        for owner, name in ((EigDivisor, "__init__"), (EigDivisor, "_canonical"),
+                            (MonodromyVector, "__init__"), (katz.Convoluter, "__init__"),
+                            (katz, "_read"), (katz._Rows, "of"),
+                            *(elements if "ConventionFailure" not in expected[1] else ())):
+            monkeypatch.setattr(owner, name, forbidden)
+        assert call_main("verify", doc) == expected
 
 
 def object_answer(verb, doc, *flags):
@@ -1088,20 +1141,18 @@ class TestDocumentBoundary:
     def test_convention_failure_reads_the_raised_report(self, monkeypatch, verb):
         """A ConventionFailure answer renders the report that the transform
         found: the formula's data is evaluated once (``katz.row_step`` on
-        the document's rows for transform, ``katz._read`` of the objects by
-        ``kappa_values`` for verify's prediction) and ``check_conventions``
-        never runs."""
+        the document's rows, for transform and for verify's valued
+        prediction) and ``check_conventions`` never runs."""
         doc = symbolic_verify_document()
         del doc["convoluter"]  # the default twist aims at all three classes: t = 1
-        formula = {"transform": "row_step", "verify": "_read"}[verb]
-        calls, aimed_calls, real_aimed = [], [], getattr(katz, formula)
+        calls, aimed_calls, real_aimed = [], [], katz.row_step
 
-        def spy(*args):
+        def spy(*args, **kwargs):
             aimed_calls.append(args)
-            return real_aimed(*args)
+            return real_aimed(*args, **kwargs)
 
         monkeypatch.setattr(katz, "check_conventions", lambda *a, **kw: calls.append(a))
-        monkeypatch.setattr(katz, formula, spy)
+        monkeypatch.setattr(katz, "row_step", spy)
         code, out, err = call_main(verb, doc)
         assert code == 2 and calls == [] and len(aimed_calls) == 1, err
         monkeypatch.undo()

@@ -494,8 +494,7 @@ class TestEigendata:
     @pytest.mark.parametrize("seed,r,n,aim,vp,mults", EIGENDATA_SHAPES)
     def test_symbolic(self, seed, r, n, aim, vp, mults):
         problem = generate_instance(seed=seed, r=r, n=n, aim=aim, v_policy=vp, mults=mults)
-        inst = symbolic_instance(problem.vector, problem.beta, problem.assignment,
-                                 seed=seed).instance
+        inst = symbolic_instance(problem.model, problem.assignment, seed=seed).instance
         assert_eigendata(inst)
 
     def test_matrices_decomposed_when_not_given(self):

@@ -4,8 +4,10 @@ Katz's transform acts point by point: the twist aimed at a vector is one
 choice per point, its t is a product over the points, and the defect is a
 sum over them.  So rotating the points rotates every answer, an
 order-preserving renaming of the generators renames every answer, the
-verbs that report the vector's defect agree, and a rank-one twist of the
-vector twists every vector of a run.  These relations come from
+verbs that report the vector's defect agree, a rank-one twist of the
+vector twists every vector of a run, every vector of a run has the same
+expected moduli dimension, and a constructed Higgs bundle's degrees sum
+to the defect.  These relations come from
 the paper's symmetries rather than from a second transcription of the
 formula, so a slip that a transcription repeats still breaks one of them.
 """
@@ -400,3 +402,69 @@ def test_a_rank_one_twist_twists_the_library_transform(mode):
                 for a, m in g.entries]) for g, ci, vi in zip(out, c, beta.v)])
             seen.add("lam" if not lam.is_identity() else "closed")
     assert seen >= {"lam", "closed", "noneffective"}, seen
+
+
+# -- the moduli dimension and the higgs degrees ------------------------------------
+#
+# Middle convolution is an isomorphism of moduli spaces where the conventions
+# hold, so classify's expected dimension naive_dim = 2 - 2 q(alpha) is the same
+# on every vector of a run.  A constructed Higgs bundle's degrees z sum to the
+# defect d of its vector, so higgs and defect agree on it.
+
+def circle_documents(count, seed=5):
+    """Seeded circle documents of 3 to 5 points and rank 2 to 6: distinct
+    multiples of 1/24 at each point, parts at most (n-2) r / n so that the
+    defect is mostly positive, and the last point's first weight set so the
+    total weight is an integer."""
+    rng = random.Random(f"circle:{seed}")
+    docs = []
+    while len(docs) < count:
+        n, r = rng.choice((3, 4, 5)), rng.randint(2, 6)
+        cap = (n - 2) * r // n
+        if cap < 1:
+            continue
+        classes, total = [], Fraction(0)
+        for i in range(n):
+            parts = []
+            while sum(parts) < r:
+                parts.append(rng.randint(1, min(cap, r - sum(parts))))
+            weights = [Fraction(k, 24) for k in rng.sample(range(24), len(parts))]
+            if i == n - 1:
+                rest = total + sum(w * m for w, m in zip(weights[1:], parts[1:]))
+                weights[0] = (-rest / parts[0]) % 1
+                if weights[0] in weights[1:]:
+                    break
+            total += sum(w * m for w, m in zip(weights, parts))
+            classes.append([{"value": {"const": str(w)}, "mult": m}
+                            for w, m in zip(weights, parts)])
+        else:
+            docs.append({"mode": "circle", "classes": classes})
+    return docs
+
+
+RUN_CASES = CASES + [(mode, doc) for mode in ("multiplicative", "additive")
+                     for doc in untied_documents(mode)]
+
+
+@pytest.mark.parametrize("flags", [(), ("--beta-v", "fresh")], ids=["same", "fresh"])
+def test_a_run_keeps_the_moduli_dimension(flags):
+    steps = 0
+    for mode, doc in RUN_CASES:
+        _, run = call("run", doc, *flags)
+        _, own = call("classify", doc)
+        for vec in [s["input"] for s in run["steps"]] + [run["final"]]:
+            _, answer = call("classify", vec)
+            assert answer["report"]["naive_dim"] == own["report"]["naive_dim"], (doc, vec)
+        steps += len(run["steps"])
+    assert steps >= 60, steps
+
+
+def test_a_constructed_higgs_bundle_has_degrees_summing_to_the_defect():
+    built = []
+    for doc in circle_documents(120):
+        _, answer = call("higgs", doc)
+        if answer["status"] == "constructed":
+            _, defect = call("defect", doc)
+            assert sum(answer["data"]["z"]) == defect["vector_defect"], doc
+            built.append(defect["vector_defect"])
+    assert len(built) >= 80 and sum(d > 0 for d in built) >= 60, built
