@@ -91,7 +91,7 @@ def cmd_classify(doc: ProblemDocument) -> tuple[dict, int]:
     return out, OK
 
 
-def cmd_verify(doc: dict) -> tuple[dict, int]:
+def cmd_verify(doc: dict, v_policy: str) -> tuple[dict, int]:
     from . import homology  # numpy loads for this verb only
 
     if "matrices" in doc:
@@ -100,7 +100,7 @@ def cmd_verify(doc: dict) -> tuple[dict, int]:
         problem = homology.generate_instance(**parse_generate(doc),
                                              tol=parse_tol(doc, homology.DEFAULT_TOL))
     else:
-        parsed = parse_document(doc)
+        parsed = parse_document(doc, v_policy)
         if not parsed.assignment:
             raise DocumentError(
                 "verify needs 'matrices', 'generate', or classes plus an "
@@ -184,15 +184,16 @@ def _process_one(verb: str, doc: dict, args) -> tuple[dict, int]:
         doc = {**doc, "seed": args.seed}
     if args.tol is not None:
         doc = {**doc, "tol": args.tol}
-    if verb == "verify":
-        return cmd_verify(doc)
-    if args.max_steps is not None:
+    if args.max_steps is not None and verb != "verify":
         doc = {**doc, "max_steps": args.max_steps}
     conv = doc.get("convoluter")
     if args.beta_v and isinstance(conv, dict) and conv:
         v = {"same": "same-as-h", "fresh": "fresh"}[args.beta_v]
         doc = {**doc, "convoluter": {**conv, "v": v}}
-    parsed = parse_document(doc, "fresh" if args.beta_v == "fresh" and conv is None else "same")
+    v_policy = "fresh" if args.beta_v == "fresh" and conv is None else "same"
+    if verb == "verify":
+        return cmd_verify(doc, v_policy)
+    parsed = parse_document(doc, v_policy)
     try:
         return _SYMBOLIC_VERBS[verb](parsed)
     except ModeMismatch as exc:  # the verb does not run in the document's mode

@@ -135,7 +135,8 @@ def parse_generate(doc: dict) -> dict:
 # The largest raw dimension (points - 1) * rank that verify builds a numeric
 # instance for.  Its factors have points * rank rows and width about rank; on
 # one BLAS thread one at the cap takes 0.3-3.6 s and up to 180 MB, rank 500 at
-# 3 points the slowest, rank 1 at 1001 points 1.5-1.7 s (bench shapes reach 180)
+# 3 points the slowest, rank 1 at 1001 points 0.8-1.3 s on a 2-CPU Xeon host
+# (bench shapes reach 180)
 MAX_RAW_DIM = 1000
 
 
@@ -147,8 +148,8 @@ MAX_HIGGS_WEIGHTS = 250_000
 # The most terms (a value's constant or one of its generator coefficients) that
 # a run answer may need by ``check_run_terms``' bound: at the cap the
 # hypergeometric document [[r-1, 1], [1]^r, [1]^r] under fresh v, one generator
-# per eigenvalue, answers at r = 86 (bound 7.8 million) in 0.8-0.9 s with a
-# 53 MB answer, and r = 87 is past it (bench documents reach 92,000)
+# per eigenvalue, answers at r = 86 (bound 7.8 million) in 0.7-1.0 s on a 2-CPU
+# Xeon host with a 53 MB answer, and r = 87 is past it (bench documents reach 92,000)
 MAX_RUN_TERMS = 8_000_000
 
 

@@ -496,8 +496,7 @@ class _Rows:
         if b is None:
             c, t = -a[0], _times(a[1], -1)
         else:
-            c, s, t = a[0] + b[0], a[1], b[1]
-            t = _merge(s, t) if s and t else s or t
+            c, t = a[0] + b[0], _merge(a[1], b[1])
         return (c % self.mod if self.mod else c, t)
 
     def t(self, h: list) -> tuple:

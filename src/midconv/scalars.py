@@ -273,25 +273,32 @@ def _times(t: tuple, k: int) -> tuple:
 
 
 def _merge(s: tuple, t: tuple, a: int = 1, b: int = 1) -> tuple:
-    """``a * s + b * t`` for name-sorted term tuples, zero sums dropped."""
+    """``a * s + b * t`` for name-sorted term tuples, zero sums dropped.  With
+    a = b = 1 a term whose name only one operand has is that operand's pair."""
+    if a != 1 or b != 1:
+        s, t = _times(s, a), _times(t, b)
+    if not s or not t:
+        return s or t
     out = []
     i = j = 0
     ls, lt = len(s), len(t)
     while i < ls and j < lt:
         p, q = s[i], t[j]
         if p[0] == q[0]:
-            x = p[1] * a + q[1] * b
+            x = p[1] + q[1]
             if x:
                 out.append((p[0], x))
             i += 1
             j += 1
         elif p[0] < q[0]:
-            out.append((p[0], p[1] * a))
+            out.append(p)
             i += 1
         else:
-            out.append((q[0], q[1] * b))
+            out.append(q)
             j += 1
-    return (*out, *_times(s[i:], a), *_times(t[j:], b))
+    out += s[i:]
+    out += t[j:]
+    return tuple(out)
 
 
 _ZERO = ScalarExpr(0)

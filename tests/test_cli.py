@@ -294,6 +294,20 @@ def symbolic_verify_document(last_class=None, mode="multiplicative", h3=None):
 
 
 UNRELATED_LAST = [entry({"c0": "1"}), entry({"c1": "1"})]
+# rank 2 on 4 points with no convoluter, whose default twist passes the
+# conventions and is not empty, so the answer reads the twist's v
+UNTWISTED = {
+    "mode": "multiplicative",
+    "classes": [
+        [entry({"g00": "1"}, const="1/3"), entry({"g01": "1"})],
+        [entry({"g10": "1"}, const="1/3"), entry({"g11": "1"}, const="1/5")],
+        [entry({"g20": "1"}, const="1/5"), entry({"g21": "1"}, const="1/5")],
+        [entry({"g00": "-1", "g10": "-1", "g20": "-1"}, const="-13/15"),
+         entry({"g01": "-1", "g11": "-1", "g21": "-1"}, const="-2/5")],
+    ],
+    "assignment": {"g00": 0.65, "g01": 0.5, "g10": 0.77, "g11": 0.4, "g20": 0.95, "g21": 0.46},
+    "seed": 3,
+}
 
 
 class TestSymbolicVerify:
@@ -334,6 +348,21 @@ class TestSymbolicVerify:
         err = capsys.readouterr().err
         assert code == 1 and out is None
         assert "$.mode" in err and "Traceback" not in err
+
+    def test_beta_v_fresh_twists_a_document_without_convoluter(self):
+        """``--beta-v fresh`` gives the default h the fresh v, as an explicit
+        ``"v": "fresh"`` with that h does, and the answer moves with it."""
+        doc = {**UNTWISTED, "assignment": {**UNTWISTED["assignment"],
+                                           "_s1": 0.31, "_s2": 0.59, "_s3": 0.43}}
+        h = json.loads(call_main("defect", doc)[1])["convoluter"]["h"]
+        explicit = call_main("verify", {**doc, "convoluter": {"h": h, "v": "fresh"}})
+        assert explicit[1] and explicit[1] != call_main("verify", doc)[1]
+        assert call_main("verify", doc, "--beta-v", "fresh") == explicit
+
+    def test_beta_v_fresh_needs_values_for_the_fresh_generators(self):
+        code, out, err = call_main("verify", UNTWISTED, "--beta-v", "fresh")
+        assert (code, out) == (1, "")
+        assert err == "input error: $.assignment: no value assigned to ['_s1', '_s2', '_s3']\n"
 
 
 def expanded(groups):

@@ -4,10 +4,11 @@ import cmath
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from midconv import GroupElement, GroupMode, ScalarExpr
 from midconv.errors import MissingGenerator, ModeMismatch
+from midconv.scalars import _merge
 
 MULT = GroupMode.MULTIPLICATIVE
 ADD = GroupMode.ADDITIVE
@@ -265,6 +266,53 @@ class TestIntegerFormsMatchModel:
         assert a._d == 1 and a == ScalarExpr(1, {"x": 1, "y": 1})
         assert (ScalarExpr(F(1, 2)) + ScalarExpr(F(1, 2)))._d == 1
         assert ScalarExpr(F(3, 4)).scale(4)._d == 1
+
+
+# -- the term merge against a dict model --------------------------------------
+#
+# ``_Rows.plus`` and ``ScalarExpr.__add__`` both add terms by
+# ``scalars._merge``, so a comparison of rows with objects runs it on both
+# sides; here it meets a {name: Fraction} model instead.
+
+term_names = st.sampled_from(["A", "_s1", "a", "b", "x1", "x10", "y"])
+term_tuples = st.dictionaries(term_names, st.integers(-3, 3).filter(bool), max_size=6).map(
+    lambda terms: tuple(sorted(terms.items())))
+multipliers = st.sampled_from([1, 1, 1, 2, 3, -1, 6])
+
+
+def merge_model(s, t, a, b):
+    """a * s + b * t by a {name: Fraction} dict, as name-sorted nonzero terms."""
+    terms = {}
+    for k, side in ((a, s), (b, t)):
+        for n, x in side:
+            terms[n] = terms.get(n, F(0)) + k * F(x)
+    return tuple((n, int(x)) for n, x in sorted(terms.items()) if x)
+
+
+class TestMergeMatchesModel:
+    @given(s=term_tuples, t=term_tuples, a=multipliers, b=multipliers)
+    @example(s=(), t=(), a=1, b=1)
+    @example(s=(("a", 1), ("b", -2)), t=(), a=1, b=1)
+    @example(s=(), t=(("a", 1), ("b", -2)), a=2, b=3)
+    @example(s=(("a", 1), ("b", 2)), t=(("a", -1), ("b", -2)), a=1, b=1)  # all cancel
+    @example(s=(("a", 1), ("y", 2)), t=(("b", 1), ("x1", -2)), a=1, b=1)  # interleaved
+    @example(s=(("a", 2),), t=(("a", -1), ("b", 1), ("y", 3)), a=1, b=2)  # cancels, t's tail
+    @example(s=(("A", 1), ("b", 2), ("y", 1)), t=(("a", 3),), a=3, b=-1)  # s's tail
+    def test_merge(self, s, t, a, b):
+        got = _merge(s, t, a, b)
+        assert type(got) is tuple and got == merge_model(s, t, a, b)
+
+    @given(s=term_tuples, t=term_tuples)
+    def test_unit_merge_keeps_the_pairs_of_one_operand(self, s, t):
+        """A term whose name only one operand has is that operand's pair; an
+        empty operand gives the other one back."""
+        got = _merge(s, t)
+        if not s or not t:
+            assert got is (s or t)
+        meeting = {n for n, _ in s} & {n for n, _ in t}
+        kept = [p for p in got if p[0] not in meeting]
+        assert len(kept) == len(s) + len(t) - 2 * len(meeting)
+        assert all(any(p is q for q in (*s, *t)) for p in kept)
 
 
 def _rational_text(sign, p, zeros, q):

@@ -20,6 +20,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from midconv import EigDivisor, GroupElement, GroupMode, MonodromyVector, ScalarExpr, kappa
 from midconv.cli import main
@@ -173,6 +174,52 @@ def test_renaming_the_generators_renames_the_answers(mode, doc):
         code, answer = call(verb, doc, *flags)
         assert call(verb, other, *flags) == (code, renamed(answer, {**RENAMED, **fresh})), \
             (verb, flags)
+
+
+@st.composite
+def partitions(draw, r):
+    """A partition of r whose largest part is tied or not, as drawn."""
+    tied = draw(st.booleans())
+    top = draw(st.integers(1, r // 2) if tied else st.integers(2, r))
+    parts = [top, top] if tied else [top]
+    while sum(parts) < r:
+        parts.append(draw(st.integers(1, min(top - (not tied), r - sum(parts)))))
+    return parts
+
+
+@st.composite
+def drawn_documents(draw):
+    """Documents as ``documents`` builds them, drawn: 3 to 5 points, rank 2
+    to 7, each class's largest multiplicity tied or not, and the generator
+    g1 in the first value."""
+    mode = draw(st.sampled_from(("multiplicative", "additive")))
+    consts = CONSTS if mode == "multiplicative" else CONSTS + ("-1", "3/2")
+    # a constant value half the time, so that eigenvalues meet
+    exps = st.just({}) | st.dictionaries(st.sampled_from(GENERATORS),
+                                         st.sampled_from(("1", "-1", "2")), max_size=2)
+    values = st.builds(lambda const, exps: {"const": const, "exps": dict(exps)},
+                       st.sampled_from(consts), exps)
+    n, r = draw(st.integers(3, 5)), draw(st.integers(2, 7))
+    classes = []
+    for _ in range(n):
+        parts = draw(partitions(r))
+        drawn = draw(st.lists(values, min_size=len(parts), max_size=len(parts),
+                              unique_by=lambda v: json.dumps(v, sort_keys=True)))
+        classes.append([{"value": v, "mult": m} for v, m in zip(drawn, parts)])
+    classes[0][0]["value"]["exps"]["g1"] = "1"
+    return {"mode": mode, "classes": classes}
+
+
+@settings(max_examples=80, deadline=None)
+@given(doc=drawn_documents())
+def test_rotating_the_points_of_drawn_documents(doc):
+    test_rotating_the_points_rotates_the_answers(doc["mode"], doc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(doc=drawn_documents())
+def test_renaming_the_generators_of_drawn_documents(doc):
+    test_renaming_the_generators_renames_the_answers(doc["mode"], doc)
 
 
 @pytest.mark.parametrize("mode, doc", CASES, ids=IDS)
