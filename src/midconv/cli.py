@@ -23,7 +23,7 @@ from .docio import (MAX_HIGGS_WEIGHTS, ProblemDocument, check_raw_dim, check_run
 from .errors import (ConventionViolation, ConventionViolationNumeric, DigitLimitExceeded,
                      DocumentError, MaxStepsExceeded, MidconvError, ModeMismatch,
                      NoneffectiveTransform, shown)
-from .katz import ConventionReport, NoneffectiveReport, TerminalStatus
+from .katz import TerminalStatus
 from .scalars import GroupMode, _evaluate
 
 OK, NEGATIVE, BAD_INPUT = 0, 2, 1
@@ -50,21 +50,17 @@ def _convention_failure(kind: str, exc: ConventionViolation) -> tuple[dict, int]
             "report": exc.report.to_json()}, NEGATIVE
 
 
-def _noneffective(kind: str, report: NoneffectiveReport) -> tuple[dict, int]:
-    """The answer to an empty transform, from its NoneffectiveReport."""
-    return {"kind": kind, "status": "EmptyNoneffective", "report": report.to_json(),
-            "certificate": report.certificate.to_json()}, NEGATIVE
+def _noneffective(kind: str, exc: NoneffectiveTransform) -> tuple[dict, int]:
+    """The answer to an empty transform, from the raised NoneffectiveReport."""
+    return {"kind": kind, "status": "EmptyNoneffective", "report": exc.report.to_json(),
+            "certificate": exc.report.certificate.to_json()}, NEGATIVE
 
 
 def cmd_transform(doc: ProblemDocument) -> tuple[dict, int]:
     rows, *form = doc.row_form
-    aim, result = katz.row_step(rows, *form)
-    if isinstance(result, ConventionReport):
-        return _convention_failure("transform", result.first_violation())
-    if isinstance(result, NoneffectiveReport):
-        return _noneffective("transform", result)
+    aim, output = katz.row_step(rows, *form)
     return {"kind": "transform", "status": "ok", "defect": aim.defect,
-            "output": rows.writer()[1](result)}, OK
+            "output": rows.writer()[1](output)}, OK
 
 
 def cmd_run(doc: ProblemDocument) -> tuple[dict, int]:
@@ -107,10 +103,9 @@ def cmd_verify(doc: dict, v_policy: str) -> tuple[dict, int]:
                 "'assignment'", "$")
         if parsed.mode is not GroupMode.MULTIPLICATIVE:
             raise DocumentError("symbolic verify needs multiplicative mode", "$.mode")
-        rows, classes, h, v = parsed.row_form
+        rows, classes, h, v = model = parsed.row_form
         check_raw_dim(len(classes), sum(classes[0].values()), "$.classes")
-        model = (rows, [rows.ordered(g.items()) for g in classes], h, v)
-        elems = [*h, *v, *(a for g in model[1] for a in g)]
+        elems = [*h, *v, *(a for g in classes for a in g)]
         missing = {x for _, terms in elems for x, _ in terms} - parsed.assignment.keys()
         if missing:
             raise DocumentError(f"no value assigned to {shown(sorted(missing))}",
@@ -134,11 +129,6 @@ def cmd_verify(doc: dict, v_policy: str) -> tuple[dict, int]:
     except ConventionViolationNumeric as exc:
         return {"kind": "verify", "status": "ConventionFailure",
                 "detail": str(exc)}, NEGATIVE
-    # the symbolic prediction raises these two with their reports: answer as `transform`
-    except ConventionViolation as exc:
-        return _convention_failure("verify", exc)
-    except NoneffectiveTransform as exc:
-        return _noneffective("verify", exc.report)
     out = {"kind": "verify", "report": report.to_json()}
     return out, (OK if report.ok else NEGATIVE)
 
@@ -191,13 +181,17 @@ def _process_one(verb: str, doc: dict, args) -> tuple[dict, int]:
         v = {"same": "same-as-h", "fresh": "fresh"}[args.beta_v]
         doc = {**doc, "convoluter": {**conv, "v": v}}
     v_policy = "fresh" if args.beta_v == "fresh" and conv is None else "same"
-    if verb == "verify":
-        return cmd_verify(doc, v_policy)
-    parsed = parse_document(doc, v_policy)
     try:
-        return _SYMBOLIC_VERBS[verb](parsed)
+        if verb == "verify":
+            return cmd_verify(doc, v_policy)
+        return _SYMBOLIC_VERBS[verb](parse_document(doc, v_policy))
     except ModeMismatch as exc:  # the verb does not run in the document's mode
         raise DocumentError(str(exc), "$.mode") from None
+    # the transform, of `transform` and of verify's prediction, raises why it has no answer
+    except ConventionViolation as exc:
+        return _convention_failure(verb, exc)
+    except NoneffectiveTransform as exc:
+        return _noneffective(verb, exc)
 
 
 @functools.cache

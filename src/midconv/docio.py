@@ -5,23 +5,24 @@ as "p/q" strings (never floats); complex numbers appear only in numeric
 instance documents, as [re, im] pairs.
 
 A symbolic document is validated once into the exact parts of its values
-(``scalars._parts``) and read once into sparse integer rows
-(``ProblemDocument.read``).  Every verb answers from that read:
-``transform``, ``defect``, ``run`` and symbolic ``verify`` on the rows,
-and ``classify`` and ``higgs`` on the objects decoded from them.
+(``scalars._parts``) and read once into sparse integer rows, each class in
+``EigDivisor`` entry order (``ProblemDocument.read``).  Every verb answers
+from that read: ``transform``, ``defect``, ``run`` and symbolic ``verify``
+on the rows, and ``classify`` and ``higgs`` on the vector decoded from
+them; a given twist is checked on the rows too, and its failure worded here.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Any, Optional
 
 from .divisors import MonodromyVector, check_degrees
-from .errors import DocumentError, MidconvError, path_key, shown
-from .katz import Convoluter, _generators, _Rows, row_defect
+from .errors import DocumentError, path_key, shown
+from .katz import _generators, _Rows, row_defect
 from .katz import max_mult_convoluter  # noqa: F401  (unused: bench/spans.py traces it here)
 from .scalars import GroupMode, _parts
 
@@ -37,8 +38,8 @@ class ProblemDocument:
     ``scalars._parts``' (c, e, terms); ``h`` is None for the default
     convoluter (v by ``v_policy``), and ``v`` a list, "same-as-h" or
     "fresh".  ``parse_document`` reads the parts into rows once
-    (``read``); the twist ``row_form`` and the objects ``vector`` and
-    ``convoluter_or_default()`` are decoded from that read."""
+    (``read``); the twist ``row_form`` and the object ``vector`` come from
+    that read, and ``rows.convoluter(*row_form[2:])`` decodes the twist."""
 
     mode: GroupMode
     points: list
@@ -51,7 +52,8 @@ class ProblemDocument:
 
     @cached_property
     def read(self) -> tuple:
-        """(rows, classes, h, v): ``katz._Rows.read`` of the classes, with h
+        """(rows, classes, h, v): ``katz._Rows.read`` of the classes, in
+        ``EigDivisor`` entry order, with h
         and a given v read as rows over the same denominator (h None with
         no convoluter, v the policy string unless given)."""
         v = self.v if isinstance(self.v, list) else []
@@ -70,12 +72,7 @@ class ProblemDocument:
 
     @cached_property
     def vector(self) -> MonodromyVector:
-        rows, classes, _, _ = self.read
-        return rows.vector([rows.ordered(g.items()) for g in classes])
-
-    def convoluter_or_default(self) -> Convoluter:
-        rows, _, h, v = self.row_form
-        return rows.convoluter(h, v)
+        return self.read[0].vector(self.read[1])
 
 
 def _fail(message: str, path: str):
@@ -94,8 +91,10 @@ def integer(value: Any, path: str, minimum: int | None = None) -> int:
 
 
 def _finite(value: Any) -> bool:
+    """A JSON number that a float holds: an integer is compared exactly, so
+    one past the float range is not finite rather than an OverflowError."""
     return (not isinstance(value, bool) and isinstance(value, (int, float))
-            and math.isfinite(value))
+            and abs(value) <= sys.float_info.max)
 
 
 def complex_array(value: Any, path: str, depth: int = 0):
@@ -234,15 +233,15 @@ def parse_document(doc: dict, v_policy: str = "same") -> ProblemDocument:
 
     parsed = ProblemDocument(mode, points, h, v, v_policy)
     rows, _, h, v = parsed.read  # the one read of the parts that every verb answers from
-    # a given v needs one component per point and t * prod(v) = 1, fresh v
-    # needs generators: when one fails, the object convoluter says which
-    if isinstance(v, list) and (len(v) != len(h)
-                                or reduce(rows.plus, [*v, *map(rows.plus, h)]) != (0, ())) or (
-            v == "fresh" and mode is GroupMode.CIRCLE):
-        try:
-            parsed.convoluter_or_default()
-        except (ValueError, MidconvError) as exc:
-            _fail(f"invalid convoluter: {exc}", "$.convoluter")
+    # a given v needs one component per point and t * prod(v) = 1; fresh v needs
+    # generators, which circle mode has not
+    if isinstance(v, list) and len(v) != len(h):
+        _fail(f"invalid convoluter: h has {len(h)} components but v has {len(v)}", "$.convoluter")
+    if isinstance(v, list) and reduce(rows.plus, [*v, *map(rows.plus, h)]) != (0, ()):
+        _fail("invalid convoluter: v violates the product relation t * prod(v) = 1", "$.convoluter")
+    if v == "fresh" and mode is GroupMode.CIRCLE:
+        _fail("invalid convoluter: fresh generators need multiplicative or additive mode",
+              "$.convoluter")
 
     assignment = doc.get("assignment") or {}
     if not isinstance(assignment, dict):

@@ -10,7 +10,9 @@ the cycles on local fixed vectors gives the middle convolution.  Measured
 per-point eigenvalue multisets are compared with the symbolic prediction,
 ``katz.row_values``: the transform formula run on rows with the
 valuation x -> exp(2 pi i x(assignment)) as its output's group law, so
-that no transformed vector is built.  The symbolic model is held in
+that no transformed vector is built; with no output it raises, as
+``katz.row_step`` does, the ConventionViolation or NoneffectiveTransform
+that the command line answers.  The symbolic model is held in
 those rows (``VerificationProblem.model``): ``generate_instance`` builds
 it in rows and ``symbolic_instance`` values a document's rows, so no
 eigenvalue object is built on the way.
@@ -61,9 +63,9 @@ import numpy as np
 
 from .docio import check_raw_dim, complex_array, integer, parse_tol
 from .errors import (BoundaryNotSurjective, ConventionViolationNumeric, DocumentError,
-                     NoneffectiveTransform, QuotientRankMismatch, SizeMismatch)
+                     QuotientRankMismatch, SizeMismatch)
 # ``kappa`` is not called here; bench/spans.py wraps ``midconv.homology.kappa``
-from .katz import NoneffectiveReport, _Rows, fresh_names, kappa, row_values  # noqa: F401
+from .katz import _Rows, fresh_names, kappa, row_values  # noqa: F401
 from .scalars import GroupMode, _evaluate
 
 __all__ = [
@@ -548,18 +550,6 @@ class VerificationProblem:
     vector = property(lambda self: self.model[0].vector(self.model[1]))
     beta = property(lambda self: self.model[0].convoluter(*self.model[2:]))
 
-    def predicted_kappa_groups(self) -> list[list[tuple[complex, int]]]:
-        """Per-point eigenvalue multisets of the symbolic transform under
-        the assignment, as (value, multiplicity) pairs: ``katz.row_values``
-        runs the transform formula on the model's rows with the valuation
-        as its group law, so no transformed vector is built.  Raises
-        ConventionViolation, or NoneffectiveTransform with the report, when
-        the transform has no such spectra."""
-        result = row_values(*self.model, self.assignment)
-        if isinstance(result, NoneffectiveReport):
-            raise NoneffectiveTransform(result)
-        return result
-
 
 def _cluster_angles(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
     """Cluster sorted angle values within 10*tol; returns (angle, mult)."""
@@ -740,10 +730,11 @@ def verify_instance(problem: VerificationProblem | NumericInstance,
 
     With a full VerificationProblem the prediction comes from the
     symbolic transform through the assignment, grouped as
-    ``row_values`` gives it; with a bare instance it comes from the
-    instance's own eigenvalue data, listed with repetition.  A middle quotient
-    whose dimension differs from the prediction is not ok and has no
-    deviations to report.
+    ``row_values`` gives it on the model's rows (raising, as ``row_step``
+    does, when the transform has no such spectra); with a bare instance it
+    comes from the instance's own eigenvalue data, listed with repetition.
+    A middle quotient whose dimension differs from the prediction is not ok
+    and has no deviations to report.
     """
     if isinstance(problem, NumericInstance):
         inst = problem
@@ -751,7 +742,7 @@ def verify_instance(problem: VerificationProblem | NumericInstance,
         expected_middle = len(predicted[0])  # r + d of the prediction
     else:
         inst = problem.instance
-        predicted = problem.predicted_kappa_groups()
+        predicted = row_values(*problem.model, problem.assignment)
         expected_middle = sum(m for _, m in predicted[0])
     middle = middle_convolution_rep(inst)
     n, r = inst.n, inst.r

@@ -9,13 +9,15 @@ with the eigenvalue conventions it requires, its involution partner,
 emptiness detection, and the iterative rank-reduction loop.  The formula
 is written once, in ``_aim`` and ``_apply``, and runs in ``row_step`` on
 sparse integer rows (``_Rows``, each costing its terms): documents are
-read into rows, and the library's ``GroupElement`` objects too
-(``_read``), so the ``transform`` verb, each step of the reduction loop,
-``kappa`` and the checks share one exact arithmetic.  Its output's group
-law is the rows' own or, for ``row_values`` (verify's prediction, and
-``kappa_values`` on objects), the valuation
-x -> exp(2 pi i x(assignment)) into the nonzero complex numbers, which
-turns ``_apply``'s output into the numeric spectra that
+read into rows, classes in ``EigDivisor`` entry order, and the library's
+``GroupElement`` objects too (``_read``), so the ``transform`` verb, each
+step of the reduction loop, ``kappa`` and the checks share one exact
+arithmetic.  ``row_step`` returns an output or raises why there is none:
+the first ConventionViolation of the failing report, or
+NoneffectiveTransform with its NoneffectiveReport.  Its output's group
+law is the rows' own or, for ``row_values`` (verify's prediction), the
+valuation x -> exp(2 pi i x(assignment)) into the nonzero complex
+numbers, which turns ``_apply``'s output into the numeric spectra that
 :mod:`midconv.homology` compares with its measurement.
 
 Everything here is pure divisor arithmetic over the symbolic eigenvalue
@@ -32,7 +34,8 @@ from math import lcm
 from typing import Collection, NamedTuple, Optional, Sequence
 
 from .divisors import EigDivisor, MonodromyVector, _over
-from .errors import ConventionViolation, MaxStepsExceeded, ModeMismatch, SizeMismatch
+from .errors import (ConventionViolation, MaxStepsExceeded, ModeMismatch, NoneffectiveTransform,
+                     SizeMismatch)
 from .scalars import (GroupElement, GroupMode, _element, _evaluate, _merge, _normal, _ratio,
                       _times, product)
 
@@ -46,7 +49,6 @@ __all__ = [
     "TerminalStatus",
     "defect",
     "kappa",
-    "kappa_values",
     "check_involution",
     "check_conventions",
     "detect_empty",
@@ -380,37 +382,23 @@ def kappa(beta: Convoluter, vector: MonodromyVector, check: bool = True,
     new-eigenvalue block at point i.
     """
     rows, *form = _read(beta, vector)
-    out = row_step(rows, *form, check=check, de_rham=de_rham)[1]
-    if isinstance(out, ConventionReport):
-        raise out.first_violation()
-    return out if isinstance(out, NoneffectiveReport) else rows.vector(out)
+    try:
+        return rows.vector(row_step(rows, *form, check=check, de_rham=de_rham)[1])
+    except NoneffectiveTransform as exc:
+        return exc.report
 
 
-def kappa_values(beta: Convoluter, vector: MonodromyVector, assignment: dict):
-    """``kappa``'s output valued at ``assignment``, with no transformed vector:
-    one (value, multiplicity) list per point, or a NoneffectiveReport.
-
-    The conventions are checked exactly first, on rows, as by ``kappa``.  The
-    output then takes the valuation x -> exp(2 pi i x(assignment)) as its
-    group law, a homomorphism into the nonzero complex numbers that is
-    the identity on the values it has produced: each eigenvalue a of g_i is
-    valued once and u_i = t h_i v_i once per point, a kept a gives
-    val(a) val(u_i), and val(v_i) gets m_i(h_i^{-1}) + d, each row valued
-    as ``GroupElement.to_complex`` values it.  Multiplicative mode only.
-    """
-    if vector.mode is not GroupMode.MULTIPLICATIVE:
-        raise ModeMismatch("the valuation needs multiplicative mode")
-    return row_values(*_read(beta, vector), assignment)
-
-
-def row_values(rows: "_Rows", classes: list, h: list, v: list, assignment: dict):
-    """``kappa_values`` on rows, the prediction of ``verify``: ``row_step``
-    with the valuation of ``scalars._evaluate`` at ``assignment``."""
-    out = row_step(rows, classes, h, v,
-                   value=lambda x: _evaluate(rows.den, *x, assignment, rows.mode))[1]
-    if isinstance(out, ConventionReport):
-        raise out.first_violation()
-    return out
+def row_values(rows: "_Rows", classes: list, h: list, v: list, assignment: dict) -> list:
+    """The prediction of ``verify``: the transform's output valued at
+    ``assignment``, one (value, multiplicity) list per point, with no
+    transformed vector.  ``row_step`` checks the conventions exactly, on
+    rows, and raises as it does; the output then takes the valuation
+    x -> exp(2 pi i x(assignment)) of ``scalars._evaluate`` as its group
+    law, a homomorphism into the nonzero complex numbers: each eigenvalue a
+    of g_i is valued once and u_i = t h_i v_i once per point, a kept a gives
+    val(a) val(u_i), and val(v_i) gets m_i(h_i^{-1}) + d."""
+    return row_step(rows, classes, h, v,
+                    value=lambda x: _evaluate(rows.den, *x, assignment, rows.mode))[1]
 
 
 def check_involution(beta: Convoluter, vector: MonodromyVector,
@@ -460,24 +448,19 @@ class _Rows:
     @classmethod
     def read(cls, mode: GroupMode, points: list, values: list = ()):
         """(rows, classes) of ``points``, per point (value, multiplicity) pairs
-        with values as ``scalars._parts`` reads them, duplicates merged; the
-        denominator is that of the points and ``values``."""
+        with values as ``scalars._parts`` reads them, each class ``ordered``;
+        the denominator is that of the points and ``values``."""
         every = [a for entries in points for a, _ in entries] + [*values]
         rows = cls(mode, lcm(*[e for _, e, _ in every], *[q for _, _, t in every for _, _, q in t]))
-        classes, row = [], rows.row
-        for entries in points:
-            g = {}
-            for a, m in entries:
-                a = row(a)
-                g[a] = g.get(a, 0) + m
-            classes.append(g)
-        return rows, classes
+        row, ordered = rows.row, rows.ordered
+        return rows, [ordered([(row(a), m) for a, m in entries]) for entries in points]
 
     @classmethod
     def of(cls, vector: MonodromyVector, *twist: Sequence[GroupElement]) -> tuple:
         """(rows, classes, *twist) of the objects ``vector`` and the element
         lists ``twist`` over one denominator: an element is reduced (mod 1
-        unless additive) and name-sorted already, so ``_over`` is its row."""
+        unless additive) and name-sorted already, so ``_over`` is its row,
+        and a divisor's entries are in order, so its class is ``ordered``."""
         den = lcm(*[a.expr._d for g in vector for a, _ in g.entries],
                   *[e.expr._d for t in twist for e in t])
         classes = [{_over(a.expr, den): m for a, m in g.entries} for g in vector]
@@ -505,29 +488,28 @@ class _Rows:
 
     def ordered(self, entries) -> dict:
         """(row, multiplicity) ``entries`` as a class in ``EigDivisor`` entry
-        order, the multiplicities of equal rows added."""
+        order, the multiplicities of equal rows added (a document's repeated
+        value, or a transform that met a convention witness unchecked)."""
         g = dict(sorted(entries))
-        if len(g) < len(entries):  # a transform met a convention witness unchecked
+        if len(g) < len(entries):
             g = {a: sum(m for b, m in entries if b == a) for a in g}
         return g
 
-    def top(self, g: dict, in_order: bool = False) -> tuple:
-        """The eigenvalue of largest multiplicity in ``g``, ties broken to
-        the smallest as by ``EigDivisor.max_multiplicity`` (the first, when
-        g is ``in_order``)."""
-        m = max(g.values())
-        tied = [a for a, k in g.items() if k == m]
-        return tied[0] if in_order or len(tied) == 1 else min(tied)
+    def top(self, g: dict) -> tuple:
+        """The eigenvalue of largest multiplicity in the ``ordered`` class
+        ``g``, ties broken to the first, the smallest, as by
+        ``EigDivisor.max_multiplicity``."""
+        return max(g, key=g.__getitem__)
 
     def twist(self, classes: list, v_policy: str, h: list | None = None,
-              in_order: bool = False, stem: str = "_s") -> tuple[list, list]:
+              stem: str = "_s") -> tuple[list, list]:
         """(h, v) in rows: the given h or ``max_mult_convoluter``'s (h_i the
         inverse of ``top`` of class i), and v = h or, under fresh v,
         ``Convoluter.with_fresh_v``'s v_i = h_i s_i with s_1 .. s_{n-1} the
         ``fresh_names`` from ``stem`` that avoid the generators of the
         classes and h, and s_n closing prod(s) = 1."""
         if h is None:
-            h = [self.plus(self.top(g, in_order)) for g in classes]
+            h = [self.plus(self.top(g)) for g in classes]
         if v_policy == "same":
             return h, h
         if v_policy != "fresh":
@@ -546,7 +528,7 @@ class _Rows:
         return Convoluter([*map(self.element, h)], None if v is h else map(self.element, v))
 
     def vector(self, classes: list[dict]) -> MonodromyVector:
-        """Classes in ``EigDivisor`` entry order (as ``ordered`` leaves them) as a vector."""
+        """``ordered`` classes as a vector."""
         return MonodromyVector([EigDivisor._canonical(self.mode, [(self.element(a), m)
                                                                   for a, m in g.items()])
                                 for g in classes])
@@ -584,23 +566,21 @@ def row_defect(classes: list, inv: Sequence | None = None) -> int:
     return (n - 2) * r - sum(g.get(a, 0) for g, a in zip(classes, inv))
 
 
-def row_step(rows: _Rows, classes: list, h: list, v: list, positive_stops: bool = False,
-             check: bool = True, de_rham: bool = False, value=None):
+def row_step(rows: _Rows, classes: list, h: list, v: list, check: bool = True,
+             de_rham: bool = False, value=None) -> tuple:
     """``kappa`` by the twist (h, v) on rows, the step of ``transform``, of the
-    reduction loop and of the library: the formula's data and a failing
-    ConventionReport (``kappa``'s ``check`` and ``de_rham``), a NoneffectiveReport
-    or the output classes in ``EigDivisor`` entry order, or with a valuation
-    ``value`` of rows one (value, multiplicity) list per point.  With
-    ``positive_stops`` a defect d >= 0 gives None first."""
+    reduction loop and of the library: (the formula's data, the output), the
+    output ``ordered`` classes or, with a valuation ``value`` of rows, one
+    (value, multiplicity) list per point.  With no output it raises: the first
+    ConventionViolation of a failing ConventionReport (``kappa``'s ``check``
+    and ``de_rham``), or NoneffectiveTransform with the NoneffectiveReport."""
     aim = _aim(rows, classes, h)
-    if positive_stops and aim.defect >= 0:
-        return aim, None
     if check and (de_rham or not aim.chi_nontrivial or aim.witnesses):
-        report = _report(rows, classes, h, aim, de_rham)
-        if not report.ok:
-            return aim, report
+        violation = _report(rows, classes, h, aim, de_rham).first_violation()
+        if violation is not None:
+            raise violation
     if aim.noneffective:
-        return aim, NoneffectiveReport(aim.noneffective)
+        raise NoneffectiveTransform(NoneffectiveReport(aim.noneffective))
     if value is not None:
         return aim, _apply(lambda a, b: value(a) * b, classes, aim, [*map(value, v)])
     # every m_i + d >= 0 sums to (n-2) r + (n-1) d >= 0, so r + d > 0
@@ -670,35 +650,35 @@ def run_algorithm(vector, max_steps: int | None = None,
     """Iterate the transformation while it strictly reduces the rank.
 
     Per step: stop at AllDiagonal (every class scalar, which covers rank
-    one); otherwise aim the convoluter at maximal multiplicities, as
-    ``max_mult_convoluter`` does; stop at PositiveDefect when d >= 0, at
-    ConventionFailure with the report when (beta, input) fails the
-    conventions, and at EmptyNoneffective with a certificate; else step.
-    Every recorded step has d < 0, so at most ``rank`` steps can happen.
-    ``vector`` is a MonodromyVector or the (rows, classes) of a document's
-    ``ProblemDocument.read``; each step is ``row_step``, with no
-    ``ScalarExpr`` arithmetic.
+    one) and at PositiveDefect when the vector's defect d >= 0; otherwise
+    aim the convoluter at maximal multiplicities, as ``max_mult_convoluter``
+    does, whose defect is d; stop at ConventionFailure with the report when
+    (beta, input) fails the conventions, and at EmptyNoneffective with a
+    certificate; else step.  Every recorded step has d < 0, so at most
+    ``rank`` steps can happen.  ``vector`` is a MonodromyVector or the
+    (rows, classes) of a document's ``ProblemDocument.read``; each step is
+    ``row_step``, with no ``ScalarExpr`` arithmetic.
     """
-    rows, classes = _Rows.of(vector) if isinstance(vector, MonodromyVector) else vector
+    rows, current = _Rows.of(vector) if isinstance(vector, MonodromyVector) else vector
     if rows.mode is GroupMode.CIRCLE:
         raise ModeMismatch("the reduction loop runs in multiplicative or additive mode")
-    current = [rows.ordered(g.items()) for g in classes]  # the answer writes EigDivisor's order
     max_steps = sum(current[0].values()) if max_steps is None else max_steps
     steps = []
     for step in range(max_steps + 1):
         if all(len(g) == 1 for g in current):
             return AlgorithmTrace(rows, tuple(steps), TerminalStatus.ALL_DIAGONAL, current)
-        # fresh generators must be fresh per step, not reused across steps
-        h, v = rows.twist(current, v_policy, in_order=True, stem=f"_s{step}_")
-        aim, output = row_step(rows, current, h, v, positive_stops=True)
-        if output is None:
+        if row_defect(current) >= 0:
             return AlgorithmTrace(rows, tuple(steps), TerminalStatus.POSITIVE_DEFECT, current)
-        if isinstance(output, ConventionReport):
+        # fresh generators must be fresh per step, not reused across steps
+        h, v = rows.twist(current, v_policy, stem=f"_s{step}_")
+        try:
+            aim, output = row_step(rows, current, h, v)
+        except ConventionViolation as exc:
             return AlgorithmTrace(rows, tuple(steps), TerminalStatus.CONVENTION_FAILURE,
-                                  current, report=output)
-        if isinstance(output, NoneffectiveReport):
+                                  current, report=exc.report)
+        except NoneffectiveTransform as exc:
             return AlgorithmTrace(rows, tuple(steps), TerminalStatus.EMPTY_NONEFFECTIVE, current,
-                                  output.certificate)
+                                  exc.report.certificate)
         # The partner pair (beta', output) passes too: h' = v^-1 and t' = t^-1,
         # so t' h'_i v_i = t^-1 != 1 at the new eigenvalue [v_i] and
         # t' h'_i a u_i = a h_i != 1 at each kept a u_i (de Rham flavor alike).

@@ -371,24 +371,25 @@ def expanded(groups):
 
 
 def assert_prediction_matches_reference(problem) -> str:
-    """``predicted_kappa_groups``, expanded, against ``reference_kappa_spectra``:
+    """``row_values`` on the problem's model, expanded, against ``reference_kappa_spectra``:
     the same raised report, or equal lengths and deviations of at most
     1e-12 at every point.  Returns the outcome's name."""
     from midconv.homology import match_multisets
 
+    predict = functools.partial(katz.row_values, *problem.model, problem.assignment)
     try:
         expected = reference_kappa_spectra(problem)
     except ConventionViolation as exc:
         with pytest.raises(ConventionViolation) as raised:
-            problem.predicted_kappa_groups()
+            predict()
         assert raised.value.report == exc.report
         return "ConventionFailure"
     if isinstance(expected, NoneffectiveReport):
         with pytest.raises(NoneffectiveTransform) as raised:
-            problem.predicted_kappa_groups()
+            predict()
         assert raised.value.report == expected
         return "EmptyNoneffective"
-    predicted = expanded(problem.predicted_kappa_groups())
+    predicted = expanded(predict())
     assert len(predicted) == len(expected)
     for got, want in zip(predicted, expected):
         assert len(got) == len(want) and match_multisets(want, got) <= 1e-12
@@ -423,9 +424,7 @@ class TestPredictionOracle:
         from midconv.homology import VerificationProblem
 
         parsed = parse_document(doc)
-        rows, classes, h, v = parsed.row_form
-        model = (rows, [rows.ordered(g.items()) for g in classes], h, v)
-        problem = VerificationProblem(None, model, parsed.assignment)
+        problem = VerificationProblem(None, parsed.row_form, parsed.assignment)
         assert_prediction_matches_reference(problem)
 
     def test_prediction_calls_no_kappa_and_builds_no_divisor(self, monkeypatch):
@@ -441,7 +440,7 @@ class TestPredictionOracle:
         monkeypatch.setattr(homology, "kappa", forbidden)
         with monkeypatch.context() as inner:  # the prediction alone; TestVerifyOnRows spies the verb
             inner.setattr(EigDivisor, "__init__", forbidden)
-            predicted = expanded(problem.predicted_kappa_groups())
+            predicted = expanded(katz.row_values(*problem.model, problem.assignment))
         code, out, err = call_main("verify", {"generate": {"rank": 3, "points": 4, "seed": 1}})
         monkeypatch.undo()
         assert code == 0 and json.loads(out)["report"]["ok"], err
@@ -525,7 +524,7 @@ def object_answer(verb, doc, *flags):
     parsed = parse_document(doc, "fresh" if fresh and "convoluter" not in doc else "same")
     vector = parsed.vector
     beta = (reference_convoluter(vector, parsed.v_policy) if parsed.h is None
-            else parsed.convoluter_or_default())
+            else parsed.row_form[0].convoluter(*parsed.row_form[2:]))
     d, result = reference_kappa(beta, vector)
     if verb == "defect":
         return 0, render({"kind": "defect", "rank": vector.rank, "points": vector.n,
@@ -1006,6 +1005,13 @@ class TestDocumentBoundary:
         ("run", stepping_cap_document(1000),
          f"$.classes: a run answer may need (steps + 1) * points * rank * terms per value "
          f"= 8 * 4 * 250 * 1001 terms, more than {MAX_RUN_TERMS:,}"),
+        # JSON integers past the float range are not finite numbers
+        ("verify", {"generate": {"rank": 2, "points": 3}, "tol": 10 ** 400}, "$.tol: "),
+        ("verify", {**symbolic_verify_document(), "assignment": {
+            **symbolic_verify_document()["assignment"], "a": 10 ** 400}},
+         "$.assignment.a: expected an [re, im] pair of finite numbers"),
+        ("verify", {"matrices": [[[[1, 0], [0, 0]], [[10 ** 400, 0], [1, 0]]]] * 3},
+         "$.matrices[0][1][0]: expected an [re, im] pair of finite numbers"),
     ])
     def test_forbidden_inputs(self, verb, patch, where):
         doc = run_document() if verb == "run" else {}
@@ -1186,7 +1192,8 @@ class TestDocumentBoundary:
         assert code == 2 and calls == [] and len(aimed_calls) == 1, err
         monkeypatch.undo()
         parsed = parse_document(doc)
-        report = katz.check_conventions(parsed.convoluter_or_default(), parsed.vector)
+        report = katz.check_conventions(parsed.row_form[0].convoluter(*parsed.row_form[2:]),
+                                        parsed.vector)
         assert out == render({"kind": verb, "status": "ConventionFailure",
                               "convention": report.first_violation().convention,
                               "report": report.to_json()}, exact=verb != "verify")

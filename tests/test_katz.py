@@ -15,8 +15,8 @@ from midconv import (ConventionReport, Convoluter, EigDivisor, GroupElement, Gro
                      dimension_report, kappa, run_algorithm)
 from midconv.docio import render
 from midconv.errors import (ConventionViolation, MaxStepsExceeded, ModeMismatch,
-                            SizeMismatch)
-from midconv.katz import NoneffectiveReport, _Rows, kappa_values, max_mult_convoluter
+                            NoneffectiveTransform, SizeMismatch)
+from midconv.katz import NoneffectiveReport, _read, _Rows, max_mult_convoluter, row_values
 
 MULT = GroupMode.MULTIPLICATIVE
 ADD = GroupMode.ADDITIVE
@@ -412,6 +412,29 @@ class TestRunAlgorithm:
             assert all(x > y for x, y in zip(ranks, ranks[1:]))
             assert len(trace.steps) <= vec.rank
 
+    def test_a_run_aims_a_twist_only_where_it_steps(self, monkeypatch):
+        """A run that ends at PositiveDefect or AllDiagonal stops on its last
+        vector's own defect or classes, so it builds one twist per step."""
+        calls, twist = [], _Rows.twist
+
+        def spy(self, *args, **kwargs):
+            calls.append(args)
+            return twist(self, *args, **kwargs)
+
+        monkeypatch.setattr(_Rows, "twist", spy)
+        rng, seen = np.random.default_rng(41), set()
+        for trial in range(60):
+            mode = (MULT, ADD)[trial % 2]
+            vec = random_vector(rng, mode, int(rng.integers(2, 7)), int(rng.integers(3, 6)),
+                                f"tw{trial}")
+            calls.clear()
+            trace = run_algorithm(vec, v_policy=("same", "fresh")[trial // 2 % 2])
+            if trace.status in (TerminalStatus.POSITIVE_DEFECT, TerminalStatus.ALL_DIAGONAL):
+                assert len(calls) == len(trace.steps), (trace.status, len(trace.steps))
+                seen.add((trace.status, bool(trace.steps)))
+        assert (TerminalStatus.POSITIVE_DEFECT, True) in seen, seen
+        assert (TerminalStatus.ALL_DIAGONAL, True) in seen, seen
+
     def test_circle_mode_rejected(self):
         circ = [EigDivisor.of(GroupElement.circle(F(i, 7))) for i in range(1, 4)]
         with pytest.raises(ModeMismatch):
@@ -587,7 +610,7 @@ class TestRowsModel:
         ordered = rows.ordered(g.items())
         assert list(ordered.items()) == [(model_row(e, den), m) for e, m in divisor.entries]
         top = model_row(divisor.max_multiplicity()[0], den)
-        assert rows.top(g) == top and rows.top(ordered, in_order=True) == top
+        assert rows.top(ordered) == top
 
     @pytest.mark.parametrize("mode", [MULT, ADD])
     @pytest.mark.parametrize("v_policy", ["same", "fresh"])
@@ -686,13 +709,15 @@ class TestLibraryOnRows:
     @staticmethod
     def library(beta, vec, assignment):
         """Each exact library answer for the pair, a ConventionViolation as
-        (convention, report), with ``GroupElement.combine`` and
-        ``ScalarExpr.__add__`` raising."""
+        (convention, report) and a NoneffectiveTransform as its report, with
+        ``GroupElement.combine`` and ``ScalarExpr.__add__`` raising."""
         def outcome(fn, *args, **kwargs):
             try:
                 return fn(*args, **kwargs)
             except ConventionViolation as exc:
                 return exc.convention, exc.report
+            except NoneffectiveTransform as exc:
+                return exc.report
 
         additive = vec.mode is ADD
         with pytest.MonkeyPatch.context() as patch:
@@ -705,12 +730,13 @@ class TestLibraryOnRows:
                 "conventions": check_conventions(beta, vec, de_rham=additive),
                 "defect": defect(vec, beta),
                 "empty": detect_empty(beta, vec),
-                "values": None if additive else outcome(kappa_values, beta, vec, assignment),
+                "values": None if additive else outcome(
+                    lambda: row_values(*_read(beta, vec), assignment)),
             }
 
     @staticmethod
     def same_values(values, out, assignment):
-        """``kappa_values``' (value, multiplicity) lists against the output
+        """``row_values``' (value, multiplicity) lists against the output
         vector valued at the assignment, point by point, within 1e-9."""
         assert len(values) == out.n
         for got, g in zip(values, out):

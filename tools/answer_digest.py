@@ -44,7 +44,7 @@ its own.  An answer that exits nonzero or raises counts as failed.
 The last line, ``small-docs library``, digests the library's exact
 transform rather than the CLI's: ``katz.defect`` (with and without the twist), ``katz.kappa``
 (checked, and with ``check=False``) and ``katz.detect_empty`` on the decoded
-vector and twist (``ProblemDocument.vector`` and ``convoluter_or_default``)
+vector and twist (``ProblemDocument.vector`` and ``rows.convoluter(h, v)``)
 of every seed-1 small-docs ``transform`` and ``defect`` document, and of
 each transform's partner document built from that ``kappa`` output; in
 additive mode also ``kappa`` and ``check_conventions`` in the de Rham
@@ -169,7 +169,8 @@ def library_line() -> str:
 
     def digest(doc: dict):
         parsed = parse_document(doc)
-        answers, output = library_answers(parsed.convoluter_or_default(), parsed.vector)
+        rows, _, h, v = parsed.row_form
+        answers, output = library_answers(rows.convoluter(h, v), parsed.vector)
         digests.append(sha256([json.dumps(a, sort_keys=True) for a in answers]))
         return output
 
