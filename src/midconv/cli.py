@@ -2,7 +2,9 @@
 
 Verbs: defect, transform, run, classify, verify, higgs.  Documents are
 UTF-8 JSON on --input/--output (default stdin/stdout); an input that is
-a JSON *list* of documents is processed as a batch.
+a JSON *list* of documents is processed as a batch.  --seed, --tol and
+--max-steps (not for verify) replace the document's values; --beta-v is
+``docio.parse_document``'s ``beta_v``.
 
 Exit codes: 0 success / constructed; 2 principled negative result (the
 mathematics says no: empty, unconstructible, convention failure);
@@ -12,24 +14,20 @@ mathematics says no: empty, unconstructible, convention failure);
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import sys
 
 from . import higgs as higgs_mod
 from . import katz, moduli
-from .docio import (MAX_HIGGS_WEIGHTS, ProblemDocument, check_raw_dim, check_run_terms,
-                    parse_document, parse_generate, parse_json, parse_tol, render)
+from .docio import (MAX_HIGGS_WEIGHTS, ProblemDocument, check_run_terms, parse_document,
+                    parse_generate, parse_json, parse_tol, render)
 from .errors import (ConventionViolation, ConventionViolationNumeric, DigitLimitExceeded,
                      DocumentError, MaxStepsExceeded, MidconvError, ModeMismatch,
-                     NoneffectiveTransform, shown)
+                     NoneffectiveTransform)
 from .katz import TerminalStatus
-from .scalars import GroupMode, _evaluate
+from .scalars import GroupMode
 
 OK, NEGATIVE, BAD_INPUT = 0, 2, 1
-# a symbolic verify realizes a value exp(2 pi i w) only for |Im w| <= MAX_IMAG, a
-# modulus in about [1/1000, 1000]: at 1e4 verify already misses its 1e-8 deviation bound
-MAX_IMAG = 1.1
 
 
 def cmd_defect(doc: ProblemDocument) -> tuple[dict, int]:
@@ -66,7 +64,8 @@ def cmd_transform(doc: ProblemDocument) -> tuple[dict, int]:
 def cmd_run(doc: ProblemDocument) -> tuple[dict, int]:
     check_run_terms(doc)
     try:
-        trace = katz.run_algorithm(doc.read[:2], doc.max_steps, doc.v_policy)
+        trace = katz.run_algorithm((doc.rows, doc.classes), doc.max_steps,
+                                   "fresh" if doc.v == "fresh" else "same")
     except MaxStepsExceeded as exc:  # only a given max_steps can run out
         raise DocumentError(str(exc), "$.max_steps") from None
     out = {"kind": "run", **trace.to_json()}
@@ -87,7 +86,8 @@ def cmd_classify(doc: ProblemDocument) -> tuple[dict, int]:
     return out, OK
 
 
-def cmd_verify(doc: dict, v_policy: str) -> tuple[dict, int]:
+def cmd_verify(doc: dict, beta_v: str | None) -> tuple[dict, int]:
+    """Dispatch on the document's kind; ``homology`` checks what it realizes."""
     from . import homology  # numpy loads for this verb only
 
     if "matrices" in doc:
@@ -96,34 +96,14 @@ def cmd_verify(doc: dict, v_policy: str) -> tuple[dict, int]:
         problem = homology.generate_instance(**parse_generate(doc),
                                              tol=parse_tol(doc, homology.DEFAULT_TOL))
     else:
-        parsed = parse_document(doc, v_policy)
+        parsed = parse_document(doc, beta_v)
         if not parsed.assignment:
-            raise DocumentError(
-                "verify needs 'matrices', 'generate', or classes plus an "
-                "'assignment'", "$")
-        if parsed.mode is not GroupMode.MULTIPLICATIVE:
+            raise DocumentError("verify needs 'matrices', 'generate', or classes plus an "
+                                "'assignment'", "$")
+        if parsed.rows.mode is not GroupMode.MULTIPLICATIVE:
             raise DocumentError("symbolic verify needs multiplicative mode", "$.mode")
-        rows, classes, h, v = model = parsed.row_form
-        check_raw_dim(len(classes), sum(classes[0].values()), "$.classes")
-        elems = [*h, *v, *(a for g in classes for a in g)]
-        missing = {x for _, terms in elems for x, _ in terms} - parsed.assignment.keys()
-        if missing:
-            raise DocumentError(f"no value assigned to {shown(sorted(missing))}",
-                                "$.assignment")
-        for c, terms in (*elems, rows.t(h)):
-            try:
-                w = _evaluate(rows.den, c, terms, parsed.assignment)
-            except OverflowError:  # a coefficient past the float range
-                w = complex("nan")
-            if not (cmath.isfinite(w) and abs(w.imag) <= MAX_IMAG):
-                raise DocumentError(f"a value exp(2 pi i w) in {shown(tuple(x for x, _ in terms))} "
-                                    f"needs a finite w with |Im w| <= {MAX_IMAG}", "$.assignment")
-        tol = parse_tol(doc, homology.DEFAULT_TOL)
-        try:
-            problem = homology.symbolic_instance(model, parsed.assignment, parsed.seed, tol)
-        except ValueError:  # moduli off 1 compound over the points
-            raise DocumentError("the realized matrices miss their defining relations",
-                                "$.assignment") from None
+        problem = homology.symbolic_instance(parsed.row_form, parsed.assignment, parsed.seed,
+                                             parse_tol(doc, homology.DEFAULT_TOL))
     try:
         report = homology.verify_instance(problem)
     except ConventionViolationNumeric as exc:
@@ -170,21 +150,13 @@ _SYMBOLIC_VERBS = {
 def _process_one(verb: str, doc: dict, args) -> tuple[dict, int]:
     if not isinstance(doc, dict):
         raise DocumentError("a document must be a JSON object", "$")
-    if args.seed is not None:
-        doc = {**doc, "seed": args.seed}
-    if args.tol is not None:
-        doc = {**doc, "tol": args.tol}
-    if args.max_steps is not None and verb != "verify":
-        doc = {**doc, "max_steps": args.max_steps}
-    conv = doc.get("convoluter")
-    if args.beta_v and isinstance(conv, dict) and conv:
-        v = {"same": "same-as-h", "fresh": "fresh"}[args.beta_v]
-        doc = {**doc, "convoluter": {**conv, "v": v}}
-    v_policy = "fresh" if args.beta_v == "fresh" and conv is None else "same"
+    flags = {"seed": args.seed, "tol": args.tol,
+             "max_steps": None if verb == "verify" else args.max_steps}
+    doc = {**doc, **{key: x for key, x in flags.items() if x is not None}}
     try:
         if verb == "verify":
-            return cmd_verify(doc, v_policy)
-        return _SYMBOLIC_VERBS[verb](parse_document(doc, v_policy))
+            return cmd_verify(doc, args.beta_v)
+        return _SYMBOLIC_VERBS[verb](parse_document(doc, args.beta_v))
     except ModeMismatch as exc:  # the verb does not run in the document's mode
         raise DocumentError(str(exc), "$.mode") from None
     # the transform, of `transform` and of verify's prediction, raises why it has no answer

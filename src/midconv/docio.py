@@ -5,8 +5,8 @@ as "p/q" strings (never floats); complex numbers appear only in numeric
 instance documents, as [re, im] pairs.
 
 A symbolic document is validated once into the exact parts of its values
-(``scalars._parts``) and read once into sparse integer rows, each class in
-``EigDivisor`` entry order (``ProblemDocument.read``).  Every verb answers
+(``scalars._parts``) and read once, with its twist and ``--beta-v``, into
+the sparse integer rows that ``ProblemDocument`` holds.  Every verb answers
 from that read: ``transform``, ``defect``, ``run`` and symbolic ``verify``
 on the rows, and ``classify`` and ``higgs`` on the vector decoded from
 them; a given twist is checked on the rows too, and its failure worded here.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Any, Optional
 
@@ -31,48 +31,31 @@ __all__ = ["ProblemDocument", "parse_document", "render", "parse_json"]
 
 @dataclass
 class ProblemDocument:
-    """A parsed problem: the monodromy vector plus optional twisting
-    data, numeric assignment and seed.
+    """A parsed problem as ``parse_document`` read it: ``rows`` and ``classes``
+    (``katz._Rows.read``, classes in ``EigDivisor`` entry order), the
+    convoluter's ``h`` in rows (None for the default one), ``v`` in rows or
+    the policy "same" (v = h) or "fresh", assignment, seed and max_steps.
+    ``row_form`` (the twist in rows) and ``vector`` come from the read."""
 
-    ``points`` holds each point's (value, multiplicity) pairs, a value as
-    ``scalars._parts``' (c, e, terms); ``h`` is None for the default
-    convoluter (v by ``v_policy``), and ``v`` a list, "same-as-h" or
-    "fresh".  ``parse_document`` reads the parts into rows once
-    (``read``); the twist ``row_form`` and the object ``vector`` come from
-    that read, and ``rows.convoluter(*row_form[2:])`` decodes the twist."""
-
-    mode: GroupMode
-    points: list
-    h: Optional[list] = None
-    v: Any = "same-as-h"
-    v_policy: str = "same"
-    assignment: dict = field(default_factory=dict)
-    seed: int = 0
-    max_steps: Optional[int] = None
-
-    @cached_property
-    def read(self) -> tuple:
-        """(rows, classes, h, v): ``katz._Rows.read`` of the classes, in
-        ``EigDivisor`` entry order, with h
-        and a given v read as rows over the same denominator (h None with
-        no convoluter, v the policy string unless given)."""
-        v = self.v if isinstance(self.v, list) else []
-        rows, classes = _Rows.read(self.mode, self.points, [*(self.h or ()), *v])
-        h = None if self.h is None else [*map(rows.row, self.h)]
-        return rows, classes, h, [*map(rows.row, v)] if v else self.v
+    rows: _Rows
+    classes: list
+    h: Optional[list]
+    v: Any
+    assignment: dict
+    seed: int
+    max_steps: Optional[int]
 
     @cached_property
     def row_form(self) -> tuple:
         """(rows, classes, h, v): the read with the twist in rows, the
         document's convoluter or the default one."""
-        rows, classes, h, v = self.read
-        if isinstance(v, list):
-            return rows, classes, h, v
-        return rows, classes, *rows.twist(classes, self.v_policy, h)
+        if isinstance(self.v, list):
+            return self.rows, self.classes, self.h, self.v
+        return self.rows, self.classes, *self.rows.twist(self.classes, self.v, self.h)
 
     @cached_property
     def vector(self) -> MonodromyVector:
-        return self.read[0].vector(self.read[1])
+        return self.rows.vector(self.classes)
 
 
 def _fail(message: str, path: str):
@@ -154,16 +137,16 @@ MAX_RUN_TERMS = 8_000_000
 
 def check_run_terms(doc: ProblemDocument) -> None:
     """DocumentError at ``$.classes`` when a run of ``doc`` may write more
-    than ``MAX_RUN_TERMS`` terms.  Bound, on the document's read before the
+    than ``MAX_RUN_TERMS`` terms.  Bound, on the document's classes before the
     loop: s steps, so s + 1 vectors of at most points * rank entries, each
     value holding a constant, the classes' generators and, under fresh v,
     points - 1 new ones per step; s is 0 when the run stops at once (scalar
     classes, or d >= 0), else min(rank, max_steps)."""
-    classes = doc.read[1]
+    classes = doc.classes
     n, r = len(classes), sum(classes[0].values())
     steps = 0 if row_defect(classes) >= 0 or all(len(g) == 1 for g in classes) else (
         r if doc.max_steps is None else min(r, doc.max_steps))
-    per_value = 1 + len(_generators(classes)) + ((n - 1) * steps if doc.v_policy == "fresh" else 0)
+    per_value = 1 + len(_generators(classes)) + ((n - 1) * steps if doc.v == "fresh" else 0)
     if (steps + 1) * n * r * per_value > MAX_RUN_TERMS:
         _fail(f"a run answer may need (steps + 1) * points * rank * terms per value = "
               f"{steps + 1} * {n} * {r} * {per_value} terms, more than {MAX_RUN_TERMS:,}",
@@ -176,9 +159,10 @@ def check_raw_dim(points: int, rank: int, path: str) -> None:
         _fail(f"(points - 1) * rank must be at most {MAX_RAW_DIM} for a numeric verify", path)
 
 
-def parse_document(doc: dict, v_policy: str = "same") -> ProblemDocument:
-    """Validate a JSON object into a ProblemDocument; ``v_policy`` ("same"
-    or "fresh") is the default convoluter's v.
+def parse_document(doc: dict, beta_v: str | None = None) -> ProblemDocument:
+    """Validate a JSON object into a ProblemDocument.  ``beta_v`` ("same",
+    "fresh" or None), the ``--beta-v`` flag, is the default convoluter's v
+    (None for "same") and replaces a given convoluter's v before it is read.
 
     Errors are DocumentError with a JSON-path-style position annotation.
     """
@@ -215,7 +199,7 @@ def parse_document(doc: dict, v_policy: str = "same") -> ProblemDocument:
     except ValueError as exc:
         _fail(f"invalid monodromy vector: {exc}", "$.classes")
 
-    h, v = None, "same-as-h"
+    h, v = None, beta_v or "same"
     conv_doc = doc.get("convoluter")
     if conv_doc is not None:
         if not isinstance(conv_doc, dict) or "h" not in conv_doc:
@@ -224,35 +208,36 @@ def parse_document(doc: dict, v_policy: str = "same") -> ProblemDocument:
         if not isinstance(h, list) or len(h) != len(classes):
             _fail("'h' needs one scalar expression per class", "$.convoluter.h")
         h = [_parts(e, f"$.convoluter.h[{i}]", mode) for i, e in enumerate(h)]
-        v = conv_doc.get("v", "same-as-h")
+        v = conv_doc.get("v", "same-as-h") if beta_v is None else beta_v
         if isinstance(v, list):
             v = [_parts(e, f"$.convoluter.v[{i}]", mode) for i, e in enumerate(v)]
-        elif v not in ("same-as-h", "fresh"):
+        elif beta_v is None and v not in ("same-as-h", "fresh"):
             _fail("'v' must be a list, 'same-as-h' or 'fresh'", "$.convoluter.v")
-        v_policy = "fresh" if v == "fresh" else "same"
+        v = "same" if v == "same-as-h" else v
 
-    parsed = ProblemDocument(mode, points, h, v, v_policy)
-    rows, _, h, v = parsed.read  # the one read of the parts that every verb answers from
+    # the one read of the parts that every verb answers from
+    rows, read = _Rows.read(mode, points, [*(h or ()), *(v if isinstance(v, list) else ())])
+    h = h and [*map(rows.row, h)]
+    v = [*map(rows.row, v)] if isinstance(v, list) else v
     # a given v needs one component per point and t * prod(v) = 1; fresh v needs
     # generators, which circle mode has not
     if isinstance(v, list) and len(v) != len(h):
         _fail(f"invalid convoluter: h has {len(h)} components but v has {len(v)}", "$.convoluter")
     if isinstance(v, list) and reduce(rows.plus, [*v, *map(rows.plus, h)]) != (0, ()):
         _fail("invalid convoluter: v violates the product relation t * prod(v) = 1", "$.convoluter")
-    if v == "fresh" and mode is GroupMode.CIRCLE:
+    if h is not None and v == "fresh" and mode is GroupMode.CIRCLE:
         _fail("invalid convoluter: fresh generators need multiplicative or additive mode",
               "$.convoluter")
 
     assignment = doc.get("assignment") or {}
     if not isinstance(assignment, dict):
         _fail("'assignment' must be an object", "$.assignment")
-    parsed.assignment = {name: complex(x) if _finite(x)
-                         else complex_array(x, f"$.assignment.{path_key(name)}")
-                         for name, x in assignment.items()}
-    parsed.seed = integer(doc.get("seed", 0), "$.seed", 0)
-    if "max_steps" in doc:
-        parsed.max_steps = integer(doc["max_steps"], "$.max_steps", 0)
-    return parsed
+    assignment = {name: complex(x) if _finite(x)
+                  else complex_array(x, f"$.assignment.{path_key(name)}")
+                  for name, x in assignment.items()}
+    max_steps = integer(doc["max_steps"], "$.max_steps", 0) if "max_steps" in doc else None
+    return ProblemDocument(rows, read, h, v, assignment, integer(doc.get("seed", 0), "$.seed", 0),
+                           max_steps)
 
 
 def parse_json(text: str) -> Any:

@@ -54,6 +54,7 @@ matrix's.  The layer needs numpy only.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -63,7 +64,7 @@ import numpy as np
 
 from .docio import check_raw_dim, complex_array, integer, parse_tol
 from .errors import (BoundaryNotSurjective, ConventionViolationNumeric, DocumentError,
-                     QuotientRankMismatch, SizeMismatch)
+                     QuotientRankMismatch, SizeMismatch, shown)
 # ``kappa`` is not called here; bench/spans.py wraps ``midconv.homology.kappa``
 from .katz import _Rows, fresh_names, kappa, row_values  # noqa: F401
 from .scalars import GroupMode, _evaluate
@@ -84,6 +85,9 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+# a symbolic verify realizes a value exp(2 pi i w) only for |Im w| <= MAX_IMAG, a
+# modulus in about [1/1000, 1000]: at 1e4 verify already misses its 1e-8 deviation bound
+MAX_IMAG = 1.1
 
 
 @dataclass
@@ -678,19 +682,40 @@ def symbolic_instance(model: tuple, assignment: dict, seed: int = 0,
                       tol: float = DEFAULT_TOL) -> VerificationProblem:
     """Numeric instance of a multiplicative model under ``assignment``.
 
-    ``model`` is ``VerificationProblem.model``'s (rows, classes, h, v), as
-    ``cli`` reads it from a document's ``ProblemDocument.row_form``; each
-    row is valued by ``scalars._evaluate``.  The first n-1 classes are
-    realized as in ``generate_instance`` and the last matrix closes the
-    product; the model's own last class then enters the prediction, so a
-    last class that the matrices do not carry fails the comparison.
+    ``model`` is (rows, classes, h, v), a ``ProblemDocument.row_form``.  Each
+    row is valued once, exp(2 pi i w) of ``scalars._evaluate``'s w, and
+    checked: DocumentError at ``$.assignment`` for a missing generator, a w
+    not finite or with |Im w| > ``MAX_IMAG``, or matrices that miss their
+    relations.  The first n-1 classes are realized as in ``generate_instance``
+    and the last matrix closes the product; the model's own last class then
+    enters the prediction, which fails if the matrices do not carry it.
     """
     rows, classes, h, v = model
-    value = lambda x: _evaluate(rows.den, *x, assignment, rows.mode)
+    check_raw_dim(len(classes), sum(classes[0].values()), "$.classes")
+    elems = [*h, *v, *(a for g in classes for a in g), rows.t(h)]
+    missing = {x for _, terms in elems for x, _ in terms} - assignment.keys()
+    if missing:
+        raise DocumentError(f"no value assigned to {shown(sorted(missing))}", "$.assignment")
+
+    def valued(c: int, terms: tuple) -> complex:
+        try:
+            w = _evaluate(rows.den, c, terms, assignment)
+        except OverflowError:  # a coefficient past the float range
+            w = complex("nan")
+        if not (cmath.isfinite(w) and abs(w.imag) <= MAX_IMAG):
+            raise DocumentError(f"a value exp(2 pi i w) in {shown(tuple(x for x, _ in terms))} "
+                                f"needs a finite w with |Im w| <= {MAX_IMAG}", "$.assignment")
+        return cmath.exp(2j * cmath.pi * w)
+
+    value = {row: valued(*row) for row in dict.fromkeys(elems)}.__getitem__
     diagonals = [[z for a, m in g.items() for z in [value(a)] * m] for g in classes[:-1]]
-    matrices, eigs = _realize(diagonals, sum(classes[0].values()), np.random.default_rng(seed))
-    inst = NumericInstance(M=matrices, b=[*map(value, h)], w=[*map(value, v)],
-                           chi=value(rows.t(h)), tol=tol, eigs=eigs)
+    try:
+        matrices, eigs = _realize(diagonals, sum(classes[0].values()), np.random.default_rng(seed))
+        inst = NumericInstance(M=matrices, b=[*map(value, h)], w=[*map(value, v)],
+                               chi=value(rows.t(h)), tol=tol, eigs=eigs)
+    except ValueError:  # moduli off 1 compound over the points
+        raise DocumentError("the realized matrices miss their defining relations",
+                            "$.assignment") from None
     return VerificationProblem(inst, model, assignment)
 
 
@@ -734,7 +759,8 @@ def verify_instance(problem: VerificationProblem | NumericInstance,
     does, when the transform has no such spectra); with a bare instance it
     comes from the instance's own eigenvalue data, listed with repetition.
     A middle quotient whose dimension differs from the prediction is not ok
-    and has no deviations to report.
+    and has no deviations to report.  ``det_product_error``, |prod - 1| over the
+    measured eigenvalues, comes from their logarithms if the product overflows.
     """
     if isinstance(problem, NumericInstance):
         inst = problem
@@ -746,15 +772,18 @@ def verify_instance(problem: VerificationProblem | NumericInstance,
         expected_middle = sum(m for _, m in predicted[0])
     middle = middle_convolution_rep(inst)
     n, r = inst.n, inst.r
-    deviations = []
-    det_prod = 1.0 + 0j
+    deviations, det_prod, log_det = [], 1.0 + 0j, 0j
     for k in range(n):
         measured = middle.spectrum(k)
-        det_prod *= np.prod(measured)
+        with np.errstate(all="ignore"):  # an overflow is read from the logarithms below
+            det_prod *= np.prod(measured)
+            log_det += np.log(measured).sum()
         if middle.dim == expected_middle:
             deviations.append(match_multisets(predicted[k], measured))
     max_dev = max(deviations) if deviations else None
-    det_err = abs(det_prod - 1)
+    # a product that left the float range is read from the logarithms (e^709 ~ the largest float)
+    det_err = (abs(det_prod - 1) if 0 < abs(det_prod) < math.inf
+               else abs(cmath.exp(complex(min(709, log_det.real), log_det.imag)) - 1))
     ok = (middle.raw.dim == (n - 1) * r
           and middle.dim == expected_middle
           and max_dev <= deviation_tol)

@@ -148,6 +148,13 @@ def check_fresh(mode: GroupMode) -> None:
         raise ModeMismatch("fresh generators need multiplicative or additive mode")
 
 
+def _is_fresh(v_policy: str) -> bool:
+    """Whether the v policy is "fresh" rather than "same"; ValueError for any other."""
+    if v_policy not in ("same", "fresh"):
+        raise ValueError(f"unknown v policy {v_policy!r}")
+    return v_policy == "fresh"
+
+
 @dataclass(frozen=True)
 class ConventionReport:
     """Outcome of the exact convention checks for a pair (beta, vector).
@@ -510,10 +517,8 @@ class _Rows:
         classes and h, and s_n closing prod(s) = 1."""
         if h is None:
             h = [self.plus(self.top(g)) for g in classes]
-        if v_policy == "same":
+        if not _is_fresh(v_policy):
             return h, h
-        if v_policy != "fresh":
-            raise ValueError(f"unknown v policy {v_policy!r}")
         check_fresh(self.mode)
         den, plus = self.den, self.plus
         names = fresh_names(len(classes) - 1, _generators([*classes, dict.fromkeys(h)]), stem)
@@ -656,10 +661,11 @@ def run_algorithm(vector, max_steps: int | None = None,
     (beta, input) fails the conventions, and at EmptyNoneffective with a
     certificate; else step.  Every recorded step has d < 0, so at most
     ``rank`` steps can happen.  ``vector`` is a MonodromyVector or the
-    (rows, classes) of a document's ``ProblemDocument.read``; each step is
+    (rows, classes) of a document's ``ProblemDocument``; each step is
     ``row_step``, with no ``ScalarExpr`` arithmetic.
     """
     rows, current = _Rows.of(vector) if isinstance(vector, MonodromyVector) else vector
+    _is_fresh(v_policy)  # a misspelt policy raises before the first step, not where it aims
     if rows.mode is GroupMode.CIRCLE:
         raise ModeMismatch("the reduction loop runs in multiplicative or additive mode")
     max_steps = sum(current[0].values()) if max_steps is None else max_steps

@@ -257,6 +257,18 @@ class TestVerify:
         assert json.loads(out) == {"kind": "verify", "status": "ConventionFailure",
                                    "detail": "chi is numerically 1"}
 
+    @pytest.mark.parametrize("build", [lambda: scaled_w_document(),
+                                       lambda: wide_symbolic_document(60)],
+                             ids=["scaled-w", "symbolic-rank-60"])
+    def test_an_overflowing_product_answers_finite_numbers(self, build):
+        """The determinant check reads an overflowed product from logarithms:
+        the answer is strict JSON with a small ``det_product_error``, and no
+        warning is raised (pyproject.toml makes a RuntimeWarning an error)."""
+        code, out, err = call_main("verify", build())
+        report = strict_json(out)["report"]
+        assert (code, err) == (2, "") and not report["ok"]
+        assert report["det_product_error"] < 1e-10, report
+
     def test_numeric_non_semisimple_fixed_eigenvalue(self):
         # b_0 M_0 = [[1, 1], [0, 1]]: eigenvalue 1 twice, one eigenvector
         M0 = np.array([[1, 1], [0, 1]], dtype=complex)
@@ -270,6 +282,40 @@ class TestVerify:
         code, out, err = call_main("verify", doc)
         assert code == 1 and out == ""
         assert err.startswith("input error: $.matrices[0]: ") and "not semisimple" in err
+
+
+def strict_json(text):
+    """``json.loads`` that refuses NaN and the infinities, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def scaled_w_document():
+    """Rank 2 on 3 points, M_0 = diag(e(.1), e(.2)), M_1 = diag(e(.33), e(.45)),
+    b = e(.17, .29, .41) with e(x) = exp(2 pi i x), and w scaled by 1e200,
+    1e-300 and 1e100: every relation holds, but the product of the measured
+    eigenvalues leaves the float range on the way."""
+    e = lambda x: np.exp(2j * np.pi * np.asarray(x))
+    M0, M1, b = np.diag(e([.1, .2])), np.diag(e([.33, .45])), e([.17, .29, .41])
+    doc = matrices_document([M0, M1, np.linalg.inv(M0 @ M1)], b, 1 / np.prod(b))
+    doc["w"] = [[float(z.real), float(z.imag)] for z in b * [1e200, 1e-300, 1e100]]
+    return doc
+
+
+def wide_symbolic_document(r):
+    """Rank ``r`` on 3 points, one generator per eigenvalue, with h values
+    off the circle inside the range (|Im w| <= 1): at r = 60 the product of a
+    point's measured eigenvalues passes 1e308.  The first class is not
+    scalar, so the last matrix does not carry the last class given, and
+    the answer is ok: false."""
+    classes = [[entry({f"{g}{i}": "1"}) for i in range(r)] for g in "ab"]
+    classes.append([entry({f"a{i}": "-1", f"b{i}": "-1"}) for i in range(r)])
+    rng = np.random.default_rng(1)
+    assignment = {f"{g}{i}": float(rng.uniform(0.02, 0.98)) for g in "ab" for i in range(r)}
+    return {"mode": "multiplicative", "classes": classes,
+            "assignment": {**assignment, "x": [0.17, 1.0], "y": [0.3, -0.5], "z": 0.23},
+            "convoluter": {"h": [expr({"x": "1"}), expr({"y": "1"}), expr({"z": "1"})]}}
 
 
 def symbolic_verify_document(last_class=None, mode="multiplicative", h3=None):
@@ -520,10 +566,10 @@ def object_answer(verb, doc, *flags):
     ``reference_kappa`` on the decoded ``ProblemDocument.vector``, with the
     document's convoluter or the default one from ``reference_convoluter``:
     (exit code, rendered answer)."""
-    fresh = "--beta-v" in flags and flags[flags.index("--beta-v") + 1] == "fresh"
-    parsed = parse_document(doc, "fresh" if fresh and "convoluter" not in doc else "same")
+    beta_v = flags[flags.index("--beta-v") + 1] if "--beta-v" in flags else None
+    parsed = parse_document(doc, beta_v)
     vector = parsed.vector
-    beta = (reference_convoluter(vector, parsed.v_policy) if parsed.h is None
+    beta = (reference_convoluter(vector, parsed.v) if parsed.h is None
             else parsed.row_form[0].convoluter(*parsed.row_form[2:]))
     d, result = reference_kappa(beta, vector)
     if verb == "defect":
@@ -689,6 +735,22 @@ class TestDeterminismAndBatch:
         assert (code, out) == (1, "")
         assert alone.startswith("input error: $.classes[0][0].value.const: ")
         assert err == alone.replace("$.", "$[1].", 1)
+
+    def test_batch_entry_that_is_no_object(self):
+        code, out, err = call_main("transform", [referee_document(), 3])
+        assert (code, out, err) == (1, "", "input error: $[1]: a document must be a JSON object\n")
+
+    @pytest.mark.parametrize("verb, flags, where", [
+        ("run", ("--seed", "-1"), "$.seed: 'seed' must be at least 0, got -1"),
+        ("verify", ("--tol", "2"), "$.tol: 'tol' must be a number strictly between 0 and 1, "
+                                   "got 2.0"),
+    ], ids=["seed", "tol"])
+    def test_flag_overrides_are_checked_as_document_values(self, verb, flags, where):
+        doc = run_document() if verb == "run" else {"generate": {"rank": 2, "points": 3}}
+        assert call_main(verb, doc, *flags) == (1, "", f"input error: {where}\n")
+        # a valid override answers as the document that holds the value
+        key, value = flags[0][2:], {"--seed": 4, "--tol": 1e-7}[flags[0]]
+        assert call_main(verb, doc, flags[0], str(value)) == call_main(verb, {**doc, key: value})
 
     def test_document_round_trip(self):
         doc = referee_document()
@@ -1012,6 +1074,30 @@ class TestDocumentBoundary:
          "$.assignment.a: expected an [re, im] pair of finite numbers"),
         ("verify", {"matrices": [[[[1, 0], [0, 0]], [[10 ** 400, 0], [1, 0]]]] * 3},
          "$.matrices[0][1][0]: expected an [re, im] pair of finite numbers"),
+        # symbolic verify: no assignment, and a coefficient whose value passes
+        # the float range (a w that is not finite)
+        ("verify", {"classes": symbolic_verify_document()["classes"]},
+         "$: verify needs 'matrices', 'generate', or classes plus an 'assignment'\n"),
+        ("verify", {**symbolic_verify_document(), "convoluter": {
+            "h": [expr({"x": "1" + "0" * 330}), expr({"y": "1"}), expr({"z": "1"})]}},
+         "$.assignment: a value exp(2 pi i w) in ('x',) needs a finite w with |Im w| <= 1.1\n"),
+        # a convoluter h of the wrong length, an assignment that is no object
+        ("transform", {**referee_document(), "convoluter": {"h": [expr({"x": "1"})] * 2}},
+         "$.convoluter.h: 'h' needs one scalar expression per class\n"),
+        ("transform", {**referee_document(), "assignment": 3},
+         "$.assignment: 'assignment' must be an object\n"),
+        # numeric instances: matrices of two shapes, b and w one short, two
+        # matrices, and a 'points' or 'rank' that the matrices contradict
+        ("verify", matrices_document([np.eye(1), np.eye(2), np.eye(2)], TWISTS, 2),
+         "$: all matrices must be r x r\n"),
+        ("verify", matrices_document([np.eye(2)] * 3, TWISTS[:2], 2),
+         "$: need one b and one w scalar per point\n"),
+        ("verify", matrices_document([np.eye(2)] * 2, TWISTS[:2], 2),
+         "$.matrices: need at least 3 matrices\n"),
+        ("verify", matrices_document([np.eye(2)] * 3, TWISTS, 1 / np.prod(TWISTS), points=4),
+         "$.points: 'points' is 4 but the matrices give 3\n"),
+        ("verify", matrices_document([np.eye(2)] * 3, TWISTS, 1 / np.prod(TWISTS), rank=3),
+         "$.rank: 'rank' is 3 but the matrices give 2\n"),
     ])
     def test_forbidden_inputs(self, verb, patch, where):
         doc = run_document() if verb == "run" else {}

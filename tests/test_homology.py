@@ -511,6 +511,17 @@ class TestEigendata:
             NumericInstance(M=inst.M, b=inst.b, w=inst.w, chi=inst.chi, eigs=eigs)
 
 
+class TestClusterAngles:
+    def test_angles_either_side_of_zero_form_one_cluster(self):
+        assert homology._cluster_angles(np.array([1 - 1e-12, 1e-12]), 1e-9) == [(1e-12, 2)]
+
+    def test_a_single_cluster_is_left_alone(self):
+        # 10 * tol spans the whole circle, so only the guard keeps the one
+        # cluster from merging with itself across 0
+        assert homology._cluster_angles(np.array([0.25, 0.2]), 0.1) == [(0.2, 2)]
+        assert homology._cluster_angles(np.array([0.5]), 1e-9) == [(0.5, 1)]
+
+
 class TestEndToEnd:
     def test_verify_against_symbolic_prediction(self):
         for seed in range(6):

@@ -435,6 +435,23 @@ class TestRunAlgorithm:
         assert (TerminalStatus.POSITIVE_DEFECT, True) in seen, seen
         assert (TerminalStatus.ALL_DIAGONAL, True) in seen, seen
 
+    @pytest.mark.parametrize("parts, points, status", [
+        ([2, 2], 4, TerminalStatus.POSITIVE_DEFECT), ([3], 3, TerminalStatus.ALL_DIAGONAL)],
+        ids=["positive-defect", "all-diagonal"])
+    def test_unknown_v_policy_raises_before_the_first_step(self, parts, points, status):
+        """A misspelt policy raises ``_Rows.twist``'s ValueError also where the
+        run stops before it aims a twist: four classes [p_i^2, q_i^2] (d = 0)
+        and scalar classes."""
+        vec = MonodromyVector([EigDivisor(MULT, [(gen(f"p{i}_{j}"), m)
+                                                 for j, m in enumerate(parts)])
+                               for i in range(points)])
+        assert run_algorithm(vec).status is status
+        rows, classes = _Rows.of(vec)
+        for call in (lambda: run_algorithm(vec, v_policy="bogus"),
+                     lambda: rows.twist(classes, "bogus")):
+            with pytest.raises(ValueError, match="^unknown v policy 'bogus'$"):
+                call()
+
     def test_circle_mode_rejected(self):
         circ = [EigDivisor.of(GroupElement.circle(F(i, 7))) for i in range(1, 4)]
         with pytest.raises(ModeMismatch):

@@ -13,7 +13,10 @@ the number of failed documents, the output bytes and a sha256 over the
 per-document digests (exit code plus stdout).  A refactor that keeps the
 behavioural contract prints the same lines before and after.  Each
 answer a checker rejects adds a ``FAIL`` line, and the exit status is
-then 1.
+then 1.  So does each answer that is not strict JSON: every single
+answer, the tall ones below included, is parsed with a ``parse_constant``
+that raises, so a ``NaN``, ``Infinity`` or ``-Infinity`` (which
+``json.dumps`` writes for a float that is not finite) fails the digest.
 
 For verify-numeric a second line per seed digests only the structural
 answer fields (exit code, ``ok``, ``status``, the raw and middle
@@ -39,7 +42,8 @@ A line ``small-docs tall`` digests the same way the answers to
 documents far taller than the corpus's: ``transform``, ``defect`` and
 ``transform --beta-v fresh`` on 3 points of rank 100 (additive) and rank
 3,000 (both modes), every eigenvalue of multiplicity 1 and a generator of
-its own.  An answer that exits nonzero or raises counts as failed.
+its own.  An answer that exits nonzero, raises or is not strict JSON
+counts as failed.
 
 The last line, ``small-docs library``, digests the library's exact
 transform rather than the CLI's: ``katz.defect`` (with and without the twist), ``katz.kappa``
@@ -85,6 +89,22 @@ MAX_DEVIATION = 1e-12
 MAX_DET_ERROR = 1e-10
 TALL = ((100, "additive"), (3000, "multiplicative"), (3000, "additive"))
 TALL_ARGV = (["transform"], ["defect"], ["transform", "--beta-v", "fresh"])
+
+
+def nonjson_problems(answers) -> list[str]:
+    """A problem for each (exit code, stdout) answer that is not strict JSON:
+    each is parsed with a ``parse_constant`` that refuses NaN, Infinity and
+    -Infinity."""
+    def refuse(name: str):
+        raise ValueError(f"{name} is not JSON")
+
+    problems = []
+    for i, (_, out) in enumerate(answers):
+        try:
+            json.loads(out or "null", parse_constant=refuse)
+        except ValueError as exc:
+            problems.append(f"answer {i} is not strict JSON: {exc}")
+    return problems
 
 
 def sha256(lines) -> str:
@@ -135,7 +155,7 @@ def tall_line(call) -> tuple[str, int]:
              for i in range(rank)] for k in range(3)]})
         for argv in TALL_ARGV:
             code, out, _, exc = call(cli, argv, text)
-            failed += code != 0 or exc is not None
+            failed += code != 0 or exc is not None or bool(nonjson_problems([(code, out)]))
             out_bytes += len(out.encode("utf-8"))
             digests.append(hashlib.sha256(f"{code}\n{out}".encode()).hexdigest())
     return (f"small-docs tall: docs {len(digests)} failed {failed} out_bytes {out_bytes} "
@@ -201,6 +221,7 @@ def main() -> int:
             runner = bench_run.Runner(cli, docs)
             answers.clear()
             runner.run_pass()
+            nonjson = nonjson_problems(answers)
             print(f"{workload} seed {seed}: docs {len(docs)} failed {runner.failed} "
                   f"out_bytes {runner.out_bytes} sha256 {sha256(runner.digests)}")
             worst = det_err = 0.0
@@ -208,13 +229,13 @@ def main() -> int:
                 line, worst, det_err = structure_line(answers)
                 print(f"{workload} seed {seed}: {line}")
             batch = batch_problems(call, docs, answers) if workload != "verify-numeric" else []
-            for problem in runner.problems + batch:
+            for problem in runner.problems + nonjson + batch:
                 print(f"  FAIL {problem}")
             if worst > MAX_DEVIATION:
                 print(f"  FAIL max_deviation {worst:.3e} > {MAX_DEVIATION:.0e}")
             if det_err > MAX_DET_ERROR:
                 print(f"  FAIL det_product_error {det_err:.3e} > {MAX_DET_ERROR:.0e}")
-            failed = (failed or runner.failed > 0 or batch or worst > MAX_DEVIATION
+            failed = (failed or runner.failed > 0 or nonjson or batch or worst > MAX_DEVIATION
                       or det_err > MAX_DET_ERROR)
     line, tall_failed = tall_line(call)
     print(line)
