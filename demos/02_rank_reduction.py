@@ -43,7 +43,7 @@ quad = MonodromyVector([
                       (GroupElement.generator(f"q{i}", MULT), 1)])
     for i in range(4)])
 trace = run_algorithm(quad)
-rep = dimension_report(quad)
+rep = dimension_report(quad.pmv())
 print("status:", trace.status.value, "| defect:", rep.defect,
       "| moduli dimension:", rep.naive_dim)
 

@@ -6,17 +6,7 @@ as 2 + rank * defect + superdefect.  In the nonnegative-defect range the
 dimension-2 locus is a short, fully classifiable list.
 """
 
-from midconv import EigDivisor, GroupElement, GroupMode, MonodromyVector, \
-    classify_dim2, dim2_census, dimension_report
-
-MULT = GroupMode.MULTIPLICATIVE
-
-
-def vector_with_pmv(pmv):
-    return MonodromyVector([
-        EigDivisor(MULT, [(GroupElement.generator(f"v{i}_{j}", MULT), m)
-                          for j, m in enumerate(part)])
-        for i, part in enumerate(pmv)])
+from midconv import classify_dim2, dim2_census, dimension_report
 
 
 print("=== dimension reports ===")
@@ -24,14 +14,14 @@ for pmv in [[(1, 1)] * 4,
             [(2, 2), (1, 1, 1, 1), (1, 1, 1, 1)],
             [(3, 2, 1), (2, 2, 2), (4, 2)],
             [(1,) * 5] * 3]:
-    rep = dimension_report(vector_with_pmv(pmv))
+    rep = dimension_report(pmv)
     print(f"pmv={pmv}")
     print(f"  class dims {rep.class_dims}  naive {rep.naive_dim} "
           f"= 2 + {rep.r}*{rep.defect} + {rep.superdefect}")
 
 print("\n=== the dimension-2 census, ranks <= 12, up to 6 points ===")
 for r, n, pmv in dim2_census(12, 6):
-    tag = classify_dim2(vector_with_pmv(pmv))
+    tag = classify_dim2(pmv)
     print(f"  r={r:2d} n={n}  {pmv}  ->  {tag}")
 
 print("""

@@ -4,7 +4,7 @@ Verbs: defect, transform, run, classify, verify, higgs.  Documents are
 UTF-8 JSON on --input/--output (default stdin/stdout); an input that is
 a JSON *list* of documents is processed as a batch.  --seed, --tol and
 --max-steps (not for verify) replace the document's values; --beta-v is
-``docio.parse_document``'s ``beta_v``.
+``docio.parse_document``'s ``beta_v``.  ``classify`` reads only the PMV.
 
 Exit codes: 0 success / constructed; 2 principled negative result (the
 mathematics says no: empty, unconstructible, convention failure);
@@ -75,10 +75,10 @@ def cmd_run(doc: ProblemDocument) -> tuple[dict, int]:
 
 
 def cmd_classify(doc: ProblemDocument) -> tuple[dict, int]:
-    report = moduli.dimension_report(doc.vector)
-    out = {"kind": "classify", "report": report.to_json()}
+    pmv = [tuple(cls.values()) for cls in doc.classes]
+    out = {"kind": "classify", "report": moduli.dimension_report(pmv).to_json()}
     try:
-        tag = moduli.classify_dim2(doc.vector)
+        tag = moduli.classify_dim2(pmv)
         out["family"] = tag if tag is not None else "none"
     except MidconvError as exc:
         out["family"] = "none"
@@ -125,16 +125,8 @@ def cmd_higgs(doc: ProblemDocument) -> tuple[dict, int]:
         return {"kind": "higgs", "status": type(exc).__name__,
                 "detail": str(exc)}, NEGATIVE
     report = higgs_mod.verify(data, doc.vector)
-    forms = higgs_mod.degree_closed_forms(data)
-    out = {
-        "kind": "higgs",
-        "status": "constructed",
-        "data": data.to_json(),
-        "verify": report.to_json(),
-        "degree_forms": {k: str(v) for k, v in forms.items()
-                         if not isinstance(v, dict)},
-        "degree_forms_match": forms["matches_direct"],
-    }
+    out = {"kind": "higgs", "status": "constructed", "data": data.to_json(),
+           "verify": report.to_json()}
     return out, (OK if report.ok else NEGATIVE)
 
 

@@ -8,8 +8,8 @@ A symbolic document is validated once into the exact parts of its values
 (``scalars._parts``) and read once, with its twist and ``--beta-v``, into
 the sparse integer rows that ``ProblemDocument`` holds.  Every verb answers
 from that read: ``transform``, ``defect``, ``run`` and symbolic ``verify``
-on the rows, and ``classify`` and ``higgs`` on the vector decoded from
-them; a given twist is checked on the rows too, and its failure worded here.
+on the rows, ``classify`` on their multiplicities, ``higgs`` on the vector
+decoded from them; a given twist is checked on the rows, its failure worded here.
 """
 
 from __future__ import annotations
@@ -140,12 +140,13 @@ def check_run_terms(doc: ProblemDocument) -> None:
     than ``MAX_RUN_TERMS`` terms.  Bound, on the document's classes before the
     loop: s steps, so s + 1 vectors of at most points * rank entries, each
     value holding a constant, the classes' generators and, under fresh v,
-    points - 1 new ones per step; s is 0 when the run stops at once (scalar
-    classes, or d >= 0), else min(rank, max_steps)."""
+    points - 1 new ones per step; s is 0 when the run stops at once (d >= 0,
+    or m_i + d < 0 for a largest multiplicity m_i: scalar classes, or a first
+    twist that is empty or fails a convention), else min(rank, max_steps)."""
     classes = doc.classes
-    n, r = len(classes), sum(classes[0].values())
-    steps = 0 if row_defect(classes) >= 0 or all(len(g) == 1 for g in classes) else (
-        r if doc.max_steps is None else min(r, doc.max_steps))
+    n, r, d = len(classes), sum(classes[0].values()), row_defect(classes)
+    stops = d >= 0 or min(max(g.values()) for g in classes) + d < 0
+    steps = 0 if stops else r if doc.max_steps is None else min(r, doc.max_steps)
     per_value = 1 + len(_generators(classes)) + ((n - 1) * steps if doc.v == "fresh" else 0)
     if (steps + 1) * n * r * per_value > MAX_RUN_TERMS:
         _fail(f"a run answer may need (steps + 1) * points * rank * terms per value = "

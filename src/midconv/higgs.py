@@ -263,8 +263,6 @@ class HiggsData:
             "k": list(self.k),
             "z": list(self.z),
             "tau": list(self.tau),
-            "degree_check": _ratio(*_degree(self)),
-            "sawtooth": [arr.sawtooth() for arr in self.arrangements],
         }
 
 
@@ -288,7 +286,7 @@ def degree_closed_forms(data: HiggsData) -> dict:
     differ in the arrangement-independent constant: the first uses
     sum_j j(r-j)(2-n), the second the coefficient (2-n) r(r-1)/2 that
     forward-substituting the k recursion actually produces.  The report
-    states which (if either) matches the direct sum.
+    states which (if either) matches the direct sum; no answer carries it.
     """
     r, n = data.r, data.n
     direct, den = _degree(data)  # numerators over den from here on
@@ -329,7 +327,7 @@ def _check_preconditions(vector: MonodromyVector) -> DimensionReport:
     if total % den:
         raise DegreeNotIntegral(
             f"total weight {_ratio(total, den)} is not an integer; no degree-zero bundle exists")
-    report = dimension_report(vector)
+    report = dimension_report(vector.pmv())
     if report.defect < 0:
         raise DefectPrecondition(f"defect {report.defect} < 0")
     if report.defect == 0 and report.superdefect == 0:

@@ -178,11 +178,15 @@ class NumericInstance:
         if len(M) < 3:
             raise DocumentError("need at least 3 matrices", "$.matrices")
         check_raw_dim(len(M), len(M[0]), "$.matrices")
+        b, w = (complex_array(doc.get(key), f"$.{key}", 1) for key in ("b", "w"))
+        chi, tol = complex_array(doc.get("chi"), "$.chi"), parse_tol(doc, DEFAULT_TOL)
+        # u_k acts by w_k (I + P_k Q_k^H): |w_k| must lie in [tol, 1/tol], as b_k M_k must
+        for k, size in enumerate(map(abs, w)):
+            if not tol <= size <= 1 / tol:
+                raise DocumentError(f"|w_{k}| must lie in [tol, 1/tol] = [{tol:.3g}, "
+                                    f"{1 / tol:.3g}], got {size:.3e}", f"$.w[{k}]")
         try:
-            inst = cls(M=M, b=complex_array(doc.get("b"), "$.b", 1),
-                       w=complex_array(doc.get("w"), "$.w", 1),
-                       chi=complex_array(doc.get("chi"), "$.chi"),
-                       tol=parse_tol(doc, DEFAULT_TOL))
+            inst = cls(M=M, b=b, w=w, chi=chi, tol=tol)
         except (ValueError, SizeMismatch) as exc:
             raise DocumentError(str(exc), "$") from None
         # the chain space inverts each twisted action b_k M_k: both it and its

@@ -1,9 +1,10 @@
 """Integer dimension analytics for the moduli spaces.
 
-Only numerical invariants are computed here: conjugacy-class dimensions,
-the naive dimension count, its defect/superdefect decomposition, the
-middle-cohomology dimension, and the classification of the dimension-2
-polymultiplicity vectors.  No moduli geometry is modeled.
+Only numerical invariants of the polymultiplicity vector (PMV), the
+multiplicities at each point, are computed here: conjugacy-class
+dimensions, the naive dimension count, its defect/superdefect
+decomposition, and the classification of the dimension-2 PMVs.  No
+moduli geometry is modeled, and nothing here reads an eigenvalue.
 
 With nu_i the largest multiplicity at point i, the superdefect
 sigma_i = class_dim_i - r (r - nu_i) = sum_j m_j (nu_i - m_j) is >= 0,
@@ -20,14 +21,12 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
-from .divisors import MonodromyVector
 from .errors import DefectPrecondition
 
 __all__ = [
     "DimensionReport",
     "dimension_report",
     "classify_dim2",
-    "classify_dim2_pmv",
     "dim2_census",
     "FAMILY_TAGS",
 ]
@@ -49,13 +48,10 @@ def class_dim(r: int, partition: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class DimensionReport:
-    """All integer invariants of one local monodromy vector.
+    """All integer invariants of one polymultiplicity vector.
 
     ``naive_dim`` is computed both as sum(class_dims) - 2 r^2 + 2 and as
     2 + r * defect + superdefect; construction asserts the two agree.
-    ``mid_h1_end`` equals ``naive_dim`` at any irreducible point, but the
-    formula is only proven on a nonempty stable locus, hence the caveat
-    flag rather than an asserted nonemptiness.
     """
 
     r: int
@@ -65,8 +61,6 @@ class DimensionReport:
     defect: int
     superdefects: tuple[int, ...]
     superdefect: int
-    mid_h1_end: int
-    nonemptiness_caveat: bool = True
 
     def to_json(self) -> dict:
         return {
@@ -77,13 +71,12 @@ class DimensionReport:
             "defect": self.defect,
             "superdefects": list(self.superdefects),
             "superdefect": self.superdefect,
-            "mid_h1_end": self.mid_h1_end,
-            "nonemptiness_caveat": self.nonemptiness_caveat,
         }
 
 
-def _report_from_pmv(r: int, pmv: Sequence[Sequence[int]]) -> DimensionReport:
-    n = len(pmv)
+def dimension_report(pmv: Sequence[Sequence[int]]) -> DimensionReport:
+    """The invariants of the multiplicities ``pmv``; r is their sum at a point."""
+    n, r = len(pmv), sum(pmv[0])
     dims = tuple(class_dim(r, p) for p in pmv)
     naive = sum(dims) - 2 * r * r + 2
     nus = [max(p) for p in pmv]
@@ -93,22 +86,17 @@ def _report_from_pmv(r: int, pmv: Sequence[Sequence[int]]) -> DimensionReport:
     assert all(s >= 0 for s in sigmas), "superdefects are nonnegative"
     assert naive == 2 + r * d + sigma, "the two dimension formulas agree"
     return DimensionReport(r=r, n=n, class_dims=dims, naive_dim=naive,
-                           defect=d, superdefects=sigmas, superdefect=sigma,
-                           mid_h1_end=naive)
+                           defect=d, superdefects=sigmas, superdefect=sigma)
 
 
-def dimension_report(vector: MonodromyVector) -> DimensionReport:
-    return _report_from_pmv(vector.rank, vector.pmv())
-
-
-def classify_dim2_pmv(r: int, pmv: Sequence[Sequence[int]]) -> Optional[str]:
-    """Family tag for a PMV shape with naive dimension 2, else None.
+def classify_dim2(pmv: Sequence[Sequence[int]]) -> Optional[str]:
+    """Family tag for a PMV with naive dimension 2, else None.
 
     Precondition defect >= 0 (raises DefectPrecondition otherwise).
     Matching is on the PMV only, up to reordering of points and parts;
     eigenvalue values are irrelevant.
     """
-    report = _report_from_pmv(r, pmv)
+    report = dimension_report(pmv)
     if report.defect < 0:
         raise DefectPrecondition(f"defect {report.defect} < 0")
     if report.naive_dim != 2:
@@ -122,10 +110,6 @@ def classify_dim2_pmv(r: int, pmv: Sequence[Sequence[int]]) -> Optional[str]:
     tag = FAMILY_TAGS.get(key)
     assert tag is not None, f"unlisted dimension-2 shape {pmv}"
     return tag
-
-
-def classify_dim2(vector: MonodromyVector) -> Optional[str]:
-    return classify_dim2_pmv(vector.rank, vector.pmv())
 
 
 # ---------------------------------------------------------------------------

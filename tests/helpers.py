@@ -315,12 +315,6 @@ def _taus(seqs):
     return tau
 
 
-def _sawtooth(seq):
-    ds = _descents(seq)
-    parts = [seq[p:t] if p < t else seq[p:] + seq[:t] for p, t in zip([ds[-1], *ds], ds)]
-    return " | ".join(" < ".join(str(a) for a in part) for part in parts)
-
-
 def _layers(weights, nu, alpha=None, runs=()):
     """Run j (1..nu) holds, in increasing order, the weights of multiplicity
     >= j other than ``alpha``, and ``alpha`` when j is in ``runs``."""
@@ -355,7 +349,7 @@ def reference_higgs(vector):
     if total.denominator != 1:
         return f"total weight {total} is not an integer; no degree-zero bundle exists"
     n, r = vector.n, vector.rank
-    report = dimension_report(vector)
+    report = dimension_report(vector.pmv())
     assert report.defect > 0 or report.superdefect > 0
 
     def degree(seqs, z, k1=0):
@@ -376,7 +370,7 @@ def reference_higgs(vector):
     deg, k, tau = degree(seqs, z, -int(degree(seqs, z)[0]) // r)
     assert deg == 0
     data = {"arrangements": [[str(a) for a in seq] for seq in seqs], "k": k, "z": z,
-            "tau": tau, "degree_check": str(deg), "sawtooth": [_sawtooth(s) for s in seqs]}
+            "tau": tau}
     return data, _checks(vector, seqs, k, z, tau)
 
 

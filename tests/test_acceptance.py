@@ -13,14 +13,14 @@ import pytest
 
 from helpers import naive_kappa_local, random_beta, random_vector
 from midconv import (Arrangement, Convoluter, EigDivisor, GroupElement,
-                     GroupMode, MonodromyVector, ScalarExpr, construct, defect,
-                     detect_empty, dimension_report, generate_instance,
+                     GroupMode, MonodromyVector, ScalarExpr, classify_dim2, construct,
+                     defect, detect_empty, dimension_report, generate_instance,
                      good_arrangement, kappa, parabolic_degree, verify_instance)
 from midconv.errors import PreconditionDim2
 from midconv.higgs import verify as higgs_verify
 from midconv.homology import ChainSpace, braid_block_closed_form, match_multisets
 from midconv.katz import NoneffectiveReport, max_mult_convoluter
-from midconv.moduli import _partitions, class_dim, classify_dim2_pmv, dim2_census
+from midconv.moduli import _partitions, class_dim, dim2_census
 
 MULT = GroupMode.MULTIPLICATIVE
 ADD = GroupMode.ADDITIVE
@@ -125,7 +125,7 @@ def test_criterion_03_rank_and_determinant(involutivity_suite):
 def test_criterion_05_virtual_dimension(involutivity_suite):
     calls, _ = involutivity_suite
     t0 = time.perf_counter()
-    ok = all(dimension_report(out).naive_dim == dimension_report(vec).naive_dim
+    ok = all(dimension_report(out.pmv()).naive_dim == dimension_report(vec.pmv()).naive_dim
              for vec, _, out, _ in calls)
     report(5, "virtual dimension invariance under the transform", ok,
            time.perf_counter() - t0)
@@ -150,19 +150,18 @@ def test_criterion_04_dimension_identities():
             sigma = class_dim(r, p) - r * (r - p[0])
             ok &= sigma >= 0 and (sigma == 0) == (len(set(p)) == 1)
     # both dimension formulas on full enumerations (small) and samples (large)
-    from midconv.moduli import _report_from_pmv
     for r in range(1, 8):
         parts = _partitions(r)
         for n in (3, 4):
             for combo in itertools.combinations_with_replacement(parts, n):
-                _report_from_pmv(r, combo)  # asserts the identity internally
+                dimension_report(combo)  # asserts the identity internally
     rng = np.random.default_rng(4)
     for _ in range(4000):
         r = int(rng.integers(8, 13))
         n = int(rng.integers(3, 7))
         parts = _partitions(r)
-        _report_from_pmv(r, [parts[int(rng.integers(0, len(parts)))]
-                             for _ in range(n)])
+        dimension_report([parts[int(rng.integers(0, len(parts)))]
+                          for _ in range(n)])
     # the dimension-2 locus in the scanned range is exactly the four families
     found = dim2_census(12, 6)
     expected = set()
@@ -177,7 +176,7 @@ def test_criterion_04_dimension_identities():
         expected.add((6 * d, 3, tuple(sorted([(3 * d, 3 * d), (2 * d,) * 3,
                                               (d,) * 6]))))
     ok &= set(found) == expected
-    ok &= all(classify_dim2_pmv(r, pmv) is not None for r, _, pmv in found)
+    ok &= all(classify_dim2(pmv) is not None for _, _, pmv in found)
     report(4, "dimension identities and the dimension-2 census", ok,
            time.perf_counter() - t0, 30.0)
 
@@ -288,7 +287,7 @@ def test_criterion_08_higgs_constructor():
         vec = _random_circle_vector(rng)
         if vec is None:
             continue
-        rep = dimension_report(vec)
+        rep = dimension_report(vec.pmv())
         if rep.defect == 0 and rep.superdefect == 0:
             continue
         data = construct(vec)
@@ -325,7 +324,7 @@ def test_criterion_08_higgs_constructor():
     ]
     for divisors in families:
         vec = MonodromyVector(divisors)
-        rep = dimension_report(vec)
+        rep = dimension_report(vec.pmv())
         ok &= rep.defect == 0 and rep.superdefect == 0
         try:
             construct(vec)

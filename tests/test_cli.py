@@ -211,9 +211,8 @@ class TestHiggs:
         code, out, _ = run_cli(tmp_path, "higgs", doc)
         assert code == 0
         assert out["status"] == "constructed"
-        assert out["data"]["degree_check"] == "0"
+        assert out["verify"]["checks"]["degree_zero"]
         assert out["verify"]["ok"]
-        assert out["degree_forms_match"]["form_with_substituted_constant"]
 
     def test_dim2_family_negative(self, tmp_path):
         doc = {
@@ -257,7 +256,7 @@ class TestVerify:
         assert json.loads(out) == {"kind": "verify", "status": "ConventionFailure",
                                    "detail": "chi is numerically 1"}
 
-    @pytest.mark.parametrize("build", [lambda: scaled_w_document(),
+    @pytest.mark.parametrize("build", [lambda: scaled_w_document([1e8, 1e-8, 1]),
                                        lambda: wide_symbolic_document(60)],
                              ids=["scaled-w", "symbolic-rank-60"])
     def test_an_overflowing_product_answers_finite_numbers(self, build):
@@ -291,15 +290,17 @@ def strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
-def scaled_w_document():
-    """Rank 2 on 3 points, M_0 = diag(e(.1), e(.2)), M_1 = diag(e(.33), e(.45)),
-    b = e(.17, .29, .41) with e(x) = exp(2 pi i x), and w scaled by 1e200,
-    1e-300 and 1e100: every relation holds, but the product of the measured
-    eigenvalues leaves the float range on the way."""
+def scaled_w_document(scales):
+    """Rank 25 on 3 points, M_0 = diag(e(.013 + j/26)), M_1 = diag(e(.31 + j/27))
+    (j < 25), M_2 = (M_0 M_1)^-1, b = e(.17, .29, .41) with e(x) =
+    exp(2 pi i x), and w = b scaled by ``scales``: every relation holds.  With
+    w scaled by 1e8, 1e-8 and 1, the product of the measured eigenvalues
+    leaves the float range on the way."""
     e = lambda x: np.exp(2j * np.pi * np.asarray(x))
-    M0, M1, b = np.diag(e([.1, .2])), np.diag(e([.33, .45])), e([.17, .29, .41])
+    j = np.arange(25)
+    M0, M1, b = np.diag(e(.013 + j / 26)), np.diag(e(.31 + j / 27)), e([.17, .29, .41])
     doc = matrices_document([M0, M1, np.linalg.inv(M0 @ M1)], b, 1 / np.prod(b))
-    doc["w"] = [[float(z.real), float(z.imag)] for z in b * [1e200, 1e-300, 1e100]]
+    doc["w"] = [[float(z.real), float(z.imag)] for z in b * scales]
     return doc
 
 
@@ -1098,6 +1099,17 @@ class TestDocumentBoundary:
          "$.points: 'points' is 4 but the matrices give 3\n"),
         ("verify", matrices_document([np.eye(2)] * 3, TWISTS, 1 / np.prod(TWISTS), rank=3),
          "$.rank: 'rank' is 3 but the matrices give 2\n"),
+        # two points, and classes of two degrees
+        ("defect", {"classes": [[entry({"a": "1"})]] * 2},
+         "$.classes: invalid monodromy vector: need at least 3 points, got 2\n"),
+        ("classify", {"classes": [[entry({"a": "1"}, mult=2)], [entry({"b": "1"})],
+                                  [entry({"c": "1"}, mult=2)]]},
+         "$.classes: invalid monodromy vector: divisor 1 has degree 1, expected 2\n"),
+        # w scaled past [tol, 1/tol], though every relation holds
+        ("verify", scaled_w_document([1e200, 1e-300, 1e100]),
+         "$.w[0]: |w_0| must lie in [tol, 1/tol] = [1e-09, 1e+09], got 1.000e+200\n"),
+        ("verify", scaled_w_document([1.5e308, 1 / 1.5e308, 1]),
+         "$.w[0]: |w_0| must lie in [tol, 1/tol] = [1e-09, 1e+09], got 1.500e+308\n"),
     ])
     def test_forbidden_inputs(self, verb, patch, where):
         doc = run_document() if verb == "run" else {}
@@ -1150,6 +1162,21 @@ class TestDocumentBoundary:
         assert code == 0 and err == "", err[:200]
         answer = json.loads(out)
         assert answer["status"] == "PositiveDefect" and answer["steps"] == []
+
+    def test_run_whose_first_twist_is_empty_answers(self):
+        # d = 1 - r, so m_i + d < 0 at the points of two halves and the loop
+        # stops before its first step; a bound that counted r steps would
+        # need 1001 * 3 * 1000 * 7 terms
+        r = 1000
+        doc = {"mode": "multiplicative", "classes": [
+            [entry({"a": "1"}, mult=r - 1), entry({"b": "1"})],
+            [entry({"c": "1"}, mult=r // 2), entry({"d": "1"}, mult=r // 2)],
+            [entry({"e": "1"}, mult=r // 2), entry({"f": "1"}, mult=r // 2)]]}
+        assert 1001 * 3 * r * 7 > MAX_RUN_TERMS
+        code, out, err = call_main("run", doc)
+        assert code == 2 and err == "", err[:200]
+        answer = json.loads(out)
+        assert answer["status"] == "EmptyNoneffective" and answer["steps"] == []
 
     def test_cubic_run_answer_exits_before_the_loop(self):
         # about 2 GB of answer if it ran: the bound is 301 * 3 * 300 * 1203 terms

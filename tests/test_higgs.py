@@ -286,7 +286,7 @@ class TestConstruct:
             if vec is None:
                 continue
             d = defect(vec)
-            rep = dimension_report(vec)
+            rep = dimension_report(vec.pmv())
             if rep.defect == 0 and rep.superdefect == 0:
                 with pytest.raises(PreconditionDim2):
                     construct(vec)

@@ -262,6 +262,18 @@ class TestConventions:
         assert report.de_rham and not report.alphabetabeta_ok
         assert report.alphabetabeta_detail[0][0] == 0
 
+    def test_de_rham_report_json(self):
+        # alpha + h_0 equal to the nonzero integer 1 violates the residue check
+        a = gen("a", ADD)
+        h = [GroupElement(ADD, ScalarExpr(1) + (-a.expr)), gen("h1", ADD), gen("h2", ADD)]
+        vec = MonodromyVector([EigDivisor.of(a, gen("a2", ADD)),
+                               EigDivisor.of(gen("b1", ADD), gen("b2", ADD)),
+                               EigDivisor.of(gen("c1", ADD), gen("c2", ADD))])
+        doc = check_conventions(Convoluter(h), vec, de_rham=True).to_json()
+        assert doc["diag_res_not_integer"] is True and doc["alphabetabeta_ok"] is False
+        assert doc["alphabetabeta_violations"] == [{"point": 0, "eigenvalue": a.to_json()}]
+        assert doc["ok"] is False
+
     def test_de_rham_needs_additive_mode(self):
         vec, beta = referee_setup()
         with pytest.raises(ModeMismatch):
@@ -709,7 +721,7 @@ class TestVirtualDimension:
             out = kappa(beta, vec)
             if not isinstance(out, MonodromyVector):
                 continue
-            assert dimension_report(out).naive_dim == dimension_report(vec).naive_dim
+            assert dimension_report(out.pmv()).naive_dim == dimension_report(vec.pmv()).naive_dim
             done += 1
 
 

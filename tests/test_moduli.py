@@ -11,7 +11,7 @@ from midconv import (EigDivisor, GroupElement, GroupMode, MonodromyVector,
                      kappa, run_algorithm)
 from midconv.errors import DefectPrecondition
 from midconv.katz import max_mult_convoluter
-from midconv.moduli import _partitions, _report_from_pmv, class_dim, classify_dim2_pmv
+from midconv.moduli import _partitions, class_dim
 
 MULT = GroupMode.MULTIPLICATIVE
 
@@ -30,18 +30,18 @@ def vector_with_pmv(pmv):
 
 class TestDimensionReport:
     def test_quad_dd_with_d_one(self):
-        rep = dimension_report(vector_with_pmv([(1, 1)] * 4))
+        rep = dimension_report([(1, 1)] * 4)
         assert rep.class_dims == (2, 2, 2, 2)
         assert rep.naive_dim == 8 - 8 + 2 == 2
         assert rep.defect == 0 and rep.superdefect == 0
 
     def test_rank_one_rigid(self):
-        rep = dimension_report(vector_with_pmv([(1,)] * 3))
+        rep = dimension_report([(1,)] * 3)
         assert rep.class_dims == (0, 0, 0)
         assert rep.naive_dim == 0 - 2 + 2 == 0
 
     def test_2244_family_with_d_one(self):
-        rep = dimension_report(vector_with_pmv([(2, 2), (1, 1, 1, 1), (1, 1, 1, 1)]))
+        rep = dimension_report([(2, 2), (1, 1, 1, 1), (1, 1, 1, 1)])
         assert rep.class_dims == (8, 12, 12)
         assert rep.naive_dim == 32 - 32 + 2 == 2
 
@@ -54,7 +54,7 @@ class TestDimensionReport:
             for _ in range(n):
                 parts = _partitions(r)
                 pmv.append(parts[int(rng.integers(0, len(parts)))])
-            rep = _report_from_pmv(r, pmv)  # asserts both identities inside
+            rep = dimension_report(pmv)  # asserts both identities inside
             assert rep.naive_dim == 2 + r * rep.defect + rep.superdefect
 
     def test_superdefect_zero_iff_equal_multiplicities(self):
@@ -68,31 +68,31 @@ class TestDimensionReport:
 class TestClassifyDim2:
     def test_3d3d_family(self):
         v = vector_with_pmv([(3, 3), (2, 2, 2), (1, 1, 1, 1, 1, 1)])
-        assert classify_dim2(v) == "Tri_3d3d_2d3_d6"
+        assert classify_dim2(v.pmv()) == "Tri_3d3d_2d3_d6"
 
     def test_negative_defect_rejected(self):
         v = vector_with_pmv([(2, 2), (2, 2), (2, 2)])
         assert defect(v) == (3 - 2) * 4 - 6 == -2
         with pytest.raises(DefectPrecondition):
-            classify_dim2(v)
+            classify_dim2(v.pmv())
 
     def test_tri_ddd_family(self):
         v = vector_with_pmv([(1, 1, 1)] * 3)
-        assert classify_dim2(v) == "Tri_ddd_x3"
+        assert classify_dim2(v.pmv()) == "Tri_ddd_x3"
 
     def test_scalar_point_is_ignored(self):
         v = vector_with_pmv([(1, 1, 1)] * 3 + [(3,)])
-        assert defect(v) == 0 and dimension_report(v).naive_dim == 2
-        assert classify_dim2(v) == "Tri_ddd_x3"
+        assert defect(v) == 0 and dimension_report(v.pmv()).naive_dim == 2
+        assert classify_dim2(v.pmv()) == "Tri_ddd_x3"
 
     def test_not_dimension_two(self):
         v = vector_with_pmv([(1, 1, 1)] * 4)
         assert defect(v) == 2
-        assert classify_dim2(v) is None
+        assert classify_dim2(v.pmv()) is None
 
     def test_scaled_families(self):
-        assert classify_dim2_pmv(4, [(2, 2)] * 4) == "Quad_dd_x4"
-        assert classify_dim2_pmv(8, [(4, 4), (2, 2, 2, 2), (2, 2, 2, 2)]) \
+        assert classify_dim2([(2, 2)] * 4) == "Quad_dd_x4"
+        assert classify_dim2([(4, 4), (2, 2, 2, 2), (2, 2, 2, 2)]) \
             == "Tri_2d2d_d4_d4"
 
 
@@ -152,7 +152,7 @@ class TestCensus:
         found = dim2_census(12, 6)
         tags = {}
         for r, n, pmv in found:
-            tag = classify_dim2_pmv(r, pmv)
+            tag = classify_dim2(pmv)
             assert tag is not None
             tags.setdefault(tag, []).append((r, n))
         assert set(tags) == {"Quad_dd_x4", "Tri_ddd_x3", "Tri_2d2d_d4_d4",
@@ -172,7 +172,7 @@ class TestCensus:
             core = [p for p in pmv if len(p) > 1]
             key = tuple(sorted(len(p) for p in core))
             assert key in {(2, 2, 2, 2), (3, 3, 3), (2, 4, 4), (2, 3, 6)}
-            assert classify_dim2_pmv(r, pmv) is not None
+            assert classify_dim2(pmv) is not None
 
 
 class TestTitsForm:
@@ -185,7 +185,7 @@ class TestTitsForm:
             vec = random_vector(rng, mode, int(rng.integers(1, 13)),
                                 int(rng.integers(3, 6)), f"tf{trial}")
             r, pmv = vec.rank, vec.pmv()
-            assert dimension_report(vec).naive_dim == 2 - 2 * tits_form(r, pmv)
+            assert dimension_report(pmv).naive_dim == 2 - 2 * tits_form(r, pmv)
             assert run_algorithm(vec).ranks == centre_reflection_ranks(r, pmv), pmv
 
     @pytest.mark.parametrize("scalars", [False, True])
@@ -209,5 +209,5 @@ class TestTransformInvariance:
             out = kappa(beta, vec)
             if not isinstance(out, MonodromyVector):
                 continue
-            assert dimension_report(out).naive_dim == dimension_report(vec).naive_dim
+            assert dimension_report(out.pmv()).naive_dim == dimension_report(vec.pmv()).naive_dim
             checked += 1

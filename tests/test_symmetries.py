@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from midconv import EigDivisor, GroupElement, GroupMode, MonodromyVector, ScalarExpr, kappa
 from midconv.cli import main
@@ -295,9 +295,10 @@ def keeps(classes, c, sign, mode, pick=min):
 
 def aimed_stages(answer):
     """The vectors a run aimed a twist at: each step's input, and the final
-    vector of a convention failure."""
+    vector of a convention failure or of an empty transform."""
     stages = [s["input"] for s in answer["steps"]]
-    return stages + [answer["final"]] if answer["status"] == "ConventionFailure" else stages
+    stopped = answer["status"] in ("ConventionFailure", "EmptyNoneffective")
+    return stages + [answer["final"]] if stopped else stages
 
 
 def twisted_run(answer, c, mode):
@@ -404,6 +405,14 @@ def test_a_rank_one_twist_twists_the_run(mode, doc):
 
 @settings(max_examples=80, deadline=None)
 @given(doc=drawn_documents(), fresh=st.booleans())
+# an EmptyNoneffective run whose first twist reorders the tie at point 2 of
+# its final vector: the twisted run aims at 0 there, and fails a convention
+@example(doc={"mode": "multiplicative", "classes": [
+    [{"value": {"const": "0", "exps": {"g1": "1"}}, "mult": 1},
+     {"value": {"const": "1/3", "exps": {}}, "mult": 1}],
+    [{"value": {"const": "1/3", "exps": {}}, "mult": 2}],
+    [{"value": {"const": "0", "exps": {}}, "mult": 1},
+     {"value": {"const": "1/3", "exps": {}}, "mult": 1}]]}, fresh=False)
 def test_a_rank_one_twist_twists_the_run_of_drawn_documents(doc, fresh):
     """The relation of ``test_a_rank_one_twist_twists_the_run`` on drawn
     documents, under one v policy.  Where a twist does not keep a tie rule's
