@@ -4,7 +4,7 @@ Verbs: defect, transform, run, classify, verify, higgs.  Documents are
 UTF-8 JSON on --input/--output (default stdin/stdout); an input that is
 a JSON *list* of documents is processed as a batch.  --seed, --tol and
 --max-steps (not for verify) replace the document's values; --beta-v is
-``docio.parse_document``'s ``beta_v``.  ``classify`` reads only the PMV.
+``docio.parse_document``'s ``beta_v``.  No verb decodes a document's eigenvalue vector.
 
 Exit codes: 0 success / constructed; 2 principled negative result (the
 mathematics says no: empty, unconstructible, convention failure);
@@ -76,9 +76,10 @@ def cmd_run(doc: ProblemDocument) -> tuple[dict, int]:
 
 def cmd_classify(doc: ProblemDocument) -> tuple[dict, int]:
     pmv = [tuple(cls.values()) for cls in doc.classes]
-    out = {"kind": "classify", "report": moduli.dimension_report(pmv).to_json()}
+    report = moduli.dimension_report(pmv)
+    out = {"kind": "classify", "report": report.to_json()}
     try:
-        tag = moduli.classify_dim2(pmv)
+        tag = moduli._family(report, pmv)
         out["family"] = tag if tag is not None else "none"
     except MidconvError as exc:
         out["family"] = "none"
@@ -114,17 +115,17 @@ def cmd_verify(doc: dict, beta_v: str | None) -> tuple[dict, int]:
 
 
 def cmd_higgs(doc: ProblemDocument) -> tuple[dict, int]:
-    if doc.vector.n * doc.vector.rank > MAX_HIGGS_WEIGHTS:
+    if len(doc.classes) * sum(doc.classes[0].values()) > MAX_HIGGS_WEIGHTS:
         raise DocumentError(f"points * rank must be at most {MAX_HIGGS_WEIGHTS} for higgs",
                             "$.classes")
     try:
-        data = higgs_mod.construct(doc.vector)
+        data = higgs_mod.construct((doc.rows, doc.classes))
     except (ModeMismatch, DigitLimitExceeded):
         raise  # a wrong mode or an unprintable rational is an error, not an answer
     except MidconvError as exc:
         return {"kind": "higgs", "status": type(exc).__name__,
                 "detail": str(exc)}, NEGATIVE
-    report = higgs_mod.verify(data, doc.vector)
+    report = higgs_mod.verify(data, (doc.rows, doc.classes))
     out = {"kind": "higgs", "status": "constructed", "data": data.to_json(),
            "verify": report.to_json()}
     return out, (OK if report.ok else NEGATIVE)

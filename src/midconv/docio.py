@@ -8,8 +8,8 @@ A symbolic document is validated once into the exact parts of its values
 (``scalars._parts``) and read once, with its twist and ``--beta-v``, into
 the sparse integer rows that ``ProblemDocument`` holds.  Every verb answers
 from that read: ``transform``, ``defect``, ``run`` and symbolic ``verify``
-on the rows, ``classify`` on their multiplicities, ``higgs`` on the vector
-decoded from them; a given twist is checked on the rows, its failure worded here.
+on the rows, ``classify`` on their multiplicities, ``higgs`` on the classes'
+circle weights; a given twist is checked on the rows, its failure worded here.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Any, Optional
 
-from .divisors import MonodromyVector, check_degrees
+from .divisors import check_degrees
 from .errors import DocumentError, path_key, shown
 from .katz import _generators, _Rows, row_defect
 from .katz import max_mult_convoluter  # noqa: F401  (unused: bench/spans.py traces it here)
@@ -34,8 +34,8 @@ class ProblemDocument:
     """A parsed problem as ``parse_document`` read it: ``rows`` and ``classes``
     (``katz._Rows.read``, classes in ``EigDivisor`` entry order), the
     convoluter's ``h`` in rows (None for the default one), ``v`` in rows or
-    the policy "same" (v = h) or "fresh", assignment, seed and max_steps.
-    ``row_form`` (the twist in rows) and ``vector`` come from the read."""
+    the policy "same" (v = h) or "fresh", assignment, seed and max_steps;
+    ``row_form`` adds the twist in rows."""
 
     rows: _Rows
     classes: list
@@ -52,10 +52,6 @@ class ProblemDocument:
         if isinstance(self.v, list):
             return self.rows, self.classes, self.h, self.v
         return self.rows, self.classes, *self.rows.twist(self.classes, self.v, self.h)
-
-    @cached_property
-    def vector(self) -> MonodromyVector:
-        return self.rows.vector(self.classes)
 
 
 def _fail(message: str, path: str):
@@ -123,7 +119,8 @@ MAX_RAW_DIM = 1000
 
 
 # The most weights, points * rank, that a higgs answer lists: its time and size
-# follow that count, and at the cap (rank 50,000 at 5 points) it takes 0.5-0.8 s
+# follow that count.  At the cap (rank 50,000 at 5 points) a launch on a 2-CPU Xeon
+# host takes 0.3-0.4 s with two weights a point, 2.7-2.9 s with all 250,000 distinct
 MAX_HIGGS_WEIGHTS = 250_000
 
 

@@ -34,8 +34,8 @@ from typing import Sequence
 from .divisors import EigDivisor, MonodromyVector
 from .errors import (CyclicClosureViolation, DefectPrecondition, DegreeNotIntegral,
                      ModeMismatch, PreconditionDim2, SizeMismatch)
-from .katz import defect
-from .moduli import DimensionReport, dimension_report
+from .katz import _Rows, defect, row_defect  # noqa: F401  (defect: bench/spans.py traces it)
+from .moduli import dimension_report
 from .scalars import GroupMode, _ratio
 
 __all__ = [
@@ -148,14 +148,6 @@ class Arrangement:
         return " | ".join(" < ".join(part) for part in self._runs(texts))
 
 
-def _circle_weights(g: EigDivisor) -> tuple[list[tuple[int, int]], int]:
-    """(numerator, multiplicity) pairs over the lcm of the denominators, and that lcm."""
-    if g.mode is not GroupMode.CIRCLE:
-        raise ModeMismatch("arrangements need circle-mode divisors")
-    den = lcm(*(e.expr._d for e, _ in g.entries))
-    return [(e.expr._c * (den // e.expr._d), m) for e, m in g.entries], den
-
-
 def good_arrangement(g: EigDivisor) -> Arrangement:
     """Greedy minimal-descent arrangement: ``shifted_arrangement(g, 0)``."""
     return shifted_arrangement(g, 0)
@@ -176,14 +168,22 @@ def shifted_arrangement(g: EigDivisor, shift: int) -> Arrangement:
     position lowers the sum by nu modulo r.  Needs unequal multiplicities
     when a move is needed (ValueError otherwise).
     """
-    weights, den = _circle_weights(g)
-    if not g.is_effective or not weights:
+    if g.mode is not GroupMode.CIRCLE:
+        raise ModeMismatch("arrangements need circle-mode divisors")
+    if not g.is_effective or not g.entries:
         raise ValueError("need a nonempty effective divisor")
-    nu = max(m for _, m in weights)
-    layers = [sorted([a for a, m in weights if m >= j]) for j in range(1, nu + 1)]
-    rotate, moves = divmod(shift % g.degree(), nu) if shift else (0, 0)
+    rows, (weights,) = _Rows.of((g,))
+    return _arranged(rows.den, weights, shift)
+
+
+def _arranged(den: int, g: dict, shift: int = 0) -> Arrangement:
+    """``shifted_arrangement`` of a class {(numerator, ()): multiplicity} over ``den``."""
+    weights = sorted([(c, m) for (c, _), m in g.items()])
+    nu = max(g.values())
+    layers = [[a for a, m in weights if m >= j] for j in range(1, nu + 1)]  # each in order
+    rotate, moves = divmod(shift % sum(g.values()), nu) if shift else (0, 0)
     if moves:
-        if all(m == nu for _, m in weights):
+        if all(m == nu for m in g.values()):
             raise ValueError("all multiplicities are equal; no weight can move")
         alpha, m = min((a, m) for a, m in weights if m < nu)
         for j in reversed(range(m)):  # the copy in layer j, the last copy first
@@ -319,26 +319,8 @@ def _degree_for(arrs: Sequence[Arrangement], z: Sequence[int], n: int,
     return num // den, data
 
 
-def _check_preconditions(vector: MonodromyVector) -> DimensionReport:
-    if vector.mode is not GroupMode.CIRCLE:
-        raise ModeMismatch("the construction needs circle-mode weights")
-    den = lcm(*(e.expr._d for g in vector for e, _ in g.entries))
-    total = sum(m * e.expr._c * (den // e.expr._d) for g in vector for e, m in g.entries)
-    if total % den:
-        raise DegreeNotIntegral(
-            f"total weight {_ratio(total, den)} is not an integer; no degree-zero bundle exists")
-    report = dimension_report(vector.pmv())
-    if report.defect < 0:
-        raise DefectPrecondition(f"defect {report.defect} < 0")
-    if report.defect == 0 and report.superdefect == 0:
-        raise PreconditionDim2(
-            "defect and superdefect both vanish (a dimension-2 family); "
-            "this construction does not apply")
-    return report
-
-
-def construct(vector: MonodromyVector) -> HiggsData:
-    """Build degree-zero Higgs data for a circle-mode vector.
+def construct(vector: MonodromyVector | tuple) -> HiggsData:
+    """Build degree-zero Higgs data for a circle-mode vector or read (rows, classes).
 
     Preconditions: integral total weight, defect d >= 0 and, when d = 0,
     positive superdefect.  Start from the greedy arrangements with all d
@@ -350,9 +332,22 @@ def construct(vector: MonodromyVector) -> HiggsData:
     whose descent sum is lower by shift, which adds shift modulo r.
     k_1 = -degree / r then makes the degree exactly zero.
     """
-    report = _check_preconditions(vector)
-    n, r, d = vector.n, vector.rank, report.defect
-    arrs = [good_arrangement(g) for g in vector]
+    rows, classes = _Rows.of(vector) if isinstance(vector, MonodromyVector) else vector
+    if rows.mode is not GroupMode.CIRCLE:
+        raise ModeMismatch("the construction needs circle-mode weights")
+    total = sum(m * c for g in classes for (c, _), m in g.items())
+    if total % rows.den:
+        raise DegreeNotIntegral(f"total weight {_ratio(total, rows.den)} is not an integer; "
+                                "no degree-zero bundle exists")
+    report = dimension_report([tuple(g.values()) for g in classes])
+    if report.defect < 0:
+        raise DefectPrecondition(f"defect {report.defect} < 0")
+    if report.defect == 0 and report.superdefect == 0:
+        raise PreconditionDim2(
+            "defect and superdefect both vanish (a dimension-2 family); "
+            "this construction does not apply")
+    n, r, d = report.n, report.r, report.defect
+    arrs = [_arranged(rows.den, g) for g in classes]
     z = [0] * r
     z[r - 1] = d
     shift = -_degree_for(arrs, z, n)[0] % r
@@ -361,7 +356,7 @@ def construct(vector: MonodromyVector) -> HiggsData:
         z[r - 1 - shift] += 1
     elif shift:
         i = next(i for i, s in enumerate(report.superdefects) if s)
-        arrs[i] = shifted_arrangement(vector[i], shift)
+        arrs[i] = _arranged(rows.den, classes[i], shift)
     deg0, _ = _degree_for(arrs, z, n)
     assert deg0 % r == 0
     deg, data = _degree_for(arrs, z, n, k1=-deg0 // r)
@@ -383,21 +378,23 @@ class HiggsReport:
         return {"checks": dict(self.checks), "ok": self.ok}
 
 
-def verify(data: HiggsData, vector: MonodromyVector) -> HiggsReport:
-    """Re-derive every invariant from raw data.
+def verify(data: HiggsData, vector: MonodromyVector | tuple) -> HiggsReport:
+    """Re-derive every invariant from raw data, against a vector or read (rows, classes).
 
-    Checks: per-point weight multisets equal the divisors; arrangements
-    good; tau recomputed matches; z recomputed from the k-sequence
-    matches and is nonnegative (the chain maps exist); sum(z) equals the
-    defect; parabolic degree exactly zero; and the per-index map bound
+    Checks: per-point weight multisets equal the divisors (an arrangement's
+    lowest-terms denominator scaled to the read's); arrangements good; tau
+    recomputed matches; z recomputed from the k-sequence matches and is
+    nonnegative (the chain maps exist); sum(z) equals the defect; parabolic
+    degree exactly zero; and the per-index map bound
     tau_j <= k_{j+1} - k_j + n - 2 with equality exactly when z_j = 0.
     """
-    n, r = data.n, data.r
+    rows, classes = _Rows.of(vector) if isinstance(vector, MonodromyVector) else vector
+    n, r, den = data.n, data.r, rows.den
     checks = {}
-    checks["point_count"] = n == vector.n and r == vector.rank
-    checks["weights_match"] = vector.mode is GroupMode.CIRCLE and all(
-        (arr.den, Counter(arr.nums)) == (den, dict(w))
-        for arr, (w, den) in zip(data.arrangements, map(_circle_weights, vector)))
+    checks["point_count"] = n == len(classes) and r == sum(classes[0].values())
+    checks["weights_match"] = rows.mode is GroupMode.CIRCLE and all(
+        den % arr.den == 0 and Counter([x * (den // arr.den) for x in arr.nums])
+        == {c: m for (c, _), m in g.items()} for arr, g in zip(data.arrangements, classes))
     checks["arrangements_good"] = all(arr.is_good for arr in data.arrangements)
     tau = taus(data.arrangements)
     checks["tau_matches"] = tuple(tau) == tuple(data.tau)
@@ -405,7 +402,7 @@ def verify(data: HiggsData, vector: MonodromyVector) -> HiggsReport:
     z_re = [k[(j + 1) % r] - (tau[j] + k[j] + 2 - n) for j in range(r)]
     checks["z_matches"] = tuple(z_re) == tuple(data.z)
     checks["theta_maps_exist"] = all(zj >= 0 for zj in z_re)
-    checks["z_sums_to_defect"] = sum(z_re) == defect(vector)
+    checks["z_sums_to_defect"] = sum(z_re) == row_defect(classes)
     checks["degree_zero"] = _degree(data)[0] == 0
     checks["map_bounds"] = all(
         tau[j] <= k[(j + 1) % r] - k[j] + n - 2

@@ -463,15 +463,15 @@ class _Rows:
         return rows, [ordered([(row(a), m) for a, m in entries]) for entries in points]
 
     @classmethod
-    def of(cls, vector: MonodromyVector, *twist: Sequence[GroupElement]) -> tuple:
-        """(rows, classes, *twist) of the objects ``vector`` and the element
-        lists ``twist`` over one denominator: an element is reduced (mod 1
-        unless additive) and name-sorted already, so ``_over`` is its row,
-        and a divisor's entries are in order, so its class is ``ordered``."""
+    def of(cls, vector: Sequence[EigDivisor], *twist: Sequence[GroupElement]) -> tuple:
+        """(rows, classes, *twist) of the divisors ``vector``, of one mode, and
+        the element lists ``twist`` over one denominator: an element is reduced
+        (mod 1 unless additive) and name-sorted already, so ``_over`` is its
+        row, and a divisor's entries are in order, so its class is ``ordered``."""
         den = lcm(*[a.expr._d for g in vector for a, _ in g.entries],
                   *[e.expr._d for t in twist for e in t])
         classes = [{_over(a.expr, den): m for a, m in g.entries} for g in vector]
-        return cls(vector.mode, den), classes, *([_over(e.expr, den) for e in t] for t in twist)
+        return cls(vector[0].mode, den), classes, *([_over(e.expr, den) for e in t] for t in twist)
 
     def row(self, parts: tuple) -> tuple:
         """The row of ``scalars._parts``' (c, e, [(name, p, q)]): c/e + sum p/q name."""

@@ -96,7 +96,11 @@ def classify_dim2(pmv: Sequence[Sequence[int]]) -> Optional[str]:
     Matching is on the PMV only, up to reordering of points and parts;
     eigenvalue values are irrelevant.
     """
-    report = dimension_report(pmv)
+    return _family(dimension_report(pmv), pmv)
+
+
+def _family(report: DimensionReport, pmv: Sequence[Sequence[int]]) -> Optional[str]:
+    """``classify_dim2`` of ``pmv`` given its ``dimension_report``."""
     if report.defect < 0:
         raise DefectPrecondition(f"defect {report.defect} < 0")
     if report.naive_dim != 2:

@@ -10,11 +10,18 @@ import numpy as np
 from midconv import (ConventionReport, Convoluter, EigDivisor, EmptinessCertificate,
                      GroupElement, GroupMode, MonodromyVector, NoneffectiveReport, defect,
                      dimension_report)
+from midconv.docio import parse_document
 from midconv.errors import (BoundaryNotSurjective, ConventionViolationNumeric,
                             MaxStepsExceeded, ModeMismatch, QuotientRankMismatch)
 from midconv.higgs import derive_k
 from midconv.homology import ChainSpace, _fixed_space
 from midconv.katz import fresh_names
+
+
+def decoded(doc, beta_v=None):
+    """The eigenvalue vector of a symbolic document, decoded from its read."""
+    parsed = parse_document(doc, beta_v)
+    return parsed.rows.vector(parsed.classes)
 
 
 def random_partition(rng, r, max_part=None):

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import find, given, settings, strategies as st
 
-from helpers import (random_partition, reference_convoluter, reference_kappa,
+from helpers import (decoded, random_partition, reference_convoluter, reference_kappa,
                      reference_kappa_spectra)
 from midconv import cli, katz
 from midconv.cli import main
@@ -116,6 +116,18 @@ class TestDefectAndClassify:
         }
         code, out, _ = run_cli(tmp_path, "classify", doc)
         assert code == 0 and out["family"] == "none"
+
+    def test_classify_computes_its_report_once(self, monkeypatch):
+        from midconv import moduli
+
+        calls, real = [], moduli.dimension_report
+        monkeypatch.setattr(moduli, "dimension_report", lambda pmv: calls.append(pmv) or real(pmv))
+        # a family, none and the defect precondition's note
+        docs = [[[entry({f"e{i}_{j}": "1"}) for j in range(3)] for i in range(n)] for n in (3, 4)]
+        docs.append([[entry({"a": "1"}), entry({"b": "1"})]] * 3)
+        answers = [json.loads(call_main("classify", {"classes": classes})[1]) for classes in docs]
+        assert [a["family"] for a in answers] == ["Tri_ddd_x3", "none", "none"]
+        assert "note" in answers[2] and len(calls) == len(docs)
 
 
 class TestRun:
@@ -230,6 +242,36 @@ class TestHiggs:
         code, out, err = call_main("higgs", doc)
         assert code == 1 and out == ""
         assert err.startswith("input error: $.mode: ")
+
+    @pytest.mark.parametrize("doc, code", [
+        ({"mode": "circle", "classes": [[entry({}, const="1/4"), entry({}, const="3/4")]] * 5}, 0),
+        ({"mode": "circle", "classes": [[entry({}, const="1/4"), entry({}, const="1/3")]] * 5}, 2),
+        ({"mode": "circle", "classes": [[entry({}, const="1/4"), entry({}, const="3/4")]] * 3}, 2),
+        ({"mode": "circle", "classes": [[entry({}, const="1/4"), entry({}, const="3/4")]] * 4}, 2),
+        ({"mode": "multiplicative", "classes": [[entry({"a": "1"}), entry({"b": "1"})]] * 3}, 1),
+        ({"mode": "circle", "classes": [[entry({}, const="1/8", mult=MAX_HIGGS_WEIGHTS // 10),
+                                         entry({}, const="3/8", mult=MAX_HIGGS_WEIGHTS // 10 + 1)]]
+          * 5}, 1),
+    ], ids=["constructed", "DegreeNotIntegral", "DefectPrecondition", "PreconditionDim2", "mode",
+            "cap"])
+    def test_answers_build_no_objects(self, monkeypatch, doc, code):
+        """higgs answers from the document's read: no eigenvalue, divisor or
+        vector object is built, and no object is read into rows."""
+        from midconv import scalars
+        from midconv.divisors import EigDivisor, MonodromyVector
+        from midconv.scalars import GroupElement
+
+        expected = call_main("higgs", doc)
+        assert expected[0] == code and "Traceback" not in expected[2], expected
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("higgs built an eigenvalue object or read one into rows")
+
+        for owner, name in ((GroupElement, "__init__"), (scalars, "_element"), (katz, "_element"),
+                            (EigDivisor, "__init__"), (EigDivisor, "_canonical"),
+                            (MonodromyVector, "__init__"), (katz._Rows, "of")):
+            monkeypatch.setattr(owner, name, forbidden)
+        assert call_main("higgs", doc) == expected
 
 
 class TestVerify:
@@ -564,12 +606,12 @@ class TestVerifyOnRows:
 
 def object_answer(verb, doc, *flags):
     """``verb``'s answer to ``doc`` built from the eigenvalue objects:
-    ``reference_kappa`` on the decoded ``ProblemDocument.vector``, with the
+    ``reference_kappa`` on the vector decoded from the document's read, with the
     document's convoluter or the default one from ``reference_convoluter``:
     (exit code, rendered answer)."""
     beta_v = flags[flags.index("--beta-v") + 1] if "--beta-v" in flags else None
     parsed = parse_document(doc, beta_v)
-    vector = parsed.vector
+    vector = parsed.rows.vector(parsed.classes)
     beta = (reference_convoluter(vector, parsed.v) if parsed.h is None
             else parsed.row_form[0].convoluter(*parsed.row_form[2:]))
     d, result = reference_kappa(beta, vector)
@@ -755,10 +797,8 @@ class TestDeterminismAndBatch:
 
     def test_document_round_trip(self):
         doc = referee_document()
-        parsed = parse_document(doc)
-        rendered = parse_json(render(parsed.vector.to_json()))
-        assert parse_document({"mode": rendered["mode"],
-                               "classes": rendered["classes"]}).vector == parsed.vector
+        rendered = parse_json(render(decoded(doc).to_json()))
+        assert decoded({"mode": rendered["mode"], "classes": rendered["classes"]}) == decoded(doc)
 
 
 class TestDocumentErrors:
@@ -1306,7 +1346,7 @@ class TestDocumentBoundary:
         monkeypatch.undo()
         parsed = parse_document(doc)
         report = katz.check_conventions(parsed.row_form[0].convoluter(*parsed.row_form[2:]),
-                                        parsed.vector)
+                                        parsed.rows.vector(parsed.classes))
         assert out == render({"kind": verb, "status": "ConventionFailure",
                               "convention": report.first_violation().convention,
                               "report": report.to_json()}, exact=verb != "verify")
@@ -1470,7 +1510,7 @@ class TestRenderSharedLists:
     def test_run_trace(self):
         cls = [[entry({f"a{j}": "1"}) for j in range(4)], [entry({f"b{j}": "1"}) for j in range(4)],
                [entry({"c": "1"}, mult=3), entry({"d": "1"})]]
-        trace = run_algorithm(parse_document({"mode": "multiplicative", "classes": cls}).vector)
+        trace = run_algorithm(decoded({"mode": "multiplicative", "classes": cls}))
         doc = trace.to_json()
         assert len(doc["steps"]) >= 3
         assert all(s["output"] is t["input"] for s, t in zip(doc["steps"], doc["steps"][1:]))
@@ -1594,6 +1634,20 @@ class TestImportHygiene:
         assert code == 0
         assert "numpy" in modules
         assert not {m.split(".")[0] for m in modules} & {"scipy", "orjson"}
+
+    def test_every_bench_span_target_resolves(self, monkeypatch):
+        """bench/spans.py wraps library attributes by name: a renamed or deleted
+        one would end the traced bench pass in an AttributeError."""
+        import importlib.util
+
+        path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # nothing is written under bench/
+        spec = importlib.util.spec_from_file_location("bench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        for module, attr, _ in spans.SPANS + spans.COUNTS:
+            owner, name = spans._resolve(module, attr)
+            assert callable(getattr(owner, name)), (module, attr)
 
     def test_lazy_names_are_the_homology_objects(self):
         import midconv

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import decoded
 from midconv import Convoluter, EigDivisor, GroupElement, GroupMode, MonodromyVector, ScalarExpr
-from midconv.docio import parse_document
 from midconv.errors import ModeMismatch
 from midconv.scalars import product
 
@@ -63,7 +63,7 @@ class TestEigDivisor:
     def test_json_round_trip(self):
         g = EigDivisor(MULT, [(gen("a"), 2), (GroupElement(MULT, ScalarExpr(F(1, 3))), 1)])
         doc = {"mode": "multiplicative", "classes": [g.to_json()] * 3}
-        assert parse_document(doc).vector[0] == g
+        assert decoded(doc)[0] == g
 
     def test_mode_mixing_rejected(self):
         with pytest.raises(ModeMismatch):
@@ -115,7 +115,7 @@ class TestMonodromyVector:
         v = MonodromyVector([EigDivisor.of(gen("a"), gen("b")),
                              EigDivisor.of(gen("c"), gen("d")),
                              EigDivisor(MULT, [(gen("e"), 2)])])
-        assert parse_document(v.to_json()).vector == v
+        assert decoded(v.to_json()) == v
 
 
 @given(perm=st.permutations(range(5)))

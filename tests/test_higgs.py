@@ -503,6 +503,19 @@ class TestIntegerWeights:
                                 tau=data.tau)
             assert verify(swapped, vec).checks == reference_checks(swapped, vec)
 
+    def test_weights_over_a_denominator_that_does_not_divide_the_read(self):
+        # the read's denominator is 12; 1/5 and 3/5 over 5 would read as 2/12
+        # and 6/12, point 0's weights, if 12 // 5 were taken as a scale
+        vec = MonodromyVector([divisor(("1/6", 1), ("1/2", 1))]
+                              + [divisor(("1/4", 1), ("3/4", 1))] * 3
+                              + [divisor(("1/12", 1), ("1/4", 1))])
+        data = construct(vec)
+        assert verify(data, vec).ok
+        moved = HiggsData(arrangements=(Arrangement([F(1, 5), F(3, 5)]), *data.arrangements[1:]),
+                          k=data.k, z=data.z, tau=data.tau)
+        assert verify(moved, vec).checks == reference_checks(moved, vec)
+        assert not verify(moved, vec).checks["weights_match"]
+
     def test_sweep_degree_not_integral_message(self):
         for vec, pmv in _sweep_vectors("fractional"):
             with pytest.raises(DegreeNotIntegral) as exc:

@@ -20,13 +20,15 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, example, find, given, settings, strategies as st
 
+from helpers import decoded
 from midconv import EigDivisor, GroupElement, GroupMode, MonodromyVector, ScalarExpr, kappa
 from midconv.cli import main
 from midconv.docio import parse_document
-from midconv.errors import ConventionViolation
-from midconv.katz import Convoluter, max_mult_convoluter
+from midconv.errors import ConventionViolation, MidconvError
+from midconv.higgs import HiggsData, construct, verify
+from midconv.katz import Convoluter, _Rows, max_mult_convoluter
 
 CONSTS = ("0", "1/2", "1/3", "2/3", "1/4")
 GENERATORS = ("g1", "g2", "g3")
@@ -464,7 +466,7 @@ def test_a_rank_one_twist_twists_the_library_transform(mode):
     seen = set()
     for k, (_, doc) in enumerate(case for case in TWIST_CASES if case[0] == mode):
         rng = random.Random(k)
-        vector = parse_document(doc).vector
+        vector = decoded(doc)
         c = [elements(ci, mode) for ci in rank_one_twist(rng, vector.n, mode, Fraction(k % 3, 7))]
         lam = c[0]
         for ci in c[1:]:
@@ -565,3 +567,86 @@ def test_a_constructed_higgs_bundle_has_degrees_summing_to_the_defect():
             assert sum(answer["data"]["z"]) == defect["vector_defect"], doc
             built.append(defect["vector_defect"])
     assert len(built) >= 80 and sum(d > 0 for d in built) >= 60, built
+
+
+# -- higgs on the read and on the decoded vector ----------------------------------
+#
+# higgs answers from the document's read, classes of circle-weight numerators
+# over the read's one denominator, which a given convoluter can widen; the
+# library also takes the vector decoded from the read, whose own denominator
+# is that of its weights.  Each point's weights below are multiples of 1/q for
+# a q of its own, so a point's denominator is mostly smaller than the read's,
+# and verify must scale an arrangement's lowest-terms denominator to compare.
+
+@st.composite
+def drawn_circle_documents(draw):
+    """Circle documents of 3 to 5 points and rank 2 to 6, each point's
+    weights multiples of 1/q for a q of its own; half the time every point
+    has equal parts (as the dimension-2 families have), the last weight
+    closes the total weight to an integer unless drawn otherwise, and a
+    convoluter with denominators 7, 9 or 11 widens the read's denominator
+    half the time."""
+    n, r = draw(st.integers(3, 5)), draw(st.integers(2, 6))
+    closed, equal = draw(st.sampled_from((True, True, True, False))), draw(st.booleans())
+    classes, total = [], Fraction(0)
+    for i in range(n):
+        if equal:
+            k = draw(st.sampled_from([k for k in range(2, r + 1) if r % k == 0]))
+            parts = [r // k] * k
+        else:
+            parts = draw(partitions(r))
+        q = draw(st.sampled_from([q for q in (2, 3, 4, 6, 8, 10, 12) if q >= len(parts)]))
+        nums = draw(st.lists(st.integers(0, q - 1), min_size=len(parts), max_size=len(parts),
+                             unique=True))
+        weights = [Fraction(k, q) for k in nums]
+        if i == n - 1 and closed:
+            rest = total + sum(w * m for w, m in zip(weights[1:], parts[1:]))
+            weights[0] = (-rest / parts[0]) % 1  # equal to another weight sometimes
+        total += sum(w * m for w, m in zip(weights, parts))
+        classes.append([{"value": {"const": str(w)}, "mult": m} for w, m in zip(weights, parts)])
+    doc = {"mode": "circle", "classes": classes}
+    if draw(st.booleans()):
+        h = st.builds(lambda p, q: {"const": f"{p}/{q}"}, st.integers(1, 6),
+                      st.sampled_from((7, 9, 11)))
+        doc["convoluter"] = {"h": draw(st.lists(h, min_size=n, max_size=n))}
+    return doc
+
+
+def higgs_outcome(vector):
+    """construct and verify on ``vector`` (a read or a MonodromyVector): the
+    data and the checks of it and of its arrangements reversed, or the
+    refusal's type and message."""
+    try:
+        data = construct(vector)
+    except MidconvError as exc:
+        return type(exc).__name__, str(exc)
+    swapped = HiggsData(arrangements=data.arrangements[::-1], k=data.k, z=data.z, tau=data.tau)
+    return data, verify(data, vector).checks, verify(swapped, vector).checks
+
+
+@settings(max_examples=80, deadline=None)
+@given(doc=drawn_circle_documents())
+def test_higgs_on_the_read_of_drawn_documents_equals_higgs_on_the_decoded_vector(doc):
+    parsed = parse_document(doc)
+    read = parsed.rows, parsed.classes
+    outcome = higgs_outcome(read)
+    assert outcome == higgs_outcome(parsed.rows.vector(parsed.classes))
+    if isinstance(outcome[0], HiggsData):
+        assert all(outcome[1].values())
+
+
+@pytest.mark.parametrize("answer", ["constructed", "DegreeNotIntegral", "DefectPrecondition",
+                                    "PreconditionDim2", "widened"])
+def test_drawn_circle_documents_reach_every_higgs_answer(answer):
+    """The draws meet every answer of higgs, and a read whose denominator a
+    convoluter widens past the decoded vector's."""
+    def reaches(doc):
+        parsed = parse_document(doc)
+        if answer == "widened":
+            vector = parsed.rows.vector(parsed.classes)
+            return parsed.rows.den != _Rows.of(vector)[0].den
+        outcome = higgs_outcome((parsed.rows, parsed.classes))[0]
+        return (outcome if isinstance(outcome, str) else "constructed") == answer
+
+    find(drawn_circle_documents(), reaches,
+         settings=settings(database=None, max_examples=1000, phases=[Phase.generate]))  # no shrink

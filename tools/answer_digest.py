@@ -48,7 +48,7 @@ counts as failed.
 The last line, ``small-docs library``, digests the library's exact
 transform rather than the CLI's: ``katz.defect`` (with and without the twist), ``katz.kappa``
 (checked, and with ``check=False``) and ``katz.detect_empty`` on the decoded
-vector and twist (``ProblemDocument.vector`` and ``rows.convoluter(h, v)``)
+vector and twist (``parsed.rows.vector(parsed.classes)`` and ``rows.convoluter(h, v)``)
 of every seed-1 small-docs ``transform`` and ``defect`` document, and of
 each transform's partner document built from that ``kappa`` output; in
 additive mode also ``kappa`` and ``check_conventions`` in the de Rham
@@ -190,7 +190,7 @@ def library_line() -> str:
     def digest(doc: dict):
         parsed = parse_document(doc)
         rows, _, h, v = parsed.row_form
-        answers, output = library_answers(rows.convoluter(h, v), parsed.vector)
+        answers, output = library_answers(rows.convoluter(h, v), rows.vector(parsed.classes))
         digests.append(sha256([json.dumps(a, sort_keys=True) for a in answers]))
         return output
 
