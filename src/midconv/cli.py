@@ -19,7 +19,7 @@ import sys
 
 from . import higgs as higgs_mod
 from . import katz, moduli
-from .docio import (MAX_HIGGS_WEIGHTS, ProblemDocument, check_run_terms, parse_document,
+from .docio import (ProblemDocument, check_higgs_weights, check_run_terms, parse_document,
                     parse_generate, parse_json, parse_tol, render)
 from .errors import (ConventionViolation, ConventionViolationNumeric, DigitLimitExceeded,
                      DocumentError, MaxStepsExceeded, MidconvError, ModeMismatch,
@@ -115,9 +115,6 @@ def cmd_verify(doc: dict, beta_v: str | None) -> tuple[dict, int]:
 
 
 def cmd_higgs(doc: ProblemDocument) -> tuple[dict, int]:
-    if len(doc.classes) * sum(doc.classes[0].values()) > MAX_HIGGS_WEIGHTS:
-        raise DocumentError(f"points * rank must be at most {MAX_HIGGS_WEIGHTS} for higgs",
-                            "$.classes")
     try:
         data = higgs_mod.construct((doc.rows, doc.classes))
     except (ModeMismatch, DigitLimitExceeded):
@@ -149,6 +146,8 @@ def _process_one(verb: str, doc: dict, args) -> tuple[dict, int]:
     try:
         if verb == "verify":
             return cmd_verify(doc, args.beta_v)
+        if verb == "higgs":
+            check_higgs_weights(doc)
         return _SYMBOLIC_VERBS[verb](parse_document(doc, args.beta_v))
     except ModeMismatch as exc:  # the verb does not run in the document's mode
         raise DocumentError(str(exc), "$.mode") from None

@@ -124,6 +124,18 @@ MAX_RAW_DIM = 1000
 MAX_HIGGS_WEIGHTS = 250_000
 
 
+def check_higgs_weights(doc: dict) -> None:
+    """DocumentError at ``$.classes`` past ``MAX_HIGGS_WEIGHTS``, before any value is
+    read: points * rank from the first class's raw mults when each is a valid one."""
+    try:
+        classes = doc["classes"]
+        rank = sum(integer(e["mult"], "$.mult", 1) for e in classes[0])
+    except (TypeError, KeyError, IndexError, DocumentError):  # parse_document says what is wrong
+        return
+    if len(classes) * rank > MAX_HIGGS_WEIGHTS:
+        _fail(f"points * rank must be at most {MAX_HIGGS_WEIGHTS} for higgs", "$.classes")
+
+
 # The most terms (a value's constant or one of its generator coefficients) that
 # a run answer may need by ``check_run_terms``' bound: at the cap the
 # hypergeometric document [[r-1, 1], [1]^r, [1]^r] under fresh v, one generator

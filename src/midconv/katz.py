@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cache, partial, reduce
+from functools import reduce
 from math import lcm
 from typing import Collection, NamedTuple, Optional, Sequence
 
@@ -246,7 +246,7 @@ class _Aim(NamedTuple):
     ``mults[i]`` is m_i(h_i^{-1}), ``defect`` is d = (n-2) r - sum(mults),
     and ``noneffective`` lists (i, m_i + d, sum_{j != i}(r - m_j), r) for
     every point whose new eigenvalue [v_i] gets a negative coefficient.
-    ``th[i]`` is t h_i with t = prod(h)^{-1}.  The abstract conventions
+    ``t`` is prod(h)^{-1} and ``th[i]`` is t h_i.  The abstract conventions
     hold when ``chi_nontrivial`` (t != 1) and there are no ``witnesses``,
     the (i, a) with a an eigenvalue of g_i and t h_i a = 1.
     """
@@ -255,16 +255,17 @@ class _Aim(NamedTuple):
     mults: list
     defect: int
     noneffective: tuple
+    t: tuple
     th: list
     chi_nontrivial: bool
     witnesses: tuple
 
 
-def _aim(rows: "_Rows", classes: list, h: list) -> _Aim:
+def _aim(rows: "_Rows", classes: list, h: list, inv: list | None = None) -> _Aim:
     """The formula's data for ``classes``, one {eigenvalue: multiplicity}
-    per point, and the twist's h, in ``rows``."""
+    per point, and the twist's h, in ``rows``, with h's inverses ``inv`` if held."""
     plus = rows.plus
-    inv = [plus(x) for x in h]
+    inv = [plus(x) for x in h] if inv is None else inv
     n, r = len(classes), sum(classes[0].values())
     mults = [g.get(a, 0) for g, a in zip(classes, inv)]
     d = (n - 2) * r - sum(mults)
@@ -272,13 +273,12 @@ def _aim(rows: "_Rows", classes: list, h: list) -> _Aim:
     lhs = [total - (r - m) for m in mults]  # sum_{j != i} (r - m_j)
     assert all((m + d < 0) == (l < r) for m, l in zip(mults, lhs)), \
         "emptiness characterizations disagree"
-    t_inv = plus(reduce(plus, inv))  # t = prod(h)^{-1} = prod(h^{-1})
-    # t h_i a = 1 for one eigenvalue only, a = (t h_i)^{-1} = t^{-1} h_i^{-1};
-    # and t = 1 exactly when that a is h_i^{-1}
-    hit = [plus(t_inv, b) for b in inv]
-    witnesses = tuple((i, a) for i, (g, a) in enumerate(zip(classes, hit)) if a in g)
+    t = reduce(plus, inv)  # t = prod(h)^{-1} = prod(h^{-1})
+    th = [plus(t, x) for x in h]
+    # t h_i a = 1 for one eigenvalue only, a = (t h_i)^{-1}
+    witnesses = tuple((i, a) for i, (g, a) in enumerate(zip(classes, map(plus, th))) if a in g)
     return _Aim(inv, mults, d, tuple((i, m + d, lhs[i], r) for i, m in enumerate(mults)
-                                     if m + d < 0), [plus(a) for a in hit], hit[0] != inv[0], witnesses)
+                                     if m + d < 0), t, th, t != (0, ()), witnesses)
 
 
 def _apply(plus, classes: list, aim: _Aim, v: Sequence) -> list[list]:
@@ -370,7 +370,7 @@ def _report(rows: "_Rows", classes: list, h: list, aim: _Aim,
     return ConventionReport(
         **abstract,
         de_rham=True,
-        diag_res_not_integer=not integer(plus(aim.th[0], aim.inv[0])),  # t = t h_1 h_1^{-1}
+        diag_res_not_integer=not integer(aim.t),
         alphabetabeta_ok=not abb_detail,
         alphabetabeta_detail=tuple(abb_detail),
     )
@@ -540,12 +540,11 @@ class _Rows:
 
     def writer(self):
         """``(value, vector, twist)``, writing a row, classes and (h, v) as the
-        objects' ``to_json`` do, each numerator's text made once."""
-        mode = self.mode.value
-        text = cache(partial(_ratio, d=self.den))
+        objects' ``to_json`` do, each numerator's text made once per writer."""
+        mode, text = self.mode.value, _Texts(self.den)
 
         def value(row: tuple) -> dict:
-            return {"const": text(row[0]), "exps": {n: text(x) for n, x in row[1]}}
+            return {"const": text[row[0]], "exps": {n: text[x] for n, x in row[1]}}
 
         def vector(classes: list) -> dict:
             return {"mode": mode, "points": len(classes), "classes": [
@@ -555,6 +554,17 @@ class _Rows:
             h_json = [value(a) for a in h]
             return {"h": h_json, "v": h_json if v is h else [value(a) for a in v]}
         return value, vector, twist
+
+
+class _Texts(dict):
+    """Numerator -> text over the denominator ``den``, ``_ratio`` on a miss."""
+
+    def __init__(self, den: int):
+        self.den = den
+
+    def __missing__(self, x: int) -> str:
+        text = self[x] = _ratio(x, self.den)
+        return text
 
 
 def _generators(classes: list) -> set[str]:
@@ -572,14 +582,14 @@ def row_defect(classes: list, inv: Sequence | None = None) -> int:
 
 
 def row_step(rows: _Rows, classes: list, h: list, v: list, check: bool = True,
-             de_rham: bool = False, value=None) -> tuple:
+             de_rham: bool = False, value=None, inv: list | None = None) -> tuple:
     """``kappa`` by the twist (h, v) on rows, the step of ``transform``, of the
     reduction loop and of the library: (the formula's data, the output), the
     output ``ordered`` classes or, with a valuation ``value`` of rows, one
     (value, multiplicity) list per point.  With no output it raises: the first
     ConventionViolation of a failing ConventionReport (``kappa``'s ``check``
-    and ``de_rham``), or NoneffectiveTransform with the NoneffectiveReport."""
-    aim = _aim(rows, classes, h)
+    and ``de_rham``), or NoneffectiveTransform with the NoneffectiveReport; ``inv`` as ``_aim``."""
+    aim = _aim(rows, classes, h, inv)
     if check and (de_rham or not aim.chi_nontrivial or aim.witnesses):
         violation = _report(rows, classes, h, aim, de_rham).first_violation()
         if violation is not None:
@@ -676,9 +686,10 @@ def run_algorithm(vector, max_steps: int | None = None,
         if row_defect(current) >= 0:
             return AlgorithmTrace(rows, tuple(steps), TerminalStatus.POSITIVE_DEFECT, current)
         # fresh generators must be fresh per step, not reused across steps
-        h, v = rows.twist(current, v_policy, stem=f"_s{step}_")
+        tops = [*map(rows.top, current)]
+        h, v = rows.twist(current, v_policy, [*map(rows.plus, tops)], stem=f"_s{step}_")
         try:
-            aim, output = row_step(rows, current, h, v)
+            aim, output = row_step(rows, current, h, v, inv=tops)
         except ConventionViolation as exc:
             return AlgorithmTrace(rows, tuple(steps), TerminalStatus.CONVENTION_FAILURE,
                                   current, report=exc.report)

@@ -165,6 +165,36 @@ class TestRun:
         assert fresh != same
 
 
+def digit_limit_documents(mode):
+    """A transform and a run whose constants 1/(10^2200 + 267) and
+    1/(10^2200 + 1) each print, but whose output adds them over a
+    denominator of 4,401 digits: the transform's h carries them, and every
+    eigenvalue at the run's points 1 and 2, so its first twist aims at them."""
+    c1, c2 = f"1/{10 ** 2200 + 267}", f"1/{10 ** 2200 + 1}"
+    transform = {"mode": mode,
+                 "classes": [[entry({f"e{i}_{j}": "1"}) for j in range(2)] for i in range(3)],
+                 "convoluter": {"h": [expr(const=c1), expr(const=c2), expr({"x": "1"})]}}
+    run = {"mode": mode, "classes": [[entry({"a": "1"}, mult=2), entry({"b": "1"})],
+                                     [entry({x: "1"}, const=c1) for x in "cde"],
+                                     [entry({x: "1"}, const=c2) for x in "fgh"]]}
+    return {"transform": transform, "run": run}
+
+
+@pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() <= 4400,
+                    reason="needs an int-to-text digit limit below 4,401 digits")
+class TestDigitLimit:
+    @pytest.mark.parametrize("mode", ["multiplicative", "additive"])
+    @pytest.mark.parametrize("verb", ["transform", "run"])
+    def test_unprintable_output_rational_is_refused(self, verb, mode):
+        """The row writer refuses a text past the digit limit (DigitLimitExceeded):
+        exit 1, nothing on stdout, the error on stderr."""
+        doc = digit_limit_documents(mode)[verb]
+        code, out, err = call_main("defect", doc)  # each constant alone prints
+        assert code == 0 and f"{10 ** 2200 + 267}" in out, err[:200]
+        assert call_main(verb, doc) == (
+            1, "", "error: an output rational has too many digits to print\n")
+
+
 def _renamed(node, names):
     """``node`` with generators renamed by ``names``; any other name that
     starts with "__" loses one "_"."""
@@ -1150,6 +1180,16 @@ class TestDocumentBoundary:
          "$.w[0]: |w_0| must lie in [tol, 1/tol] = [1e-09, 1e+09], got 1.000e+200\n"),
         ("verify", scaled_w_document([1.5e308, 1 / 1.5e308, 1]),
          "$.w[0]: |w_0| must lie in [tol, 1/tol] = [1e-09, 1e+09], got 1.500e+308\n"),
+        # the cap is counted on the first class's raw mults before any value is
+        # read, so a document past it is refused for its size though its last
+        # class holds a malformed value; a first class with a mult that is not
+        # valid is read, and fails, as any document
+        ("higgs", {"mode": "circle", "classes": [[entry({}, const="1/8", mult=50_001)]] * 4
+                   + [[entry({}, const="one eighth", mult=50_001)]]},
+         f"$.classes: points * rank must be at most {MAX_HIGGS_WEIGHTS} for higgs\n"),
+        ("higgs", {"mode": "circle", "classes": [[entry({}, const="1/8", mult=True)]]
+                   + [[entry({}, const="1/8", mult=50_001)]] * 4},
+         "$.classes[0][0].mult: 'mult' must be an integer\n"),
     ])
     def test_forbidden_inputs(self, verb, patch, where):
         doc = run_document() if verb == "run" else {}

@@ -447,6 +447,36 @@ class TestRunAlgorithm:
         assert (TerminalStatus.POSITIVE_DEFECT, True) in seen, seen
         assert (TerminalStatus.ALL_DIAGONAL, True) in seen, seen
 
+    def test_a_step_negates_each_aimed_eigenvalue_once_more(self, monkeypatch):
+        """A step negates its n tops into h and each t h_i into its witness,
+        and nothing else: at most 2n row negations (``_Rows.plus`` with one
+        argument) per twist it aims, against 3n + 1 when h is negated back."""
+        twists, negations = [], []
+        twist, plus = _Rows.twist, _Rows.plus
+
+        def twist_spy(self, *args, **kwargs):
+            twists.append(args)
+            return twist(self, *args, **kwargs)
+
+        def plus_spy(self, a, b=None):
+            if b is None:
+                negations.append(a)
+            return plus(self, a, b)
+
+        monkeypatch.setattr(_Rows, "twist", twist_spy)
+        monkeypatch.setattr(_Rows, "plus", plus_spy)
+        rng, aimed = np.random.default_rng(43), 0
+        for trial in range(60):
+            mode = (MULT, ADD)[trial % 2]
+            vec = random_vector(rng, mode, int(rng.integers(2, 7)), int(rng.integers(3, 6)),
+                                f"ng{trial}")
+            twists.clear()
+            negations.clear()
+            run_algorithm(vec, v_policy=("same", "fresh")[trial // 2 % 2])
+            assert len(negations) <= 2 * vec.n * len(twists), (len(negations), vec.n, len(twists))
+            aimed += len(twists)
+        assert aimed >= 50, aimed
+
     @pytest.mark.parametrize("parts, points, status", [
         ([2, 2], 4, TerminalStatus.POSITIVE_DEFECT), ([3], 3, TerminalStatus.ALL_DIAGONAL)],
         ids=["positive-defect", "all-diagonal"])
